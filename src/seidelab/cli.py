@@ -24,6 +24,9 @@ from .analytic import (
 from .graphs import Graph6Error, parse_graph6
 from .seidel import count_odd_pairs, is_sc_equivalent_to_complete
 from .search import (
+    BOUNDARY_MAX_N,
+    BOUNDARY_MIN_N,
+    ENUM_MAX_N,
     AllGraphs,
     BoundaryFamily,
     Graph6Stream,
@@ -138,10 +141,10 @@ def cmd_verify(args) -> int:
             return _verify_single(args, checks, p_grid)
         sources = []
         if args.all_n is not None:
-            for n in _parse_range(args.all_n, 1, 7):
+            for n in _parse_range(args.all_n, 1, ENUM_MAX_N):
                 sources.append(AllGraphs(n))
         elif args.boundary_family is not None:
-            for n in _parse_range(args.boundary_family, 11, 22):
+            for n in _parse_range(args.boundary_family, BOUNDARY_MIN_N, BOUNDARY_MAX_N):
                 sources.append(BoundaryFamily(n))
         else:
             sources.append(Graph6Stream(args.g6_file, strict=args.strict_parse))
@@ -261,8 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
     src = pv.add_mutually_exclusive_group(required=True)
     src.add_argument("--g6", help="single graph6 string")
     src.add_argument("--g6-file", help="file of graph6 lines")
-    src.add_argument("--all-n", help="exhaustive scan, n or lo..hi (n <= 7)")
-    src.add_argument("--boundary-family", help="clique-plus-two-apexes family, n or lo..hi (11..22)")
+    src.add_argument("--all-n", help=f"exhaustive scan, n or lo..hi (n <= {ENUM_MAX_N})")
+    src.add_argument(
+        "--boundary-family",
+        help="clique-plus-two-apexes family, n or lo..hi "
+        f"({BOUNDARY_MIN_N}..{BOUNDARY_MAX_N})",
+    )
     pv.add_argument("--checks", help="comma-separated subset of " + ",".join(CHECK_NAMES))
     pv.add_argument("-p", type=float, action="append", default=None)
     pv.add_argument("--workers", type=int, default=1)

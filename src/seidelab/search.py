@@ -1,14 +1,25 @@
 """Graph sources and the scan driver.
 
-Sources: exhaustive enumeration of all labeled graphs for n <= 7, the
-two-apex-over-a-clique boundary family for 11 <= n <= 22, and graph6 line
-streams for externally generated corpora.  The scan driver fans fixed-size
-chunks out to a worker pool, evaluates the selected checkers in batch
-(vectorized Jacobi spectra, int64 characteristic polynomials, popcount
-odd-pair counts), and re-runs the exact per-graph checkers on anything that
-fails so the failure reports carry exact integers.  Chunk boundaries do not
-depend on the worker count, so aggregate reports are reproducible
-field-for-field.
+Sources: every labeled graph for n <= 8, the two-apex-over-a-clique
+boundary family for 11 <= n <= 22, and graph6 line streams for externally
+generated corpora.  The scan driver fans fixed-size chunks out to a worker
+pool, evaluates the selected checkers in batch (LAPACK spectra, int64
+characteristic polynomials, popcount odd-pair counts), and re-runs the exact
+per-graph checkers on anything the batch flags, so failure reports carry
+exact integers.
+
+The exhaustive source is scanned one orbit at a time.  Every checked
+quantity (|spectrum|, S_k(A^2), N_op, SC-equivalence to K_n) is invariant
+under Seidel switching and under complementation (A -> -A), so each orbit
+of that group is evaluated once, on the representative with vertex 0
+isolated and the last edge (n-2, n-1) absent, and counted with the orbit's
+size: 2^n labeled graphs for n >= 3, 2^(n-1) below.  Only what a report
+names (equality graphs, failures, the minimum-energy witness, CSV rows) is
+expanded back to the orbit's labeled members.  Every reported item is keyed
+by its position in the source's enumeration order (the labeled edge mask
+for the exhaustive source, the input position otherwise) and merged in
+that order.  Chunk boundaries do not depend on the worker count, so
+aggregate reports are reproducible field-for-field.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import itemgetter
 
 import numpy as np
 
@@ -27,7 +39,7 @@ from .seidel import count_odd_pairs, is_sc_equivalent_to_complete
 from .spectral import binomial, charpoly_batch_i64
 from .verify import CHECK_NAMES, STRICT_MARGIN, run_checks
 
-ENUM_MAX_N = 7
+ENUM_MAX_N = 8
 BOUNDARY_MIN_N = 11
 BOUNDARY_MAX_N = 22
 CHUNK_SIZE = 1 << 15  # fixed so aggregates are worker-count independent
@@ -44,7 +56,11 @@ class Graph6StreamError(ValueError):
 
 @dataclass(frozen=True)
 class AllGraphs:
-    """Every labeled graph on n vertices, in edge-mask order."""
+    """Every labeled graph on n vertices, in edge-mask order.
+
+    Its chunks hold switching-plus-complement orbit representatives (see the
+    module docstring); a scan counts and reports labeled graphs all the same.
+    """
 
     n: int
 
@@ -67,9 +83,10 @@ class AllGraphs:
             yield Graph.from_edge_mask(self.n, mask)
 
     def chunk_specs(self, chunk_size: int = CHUNK_SIZE):
-        total = len(self)
+        """Chunks of representative indices, chunk_size representatives each."""
+        total = 1 << len(_free_edges(self.n))
         return [
-            ("masks", self.n, start, min(start + chunk_size, total))
+            ("classes", self.n, start, min(start + chunk_size, total))
             for start in range(0, total, chunk_size)
         ]
 
@@ -127,7 +144,7 @@ class BoundaryFamily:
     def chunk_specs(self, chunk_size: int = CHUNK_SIZE):
         graphs = list(self)
         return [
-            ("graphs", graphs[i : i + chunk_size])
+            ("graphs", i, graphs[i : i + chunk_size])
             for i in range(0, len(graphs), chunk_size)
         ]
 
@@ -160,7 +177,7 @@ class Graph6Stream:
     def chunk_specs(self, chunk_size: int = CHUNK_SIZE):
         graphs = list(self)
         return [
-            ("graphs", graphs[i : i + chunk_size])
+            ("graphs", i, graphs[i : i + chunk_size])
             for i in range(0, len(graphs), chunk_size)
         ]
 
@@ -190,6 +207,40 @@ def _edge_index(n: int):
     for e, (i, j) in enumerate(_edge_pairs(n)):
         idx[(i, j)] = e
     return idx
+
+
+def _free_edges(n: int) -> list[int]:
+    """Edge numbers a representative may set: not at vertex 0, and not the
+    last edge (n-2, n-1), which complementation normalizes to absent."""
+    return [e for e, (i, _) in enumerate(_edge_pairs(n)) if i != 0][:-1]
+
+
+def _class_masks(n: int, start: int, stop: int) -> np.ndarray:
+    """Edge masks of the representatives numbered start..stop-1, ascending:
+    bit b of the number becomes free edge b."""
+    index = np.arange(start, stop, dtype=np.uint64)
+    masks = np.zeros_like(index)
+    for b, e in enumerate(_free_edges(n)):
+        masks |= ((index >> np.uint64(b)) & np.uint64(1)) << np.uint64(e)
+    return masks
+
+
+def _orbit_offsets(n: int) -> np.ndarray:
+    """XOR masks taking a representative to each labeled member of its orbit:
+    switching on every subset of vertices 1..n-1, with and without the
+    complement for n >= 3 (for n <= 2 the complement is itself a switch)."""
+    pairs = _edge_pairs(n)
+    cuts = []
+    for w in range(0, 1 << n, 2):  # vertex subsets that leave vertex 0 alone
+        cut = 0
+        for e, (i, j) in enumerate(pairs):
+            if (w >> i ^ w >> j) & 1:
+                cut |= 1 << e
+        cuts.append(cut)
+    if n >= 3:
+        full = (1 << len(pairs)) - 1
+        cuts += [c ^ full for c in cuts]
+    return np.array(cuts, dtype=np.uint64)
 
 
 def _seidel_batch_from_masks(n: int, masks: np.ndarray):
@@ -256,52 +307,59 @@ def _sk_batch(s_int: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _ChunkResult:
-    count: int
+    # items are (position, value) pairs; the position is the graph's place in
+    # the source's enumeration order, so the scan merges chunks by sorting
+    count: int  # labeled graphs the chunk stands for
     min_energy: float
+    min_position: int | None  # first graph attaining min_energy
     min_energy_graph6: str | None
-    failure_reports: list  # report dicts, enumeration order
+    failure_reports: list  # report dicts
     equality_graph6: list  # graphs with |E_S - (2n-2)| <= tolerance
     rows: list | None
 
 
-def _graphs_of_chunk(spec) -> list[Graph]:
-    if spec[0] == "masks":
-        _, n, start, stop = spec
-        return [Graph.from_edge_mask(n, m) for m in range(start, stop)]
-    return list(spec[1])
-
-
 def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
-    if spec[0] == "masks":
+    # each group is (n, masks or None, graphs or None, members); members(i)
+    # yields (position, Graph), ascending, for each graph batch row i stands for
+    if spec[0] == "classes":
         _, n, start, stop = spec
-        masks = np.arange(start, stop, dtype=np.uint64)
-        s_int = _seidel_batch_from_masks(n, masks)
-        groups = [(n, masks, s_int, None)]
-        count = stop - start
+        masks = _class_masks(n, start, stop)
+        offsets = _orbit_offsets(n)
+
+        def members(i):
+            for m in np.sort(masks[i] ^ offsets).tolist():
+                yield m, Graph.from_edge_mask(n, m)
+
+        groups = [(n, masks, None, members)]
+        count = (stop - start) * len(offsets)
     else:
-        graphs = list(spec[1])
+        _, start, graphs = spec
         count = len(graphs)
         by_n: dict[int, list[Graph]] = {}
         order: dict[int, list[int]] = {}
         for i, g in enumerate(graphs):
             by_n.setdefault(g.n, []).append(g)
-            order.setdefault(g.n, []).append(i)
+            order.setdefault(g.n, []).append(start + i)
         groups = []
         for n in sorted(by_n):
-            gs = by_n[n]
-            s_int = np.stack(
-                [_seidel_int(g) for g in gs]
+            gs, pos = by_n[n], order[n]
+            groups.append(
+                (n, None, gs, lambda i, gs=gs, pos=pos: iter([(pos[i], gs[i])]))
             )
-            groups.append((n, None, s_int, gs))
     min_e = np.inf
+    min_pos = None
     min_g6 = None
     failures: list[tuple[int, dict]] = []
-    equality: list[str] = []
+    equality: list[tuple[int, str]] = []
     rows = [] if collect_rows else None
-    for gi, (n, masks, s_int, gs) in enumerate(groups):
+    for n, masks, gs, members in groups:
+        if masks is not None:
+            s_int = _seidel_batch_from_masks(n, masks)
+        else:
+            s_int = np.stack([_seidel_int(g) for g in gs])
         bsz = s_int.shape[0]
-        # scan throughput path: batched LAPACK spectra; failures are
-        # re-verified per graph through the certified Jacobi backend
+        # scan throughput path: batched LAPACK spectra; flagged graphs are
+        # re-verified one by one through the certified Jacobi backend
         vals = np.linalg.eigvalsh(s_int.astype(np.float64))
         energy = np.sum(np.abs(vals), axis=1)
         need_sk = bool({"sk-basic", "sk-oddpairs"} & set(checks)) and n >= 2
@@ -352,48 +410,34 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
             marg = energy - (2 * n - 2)
             margins["theorem2"] = marg
             fail |= np.where(sc, marg < -STRICT_MARGIN, marg <= STRICT_MARGIN)
-        # minimum-energy record (first attaining graph in enumeration order)
-        imin = int(np.argmin(energy))
-        if energy[imin] < min_e:
-            min_e = float(energy[imin])
-            min_g6 = encode_graph6(_chunk_graph(spec, gs, masks, n, imin))
+        # minimum-energy record: the first attaining graph by position
+        e = float(energy.min())
+        pos, g = min(next(members(int(i))) for i in np.flatnonzero(energy == e))
+        if (e, pos) < (min_e, min_pos):
+            min_e, min_pos, min_g6 = e, pos, encode_graph6(g)
         near = np.nonzero(np.abs(energy - (2 * n - 2)) <= STRICT_MARGIN)[0]
         for i in near:
-            equality.append(encode_graph6(_chunk_graph(spec, gs, masks, n, int(i))))
+            equality.extend((pos, encode_graph6(g)) for pos, g in members(int(i)))
         for i in np.nonzero(fail)[0]:
-            g = _chunk_graph(spec, gs, masks, n, int(i))
-            for rep in run_checks(g, checks, p_grid):
-                if not rep.passed:
-                    failures.append((int(i), rep.as_dict()))
+            for pos, g in members(int(i)):
+                for rep in run_checks(g, checks, p_grid):
+                    if not rep.passed:
+                        failures.append((pos, rep.as_dict()))
         if collect_rows:
             for i in range(bsz):
-                g6 = encode_graph6(_chunk_graph(spec, gs, masks, n, i))
-                row = {
-                    "graph6": g6,
-                    "n": n,
-                    "E_S": float(energy[i]),
-                    "N_op": int(nop[i]),
-                }
+                values = {"n": n, "E_S": float(energy[i]), "N_op": int(nop[i])}
                 for name in checks:
                     if name in margins:
-                        row[f"{name}_min_margin"] = float(margins[name][i])
-                rows.append(row)
-    failures.sort(key=lambda t: t[0])
-    return _ChunkResult(
-        count, min_e, min_g6, [f for _, f in failures], equality, rows
-    )
+                        values[f"{name}_min_margin"] = float(margins[name][i])
+                for pos, g in members(i):
+                    rows.append((pos, {"graph6": encode_graph6(g), **values}))
+    return _ChunkResult(count, min_e, min_pos, min_g6, failures, equality, rows)
 
 
 def _seidel_int(g: Graph) -> np.ndarray:
     from .graphs import seidel_matrix
 
     return seidel_matrix(g)
-
-
-def _chunk_graph(spec, gs, masks, n, i) -> Graph:
-    if masks is not None:
-        return Graph.from_edge_mask(n, int(masks[i]))
-    return gs[i]
 
 
 # ---------------------------------------------------------------------------
@@ -483,29 +527,28 @@ def scan(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_eval_chunk_star, args, chunksize=1))
     count = sum(r.count for r in results)
-    failures = []
-    equality = []
-    total_failures = 0
-    min_e, min_g6 = np.inf, None
-    rows = [] if collect_rows else None
-    for r in results:
-        total_failures += len(r.failure_reports)
-        failures.extend(r.failure_reports)
-        equality.extend(r.equality_graph6)
-        if r.min_energy < min_e:
-            min_e, min_g6 = r.min_energy, r.min_energy_graph6
-        if collect_rows:
-            rows.extend(r.rows)
+    by_position = itemgetter(0)  # stable: one graph's reports keep their order
+    failures = sorted((f for r in results for f in r.failure_reports), key=by_position)
+    equality = sorted((g for r in results for g in r.equality_graph6), key=by_position)
+    min_e, _, min_g6 = min(
+        ((r.min_energy, r.min_position, r.min_energy_graph6) for r in results),
+        default=(np.inf, None, None),
+        key=lambda t: t[:2],
+    )
+    rows = None
+    if collect_rows:
+        keyed = sorted((x for r in results for x in r.rows), key=by_position)
+        rows = [row for _, row in keyed]
     return ScanReport(
         source=source.descriptor,
         checks=checks,
         p_grid=tuple(p_grid),
         graphs_scanned=count,
-        total_failures=total_failures,
-        failures=failures[:failure_cap],
+        total_failures=len(failures),
+        failures=[f for _, f in failures[:failure_cap]],
         min_energy_graph6=min_g6,
         min_energy=float(min_e),
-        equality_graph6=equality,
+        equality_graph6=[g6 for _, g6 in equality],
         wall_time=time.monotonic() - t0,
         rows=rows,
     )

@@ -1,16 +1,26 @@
 import io
+import json
 
+import numpy as np
 import pytest
 
-from seidelab.graphs import complete_graph, encode_graph6
+from seidelab.graphs import Graph, complete_graph, encode_graph6, parse_graph6
 from seidelab.search import (
     AllGraphs,
     BoundaryFamily,
     Graph6Stream,
     Graph6StreamError,
+    _class_masks,
+    _orbit_offsets,
     scan,
 )
-from seidelab.seidel import count_odd_pairs
+from seidelab.seidel import (
+    count_odd_pairs,
+    is_sc_equivalent_to_complete,
+    switching_class_key,
+)
+
+DESK_CHECKS = ("sk-basic", "sk-oddpairs", "oddpair-lower", "theorem2")
 
 
 class TestAllGraphs:
@@ -21,12 +31,21 @@ class TestAllGraphs:
 
     def test_refusal_mentions_stream(self):
         with pytest.raises(ValueError, match="graph6 stream"):
-            AllGraphs(8)
+            AllGraphs(9)
 
     def test_chunking_covers_everything(self):
-        specs = AllGraphs(5).chunk_specs(chunk_size=300)
-        assert [s[2] for s in specs] == [0, 300, 600, 900]
-        assert specs[-1][3] == 1024
+        # n = 5 has 2^(C(4,2)-1) = 32 representatives
+        specs = AllGraphs(5).chunk_specs(chunk_size=10)
+        assert [s[2] for s in specs] == [0, 10, 20, 30]
+        assert specs[-1][3] == 32
+        # the orbits of the representatives partition every labeled mask
+        for n in range(1, 7):
+            members = [
+                _class_masks(n, start, stop)[:, None] ^ _orbit_offsets(n)[None, :]
+                for _, _, start, stop in AllGraphs(n).chunk_specs(chunk_size=7)
+            ]
+            labeled = np.sort(np.concatenate(members).ravel())
+            assert np.array_equal(labeled, np.arange(len(AllGraphs(n)), dtype=np.uint64))
 
 
 class TestBoundaryFamily:
@@ -142,21 +161,25 @@ class TestScan:
             scan(AllGraphs(3), checks=("bogus",))
 
     def test_worker_determinism(self):
+        # n = 6 has 512 representatives: eight chunks
         reports = [
             scan(
                 AllGraphs(6),
                 checks=("theorem2",),
                 workers=w,
-                chunk_size=2048,
+                chunk_size=64,
             ).to_json(include_timing=False)
             for w in (1, 2, 5)
         ]
         assert reports[0] == reports[1] == reports[2]
 
     def test_chunk_size_independence(self):
-        a = scan(AllGraphs(5), chunk_size=64).to_json(include_timing=False)
-        b = scan(AllGraphs(5), chunk_size=1024).to_json(include_timing=False)
-        assert a == b
+        # n = 5 has 32 representatives: eleven, three and one chunks
+        a, b, c = (
+            scan(AllGraphs(5), chunk_size=size).to_json(include_timing=False)
+            for size in (3, 16, 1024)
+        )
+        assert a == b == c
 
     def test_csv_output(self):
         rep = scan(AllGraphs(4), checks=("theorem2",), collect_rows=True)
@@ -170,3 +193,82 @@ class TestScan:
         rep = scan(AllGraphs(3))
         with pytest.raises(ValueError, match="row"):
             rep.write_csv(io.StringIO())
+
+    def test_stream_outputs_follow_input_order(self, tmp_path):
+        # K_5, K_4, the empty 5-graph and P_4 interleaved in one chunk
+        lines = ["D~{", "C~", "D??", "Ch", "C?", "D~{"]
+        p = tmp_path / "mixed.g6"
+        p.write_text("\n".join(lines) + "\n")
+        rep = scan(Graph6Stream(str(p)), checks=DESK_CHECKS, collect_rows=True)
+        assert [row["graph6"] for row in rep.rows] == lines
+        assert rep.equality_graph6 == ["D~{", "C~", "D??", "C?", "D~{"]
+
+
+@pytest.fixture(scope="module")
+def labeled_files(tmp_path_factory):
+    """Every labeled graph on n = 1..6 vertices as graph6 lines, mask order."""
+    root = tmp_path_factory.mktemp("labeled")
+    files = {}
+    for n in range(1, 7):
+        files[n] = root / f"all{n}.g6"
+        lines = (
+            encode_graph6(Graph.from_edge_mask(n, m))
+            for m in range(1 << (n * (n - 1) // 2))
+        )
+        files[n].write_text("\n".join(lines) + "\n")
+    return files
+
+
+@pytest.mark.parametrize(
+    "checks,p_grid",
+    [(DESK_CHECKS, (1.0,)), (("theorem1",), (0.25, 0.5, 1.0, 1.5, 1.75))],
+)
+def test_orbit_scan_matches_labeled_scan(labeled_files, checks, p_grid):
+    """The orbit-quotient scan reports what scanning every labeled graph
+    reports.  The minimum-energy witness may be another member of the same
+    class: which labeled graph computes lowest is last-ulp noise."""
+    for n, path in labeled_files.items():
+        orbit, labeled = (
+            json.loads(scan(src, checks, p_grid).to_json(include_timing=False))
+            for src in (AllGraphs(n), Graph6Stream(str(path)))
+        )
+        e_orbit, e_labeled = orbit.pop("min_energy"), labeled.pop("min_energy")
+        del orbit["source"], labeled["source"]
+        assert json.dumps(orbit, sort_keys=True) == json.dumps(labeled, sort_keys=True)
+        assert abs(e_orbit["value"] - e_labeled["value"]) <= 1e-12
+        assert switching_class_key(parse_graph6(e_orbit["graph6"])) == (
+            switching_class_key(parse_graph6(e_labeled["graph6"]))
+        )
+
+
+def test_orbit_scan_failures_match_labeled_scan(labeled_files, monkeypatch):
+    """Failures expand to every labeled member of a flagged orbit and merge
+    in labeled order.  The theorems hold, so an inflated strict margin makes
+    the near-extremal graphs fail (48 at n = 4, 320 at n = 5), and a small
+    failure cap truncates the list."""
+    monkeypatch.setattr("seidelab.search.STRICT_MARGIN", 0.8)
+    monkeypatch.setattr("seidelab.verify.STRICT_MARGIN", 0.8)
+    checks = ("sk-basic", "sk-oddpairs", "oddpair-lower", "theorem1", "theorem2")
+    total = 0
+    for n, path in labeled_files.items():
+        orbit, labeled = (
+            scan(src, checks, (0.5, 1.0), failure_cap=100)
+            for src in (AllGraphs(n), Graph6Stream(str(path)))
+        )
+        total += orbit.total_failures
+        assert orbit.total_failures == labeled.total_failures
+        assert orbit.failures == labeled.failures
+        assert orbit.equality_graph6 == labeled.equality_graph6
+    assert total == 368
+
+
+def test_exhaustive_n8_theorem2():
+    rep = scan(AllGraphs(8), checks=("theorem2",), workers=2)
+    assert rep.graphs_scanned == 2**28
+    assert rep.total_failures == 0
+    assert rep.min_energy >= 14 - 1e-6
+    assert len(rep.equality_graph6) == 256
+    for g6 in rep.equality_graph6:
+        g = parse_graph6(g6)
+        assert is_sc_equivalent_to_complete(g)[0]
+        assert count_odd_pairs(g) == 0
