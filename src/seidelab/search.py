@@ -3,10 +3,10 @@
 Sources: every labeled graph for n <= 8, the two-apex-over-a-clique
 boundary family for 11 <= n <= 22, and graph6 line streams for externally
 generated corpora.  The scan driver fans fixed-size chunks out to a worker
-pool, evaluates the selected checkers in batch (LAPACK spectra, int64
-characteristic polynomials, popcount odd-pair counts), and re-runs the exact
-per-graph checkers on anything the batch flags, so failure reports carry
-exact integers.
+pool, evaluates the selected checkers in batch (LAPACK spectra, exact S_k
+from multi-modular int64 characteristic polynomials, popcount odd-pair
+counts), and re-runs the exact per-graph checkers on anything the batch
+flags, so failure reports carry exact integers.
 
 The exhaustive source is scanned one orbit at a time.  Every checked
 quantity (|spectrum|, S_k(A^2), N_op, SC-equivalence to K_n) is invariant
@@ -43,7 +43,6 @@ ENUM_MAX_N = 8
 BOUNDARY_MIN_N = 11
 BOUNDARY_MAX_N = 22
 CHUNK_SIZE = 1 << 15  # fixed so aggregates are worker-count independent
-I64_CHARPOLY_MAX_N = 8  # Faddeev-LeVerrier on A^2 stays inside int64 up to here
 
 
 class Graph6StreamError(ValueError):
@@ -288,21 +287,12 @@ def _sc_batch_from_masks(n: int, masks: np.ndarray) -> np.ndarray:
 
 
 def _sk_batch(s_int: np.ndarray) -> np.ndarray:
-    """Exact S_0..S_n of A^2 for a stack of Seidel matrices, ascending k.
-
-    int64 fast path for small orders, object-dtype exact otherwise."""
+    """Exact S_0..S_n of A^2 for a stack of Seidel matrices, ascending k:
+    int64 up to n = 8, Python ints above."""
     n = s_int.shape[-1]
-    if n <= I64_CHARPOLY_MAX_N:
-        coeffs = charpoly_batch_i64(np.matmul(s_int, s_int))
-    else:
-        from .spectral import char_poly_exact
-
-        obj = s_int.astype(object)
-        coeffs = np.empty((s_int.shape[0], n + 1), dtype=object)
-        for b in range(s_int.shape[0]):
-            coeffs[b] = char_poly_exact(obj[b] @ obj[b]).coeffs
+    coeffs = charpoly_batch_i64(np.matmul(s_int, s_int))
     signs = np.array([(-1) ** k for k in range(n + 1)])
-    return (coeffs[:, ::-1] * signs)  # S_k = (-1)^k c_{n-k}
+    return coeffs[:, ::-1] * signs  # S_k = (-1)^k c_{n-k}
 
 
 @dataclass

@@ -1,19 +1,21 @@
 """Seidel spectra and exact integer characteristic polynomials.
 
 Two backends live here.  The floating-point one is a cyclic Jacobi
-eigensolver (threshold strategy, residual certificate) that also runs in
-batch over stacks of matrices so exhaustive scans stay fast.  The exact one
-computes integer characteristic polynomials by the Faddeev-LeVerrier
-recurrence in arbitrary precision, from which the elementary symmetric
-functions S_k(A^2) fall out sign-unwound; single minors go through
-fraction-free Bareiss elimination.
+eigensolver (threshold strategy, residual certificate) for single graphs;
+scans take their spectra from LAPACK in the search module instead.  The
+exact one is charpoly_batch_i64: Faddeev-LeVerrier in int64 over stacks of
+matrices, modulo as many primes as a Hadamard bound asks for, with the
+integer coefficients rebuilt by Garner's CRT.  It yields the elementary
+symmetric functions S_k(A^2) of every scan and verify call up to n = 62.
+The object-dtype recurrence char_poly_exact and fraction-free Bareiss
+determinants stay as oracles and behind the Cauchy-Binet check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -232,50 +234,130 @@ def char_poly_exact(a) -> ExactCharPoly:
     return ExactCharPoly(tuple(int(c) for c in coeffs))
 
 
-def charpoly_batch_i64(mats: np.ndarray) -> np.ndarray:
-    """Faddeev-LeVerrier over a (B, n, n) int64 stack; returns (B, n+1)
-    coefficients in ascending power order.
+# Primes just below 2^28, descending, listed rather than searched for at
+# import.  Being > 62, each makes 1..n invertible mod p; the 14 of them cover
+# the S_k of Seidel A^2 up to n = 62, where n^2 (n-1) (p + p/2) < 2^63 leaves
+# int64 room for lazy reduction.
+CRT_PRIMES = (
+    268435399, 268435367, 268435361, 268435337, 268435331, 268435313, 268435291,
+    268435273, 268435243, 268435183, 268435171, 268435157, 268435147, 268435133,
+)
+_I64_LIMIT = 1 << 63
+_BLOCK_ENTRIES = 1 << 15  # int64 entries of M_k per block, over all primes
 
-    Exact only while intermediates fit int64; callers gate on matrix order
-    (safe for Seidel A^2 up to n = 8).
+
+def _crt_primes(n: int, d: int) -> tuple[int, ...]:
+    """The fewest leading CRT_PRIMES whose product exceeds 2 max_k C(n,k) d^k.
+
+    For an n x n positive-semidefinite matrix with largest diagonal entry d,
+    Hadamard's inequality bounds each k x k principal minor by d^k, so
+    |c_{n-k}| = S_k <= C(n,k) d^k and symmetric residues recover c exactly.
+    """
+    bound = max(comb(n, k) * d**k for k in range(n + 1))
+    total = 1
+    for count, p in enumerate(CRT_PRIMES, start=1):
+        total *= p
+        if total > 2 * bound:
+            return CRT_PRIMES[:count]
+    raise ValueError(f"S_k bound at n={n}, d={d} exceeds the product of CRT_PRIMES")
+
+
+def _charpoly_residues(m: np.ndarray, primes: tuple[int, ...], a: int) -> np.ndarray:
+    """Faddeev-LeVerrier on a (b, n, n) int64 block modulo every prime at
+    once; returns (P, b, n+1) ascending coefficients in [0, p).
+
+    |entries of m| <= a.  The running product M_k is reduced mod p only when
+    the next product's trace could leave int64; c_k is kept as a symmetric
+    residue, so below that threshold M_k is the exact integer matrix.
+    """
+    b, n, _ = m.shape
+    ps = np.array(primes, dtype=np.int64)[:, None]  # (P, 1)
+    half, pmax = ps // 2, max(primes)
+    out = np.empty((len(primes), b, n + 1), dtype=np.int64)
+    out[..., n] = 1
+    diag = np.arange(n)
+    mk = np.repeat(m[None], len(primes), axis=0)  # M_1 = A
+    mk_bound = a
+    for k in range(1, n + 1):
+        tr = np.einsum("pbii->pb", mk) % ps
+        inv_k = np.array([pow(k, -1, p) for p in primes], dtype=np.int64)[:, None]
+        ck = (ps - tr) * inv_k % ps  # c_{n-k} = -tr(M_k) / k
+        out[:, :, n - k] = ck
+        if k == n:
+            break
+        if n * n * a * (mk_bound + pmax // 2) >= _I64_LIMIT:
+            np.remainder(mk, ps[:, :, None, None], out=mk)
+            mk_bound = pmax - 1
+        mk[..., diag, diag] += np.where(ck > half, ck - ps, ck)[..., None]
+        mk = np.matmul(m, mk)
+        mk_bound = n * a * (mk_bound + pmax // 2)
+    return out
+
+
+def _garner(res: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
+    """Integers x with |x| < prod(primes)/2 from residues res[i] = x mod
+    primes[i], by Garner's mixed-radix reconstruction.  One prime gives int64,
+    several give Python ints in an object array."""
+    if len(primes) == 1:
+        p = primes[0]
+        return np.where(res[0] > p // 2, res[0] - p, res[0])
+    digits = []
+    for i, p in enumerate(primes):
+        v = res[i]
+        for q, dq in zip(primes, digits):
+            v = (v - dq) * pow(q, -1, p) % p
+        digits.append(v)
+    x = digits[-1].astype(object)
+    for p, v in zip(primes[-2::-1], digits[-2::-1]):
+        x = x * p + v.astype(object)
+    total = prod(primes)
+    return np.where(x > total // 2, x - total, x)
+
+
+def charpoly_batch_i64(mats: np.ndarray) -> np.ndarray:
+    """Exact det(xI - M) for a (B, n, n) stack of symmetric positive-
+    semidefinite integer matrices (A^2 of a Seidel matrix is one); returns
+    (B, n+1) coefficients in ascending power order.
+
+    Faddeev-LeVerrier runs in int64 modulo each of _crt_primes(n, d), d
+    the largest diagonal entry, over blocks of about 2^15 / (P n^2)
+    matrices for P primes, and Garner's algorithm rebuilds the integers.
+    The result is int64 when one prime suffices (Seidel A^2 up to n = 8)
+    and Python ints in an object array otherwise.  A row does not depend on
+    the rest of its batch.
     """
     m = np.asarray(mats, dtype=np.int64)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise ValueError("expected a (B, n, n) stack of square matrices")
     bsz, n, _ = m.shape
-    coeffs = np.zeros((bsz, n + 1), dtype=np.int64)
-    coeffs[:, n] = 1
-    ident = np.eye(n, dtype=np.int64)
-    mk = m.copy()
-    for k in range(1, n + 1):
-        tr = np.einsum("bii->b", mk)
-        ck = -(tr // k)  # exact: the recurrence divides evenly
-        coeffs[:, n - k] = ck
-        if k < n:
-            mk = m @ (mk + ck[:, None, None] * ident)
-    return coeffs
+    d = max(int(np.diagonal(m, axis1=1, axis2=2).max(initial=0)), 0)
+    a = max(int(m.max(initial=0)), -int(m.min(initial=0)))
+    primes = _crt_primes(n, d)
+    if n * n * a * (max(primes) * 3 // 2) >= _I64_LIMIT:
+        raise ValueError("matrix entries too large for the int64 recurrence")
+    res = np.empty((len(primes), bsz, n + 1), dtype=np.int64)
+    step = max(1, _BLOCK_ENTRIES // (len(primes) * n * n or 1))
+    for lo in range(0, bsz, step):
+        res[:, lo : lo + step] = _charpoly_residues(m[lo : lo + step], primes, a)
+    return _garner(res, primes)
 
 
 def elementary_symmetric_A2(a: np.ndarray | Graph) -> list[int]:
     """Exact S_0..S_n of the squared Seidel eigenvalues.
 
-    Computed as the characteristic polynomial of the integer matrix A^2 with
-    signs unwound: S_k = (-1)^k c_{n-k}.
+    Computed as the characteristic polynomial of the integer matrix A^2, a
+    batch of one through charpoly_batch_i64, with signs unwound:
+    S_k = (-1)^k c_{n-k}.
     """
     if isinstance(a, Graph):
         a = seidel_matrix(a)
-    a = check_seidel_matrix(a)
+    a = check_seidel_matrix(a).astype(np.int64)
     n = a.shape[0]
-    sq = np.array(a, dtype=object) @ np.array(a, dtype=object)
-    cp = char_poly_exact(sq)
-    sk = [(-1) ** k * cp.coeffs[n - k] for k in range(n + 1)]
+    coeffs = charpoly_batch_i64((a @ a)[None])[0]
+    sk = [(-1) ** k * int(coeffs[n - k]) for k in range(n + 1)]
     if sk[0] != 1 or any(v < 0 for v in sk):
         raise AssertionError("S_k of a squared symmetric matrix must be nonnegative")
     return sk
-
-
-def sk_from_charpoly_coeffs(coeffs) -> list[int]:
-    """Sign-unwind ascending char-poly coefficients of A^2 into S_0..S_n."""
-    n = len(coeffs) - 1
-    return [(-1) ** k * int(coeffs[n - k]) for k in range(n + 1)]
 
 
 def bareiss_det(mat) -> int:

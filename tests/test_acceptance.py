@@ -188,7 +188,7 @@ def test_criterion_11_worker_determinism():
             AllGraphs(6),
             checks=("sk-basic", "theorem2"),
             workers=w,
-            chunk_size=2048,
+            chunk_size=64,
         ).to_json(include_timing=False)
         for w in (1, 2, 8)
     ]

@@ -4,7 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from seidelab.graphs import Graph, complete_graph, encode_graph6, parse_graph6
+from seidelab.graphs import (
+    Graph,
+    complete_graph,
+    encode_graph6,
+    parse_graph6,
+    seidel_matrix,
+)
 from seidelab.search import (
     AllGraphs,
     BoundaryFamily,
@@ -12,8 +18,10 @@ from seidelab.search import (
     Graph6StreamError,
     _class_masks,
     _orbit_offsets,
+    _sk_batch,
     scan,
 )
+from seidelab.spectral import char_poly_exact
 from seidelab.seidel import (
     count_odd_pairs,
     is_sc_equivalent_to_complete,
@@ -138,6 +146,20 @@ class TestScan:
         assert rep.graphs_scanned == len(BoundaryFamily(11))
         assert rep.total_failures == 0
         assert rep.min_energy == pytest.approx(20.0, abs=1e-9)
+
+    def test_boundary_family_22_exact(self):
+        # the largest boundary order through the exact S_k checks
+        rep = scan(BoundaryFamily(22), checks=("sk-basic", "sk-oddpairs"))
+        assert rep.graphs_scanned == len(BoundaryFamily(22)) == 1892
+        assert rep.total_failures == 0
+
+    @pytest.mark.parametrize("n", range(17, 23))
+    def test_boundary_sk_matches_exact(self, n):
+        graphs = list(BoundaryFamily(n))[::61]
+        s = np.stack([seidel_matrix(g) for g in graphs])
+        for sk, m in zip(_sk_batch(s), s):
+            coeffs = char_poly_exact(m @ m).coeffs
+            assert list(sk) == [(-1) ** k * coeffs[n - k] for k in range(n + 1)]
 
     def test_graph_source_nop_matches_mask_source(self, tmp_path):
         # the popcount odd-pair path and the per-graph path must agree

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from itertools import combinations
 
 from seidelab.graphs import (
+    Graph,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -14,7 +15,9 @@ from seidelab.graphs import (
     seidel_matrix,
 )
 from seidelab.spectral import (
+    CRT_PRIMES,
     ExactCharPoly,
+    _crt_primes,
     binomial,
     bareiss_det,
     cauchy_binet_check,
@@ -24,7 +27,6 @@ from seidelab.spectral import (
     eigenvalues_batch,
     elementary_symmetric_A2,
     p_energy,
-    sk_from_charpoly_coeffs,
     submatrix_det_parity,
 )
 
@@ -166,6 +168,92 @@ class TestCharPolyExact:
             assert tuple(int(c) for c in batch[i]) == char_poly_exact(sq[i]).coeffs
 
 
+def _random_graph_any_n(rng, n: int) -> Graph:
+    m = n * (n - 1) // 2
+    mask = int.from_bytes(rng.bytes(m // 8 + 1), "little") % (1 << m)
+    return Graph.from_edge_mask(n, mask)
+
+
+def _paley_plus_vertex(q: int) -> Graph:
+    """Paley graph on GF(q), q prime = 1 mod 4, plus an isolated vertex: its
+    Seidel matrix is a conference matrix, A^2 = (n-1) I."""
+    squares = {x * x % q for x in range(1, q)}
+    pairs = combinations(range(q), 2)
+    return Graph.from_edges(q + 1, [(i, j) for i, j in pairs if j - i in squares])
+
+
+def _seidel_squares(graphs) -> np.ndarray:
+    s = np.stack([seidel_matrix(g) for g in graphs])
+    return s @ s
+
+
+class TestCharPolyBatch:
+    """The multi-modular kernel against the object-dtype oracle."""
+
+    @pytest.mark.parametrize("n, randoms", [(9, 6), (16, 4), (22, 4), (40, 1), (62, 1)])
+    def test_matches_exact(self, rng, n, randoms):
+        # K_n and its complement share A^2 = I + (n-2) J, the largest
+        # entries a Seidel A^2 can have
+        graphs = [complete_graph(n), empty_graph(n)]
+        graphs += [_random_graph_any_n(rng, n) for _ in range(randoms)]
+        sq = _seidel_squares(graphs)
+        batch = charpoly_batch_i64(sq)
+        assert batch.dtype == object
+        for row, m in zip(batch, sq):
+            assert tuple(row) == char_poly_exact(m).coeffs
+
+    @pytest.mark.parametrize("q", [5, 13, 29, 61])
+    def test_attains_hadamard_bound(self, q):
+        # S_k = C(n,k) (n-1)^k: the bound that sizes the prime count, met
+        n = q + 1
+        sq = _seidel_squares([_paley_plus_vertex(q)])
+        assert np.array_equal(sq[0], q * np.eye(n, dtype=np.int64))
+        coeffs = charpoly_batch_i64(sq)[0]
+        assert [(-1) ** k * int(coeffs[n - k]) for k in range(n + 1)] == [
+            math.comb(n, k) * q**k for k in range(n + 1)
+        ]
+
+    @given(graph_strategy(min_n=1, max_n=30))
+    @settings(max_examples=25)
+    def test_matches_exact_hypothesis(self, g):
+        sq = _seidel_squares([g])
+        assert tuple(int(c) for c in charpoly_batch_i64(sq)[0]) == (
+            char_poly_exact(sq[0]).coeffs
+        )
+
+    @pytest.mark.parametrize("n", [7, 9, 16])
+    def test_row_independent_of_batch(self, rng, n):
+        # 300 matrices span several blocks (2^15 / (P n^2): 42 at n = 16)
+        sq = _seidel_squares(
+            [complete_graph(n)] + [random_graph(rng, n=n) for _ in range(299)]
+        )
+        whole = charpoly_batch_i64(sq)
+        seven = charpoly_batch_i64(sq[:7])
+        for i in range(7):
+            one = charpoly_batch_i64(sq[i : i + 1])
+            assert list(one[0]) == list(seven[i]) == list(whole[i])
+
+    def test_crt_primes(self):
+        for p in CRT_PRIMES:
+            assert p > 62
+            assert all(p % q for q in range(2, math.isqrt(p) + 1))
+        bound = max(math.comb(62, k) * 61**k for k in range(63))
+        assert math.prod(CRT_PRIMES[:14]) > 2 * bound
+        counts = [len(_crt_primes(n, n - 1)) for n in (8, 9, 16, 22, 62)]
+        assert counts == [1, 2, 3, 4, 14]
+        # lazy reduction: after reducing, the next product's trace fits int64
+        p = max(CRT_PRIMES)
+        assert 62 * 62 * 61 * (p + p // 2) < 2**63
+
+    def test_rejects_out_of_range(self):
+        with pytest.raises(ValueError):
+            charpoly_batch_i64(np.ones((2, 3), dtype=np.int64))
+        with pytest.raises(ValueError):  # more primes than CRT_PRIMES holds
+            charpoly_batch_i64(np.eye(70, dtype=np.int64)[None] * 10**6)
+        with pytest.raises(ValueError):  # entries overflow the int64 products
+            charpoly_batch_i64(np.eye(2, dtype=np.int64)[None] << 40)
+
+
 class TestElementarySymmetric:
     def test_examples(self):
         assert elementary_symmetric_A2(complete_graph(2)) == [1, 2, 1]
@@ -189,13 +277,6 @@ class TestElementarySymmetric:
         for mu in mus:
             poly = np.convolve(poly, [1.0, mu])
         assert np.allclose(poly, np.array(sk, dtype=float), rtol=1e-9, atol=1e-6)
-
-    def test_sign_unwind_helper(self):
-        cp = char_poly_exact(
-            seidel_matrix(complete_graph(3)).astype(object)
-            @ seidel_matrix(complete_graph(3)).astype(object)
-        )
-        assert sk_from_charpoly_coeffs(cp.coeffs) == [1, 6, 9, 4]
 
 
 class TestBareissDet:
