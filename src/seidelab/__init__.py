@@ -35,10 +35,7 @@ from .search import (
     BoundaryFamily,
     Graph6Stream,
     ScanReport,
-    boundary_family,
-    enumerate_all_graphs,
     scan,
-    stream_graph6,
 )
 from .seidel import (
     count_odd_pairs,

@@ -3,10 +3,21 @@
 Sources: every labeled graph for n <= 8, the two-apex-over-a-clique
 boundary family for 11 <= n <= 22, and graph6 line streams for externally
 generated corpora.  The scan driver fans fixed-size chunks out to a worker
-pool, evaluates the selected checkers in batch (LAPACK spectra, exact S_k
-from multi-modular int64 characteristic polynomials, popcount odd-pair
-counts), and re-runs the exact per-graph checkers on anything the batch
+pool and re-runs the exact per-graph checkers on anything the batch path
 flags, so failure reports carry exact integers.
+
+Every chunk has one format: per order n, a stack of edge bits in graph6
+order, which a worker builds itself (the exhaustive and boundary sources
+ship index ranges, a graph6 stream ships its raw lines, decoded and
+validated in one vectorized pass).  Everything checked derives from the
+stack: LAPACK spectra of the Seidel matrices S, exact S_k from multi-modular
+int64 characteristic polynomials of S^2, the odd-pair count N_op from the
+same S^2 through
+
+    N_op = [C(n,2)(n-2)^2 - (||S^2||_F^2 - n(n-1)^2)/2] / 4,
+
+and SC-equivalence to K_n from an xor test on the adjacency bits.  Graph
+objects appear only for the flagged graphs the per-graph checkers re-verify.
 
 The exhaustive source is scanned one orbit at a time.  Every checked
 quantity (|spectrum|, S_k(A^2), N_op, SC-equivalence to K_n) is invariant
@@ -17,9 +28,10 @@ size: 2^n labeled graphs for n >= 3, 2^(n-1) below.  Only what a report
 names (equality graphs, failures, the minimum-energy witness, CSV rows) is
 expanded back to the orbit's labeled members.  Every reported item is keyed
 by its position in the source's enumeration order (the labeled edge mask
-for the exhaustive source, the input position otherwise) and merged in
-that order.  Chunk boundaries do not depend on the worker count, so
-aggregate reports are reproducible field-for-field.
+for the exhaustive source, the parameter index for the boundary family,
+the line number for a stream) and merged in that order.  Chunk boundaries
+do not depend on the worker count, so aggregate reports are reproducible
+field-for-field.
 """
 
 from __future__ import annotations
@@ -29,13 +41,16 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import islice
 from operator import itemgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .graphs import Graph, Graph6Error, encode_graph6, parse_graph6
-from .seidel import count_odd_pairs, is_sc_equivalent_to_complete
+from .graphs import Graph, Graph6Error, parse_graph6
+# unused here; kept importable as seidelab.search.<name> for bench/tracing.py
+from .graphs import encode_graph6  # noqa: F401
+from .seidel import count_odd_pairs, is_sc_equivalent_to_complete  # noqa: F401
 from .spectral import binomial, charpoly_batch_i64
 from .verify import CHECK_NAMES, STRICT_MARGIN, run_checks
 
@@ -122,16 +137,21 @@ class BoundaryFamily:
                         out.append((a, b, c, e))
         return out
 
+    def edge_bits(self, params) -> np.ndarray:
+        """Edge bits, graph6 order, of the members with the given (a, b, c, e)
+        rows: apex v1 = n-2 sees [0, a), apex v2 = n-1 sees [0, c) and
+        [a, a+b-c), and e joins the apexes."""
+        m = self.n - 2
+        j, i = np.tril_indices(self.n, -1)
+        a, b, c, e = np.asarray(params, dtype=np.int64).reshape(-1, 4).T[:, :, None]
+        to_v2 = (i < c) | ((i >= a) & (i < a + b - c))
+        v2_column = np.where(i < m, to_v2, e == 1)  # j = n-1; i = n-2 is the apex edge
+        bits = np.where(j < m, True, np.where(j == m, i < a, v2_column))
+        return bits.astype(np.uint8)
+
     def graph_for(self, a: int, b: int, c: int, e: int) -> Graph:
-        n, m = self.n, self.n - 2
-        v1, v2 = n - 2, n - 1
-        edges = list(combinations(range(m), 2))
-        edges += [(i, v1) for i in range(a)]
-        edges += [(i, v2) for i in range(c)]
-        edges += [(i, v2) for i in range(a, a + b - c)]
-        if e:
-            edges.append((v1, v2))
-        return Graph.from_edges(n, edges)
+        bits = self.edge_bits([(a, b, c, e)])[0]
+        return Graph.from_edge_mask(self.n, _mask_of_bits(bits))
 
     def __len__(self) -> int:
         return len(self.params())
@@ -141,10 +161,11 @@ class BoundaryFamily:
             yield self.graph_for(a, b, c, e)
 
     def chunk_specs(self, chunk_size: int = CHUNK_SIZE):
-        graphs = list(self)
+        """Chunks of parameter ranges, chunk_size members each."""
+        total = len(self)
         return [
-            ("graphs", i, graphs[i : i + chunk_size])
-            for i in range(0, len(graphs), chunk_size)
+            ("boundary", self.n, start, min(start + chunk_size, total))
+            for start in range(0, total, chunk_size)
         ]
 
 
@@ -174,38 +195,35 @@ class Graph6Stream:
                     raise Graph6StreamError(f"line {lineno}: {exc}") from exc
 
     def chunk_specs(self, chunk_size: int = CHUNK_SIZE):
-        graphs = list(self)
-        return [
-            ("graphs", i, graphs[i : i + chunk_size])
-            for i in range(0, len(graphs), chunk_size)
-        ]
-
-
-def enumerate_all_graphs(n: int) -> AllGraphs:
-    return AllGraphs(n)
-
-
-def boundary_family(n: int) -> BoundaryFamily:
-    return BoundaryFamily(n)
-
-
-def stream_graph6(path: str, strict: bool = True) -> Graph6Stream:
-    return Graph6Stream(path, strict)
+        """Chunks of chunk_size nonblank lines, undecoded: their line numbers
+        and their text joined by newlines.  Workers decode and validate."""
+        specs = []
+        lines = self._lines()
+        while block := list(islice(lines, chunk_size)):
+            linenos, texts = zip(*block)
+            linenos = np.array(linenos, dtype=np.int64)
+            specs.append(("graph6", linenos, "\n".join(texts), self.strict))
+        return specs
 
 
 # ---------------------------------------------------------------------------
-# vectorized chunk evaluation
+# chunks as edge-bit stacks
+#
+# Every chunk becomes, per order n, a (B, C(n,2)) uint8 stack of edge bits
+# in graph6 order plus two functions naming its rows: members(rows) gives
+# the labeled graphs each row stands for as (row, position) arrays, members
+# of a row ascending by position, and name(rows, positions) their graph6.
+
+
+class _Stack(NamedTuple):
+    n: int
+    bits: np.ndarray
+    members: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    name: Callable[[np.ndarray, np.ndarray], list[str]]
 
 
 def _edge_pairs(n: int):
     return [(i, j) for j in range(1, n) for i in range(j)]
-
-
-def _edge_index(n: int):
-    idx = {}
-    for e, (i, j) in enumerate(_edge_pairs(n)):
-        idx[(i, j)] = e
-    return idx
 
 
 def _free_edges(n: int) -> list[int]:
@@ -242,57 +260,161 @@ def _orbit_offsets(n: int) -> np.ndarray:
     return np.array(cuts, dtype=np.uint64)
 
 
-def _seidel_batch_from_masks(n: int, masks: np.ndarray):
-    m = n * (n - 1) // 2
-    bits = ((masks[:, None] >> np.arange(m, dtype=np.uint64)) & 1).astype(np.int64)
-    s = np.ones((masks.shape[0], n, n), dtype=np.int64)
-    for e, (i, j) in enumerate(_edge_pairs(n)):
-        s[:, i, j] = 1 - 2 * bits[:, e]
-        s[:, j, i] = s[:, i, j]
-    for i in range(n):
-        s[:, i, i] = 0
+def _mask_bits(n: int, masks: np.ndarray) -> np.ndarray:
+    """Edge bits of uint64 edge masks: column e is bit e."""
+    shifts = np.arange(n * (n - 1) // 2, dtype=np.uint64)
+    return ((masks[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+
+
+def _mask_of_bits(bits: np.ndarray) -> int:
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _adjacency(n: int, bits: np.ndarray) -> np.ndarray:
+    """(B, n, n) uint8 adjacency matrices of a stack of edge bits."""
+    j, i = np.tril_indices(n, -1)  # colex: (0,1), (0,2), (1,2), (0,3), ...
+    adj = np.zeros((bits.shape[0], n, n), dtype=np.uint8)
+    adj[:, i, j] = bits
+    adj[:, j, i] = bits
+    return adj
+
+
+def _seidel(adj: np.ndarray) -> np.ndarray:
+    """Seidel matrices, int8: zero diagonal, -1 on edges, +1 elsewhere.
+    Their products stay exact in int8: every partial sum of a row-by-column
+    product is at most n - 1 <= 61 in magnitude."""
+    s = np.where(adj, np.int8(-1), np.int8(1))
+    d = np.arange(adj.shape[-1])
+    s[:, d, d] = 0
     return s
 
 
-def _nop_batch_from_masks(n: int, masks: np.ndarray) -> np.ndarray:
-    """Ordered odd-pair counts via popcounts of 4-edge cross masks."""
-    idx = _edge_index(n)
-    nop = np.zeros(masks.shape[0], dtype=np.int64)
-    verts = range(n)
-    for x in combinations(verts, 2):
-        for y in combinations([v for v in verts if v not in x], 2):
-            if x < y:  # unordered; double at the end
-                pm = 0
-                for u in x:
-                    for v in y:
-                        pm |= 1 << idx[(min(u, v), max(u, v))]
-                nop += (np.bitwise_count(masks & np.uint64(pm)) & 1).astype(np.int64)
-    return 2 * nop
+def _graph6_lines(n: int, bits: np.ndarray) -> list[str]:
+    """graph6 lines of a stack of edge bits (the inverse of _decode_graph6)."""
+    nbytes = (bits.shape[1] + 5) // 6
+    six = np.zeros((bits.shape[0], nbytes * 6), dtype=np.uint8)
+    six[:, : bits.shape[1]] = bits
+    out = np.empty((bits.shape[0], nbytes + 1), dtype=np.uint8)
+    out[:, 0] = n + 63
+    packed = np.packbits(six.reshape(bits.shape[0], nbytes, 6), axis=-1)[..., 0]
+    out[:, 1:] = (packed >> 2) + 63  # six bits, high first, as the top of a byte
+    text = out.tobytes().decode("ascii")
+    return [text[k : k + nbytes + 1] for k in range(0, len(text), nbytes + 1)]
 
 
-def _sc_batch_from_masks(n: int, masks: np.ndarray) -> np.ndarray:
-    """SC-equivalence to K_n: after normalizing vertex 0 to universal, the
-    bits adj(i,j) ^ adj(0,i) ^ adj(0,j) must be constant over pairs i<j."""
-    if n <= 2:
-        return np.ones(masks.shape[0], dtype=bool)
-    idx = _edge_index(n)
-    total = np.zeros(masks.shape[0], dtype=np.int64)
-    npairs = 0
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            pm = (1 << idx[(i, j)]) | (1 << idx[(0, i)]) | (1 << idx[(0, j)])
-            total += (np.bitwise_count(masks & np.uint64(pm)) & 1).astype(np.int64)
-            npairs += 1
-    return (total == 0) | (total == npairs)
+def _decode_graph6(linenos: np.ndarray, text: str, strict: bool):
+    """Decode newline-joined graph6 lines in one pass per line length.
+
+    Applies every check parse_graph6 makes; a rejected line is handed to
+    parse_graph6 for its error, which strict mode raises for the first such
+    line and lenient mode skips.  Returns (n, line indices, edge bits) per
+    order.
+    """
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    ends = np.append(np.flatnonzero(buf == ord("\n")), len(buf))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    lengths = ends - starts
+    decoded = []
+    rejected = []
+    for length in np.unique(lengths).tolist():
+        idx = np.flatnonzero(lengths == length)
+        rows = buf[starts[idx, None] + np.arange(length)]
+        n = rows[:, 0].astype(np.int64) - 63
+        ok = ((rows >= 63) & (rows <= 126)).all(axis=1) & (n >= 1) & (n != 63)
+        ok &= (n * (n - 1) // 2 + 5) // 6 == length - 1
+        for order in np.unique(n[ok]).tolist():
+            sel = np.flatnonzero(ok & (n == order))
+            six = np.unpackbits(rows[sel, 1:, None] - 63, axis=-1)[..., 2:]
+            bits = six.reshape(len(sel), 6 * (length - 1))
+            nbits = order * (order - 1) // 2
+            padded = bits[:, nbits:].any(axis=1)
+            ok[sel[padded]] = False
+            if not padded.all():
+                decoded.append((order, idx[sel[~padded]], bits[~padded, :nbits]))
+        rejected.extend(idx[~ok].tolist())
+    if rejected:
+        lines = text.split("\n")
+        for k in sorted(rejected):
+            try:
+                parse_graph6(lines[k])
+            except Graph6Error as exc:
+                if strict:
+                    raise Graph6StreamError(f"line {linenos[k]}: {exc}") from exc
+            else:
+                raise RuntimeError(f"line {linenos[k]}: decoder rejected a valid line")
+    return decoded
 
 
-def _sk_batch(s_int: np.ndarray) -> np.ndarray:
-    """Exact S_0..S_n of A^2 for a stack of Seidel matrices, ascending k:
-    int64 up to n = 8, Python ints above."""
-    n = s_int.shape[-1]
-    coeffs = charpoly_batch_i64(np.matmul(s_int, s_int))
+def _stacks(spec) -> tuple[int, list[_Stack]]:
+    """The labeled graphs a chunk stands for, and its stacks."""
+    if spec[0] == "classes":
+        _, n, start, stop = spec
+        masks = _class_masks(n, start, stop)
+        offsets = _orbit_offsets(n)
+
+        def members(rows):
+            labeled = np.sort(masks[rows, None] ^ offsets, axis=1)
+            return np.repeat(rows, len(offsets)), labeled.ravel()
+
+        def name(rows, positions):
+            return _graph6_lines(n, _mask_bits(n, positions))
+
+        count = (stop - start) * len(offsets)
+        return count, [_Stack(n, _mask_bits(n, masks), members, name)]
+    if spec[0] == "boundary":
+        _, n, start, stop = spec
+        family = BoundaryFamily(n)
+        bits = family.edge_bits(family.params()[start:stop])
+        return stop - start, [
+            _Stack(
+                n,
+                bits,
+                lambda rows: (rows, rows + start),
+                lambda rows, positions: _graph6_lines(n, bits[rows]),
+            )
+        ]
+    _, linenos, text, strict = spec
+    lines = text.split("\n")
+    stacks = []
+    for n, index, bits in _decode_graph6(linenos, text, strict):
+        stacks.append(
+            _Stack(
+                n,
+                bits,
+                lambda rows, index=index: (rows, linenos[index[rows]]),
+                lambda rows, positions, index=index: [lines[k] for k in index[rows]],
+            )
+        )
+    return sum(len(st.bits) for st in stacks), stacks
+
+
+def _sk_batch(a2: np.ndarray) -> np.ndarray:
+    """Exact S_0..S_n of A^2 for a stack A^2 of squared Seidel matrices,
+    ascending k: int64 up to n = 8, Python ints above."""
+    n = a2.shape[-1]
+    coeffs = charpoly_batch_i64(a2)
     signs = np.array([(-1) ** k for k in range(n + 1)])
     return coeffs[:, ::-1] * signs  # S_k = (-1)^k c_{n-k}
+
+
+def _odd_pairs(a2: np.ndarray) -> np.ndarray:
+    """N_op from the squared Seidel matrices S^2.  For a pair X = {u, v} the
+    n-2 products S_uw S_vw sum to d = (S^2)_uv, and Y = {y, z} has an odd
+    number of cross edges iff its two products differ, so X has
+    ((n-2)^2 - d^2)/4 odd partners; the sum over X needs only ||S^2||_F."""
+    n = a2.shape[-1]
+    off_diagonal = (np.einsum("bij,bij->b", a2, a2) - n * (n - 1) ** 2) // 2
+    return (binomial(n, 2) * (n - 2) ** 2 - off_diagonal) // 4
+
+
+def _sc_to_complete(adj: np.ndarray) -> np.ndarray:
+    """SC-equivalence to K_n: after normalizing vertex 0 to universal, the
+    bits adj(i,j) ^ adj(0,i) ^ adj(0,j) must be constant over pairs i<j."""
+    n = adj.shape[-1]
+    first = adj[:, 0, 1:]
+    x = adj[:, 1:, 1:] ^ first[:, :, None] ^ first[:, None, :]  # zero diagonal
+    total = x.sum(axis=(1, 2), dtype=np.int64)
+    return (total == 0) | (total == (n - 1) * (n - 2))
 
 
 @dataclass
@@ -309,63 +431,31 @@ class _ChunkResult:
 
 
 def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
-    # each group is (n, masks or None, graphs or None, members); members(i)
-    # yields (position, Graph), ascending, for each graph batch row i stands for
-    if spec[0] == "classes":
-        _, n, start, stop = spec
-        masks = _class_masks(n, start, stop)
-        offsets = _orbit_offsets(n)
-
-        def members(i):
-            for m in np.sort(masks[i] ^ offsets).tolist():
-                yield m, Graph.from_edge_mask(n, m)
-
-        groups = [(n, masks, None, members)]
-        count = (stop - start) * len(offsets)
-    else:
-        _, start, graphs = spec
-        count = len(graphs)
-        by_n: dict[int, list[Graph]] = {}
-        order: dict[int, list[int]] = {}
-        for i, g in enumerate(graphs):
-            by_n.setdefault(g.n, []).append(g)
-            order.setdefault(g.n, []).append(start + i)
-        groups = []
-        for n in sorted(by_n):
-            gs, pos = by_n[n], order[n]
-            groups.append(
-                (n, None, gs, lambda i, gs=gs, pos=pos: iter([(pos[i], gs[i])]))
-            )
+    count, stacks = _stacks(spec)
     min_e = np.inf
     min_pos = None
     min_g6 = None
     failures: list[tuple[int, dict]] = []
     equality: list[tuple[int, str]] = []
     rows = [] if collect_rows else None
-    for n, masks, gs, members in groups:
-        if masks is not None:
-            s_int = _seidel_batch_from_masks(n, masks)
-        else:
-            s_int = np.stack([_seidel_int(g) for g in gs])
-        bsz = s_int.shape[0]
+    for n, bits, members, name in stacks:
+        bsz = bits.shape[0]
+        adj = _adjacency(n, bits)
+        s = _seidel(adj)
         # scan throughput path: batched LAPACK spectra; flagged graphs are
-        # re-verified one by one through the certified Jacobi backend
-        vals = np.linalg.eigvalsh(s_int.astype(np.float64))
+        # re-verified one by one through the certified per-graph checkers
+        vals = np.linalg.eigvalsh(s)
         energy = np.sum(np.abs(vals), axis=1)
         need_sk = bool({"sk-basic", "sk-oddpairs"} & set(checks)) and n >= 2
         need_nop = bool({"sk-oddpairs", "oddpair-lower"} & set(checks)) or collect_rows
-        sk = _sk_batch(s_int) if need_sk else None
-        if need_nop:
-            if masks is not None:
-                nop = _nop_batch_from_masks(n, masks)
-            else:
-                nop = np.array([count_odd_pairs(g) for g in gs], dtype=np.int64)
-        else:
-            nop = None
-        if masks is not None:
-            sc = _sc_batch_from_masks(n, masks)
-        else:
-            sc = np.array([is_sc_equivalent_to_complete(g)[0] for g in gs])
+        sk = nop = None
+        if need_sk or need_nop:
+            a2 = np.matmul(s, s).astype(np.int64)
+            sk = _sk_batch(a2) if need_sk else None
+            nop = _odd_pairs(a2) if need_nop else None
+            del a2
+        del s
+        sc = _sc_to_complete(adj)
 
         fail = np.zeros(bsz, dtype=bool)
         margins: dict[str, np.ndarray] = {}
@@ -402,32 +492,32 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
             fail |= np.where(sc, marg < -STRICT_MARGIN, marg <= STRICT_MARGIN)
         # minimum-energy record: the first attaining graph by position
         e = float(energy.min())
-        pos, g = min(next(members(int(i))) for i in np.flatnonzero(energy == e))
-        if (e, pos) < (min_e, min_pos):
-            min_e, min_pos, min_g6 = e, pos, encode_graph6(g)
-        near = np.nonzero(np.abs(energy - (2 * n - 2)) <= STRICT_MARGIN)[0]
-        for i in near:
-            equality.extend((pos, encode_graph6(g)) for pos, g in members(int(i)))
-        for i in np.nonzero(fail)[0]:
-            for pos, g in members(int(i)):
-                for rep in run_checks(g, checks, p_grid):
-                    if not rep.passed:
-                        failures.append((pos, rep.as_dict()))
+        row, pos = members(np.flatnonzero(energy == e))
+        k = int(np.argmin(pos))
+        if (e, int(pos[k])) < (min_e, min_pos):
+            min_e, min_pos = e, int(pos[k])
+            min_g6 = name(row[k : k + 1], pos[k : k + 1])[0]
+        near = np.abs(energy - (2 * n - 2)) <= STRICT_MARGIN
+        row, pos = members(np.flatnonzero(near))
+        equality.extend(zip(pos.tolist(), name(row, pos)))
+        row, pos = members(np.flatnonzero(fail))
+        for position, g6 in zip(pos.tolist(), name(row, pos)):
+            for rep in run_checks(parse_graph6(g6), checks, p_grid):
+                if not rep.passed:
+                    failures.append((position, rep.as_dict()))
         if collect_rows:
-            for i in range(bsz):
-                values = {"n": n, "E_S": float(energy[i]), "N_op": int(nop[i])}
-                for name in checks:
-                    if name in margins:
-                        values[f"{name}_min_margin"] = float(margins[name][i])
-                for pos, g in members(i):
-                    rows.append((pos, {"graph6": encode_graph6(g), **values}))
+            columns = {"E_S": energy.tolist(), "N_op": nop.tolist()}
+            for check in checks:
+                if check in margins:
+                    margin = margins[check].astype(float)
+                    columns[f"{check}_min_margin"] = margin.tolist()
+            values = [
+                {"n": n, **dict(zip(columns, v))} for v in zip(*columns.values())
+            ]
+            row, pos = members(np.arange(bsz))
+            for r, p, g6 in zip(row.tolist(), pos.tolist(), name(row, pos)):
+                rows.append((p, {"graph6": g6, **values[r]}))
     return _ChunkResult(count, min_e, min_pos, min_g6, failures, equality, rows)
-
-
-def _seidel_int(g: Graph) -> np.ndarray:
-    from .graphs import seidel_matrix
-
-    return seidel_matrix(g)
 
 
 # ---------------------------------------------------------------------------
@@ -476,14 +566,13 @@ class ScanReport:
         """One row per graph; requires the scan to have collected rows."""
         if self.rows is None:
             raise ValueError("scan was run without per-graph row collection")
+        present = set().union(*self.rows)  # orders below 4 lack some margins
         names = ["graph6", "n", "E_S", "N_op"] + [
-            k for k in (f"{c}_min_margin" for c in self.checks)
-            if self.rows and k in self.rows[0]
+            k for k in (f"{c}_min_margin" for c in self.checks) if k in present
         ]
-        writer = csv.DictWriter(fh, fieldnames=names)
-        writer.writeheader()
-        for row in self.rows:
-            writer.writerow(row)
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        writer.writerows([row.get(k, "") for k in names] for row in self.rows)
 
 
 def _eval_chunk_star(args):
@@ -521,7 +610,11 @@ def scan(
     failures = sorted((f for r in results for f in r.failure_reports), key=by_position)
     equality = sorted((g for r in results for g in r.equality_graph6), key=by_position)
     min_e, _, min_g6 = min(
-        ((r.min_energy, r.min_position, r.min_energy_graph6) for r in results),
+        (
+            (r.min_energy, r.min_position, r.min_energy_graph6)
+            for r in results
+            if r.min_position is not None  # a lenient stream chunk may decode nothing
+        ),
         default=(np.inf, None, None),
         key=lambda t: t[:2],
     )

@@ -27,8 +27,11 @@ def rng():
 def random_graph(rng, n=None, max_n=10):
     if n is None:
         n = int(rng.integers(2, max_n + 1))
-    mask = int(rng.integers(0, 1 << min(n * (n - 1) // 2, 63)))
-    if n * (n - 1) // 2 > 63:
-        extra = int(rng.integers(0, 1 << (n * (n - 1) // 2 - 63)))
-        mask |= extra << 63
+    m = n * (n - 1) // 2
+    mask = int(rng.integers(0, 1 << min(m, 63)))
+    shift = 63
+    while shift < m:  # the rest in pieces int64 can draw
+        width = min(m - shift, 62)
+        mask |= int(rng.integers(0, 1 << width)) << shift
+        shift += width
     return Graph.from_edge_mask(n, mask)

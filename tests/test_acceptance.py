@@ -23,7 +23,9 @@ from seidelab.graphs import complete_graph, parse_graph6
 from seidelab.search import (
     AllGraphs,
     BoundaryFamily,
-    _seidel_batch_from_masks,
+    _adjacency,
+    _mask_bits,
+    _seidel,
     scan,
 )
 from seidelab.seidel import count_odd_pairs, is_sc_equivalent_to_complete
@@ -132,7 +134,7 @@ def test_criterion_06_exact_sk_bounds(desk_scan):
             total = 1 << (n * (n - 1) // 2)
             for start in range(0, total, 1 << 15):
                 masks = np.arange(start, min(start + (1 << 15), total), dtype=np.uint64)
-                s = _seidel_batch_from_masks(n, masks)
+                s = _seidel(_adjacency(n, _mask_bits(n, masks)))
                 s1 = np.einsum("bij,bij->b", s, s)
                 ok &= bool(np.all(s1 == n * (n - 1)))
     report(6, "exact S_k inequalities for n <= 7", ok)

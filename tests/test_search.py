@@ -1,11 +1,14 @@
 import io
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from seidelab.graphs import (
     Graph,
+    Graph6Error,
+    complement,
     complete_graph,
     encode_graph6,
     parse_graph6,
@@ -16,8 +19,15 @@ from seidelab.search import (
     BoundaryFamily,
     Graph6Stream,
     Graph6StreamError,
+    _adjacency,
     _class_masks,
+    _decode_graph6,
+    _graph6_lines,
+    _mask_of_bits,
+    _odd_pairs,
     _orbit_offsets,
+    _sc_to_complete,
+    _seidel,
     _sk_batch,
     scan,
 )
@@ -25,8 +35,11 @@ from seidelab.spectral import char_poly_exact
 from seidelab.seidel import (
     count_odd_pairs,
     is_sc_equivalent_to_complete,
+    switch,
     switching_class_key,
 )
+
+from conftest import random_graph
 
 DESK_CHECKS = ("sk-basic", "sk-oddpairs", "oddpair-lower", "theorem2")
 
@@ -157,24 +170,42 @@ class TestScan:
     def test_boundary_sk_matches_exact(self, n):
         graphs = list(BoundaryFamily(n))[::61]
         s = np.stack([seidel_matrix(g) for g in graphs])
-        for sk, m in zip(_sk_batch(s), s):
+        for sk, m in zip(_sk_batch(s @ s), s):
             coeffs = char_poly_exact(m @ m).coeffs
             assert list(sk) == [(-1) ** k * coeffs[n - k] for k in range(n + 1)]
 
-    def test_graph_source_nop_matches_mask_source(self, tmp_path):
-        # the popcount odd-pair path and the per-graph path must agree
-        rep = scan(AllGraphs(4), checks=("oddpair-lower",), collect_rows=True)
-        by_g6 = {row["graph6"]: row["N_op"] for row in rep.rows}
-        p = tmp_path / "four.g6"
-        p.write_text("\n".join(sorted(by_g6)) + "\n")
-        rep2 = scan(
+    def test_graph_source_nop_matches_mask_source(self, rng, tmp_path):
+        # stream rows (n = 1..62) and exhaustive rows against the per-graph
+        # functions: graph6 echoes the input, N_op and E_S agree
+        graphs = [random_graph(rng, n=n) for n in range(1, 63) for _ in range(2)]
+        lines = [encode_graph6(g) for g in graphs]
+        p = tmp_path / "mixed.g6"
+        p.write_text("\n".join(lines) + "\n")
+        rep = scan(
             Graph6Stream(str(p)), checks=("oddpair-lower",), collect_rows=True
         )
-        for row in rep2.rows:
-            assert row["N_op"] == by_g6[row["graph6"]]
-            from seidelab.graphs import parse_graph6
-
+        assert [row["graph6"] for row in rep.rows] == lines
+        for row, g in zip(rep.rows, graphs):
+            assert row["n"] == g.n
+            assert row["N_op"] == count_odd_pairs(g)
+            energy = np.abs(np.linalg.eigvalsh(seidel_matrix(g))).sum()
+            assert row["E_S"] == pytest.approx(energy, rel=1e-12)
+        rep = scan(AllGraphs(5), checks=("oddpair-lower",), collect_rows=True)
+        assert len(rep.rows) == 1024
+        for row in rep.rows:
             assert row["N_op"] == count_odd_pairs(parse_graph6(row["graph6"]))
+
+    def test_csv_mixed_orders(self, tmp_path):
+        # a first row below n = 4 has no odd-pair margin; later rows do
+        p = tmp_path / "mixed.g6"
+        p.write_text("B?\nD??\n")
+        rep = scan(Graph6Stream(str(p)), checks=("oddpair-lower",), collect_rows=True)
+        buf = io.StringIO()
+        rep.write_csv(buf)
+        lines = buf.getvalue().splitlines()
+        assert lines[0] == "graph6,n,E_S,N_op,oddpair-lower_min_margin"
+        assert lines[1].startswith("B?,3,") and lines[1].endswith(",0,")
+        assert lines[2].startswith("D??,5,") and lines[2].endswith(",0,0.0")
 
     def test_invalid_checks(self):
         with pytest.raises(ValueError):
@@ -294,3 +325,99 @@ def test_exhaustive_n8_theorem2():
         g = parse_graph6(g6)
         assert is_sc_equivalent_to_complete(g)[0]
         assert count_odd_pairs(g) == 0
+
+
+# ---------------------------------------------------------------------------
+# edge-bit stack kernels against the per-graph functions
+
+
+def _edge_bits(g: Graph) -> np.ndarray:
+    mask = g.edge_mask()
+    return np.array([mask >> e & 1 for e in range(g.n * (g.n - 1) // 2)], dtype=np.uint8)
+
+
+def test_decoder_matches_parse_graph6(rng):
+    graphs = [random_graph(rng, n=n) for n in range(1, 63) for _ in range(3)]
+    graphs += [complete_graph(n) for n in (1, 2, 3, 17, 62)]
+    order = rng.permutation(len(graphs))
+    lines = [encode_graph6(graphs[k]) for k in order]
+    linenos = np.arange(10, 10 + len(lines))
+    seen = []
+    for n, index, bits in _decode_graph6(linenos, "\n".join(lines), strict=True):
+        assert bits.shape == (len(index), n * (n - 1) // 2)
+        for k, row in zip(index.tolist(), bits):
+            assert _mask_of_bits(row) == parse_graph6(lines[k]).edge_mask()
+            assert parse_graph6(lines[k]).n == n
+        # and the vectorized encoder inverts the decoder
+        assert _graph6_lines(n, bits) == [lines[k] for k in index]
+        seen += index.tolist()
+    assert sorted(seen) == list(range(len(lines)))
+
+
+MALFORMED = {
+    "bad byte": "Cw!",
+    "~ header": "~AAA",
+    "? header": "?",
+    "short": "Dw",
+    "long": "Bww",
+    "nonzero padding": "Bx",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+@pytest.mark.parametrize("workers", [1, 2])
+def test_decoder_rejects_like_parse_graph6(tmp_path, kind, workers):
+    bad = MALFORMED[kind]
+    with pytest.raises(Graph6Error) as parsed:
+        parse_graph6(bad)
+    good = ["D~{", "Bw", "@", "Ch", "E?Bw"] * 3
+    lines = good[:7] + [bad] + good[7:] + ["", bad]  # the blank line still counts
+    p = tmp_path / "bad.g6"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(Graph6StreamError) as streamed:
+        scan(Graph6Stream(str(p)), workers=workers, chunk_size=4)
+    assert str(streamed.value) == f"line 8: {parsed.value}"
+    with pytest.raises(Graph6StreamError) as iterated:
+        list(Graph6Stream(str(p)))
+    assert str(iterated.value) == str(streamed.value)
+    # lenient: chunks of one line leave some chunks empty
+    for size in (1, 4):
+        rep = scan(Graph6Stream(str(p), strict=False), workers=workers, chunk_size=size)
+        assert rep.graphs_scanned == len(good) == len(list(Graph6Stream(str(p), strict=False)))
+
+
+def _sc_members(rng, n):
+    """Random members of K_n's switching class, with and without complement,
+    and a graph one edge away from it."""
+    w = int(rng.integers(0, 1 << min(n, 62)))
+    k = switch(complete_graph(n), w)
+    out = [k, complement(k)]
+    if n >= 2:
+        out.append(Graph.from_edge_mask(n, k.edge_mask() ^ 1))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 63))
+def test_stack_nop_and_sc_match_per_graph(rng, n):
+    graphs = [random_graph(rng, n=n) for _ in range(3)] + _sc_members(rng, n)
+    adj = _adjacency(n, np.stack([_edge_bits(g) for g in graphs]))
+    s = _seidel(adj)
+    assert np.array_equal(s, np.stack([seidel_matrix(g) for g in graphs]))
+    a2 = (s @ s).astype(np.int64)
+    assert _odd_pairs(a2).tolist() == [count_odd_pairs(g) for g in graphs]
+    assert _sc_to_complete(adj).tolist() == [
+        is_sc_equivalent_to_complete(g)[0] for g in graphs
+    ]
+
+
+@pytest.mark.parametrize("n", [11, 14, 22])
+def test_boundary_bits_match_edge_lists(n):
+    fam = BoundaryFamily(n)
+    m = n - 2
+    for (a, b, c, e), bits in zip(fam.params(), fam.edge_bits(fam.params())):
+        edges = list(combinations(range(m), 2))
+        edges += [(i, m) for i in range(a)]
+        edges += [(i, m + 1) for i in range(c)]
+        edges += [(i, m + 1) for i in range(a, a + b - c)]
+        edges += [(m, m + 1)] * e
+        assert _mask_of_bits(bits) == Graph.from_edges(n, edges).edge_mask()
