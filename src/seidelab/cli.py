@@ -3,7 +3,8 @@
 Subcommands: `energy` (single-graph spectrum and p-energies), `verify`
 (checker scans over graphs, files, or generators), `constants` (C_p by
 closed form and quadrature).  Exit codes: 0 all pass, 1 check failure,
-2 input/parse error, 3 numeric non-convergence.
+2 input/parse error, 3 numeric failure (a spectrum that fails its residual
+check, or a quadrature that does not converge).
 """
 
 from __future__ import annotations
@@ -33,12 +34,7 @@ from .search import (
     Graph6StreamError,
     scan,
 )
-from .spectral import (
-    JacobiConvergenceError,
-    eigenvalues,
-    elementary_symmetric_A2,
-    p_energy,
-)
+from .spectral import SpectrumError, eigenvalues, elementary_symmetric_A2, p_energy
 from .verify import CHECK_NAMES, run_checks
 
 EXIT_OK = 0
@@ -66,7 +62,7 @@ def cmd_energy(args) -> int:
         return EXIT_INPUT_ERROR
     try:
         spectrum = eigenvalues(g)
-    except JacobiConvergenceError as exc:
+    except SpectrumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
     sc, _ = is_sc_equivalent_to_complete(g)
@@ -166,7 +162,7 @@ def cmd_verify(args) -> int:
     except (Graph6StreamError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except JacobiConvergenceError as exc:
+    except SpectrumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
     out = sys.stdout if args.out is None else open(args.out, "w")
@@ -206,7 +202,7 @@ def _verify_single(args, checks, p_grid) -> int:
         return EXIT_INPUT_ERROR
     try:
         reports = run_checks(g, checks, p_grid)
-    except JacobiConvergenceError as exc:
+    except SpectrumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
     if args.format == "json":

@@ -51,7 +51,7 @@ from .graphs import Graph, Graph6Error, parse_graph6
 # unused here; kept importable as seidelab.search.<name> for bench/tracing.py
 from .graphs import encode_graph6  # noqa: F401
 from .seidel import count_odd_pairs, is_sc_equivalent_to_complete  # noqa: F401
-from .spectral import binomial, charpoly_batch_i64
+from .spectral import binomial, charpoly_batch_i64, p_energy
 from .verify import CHECK_NAMES, STRICT_MARGIN, run_checks
 
 ENUM_MAX_N = 8
@@ -403,7 +403,8 @@ def _odd_pairs(a2: np.ndarray) -> np.ndarray:
     number of cross edges iff its two products differ, so X has
     ((n-2)^2 - d^2)/4 odd partners; the sum over X needs only ||S^2||_F."""
     n = a2.shape[-1]
-    off_diagonal = (np.einsum("bij,bij->b", a2, a2) - n * (n - 1) ** 2) // 2
+    frobenius = np.einsum("bij,bij->b", a2, a2, dtype=np.int64)
+    off_diagonal = (frobenius - n * (n - 1) ** 2) // 2
     return (binomial(n, 2) * (n - 2) ** 2 - off_diagonal) // 4
 
 
@@ -450,7 +451,8 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
         need_nop = bool({"sk-oddpairs", "oddpair-lower"} & set(checks)) or collect_rows
         sk = nop = None
         if need_sk or need_nop:
-            a2 = np.matmul(s, s).astype(np.int64)
+            a2 = np.matmul(s, s)  # stays int8 (exact, see _seidel): an int64
+            # copy would be the largest array of an n = 7 chunk
             sk = _sk_batch(a2) if need_sk else None
             nop = _odd_pairs(a2) if need_nop else None
             del a2
@@ -482,7 +484,7 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
         if "theorem1" in checks and n >= 2:
             t1 = np.full(bsz, np.inf)
             for p in p_grid:
-                marg = np.sum(np.abs(vals) ** p, axis=1) - ((n - 1) ** p + (n - 2))
+                marg = p_energy(vals, p) - ((n - 1) ** p + (n - 2))
                 t1 = np.minimum(t1, marg)
                 fail |= marg <= STRICT_MARGIN
             margins["theorem1"] = t1

@@ -1,14 +1,16 @@
 """Seidel spectra and exact integer characteristic polynomials.
 
-Two backends live here.  The floating-point one is a cyclic Jacobi
-eigensolver (threshold strategy, residual certificate) for single graphs;
-scans take their spectra from LAPACK in the search module instead.  The
-exact one is charpoly_batch_i64: Faddeev-LeVerrier in int64 over stacks of
-matrices, modulo as many primes as a Hadamard bound asks for, with the
-integer coefficients rebuilt by Garner's CRT.  It yields the elementary
-symmetric functions S_k(A^2) of every scan and verify call up to n = 62.
-The object-dtype recurrence char_poly_exact and fraction-free Bareiss
-determinants stay as oracles and behind the Cauchy-Binet check.
+Two backends live here.  The floating-point one is LAPACK eigh for single
+graphs, checked after the fact: its eigenpairs must rebuild the matrix to
+within RESIDUAL_TOL_FACTOR * n, and the eigenvalues must meet the trace
+identities of A and A^2.  Scans take their spectra from batched LAPACK
+eigvalsh in the search module.  The exact one is charpoly_batch_i64:
+Faddeev-LeVerrier in int64 over stacks of matrices, modulo as many primes
+as a Hadamard bound asks for, with the integer coefficients rebuilt by
+Garner's CRT.  It yields the elementary symmetric functions S_k(A^2) of
+every scan and verify call up to n = 62.  The object-dtype recurrence
+char_poly_exact and fraction-free Bareiss determinants stay as oracles and
+behind the Cauchy-Binet check.
 """
 
 from __future__ import annotations
@@ -21,19 +23,11 @@ import numpy as np
 
 from .graphs import Graph, seidel_matrix
 
-JACOBI_TOL_FACTOR = 1e-12  # off-diagonal Frobenius target is factor * n
-JACOBI_MAX_SWEEPS = 60
+RESIDUAL_TOL_FACTOR = 1e-12  # eigenpairs must rebuild A to within factor * n
 
 
-class JacobiConvergenceError(RuntimeError):
-    """Jacobi sweeps hit the cap; carries the achieved off-diagonal norm."""
-
-    def __init__(self, off_norm: float):
-        super().__init__(
-            f"Jacobi did not converge within {JACOBI_MAX_SWEEPS} sweeps "
-            f"(off-diagonal norm {off_norm:.3e})"
-        )
-        self.off_norm = off_norm
+class SpectrumError(RuntimeError):
+    """LAPACK eigh failed, or its eigenpairs do not reconstruct the matrix."""
 
 
 @dataclass(frozen=True)
@@ -62,103 +56,27 @@ def check_seidel_matrix(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _jacobi_batch(mats: np.ndarray, vectors: bool = False):
-    """Cyclic Jacobi on a (B, n, n) stack of symmetric matrices.
-
-    Rotation targets (p, q) advance in the same cyclic order for the whole
-    batch; matrices whose pivot is already below threshold get the identity
-    rotation.  Returns (eigenvalues descending (B, n), off-norms (B,),
-    eigenvectors (B, n, n) or None).
-    """
-    a = np.array(mats, dtype=np.float64)
-    if a.ndim == 2:
-        a = a[None, :, :]
-    bsz, n, _ = a.shape
-    q_acc = np.broadcast_to(np.eye(n), (bsz, n, n)).copy() if vectors else None
-    if n == 1:
-        vals = a[:, :, 0].copy()
-        return vals, np.zeros(bsz), q_acc
-    tol = JACOBI_TOL_FACTOR * n
-    skip2 = (tol / (n * n)) ** 2
-    iu = np.triu_indices(n, 1)
-
-    def off_norm(m):
-        return np.sqrt(2.0 * np.sum(m[:, iu[0], iu[1]] ** 2, axis=1))
-
-    off = off_norm(a)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if np.all(off <= tol):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[:, p, q]
-                skip = apq * apq <= skip2
-                if skip.all():
-                    continue
-                safe = np.where(skip, 1.0, apq)
-                theta = (a[:, q, q] - a[:, p, p]) / (2.0 * safe)
-                t = np.where(theta >= 0, 1.0, -1.0) / (
-                    np.abs(theta) + np.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                c = np.where(skip, 1.0, c)[:, None]
-                s = np.where(skip, 0.0, s)[:, None]
-                rp = a[:, p, :].copy()
-                rq = a[:, q, :].copy()
-                a[:, p, :] = c * rp - s * rq
-                a[:, q, :] = s * rp + c * rq
-                cp = a[:, :, p].copy()
-                cq = a[:, :, q].copy()
-                a[:, :, p] = c * cp - s * cq
-                a[:, :, q] = s * cp + c * cq
-                # a skipped rotation must be a true no-op so batch results do
-                # not depend on batch composition
-                zeroed = np.where(skip, apq, 0.0)
-                a[:, p, q] = zeroed
-                a[:, q, p] = zeroed
-                if vectors:
-                    vp = q_acc[:, :, p].copy()
-                    vq = q_acc[:, :, q].copy()
-                    q_acc[:, :, p] = c * vp - s * vq
-                    q_acc[:, :, q] = s * vp + c * vq
-        off = off_norm(a)
-    vals = np.take_along_axis(
-        np.diagonal(a, axis1=1, axis2=2).copy(),
-        np.argsort(-np.diagonal(a, axis1=1, axis2=2), axis=1, kind="stable"),
-        axis=1,
-    )
-    if vectors:
-        order = np.argsort(-np.diagonal(a, axis1=1, axis2=2), axis=1, kind="stable")
-        q_acc = np.take_along_axis(q_acc, order[:, None, :], axis=2)
-    return vals, off, q_acc
-
-
-def eigenvalues_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batch spectra for a (B, n, n) stack; raises on any non-convergence."""
-    vals, off, _ = _jacobi_batch(mats)
-    n = mats.shape[-1]
-    bad = off > JACOBI_TOL_FACTOR * n
-    if bad.any():
-        raise JacobiConvergenceError(float(off[bad].max()))
-    return vals, off
-
-
 def eigenvalues(a: np.ndarray | Graph) -> Spectrum:
-    """Certified Seidel spectrum of one matrix via cyclic Jacobi.
+    """Checked Seidel spectrum of one matrix via LAPACK eigh, descending.
 
-    The residual is max |(Q diag(w) Q^T - A)_ij|; trace and Frobenius
-    sanity of the eigenvalues are enforced before returning.
+    The residual max |(Q diag(w) Q^T - A)_ij| is the pass/fail test:
+    above RESIDUAL_TOL_FACTOR * n, or when eigh raises, SpectrumError.
+    Zero trace and sum(w^2) = n(n-1) are enforced before returning.
     """
     if isinstance(a, Graph):
         a = seidel_matrix(a)
     a = check_seidel_matrix(a)
     n = a.shape[0]
-    vals, off, q = _jacobi_batch(a.astype(np.float64), vectors=True)
-    if off[0] > JACOBI_TOL_FACTOR * n:
-        raise JacobiConvergenceError(float(off[0]))
-    w, qm = vals[0], q[0]
-    residual = float(np.max(np.abs((qm * w) @ qm.T - a)))
+    try:
+        w, q = np.linalg.eigh(a.astype(np.float64))
+    except np.linalg.LinAlgError as exc:
+        raise SpectrumError(f"eigh failed: {exc}") from exc
+    w, q = w[::-1], q[:, ::-1]
+    residual = float(np.max(np.abs((q * w) @ q.T - a)))
+    if not residual <= RESIDUAL_TOL_FACTOR * n:
+        raise SpectrumError(
+            f"eigenpair residual {residual:.3e} exceeds {RESIDUAL_TOL_FACTOR * n:.3e}"
+        )
     if abs(w.sum()) > 1e-9 * n:
         raise ValueError(f"eigenvalue sum {w.sum():.3e} violates zero trace")
     if abs(np.sum(w * w) - n * (n - 1)) > 1e-8 * n * n:
@@ -169,20 +87,23 @@ def eigenvalues(a: np.ndarray | Graph) -> Spectrum:
 EIGENVALUE_SNAP = 1e-9  # |lambda| below this is treated as an exact zero
 
 
-def p_energy(s: Spectrum | np.ndarray, p: float) -> float:
+def p_energy(s: Spectrum | np.ndarray, p: float) -> float | np.ndarray:
     """Sum of |lambda_i|^p; p = 1 is the Seidel energy.
 
-    Eigenvalues smaller than EIGENVALUE_SNAP in magnitude are treated as
-    exact zeros: for p < 1 the map |x|^p amplifies solver noise at a true
-    zero eigenvalue (1e-17 noise contributes ~1e-5 at p = 0.3), far above
-    the certified accuracy of the spectrum itself.
+    One spectrum gives a float; a (..., n) stack of spectra gives the
+    (...) array of sums over the last axis, each equal to the float its row
+    alone would give.  Eigenvalues smaller than EIGENVALUE_SNAP in magnitude
+    are treated as exact zeros: for p < 1 the map |x|^p amplifies solver
+    noise at a true zero eigenvalue (1e-17 noise contributes ~1e-5 at
+    p = 0.3), far above the accuracy of the spectrum itself.
     """
     if p <= 0:
         raise ValueError("p must be positive")
     vals = np.asarray(s.values if isinstance(s, Spectrum) else s, dtype=np.float64)
     mags = np.abs(vals)
     mags = np.where(mags < EIGENVALUE_SNAP, 0.0, mags)
-    return float(np.sum(mags**p))
+    total = np.sum(mags**p, axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +243,14 @@ def charpoly_batch_i64(mats: np.ndarray) -> np.ndarray:
     Faddeev-LeVerrier runs in int64 modulo each of _crt_primes(n, d), d
     the largest diagonal entry, over blocks of about 2^15 / (P n^2)
     matrices for P primes, and Garner's algorithm rebuilds the integers.
+    A narrower integer stack is widened to int64 one block at a time.
     The result is int64 when one prime suffices (Seidel A^2 up to n = 8)
     and Python ints in an object array otherwise.  A row does not depend on
     the rest of its batch.
     """
-    m = np.asarray(mats, dtype=np.int64)
+    m = np.asarray(mats)
+    if m.dtype.kind not in "iu":
+        m = m.astype(np.int64)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise ValueError("expected a (B, n, n) stack of square matrices")
     bsz, n, _ = m.shape
@@ -338,7 +262,8 @@ def charpoly_batch_i64(mats: np.ndarray) -> np.ndarray:
     res = np.empty((len(primes), bsz, n + 1), dtype=np.int64)
     step = max(1, _BLOCK_ENTRIES // (len(primes) * n * n or 1))
     for lo in range(0, bsz, step):
-        res[:, lo : lo + step] = _charpoly_residues(m[lo : lo + step], primes, a)
+        block = m[lo : lo + step].astype(np.int64)
+        res[:, lo : lo + step] = _charpoly_residues(block, primes, a)
     return _garner(res, primes)
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from seidelab import analytic
 from seidelab.analytic import (
     CubicCoefficients,
     QuadratureError,
@@ -83,9 +84,72 @@ class TestIntegralLogPoly:
         assert a == b
 
     def test_panel_budget_error(self):
+        # 8 panels are fewer than one block
         spec = QuadratureSpec(rel_tol=1e-10, nodes_per_panel=2, max_panels=8)
-        with pytest.raises(QuadratureError):
+        with pytest.raises(QuadratureError, match="within 8 dyadic panels"):
             integral_log_poly([1.0, 1.0], 0.99, spec)
+
+
+def _panel_by_panel(fun, spec, used):
+    """The dyadic quadrature with one integrand call per panel; appends the
+    number of panels it used to `used`."""
+    x, w = analytic._gauss_nodes(spec.nodes_per_panel)
+    total, prev = 0.0, None
+    for k in range(spec.max_panels):
+        hi = 2.0 ** (-k)
+        lo = hi / 2.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            panel = float(np.dot(w, fun(lo + (hi - lo) * x))) * (hi - lo)
+        total += panel
+        if prev is not None and k >= 4:
+            ap, aprev = abs(panel), abs(prev)
+            ratio = min(ap / aprev, 0.995) if aprev > 0 else 0.0
+            tail = ap * ratio / (1.0 - ratio) if ratio > 0 else 0.0
+            if max(ap, tail) <= spec.rel_tol * max(abs(total), 1e-300):
+                used.append(k + 1)
+                return total
+        prev = panel
+    raise QuadratureError("reference did not converge")
+
+
+class TestPanelBlocks:
+    """Blocked panel evaluation against a panel-by-panel reference loop."""
+
+    def _blocked_and_reference(self, monkeypatch, compute):
+        blocked = compute()
+        used = []
+        monkeypatch.setattr(
+            analytic,
+            "_dyadic_unit_integral",
+            lambda fun, spec: _panel_by_panel(fun, spec, used),
+        )
+        reference = compute()
+        monkeypatch.undo()
+        return blocked, reference, used
+
+    def test_stops_inside_first_block(self, monkeypatch):
+        spec = QuadratureSpec(rel_tol=1e-6)
+        blocked, reference, used = self._blocked_and_reference(
+            monkeypatch, lambda: integral_log_poly([1.0, 3.0, 2.0], 0.5, spec)
+        )
+        assert max(used) < analytic.PANEL_BLOCK
+        assert blocked == pytest.approx(reference, rel=1e-14)
+
+    def test_crosses_two_block_boundaries(self, monkeypatch):
+        # s = 0.25 on (1, inf): panel sums decay like 2^(-k/4), ~150 panels
+        sk = elementary_symmetric_A2(cycle_graph(5))
+        blocked, reference, used = self._blocked_and_reference(
+            monkeypatch, lambda: energy_by_integral(sk, 0.5)
+        )
+        assert max(used) > 2 * analytic.PANEL_BLOCK
+        assert blocked == pytest.approx(reference, rel=1e-14)
+
+    @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
+    def test_cp_constant_quadrature(self, monkeypatch, p):
+        blocked, reference, _ = self._blocked_and_reference(
+            monkeypatch, lambda: cp_constant_quadrature(p)
+        )
+        assert blocked == pytest.approx(reference, rel=1e-14)
 
 
 class TestEnergyByIntegral:

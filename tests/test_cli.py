@@ -1,11 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from seidelab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
+    EXIT_NUMERIC_ERROR,
     EXIT_OK,
     main,
 )
@@ -158,6 +160,32 @@ class TestVerify:
         _, serial, _ = run_cli(capsys, *argv)
         _, parallel, _ = run_cli(capsys, *argv, "--workers", "3")
         assert serial == parallel
+
+
+class TestNumericError:
+    """A spectrum that fails its residual check exits with code 3."""
+
+    @pytest.fixture(autouse=True)
+    def perturbed_eigh(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def perturbed(a):
+            w, q = eigh(a)
+            return w, q + 1e-6
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+
+    def test_energy(self, capsys):
+        code, out, err = run_cli(capsys, "energy", "--g6", "DUW", "--backend", "both")
+        assert code == EXIT_NUMERIC_ERROR
+        assert out == ""
+        assert "residual" in err
+
+    def test_verify_single_graph(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--g6", "DUW")
+        assert code == EXIT_NUMERIC_ERROR
+        assert out == ""
+        assert "residual" in err
 
 
 class TestConstants:

@@ -1,15 +1,22 @@
+import csv
 import io
 import json
+import tempfile
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seidelab.graphs import (
     Graph,
     Graph6Error,
     complement,
     complete_graph,
+    cycle_graph,
+    empty_graph,
     encode_graph6,
     parse_graph6,
     seidel_matrix,
@@ -32,6 +39,7 @@ from seidelab.search import (
     scan,
 )
 from seidelab.spectral import char_poly_exact
+from seidelab.verify import run_checks
 from seidelab.seidel import (
     count_odd_pairs,
     is_sc_equivalent_to_complete,
@@ -39,7 +47,7 @@ from seidelab.seidel import (
     switching_class_key,
 )
 
-from conftest import random_graph
+from conftest import graph_strategy, random_graph
 
 DESK_CHECKS = ("sk-basic", "sk-oddpairs", "oddpair-lower", "theorem2")
 
@@ -255,6 +263,34 @@ class TestScan:
         rep = scan(Graph6Stream(str(p)), checks=DESK_CHECKS, collect_rows=True)
         assert [row["graph6"] for row in rep.rows] == lines
         assert rep.equality_graph6 == ["D~{", "C~", "D??", "C?", "D~{"]
+
+
+@given(st.lists(graph_strategy(min_n=1, max_n=10), min_size=1, max_size=12))
+@example([empty_graph(1), cycle_graph(5), complete_graph(4), cycle_graph(9)])
+@settings(max_examples=40)
+def test_csv_margins_match_run_checks(graphs):
+    """Batch and per-graph paths agree on every theorem margin of a stream.
+    C_5 has a zero eigenvalue, whose solver noise p = 0.25 would amplify to
+    ~1e-4 unless both paths snap it."""
+    checks, p_grid = ("theorem1", "theorem2"), (0.25, 0.5, 1.0)
+    lines = [encode_graph6(g) for g in graphs]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graphs.g6"
+        path.write_text("\n".join(lines) + "\n")
+        rep = scan(Graph6Stream(str(path)), checks, p_grid, collect_rows=True)
+    buf = io.StringIO()
+    rep.write_csv(buf)
+    rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
+    assert [row["graph6"] for row in rows] == lines
+    for row, g in zip(rows, graphs):
+        reports = run_checks(g, checks, p_grid)
+        t1 = [r.margin for r in reports if r.check == "theorem1"]
+        if t1:
+            assert abs(float(row["theorem1_min_margin"]) - min(t1)) <= 1e-9
+        else:
+            assert row.get("theorem1_min_margin") in (None, "")
+        (t2,) = [r.margin for r in reports if r.check == "theorem2"]
+        assert abs(float(row["theorem2_min_margin"]) - t2) <= 1e-9
 
 
 @pytest.fixture(scope="module")

@@ -17,6 +17,7 @@ from seidelab.graphs import (
 from seidelab.spectral import (
     CRT_PRIMES,
     ExactCharPoly,
+    SpectrumError,
     _crt_primes,
     binomial,
     bareiss_det,
@@ -24,7 +25,6 @@ from seidelab.spectral import (
     char_poly_exact,
     charpoly_batch_i64,
     eigenvalues,
-    eigenvalues_batch,
     elementary_symmetric_A2,
     p_energy,
     submatrix_det_parity,
@@ -85,16 +85,37 @@ class TestEigenvalues:
             ref = np.sort(np.linalg.eigvalsh(a.astype(np.float64)))[::-1]
             assert np.max(np.abs(ours - ref)) < 1e-7
 
-    def test_batch_matches_single(self, rng):
-        n = 7
-        mats = np.stack(
-            [seidel_matrix(random_graph(rng, n=n)) for _ in range(64)]
-        )
-        vals, off = eigenvalues_batch(mats)
-        assert np.all(off <= 1e-12 * n)
-        for i in range(64):
-            single = np.array(eigenvalues(mats[i]).values)
-            assert np.max(np.abs(vals[i] - single)) == 0.0
+    def test_residual_rejects_perturbed_eigenvectors(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def perturbed(a):
+            w, q = eigh(a)
+            return w, q + 1e-6
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(SpectrumError, match="residual"):
+            eigenvalues(cycle_graph(5))
+
+    def test_lapack_failure_is_spectrum_error(self, monkeypatch):
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(SpectrumError, match="did not converge"):
+            eigenvalues(cycle_graph(5))
+
+    @given(graph_strategy(min_n=1, max_n=30))
+    @settings(max_examples=40)
+    def test_matches_exact_s1_and_sn(self, g):
+        # sum theta^2 = S_1 and prod theta^2 = S_n, the exact S_k of A^2;
+        # S_n = det(A)^2 vanishes exactly when an eigenvalue does
+        theta = np.array(eigenvalues(g).values)
+        sk = elementary_symmetric_A2(g)
+        assert np.sum(theta**2) == pytest.approx(sk[1], rel=1e-12)
+        if sk[g.n] == 0:
+            assert np.min(np.abs(theta)) < 1e-9
+        else:
+            assert np.prod(theta**2) == pytest.approx(sk[g.n], rel=1e-8)
 
 
 class TestPEnergy:
@@ -232,6 +253,8 @@ class TestCharPolyBatch:
         for i in range(7):
             one = charpoly_batch_i64(sq[i : i + 1])
             assert list(one[0]) == list(seven[i]) == list(whole[i])
+        # an int8 stack, as scans pass it, is widened block by block
+        assert charpoly_batch_i64(sq.astype(np.int8)).tolist() == whole.tolist()
 
     def test_crt_primes(self):
         for p in CRT_PRIMES:
