@@ -170,9 +170,8 @@ def cmd_verify(args) -> int:
         if args.format == "json":
             payload = [r.as_dict(include_timing=not args.no_timing) for r in reports]
             print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-        elif args.format == "csv":
-            for r in reports:
-                r.write_csv(out)
+        elif args.format == "csv" and reports:
+            reports[0].write_csv(out, *reports[1:])
         else:
             for r in reports:
                 print(

@@ -10,9 +10,9 @@ Every chunk has one format: per order n, a stack of edge bits in graph6
 order, which a worker builds itself (the exhaustive and boundary sources
 ship index ranges, a graph6 stream ships its raw lines, decoded and
 validated in one vectorized pass).  Everything checked derives from the
-stack: LAPACK spectra of the Seidel matrices S, exact S_k from multi-modular
-int64 characteristic polynomials of S^2, the odd-pair count N_op from the
-same S^2 through
+stack: LAPACK spectra of the Seidel matrices S, exact S_k(S^2) from the
+multi-modular characteristic polynomials of S itself, the odd-pair count
+N_op from S^2 through
 
     N_op = [C(n,2)(n-2)^2 - (||S^2||_F^2 - n(n-1)^2)/2] / 4,
 
@@ -51,7 +51,7 @@ from .graphs import Graph, Graph6Error, parse_graph6
 # unused here; kept importable as seidelab.search.<name> for bench/tracing.py
 from .graphs import encode_graph6  # noqa: F401
 from .seidel import count_odd_pairs, is_sc_equivalent_to_complete  # noqa: F401
-from .spectral import binomial, charpoly_batch_i64, p_energy
+from .spectral import binomial, charpoly_batch_i64, p_energy, sk_from_charpoly
 from .verify import CHECK_NAMES, STRICT_MARGIN, run_checks
 
 ENUM_MAX_N = 8
@@ -388,13 +388,10 @@ def _stacks(spec) -> tuple[int, list[_Stack]]:
     return sum(len(st.bits) for st in stacks), stacks
 
 
-def _sk_batch(a2: np.ndarray) -> np.ndarray:
-    """Exact S_0..S_n of A^2 for a stack A^2 of squared Seidel matrices,
-    ascending k: int64 up to n = 8, Python ints above."""
-    n = a2.shape[-1]
-    coeffs = charpoly_batch_i64(a2)
-    signs = np.array([(-1) ** k for k in range(n + 1)])
-    return coeffs[:, ::-1] * signs  # S_k = (-1)^k c_{n-k}
+def _sk_batch(s: np.ndarray) -> np.ndarray:
+    """Exact S_0..S_n of S^2 for a stack of Seidel matrices S, ascending k:
+    int64 up to n = 13, Python ints above."""
+    return sk_from_charpoly(charpoly_batch_i64(s))
 
 
 def _odd_pairs(a2: np.ndarray) -> np.ndarray:
@@ -449,29 +446,21 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
         energy = np.sum(np.abs(vals), axis=1)
         need_sk = bool({"sk-basic", "sk-oddpairs"} & set(checks)) and n >= 2
         need_nop = bool({"sk-oddpairs", "oddpair-lower"} & set(checks)) or collect_rows
-        sk = nop = None
-        if need_sk or need_nop:
-            a2 = np.matmul(s, s)  # stays int8 (exact, see _seidel): an int64
-            # copy would be the largest array of an n = 7 chunk
-            sk = _sk_batch(a2) if need_sk else None
-            nop = _odd_pairs(a2) if need_nop else None
-            del a2
+        sk = _sk_batch(s) if need_sk else None
+        # S^2 stays int8 (exact, see _seidel): an int64 copy would be the
+        # largest array of an n = 7 chunk
+        nop = _odd_pairs(np.matmul(s, s)) if need_nop else None
         del s
         sc = _sc_to_complete(adj)
 
         fail = np.zeros(bsz, dtype=bool)
         margins: dict[str, np.ndarray] = {}
+        base = np.array([n * (n - 1) * binomial(n - 2, k - 1) for k in range(1, n + 1)])
         if "sk-basic" in checks and n >= 2:
-            bounds = np.array(
-                [n * (n - 1) * binomial(n - 2, k - 1) for k in range(1, n + 1)]
-            )
-            marg = (sk[:, 1:] - bounds).min(axis=1)
+            marg = (sk[:, 1:] - base).min(axis=1)
             margins["sk-basic"] = marg
             fail |= marg < 0
         if "sk-oddpairs" in checks and n >= 4:
-            base = np.array(
-                [n * (n - 1) * binomial(n - 2, k - 1) for k in range(1, n + 1)]
-            )
             extra = np.array([4 * binomial(n - 4, k - 2) for k in range(1, n + 1)])
             marg = (sk[:, 1:] - base - nop[:, None] * extra).min(axis=1)
             margins["sk-oddpairs"] = marg
@@ -564,17 +553,21 @@ class ScanReport:
     def to_json(self, include_timing: bool = True) -> str:
         return json.dumps(self.as_dict(include_timing), indent=2, sort_keys=True)
 
-    def write_csv(self, fh) -> None:
-        """One row per graph; requires the scan to have collected rows."""
-        if self.rows is None:
+    def write_csv(self, fh, *more: ScanReport) -> None:
+        """One row per graph, of this report and then of each of more, under
+        one header; requires the scans to have collected rows."""
+        reports = (self, *more)
+        if any(r.rows is None for r in reports):
             raise ValueError("scan was run without per-graph row collection")
-        present = set().union(*self.rows)  # orders below 4 lack some margins
+        rows = [row for r in reports for row in r.rows]
+        present = set().union(*rows)  # orders below 4 lack some margins
+        checks = dict.fromkeys(c for r in reports for c in r.checks)
         names = ["graph6", "n", "E_S", "N_op"] + [
-            k for k in (f"{c}_min_margin" for c in self.checks) if k in present
+            k for k in (f"{c}_min_margin" for c in checks) if k in present
         ]
         writer = csv.writer(fh)
         writer.writerow(names)
-        writer.writerows([row.get(k, "") for k in names] for row in self.rows)
+        writer.writerows([row.get(k, "") for k in names] for row in rows)
 
 
 def _eval_chunk_star(args):

@@ -5,10 +5,11 @@ graphs, checked after the fact: its eigenpairs must rebuild the matrix to
 within RESIDUAL_TOL_FACTOR * n, and the eigenvalues must meet the trace
 identities of A and A^2.  Scans take their spectra from batched LAPACK
 eigvalsh in the search module.  The exact one is charpoly_batch_i64:
-Faddeev-LeVerrier in int64 over stacks of matrices, modulo as many primes
-as a Hadamard bound asks for, with the integer coefficients rebuilt by
-Garner's CRT.  It yields the elementary symmetric functions S_k(A^2) of
-every scan and verify call up to n = 62.  The object-dtype recurrence
+Faddeev-LeVerrier on stacks of integer matrices in float64 BLAS products
+kept below 2^53, modulo as many primes as a Hadamard bound asks for, with
+the integers rebuilt by Garner's CRT.  Run on the Seidel matrix A itself
+and passed through sk_from_charpoly, it yields the exact S_k(A^2) of every
+scan and verify call up to n = 62.  The object-dtype recurrence
 char_poly_exact and fraction-free Bareiss determinants stay as oracles and
 behind the Cauchy-Binet check.
 """
@@ -156,40 +157,42 @@ def char_poly_exact(a) -> ExactCharPoly:
 
 
 # Primes just below 2^28, descending, listed rather than searched for at
-# import.  Being > 62, each makes 1..n invertible mod p; the 14 of them cover
-# the S_k of Seidel A^2 up to n = 62, where n^2 (n-1) (p + p/2) < 2^63 leaves
-# int64 room for lazy reduction.
+# import.  Being > 62, each makes 1..n invertible mod p; the first 7 cover
+# the characteristic polynomial of a Seidel matrix up to n = 62, and after a
+# reduction the next product's trace, n^2 (p + p/2) for +-1 entries, stays
+# below 2^53, where float64 arithmetic on integers is exact.
 CRT_PRIMES = (
     268435399, 268435367, 268435361, 268435337, 268435331, 268435313, 268435291,
     268435273, 268435243, 268435183, 268435171, 268435157, 268435147, 268435133,
 )
-_I64_LIMIT = 1 << 63
-_BLOCK_ENTRIES = 1 << 15  # int64 entries of M_k per block, over all primes
+_F64_EXACT = 1 << 53
+_BLOCK_ENTRIES = 1 << 15  # float64 entries of M_k per block, over all primes
 
 
 def _crt_primes(n: int, d: int) -> tuple[int, ...]:
-    """The fewest leading CRT_PRIMES whose product exceeds 2 max_k C(n,k) d^k.
+    """The fewest leading CRT_PRIMES with product > 2 max_k C(n,k) d^(k/2).
 
-    For an n x n positive-semidefinite matrix with largest diagonal entry d,
-    Hadamard's inequality bounds each k x k principal minor by d^k, so
-    |c_{n-k}| = S_k <= C(n,k) d^k and symmetric residues recover c exactly.
+    For an n x n integer matrix whose rows have squared norm at most d,
+    Hadamard's inequality bounds each k x k principal minor by d^(k/2), so
+    |c_{n-k}| <= C(n,k) d^(k/2) and symmetric residues recover c exactly.
     """
-    bound = max(comb(n, k) * d**k for k in range(n + 1))
+    bound_sq = max(comb(n, k) ** 2 * d**k for k in range(n + 1))
     total = 1
     for count, p in enumerate(CRT_PRIMES, start=1):
         total *= p
-        if total > 2 * bound:
+        if total * total > 4 * bound_sq:
             return CRT_PRIMES[:count]
-    raise ValueError(f"S_k bound at n={n}, d={d} exceeds the product of CRT_PRIMES")
+    raise ValueError(f"coefficient bound at n={n}, d={d} exceeds prod(CRT_PRIMES)")
 
 
 def _charpoly_residues(m: np.ndarray, primes: tuple[int, ...], a: int) -> np.ndarray:
-    """Faddeev-LeVerrier on a (b, n, n) int64 block modulo every prime at
-    once; returns (P, b, n+1) ascending coefficients in [0, p).
+    """Faddeev-LeVerrier on a (b, n, n) float64 block of integers modulo
+    every prime at once; returns (P, b, n+1) ascending coefficients in [0, p).
 
     |entries of m| <= a.  The running product M_k is reduced mod p only when
-    the next product's trace could leave int64; c_k is kept as a symmetric
-    residue, so below that threshold M_k is the exact integer matrix.
+    the next product's trace could reach 2^53; c_k is kept as a symmetric
+    residue, so below that threshold M_k is the exact integer matrix and
+    every partial sum of a BLAS product is an exactly represented integer.
     """
     b, n, _ = m.shape
     ps = np.array(primes, dtype=np.int64)[:, None]  # (P, 1)
@@ -200,14 +203,14 @@ def _charpoly_residues(m: np.ndarray, primes: tuple[int, ...], a: int) -> np.nda
     mk = np.repeat(m[None], len(primes), axis=0)  # M_1 = A
     mk_bound = a
     for k in range(1, n + 1):
-        tr = np.einsum("pbii->pb", mk) % ps
+        tr = np.einsum("pbii->pb", mk).astype(np.int64) % ps
         inv_k = np.array([pow(k, -1, p) for p in primes], dtype=np.int64)[:, None]
         ck = (ps - tr) * inv_k % ps  # c_{n-k} = -tr(M_k) / k
         out[:, :, n - k] = ck
         if k == n:
             break
-        if n * n * a * (mk_bound + pmax // 2) >= _I64_LIMIT:
-            np.remainder(mk, ps[:, :, None, None], out=mk)
+        if n * n * a * (mk_bound + pmax // 2) >= _F64_EXACT:
+            np.remainder(mk, ps[:, :, None, None].astype(np.float64), out=mk)
             mk_bound = pmax - 1
         mk[..., diag, diag] += np.where(ck > half, ck - ps, ck)[..., None]
         mk = np.matmul(m, mk)
@@ -220,8 +223,9 @@ def _garner(res: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
     primes[i], by Garner's mixed-radix reconstruction.  One prime gives int64,
     several give Python ints in an object array."""
     if len(primes) == 1:
-        p = primes[0]
-        return np.where(res[0] > p // 2, res[0] - p, res[0])
+        x, p = res[0], primes[0]
+        x[x > p // 2] -= p
+        return x
     digits = []
     for i, p in enumerate(primes):
         v = res[i]
@@ -236,17 +240,17 @@ def _garner(res: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
 
 
 def charpoly_batch_i64(mats: np.ndarray) -> np.ndarray:
-    """Exact det(xI - M) for a (B, n, n) stack of symmetric positive-
-    semidefinite integer matrices (A^2 of a Seidel matrix is one); returns
+    """Exact det(xI - M) for a (B, n, n) stack of integer matrices; returns
     (B, n+1) coefficients in ascending power order.
 
-    Faddeev-LeVerrier runs in int64 modulo each of _crt_primes(n, d), d
-    the largest diagonal entry, over blocks of about 2^15 / (P n^2)
-    matrices for P primes, and Garner's algorithm rebuilds the integers.
-    A narrower integer stack is widened to int64 one block at a time.
-    The result is int64 when one prime suffices (Seidel A^2 up to n = 8)
-    and Python ints in an object array otherwise.  A row does not depend on
-    the rest of its batch.
+    Faddeev-LeVerrier runs on float64 BLAS products, converted from the
+    integer stack one block of about 2^15 / (P n^2) matrices at a time,
+    modulo each of the P primes _crt_primes(n, d); d, the largest squared
+    row norm of the entrywise largest magnitudes over the stack (n - 1 for
+    Seidel matrices), bounds every row's.  Garner's algorithm rebuilds the
+    integers: int64 when one prime suffices (Seidel matrices up to n = 13),
+    Python ints in an object array otherwise.  A row does not depend on the
+    rest of its batch.
     """
     m = np.asarray(mats)
     if m.dtype.kind not in "iu":
@@ -254,32 +258,42 @@ def charpoly_batch_i64(mats: np.ndarray) -> np.ndarray:
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise ValueError("expected a (B, n, n) stack of square matrices")
     bsz, n, _ = m.shape
-    d = max(int(np.diagonal(m, axis1=1, axis2=2).max(initial=0)), 0)
-    a = max(int(m.max(initial=0)), -int(m.min(initial=0)))
-    primes = _crt_primes(n, d)
-    if n * n * a * (max(primes) * 3 // 2) >= _I64_LIMIT:
-        raise ValueError("matrix entries too large for the int64 recurrence")
+    ends = np.stack([m.min(axis=0, initial=0), m.max(axis=0, initial=0)])
+    mag = abs(ends.astype(object)).max(axis=0)  # (n, n) Python ints
+    a = int(mag.max(initial=0))
+    if n * n * a * (CRT_PRIMES[0] * 3 // 2) >= _F64_EXACT:
+        raise ValueError("matrix entries too large for exact float64 products")
+    primes = _crt_primes(n, int((mag * mag).sum(axis=1).max(initial=0)))
     res = np.empty((len(primes), bsz, n + 1), dtype=np.int64)
     step = max(1, _BLOCK_ENTRIES // (len(primes) * n * n or 1))
     for lo in range(0, bsz, step):
-        block = m[lo : lo + step].astype(np.int64)
+        block = m[lo : lo + step].astype(np.float64)
         res[:, lo : lo + step] = _charpoly_residues(block, primes, a)
     return _garner(res, primes)
 
 
-def elementary_symmetric_A2(a: np.ndarray | Graph) -> list[int]:
-    """Exact S_0..S_n of the squared Seidel eigenvalues.
+def sk_from_charpoly(coeffs: np.ndarray) -> np.ndarray:
+    """S_0..S_n of A^2, ascending, in the dtype of the (B, n+1) ascending
+    coefficients c of det(xI - A).  From det(x^2 I - A^2) =
+    (-1)^n det(xI - A) det(-xI - A), with f_i = c_{n-i}, S_k is
+    (-1)^k sum_{i+j=2k} (-1)^i f_i f_j, whose terms pair up around i = k."""
+    n = coeffs.shape[-1] - 1
+    f = coeffs[:, ::-1]
+    sk = np.empty_like(coeffs)
+    for k in range(n + 1):
+        i = np.arange(max(0, 2 * k - n), k)
+        cross = (f[:, i] * f[:, 2 * k - i]) @ (-1) ** (i + k)
+        sk[:, k] = f[:, k] * f[:, k] + 2 * cross
+    return sk
 
-    Computed as the characteristic polynomial of the integer matrix A^2, a
-    batch of one through charpoly_batch_i64, with signs unwound:
-    S_k = (-1)^k c_{n-k}.
-    """
+
+def elementary_symmetric_A2(a: np.ndarray | Graph) -> list[int]:
+    """Exact S_0..S_n of the squared Seidel eigenvalues: a batch of one
+    through charpoly_batch_i64 on the Seidel matrix itself, then sk_from_charpoly."""
     if isinstance(a, Graph):
         a = seidel_matrix(a)
-    a = check_seidel_matrix(a).astype(np.int64)
-    n = a.shape[0]
-    coeffs = charpoly_batch_i64((a @ a)[None])[0]
-    sk = [(-1) ** k * int(coeffs[n - k]) for k in range(n + 1)]
+    a = check_seidel_matrix(a)
+    sk = [int(v) for v in sk_from_charpoly(charpoly_batch_i64(a[None]))[0]]
     if sk[0] != 1 or any(v < 0 for v in sk):
         raise AssertionError("S_k of a squared symmetric matrix must be nonnegative")
     return sk

@@ -40,25 +40,30 @@ class VerificationReport:
         }
 
 
-def verify_sk_basic(g: Graph, sk: list[int] | None = None) -> list[VerificationReport]:
-    """S_k(A^2) >= n(n-1) C(n-2, k-1) exactly, for k = 1..n."""
+def _sk_reports(g: Graph, sk, check: str, nop: int, meta: dict) -> list:
+    """S_k(A^2) >= n(n-1) C(n-2, k-1) + 4 nop C(n-4, k-2) exactly, k = 1..n."""
     n = g.n
-    if n < 2:
-        raise ValueError("needs at least two vertices")
-    if sk is None:
-        sk = elementary_symmetric_A2(g)
     g6 = encode_graph6(g)
     reports = []
     for k in range(1, n + 1):
-        bound = n * (n - 1) * binomial(n - 2, k - 1)
+        bound = n * (n - 1) * binomial(n - 2, k - 1) + 4 * nop * binomial(n - 4, k - 2)
         margin = sk[k] - bound
         reports.append(
             VerificationReport(
-                g6, "sk-basic", margin >= 0, str(sk[k]), str(bound),
-                float(margin), {"n": n, "k": k},
+                g6, check, margin >= 0, str(sk[k]), str(bound),
+                float(margin), {"n": n, "k": k, **meta},
             )
         )
     return reports
+
+
+def verify_sk_basic(g: Graph, sk: list[int] | None = None) -> list[VerificationReport]:
+    """S_k(A^2) >= n(n-1) C(n-2, k-1) exactly, for k = 1..n."""
+    if g.n < 2:
+        raise ValueError("needs at least two vertices")
+    if sk is None:
+        sk = elementary_symmetric_A2(g)
+    return _sk_reports(g, sk, "sk-basic", 0, {})
 
 
 def verify_sk_oddpairs(
@@ -69,25 +74,13 @@ def verify_sk_oddpairs(
     Stated for k <= n-2; the vanishing-binomial convention extends the
     check harmlessly to all k = 1..n.
     """
-    n = g.n
-    if n < 4:
+    if g.n < 4:
         raise ValueError("needs at least four vertices")
     if sk is None:
         sk = elementary_symmetric_A2(g)
     if nop is None:
         nop = count_odd_pairs(g)
-    g6 = encode_graph6(g)
-    reports = []
-    for k in range(1, n + 1):
-        bound = n * (n - 1) * binomial(n - 2, k - 1) + 4 * nop * binomial(n - 4, k - 2)
-        margin = sk[k] - bound
-        reports.append(
-            VerificationReport(
-                g6, "sk-oddpairs", margin >= 0, str(sk[k]), str(bound),
-                float(margin), {"n": n, "k": k, "N_op": nop},
-            )
-        )
-    return reports
+    return _sk_reports(g, sk, "sk-oddpairs", nop, {"N_op": nop})
 
 
 def verify_oddpair_lower(g: Graph, nop: int | None = None) -> VerificationReport:

@@ -1,5 +1,7 @@
+import csv
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -151,6 +153,33 @@ class TestVerify:
         lines = out_path.read_text().strip().splitlines()
         assert lines[0].startswith("graph6,n,E_S,N_op")
         assert len(lines) == 9
+
+    @pytest.mark.parametrize(
+        "source, counts",
+        [
+            (("--all-n", "3..4"), {"3": 8, "4": 64}),
+            (("--boundary-family", "11..12"), {"11": 250, "12": 322}),
+        ],
+    )
+    def test_csv_one_header_over_sources(self, capsys, tmp_path, source, counts):
+        # at n = 3 a row has no oddpair-lower margin: blank under the shared header
+        out_path = tmp_path / "rows.csv"
+        code, _, _ = run_cli(
+            capsys, "verify", *source, "--checks", "theorem2,oddpair-lower",
+            "--format", "csv", "--out", str(out_path),
+        )
+        assert code == EXIT_OK
+        with open(out_path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames == [
+            "graph6", "n", "E_S", "N_op",
+            "theorem2_min_margin", "oddpair-lower_min_margin",
+        ]
+        assert Counter(row["n"] for row in rows) == counts
+        for row in rows:
+            assert row["theorem2_min_margin"]
+            assert (row["oddpair-lower_min_margin"] == "") == (int(row["n"]) < 4)
 
     def test_workers_match_serial(self, capsys):
         argv = (

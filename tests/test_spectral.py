@@ -29,6 +29,7 @@ from seidelab.spectral import (
     p_energy,
     submatrix_det_parity,
 )
+from seidelab.search import _sk_batch
 
 from conftest import graph_strategy, random_graph
 
@@ -168,7 +169,7 @@ class TestCharPolyExact:
 
     @given(graph_strategy(min_n=2, max_n=8))
     @settings(max_examples=40)
-    def test_coefficients_match_jacobi(self, g):
+    def test_coefficients_match_eigh(self, g):
         # expand prod (x - lambda_i) from the float spectrum; repeated roots
         # make root-finding ill-conditioned but coefficients stay stable
         cp = char_poly_exact(seidel_matrix(g))
@@ -203,9 +204,15 @@ def _paley_plus_vertex(q: int) -> Graph:
     return Graph.from_edges(q + 1, [(i, j) for i, j in pairs if j - i in squares])
 
 
-def _seidel_squares(graphs) -> np.ndarray:
-    s = np.stack([seidel_matrix(g) for g in graphs])
-    return s @ s
+def _seidel_stack(graphs) -> np.ndarray:
+    return np.stack([seidel_matrix(g) for g in graphs])
+
+
+def _sk_exact(m: np.ndarray) -> list[int]:
+    """S_0..S_n of m^2 from the object-dtype oracle on m @ m."""
+    n = m.shape[0]
+    coeffs = char_poly_exact(m @ m).coeffs
+    return [(-1) ** k * coeffs[n - k] for k in range(n + 1)]
 
 
 class TestCharPolyBatch:
@@ -213,68 +220,98 @@ class TestCharPolyBatch:
 
     @pytest.mark.parametrize("n, randoms", [(9, 6), (16, 4), (22, 4), (40, 1), (62, 1)])
     def test_matches_exact(self, rng, n, randoms):
-        # K_n and its complement share A^2 = I + (n-2) J, the largest
-        # entries a Seidel A^2 can have
+        # K_n and its complement share S^2 = I + (n-2) J, the largest
+        # entries a Seidel S^2 can have
         graphs = [complete_graph(n), empty_graph(n)]
         graphs += [_random_graph_any_n(rng, n) for _ in range(randoms)]
-        sq = _seidel_squares(graphs)
-        batch = charpoly_batch_i64(sq)
-        assert batch.dtype == object
-        for row, m in zip(batch, sq):
-            assert tuple(row) == char_poly_exact(m).coeffs
+        s = _seidel_stack(graphs)
+        batch = charpoly_batch_i64(s)
+        assert batch.dtype == (np.int64 if n <= 13 else object)
+        for row, sk, m, g in zip(batch, _sk_batch(s), s, graphs):
+            assert tuple(int(c) for c in row) == char_poly_exact(m).coeffs
+            assert [int(v) for v in sk] == elementary_symmetric_A2(g) == _sk_exact(m)
+
+    @pytest.mark.parametrize("n", range(1, 63))
+    def test_sk_matches_exact_every_n(self, rng, n):
+        # the 2^53 envelope of the lazy reduction grows with n^2, so every
+        # order is checked.  K_n and its complement share S^2 = I + (n-2) J,
+        # with eigenvalues (n-1)^2 once and 1 n-1 times; a random graph goes
+        # through the oracle
+        graphs = [complete_graph(n), empty_graph(n), _random_graph_any_n(rng, n)]
+        s = _seidel_stack(graphs)
+        closed = [
+            binomial(n - 1, k) + (n - 1) ** 2 * binomial(n - 1, k - 1) for k in range(n + 1)
+        ]
+        expect = [closed, closed, _sk_exact(s[2])]
+        assert _sk_batch(s).tolist() == expect
+        assert [elementary_symmetric_A2(g) for g in graphs] == expect
 
     @pytest.mark.parametrize("q", [5, 13, 29, 61])
     def test_attains_hadamard_bound(self, q):
-        # S_k = C(n,k) (n-1)^k: the bound that sizes the prime count, met
+        # S_k = C(n,k) (n-1)^k, the largest S_k a Seidel matrix can have
         n = q + 1
-        sq = _seidel_squares([_paley_plus_vertex(q)])
-        assert np.array_equal(sq[0], q * np.eye(n, dtype=np.int64))
-        coeffs = charpoly_batch_i64(sq)[0]
-        assert [(-1) ** k * int(coeffs[n - k]) for k in range(n + 1)] == [
-            math.comb(n, k) * q**k for k in range(n + 1)
-        ]
+        g = _paley_plus_vertex(q)
+        s = _seidel_stack([g])
+        assert np.array_equal(s[0] @ s[0], q * np.eye(n, dtype=np.int64))
+        expect = [math.comb(n, k) * q**k for k in range(n + 1)]
+        assert _sk_batch(s)[0].tolist() == elementary_symmetric_A2(g) == expect
 
     @given(graph_strategy(min_n=1, max_n=30))
     @settings(max_examples=25)
     def test_matches_exact_hypothesis(self, g):
-        sq = _seidel_squares([g])
-        assert tuple(int(c) for c in charpoly_batch_i64(sq)[0]) == (
-            char_poly_exact(sq[0]).coeffs
+        s = _seidel_stack([g])
+        assert tuple(int(c) for c in charpoly_batch_i64(s)[0]) == (
+            char_poly_exact(s[0]).coeffs
         )
+        assert elementary_symmetric_A2(g) == _sk_exact(s[0])
+
+    def test_int64_up_to_13(self):
+        # one prime covers the coefficients of a Seidel matrix up to n = 13
+        for n in range(1, 15):
+            s = _seidel_stack([complete_graph(n), empty_graph(n)])
+            dtype = np.int64 if n <= 13 else object
+            assert charpoly_batch_i64(s).dtype == _sk_batch(s).dtype == dtype
 
     @pytest.mark.parametrize("n", [7, 9, 16])
     def test_row_independent_of_batch(self, rng, n):
-        # 300 matrices span several blocks (2^15 / (P n^2): 42 at n = 16)
-        sq = _seidel_squares(
-            [complete_graph(n)] + [random_graph(rng, n=n) for _ in range(299)]
-        )
-        whole = charpoly_batch_i64(sq)
-        seven = charpoly_batch_i64(sq[:7])
-        for i in range(7):
-            one = charpoly_batch_i64(sq[i : i + 1])
-            assert list(one[0]) == list(seven[i]) == list(whole[i])
-        # an int8 stack, as scans pass it, is widened block by block
-        assert charpoly_batch_i64(sq.astype(np.int8)).tolist() == whole.tolist()
+        # blocks hold 2^15 / (P n^2) matrices (668, 404 and 64 here); the
+        # stack spans three blocks and part of a fourth
+        count = 3 * (2**15 // (len(_crt_primes(n, n - 1)) * n * n)) + 1
+        graphs = [complete_graph(n)] + [random_graph(rng, n=n) for _ in range(count - 1)]
+        s = _seidel_stack(graphs).astype(np.int8)  # as scans pass it
+        whole = charpoly_batch_i64(s)
+        seven = charpoly_batch_i64(s[:7])
+        for i in [*range(7), count - 1]:
+            one = charpoly_batch_i64(s[i : i + 1])
+            assert list(one[0]) == list(whole[i])
+            assert i >= 7 or list(seven[i]) == list(whole[i])
+        assert charpoly_batch_i64(s.astype(np.int64)).tolist() == whole.tolist()
+        assert _sk_batch(s[-7:]).tolist() == _sk_batch(s)[-7:].tolist()
 
     def test_crt_primes(self):
         for p in CRT_PRIMES:
             assert p > 62
             assert all(p % q for q in range(2, math.isqrt(p) + 1))
-        bound = max(math.comb(62, k) * 61**k for k in range(63))
-        assert math.prod(CRT_PRIMES[:14]) > 2 * bound
+        # Hadamard: |c_{n-k}| <= C(n,k) (n-1)^(k/2) for a Seidel matrix
+        bound_sq = max(math.comb(62, k) ** 2 * 61**k for k in range(63))
+        assert math.prod(CRT_PRIMES[:7]) ** 2 > 4 * bound_sq
         counts = [len(_crt_primes(n, n - 1)) for n in (8, 9, 16, 22, 62)]
-        assert counts == [1, 2, 3, 4, 14]
-        # lazy reduction: after reducing, the next product's trace fits int64
+        assert counts == [1, 1, 2, 2, 7]
+        # lazy reduction: after reducing, the next product's trace over +-1
+        # entries stays below 2^53, where float64 holds every integer
         p = max(CRT_PRIMES)
-        assert 62 * 62 * 61 * (p + p // 2) < 2**63
+        assert 62 * 62 * (p + p // 2) < 2**53
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             charpoly_batch_i64(np.ones((2, 3), dtype=np.int64))
-        with pytest.raises(ValueError):  # more primes than CRT_PRIMES holds
-            charpoly_batch_i64(np.eye(70, dtype=np.int64)[None] * 10**6)
-        with pytest.raises(ValueError):  # entries overflow the int64 products
-            charpoly_batch_i64(np.eye(2, dtype=np.int64)[None] << 40)
+        with pytest.raises(ValueError, match="CRT_PRIMES"):  # too many primes
+            charpoly_batch_i64(np.full((1, 100, 100), 1000, dtype=np.int64))
+        # the 2^53 envelope: n^2 a (p + p/2) for entries up to a, here n = 2
+        eye = np.eye(2, dtype=np.int64)[None]
+        assert charpoly_batch_i64(eye << 22).tolist() == [[1 << 44, -(1 << 23), 1]]
+        with pytest.raises(ValueError, match="float64"):
+            charpoly_batch_i64(eye << 23)
 
 
 class TestElementarySymmetric:
