@@ -114,6 +114,8 @@ def _parse_range(spec: str, lo: int, hi: int) -> list[int]:
     if ".." in spec:
         a, b = spec.split("..", 1)
         values = list(range(int(a), int(b) + 1))
+        if not values:
+            raise ValueError(f"empty range {spec}: the lower end exceeds the upper")
     else:
         values = [int(spec)]
     for v in values:

@@ -14,6 +14,7 @@ import numpy as np
 
 MAX_VERTICES = 64
 GRAPH6_MAX_N = 62  # single-byte header only
+ASCII_WHITESPACE = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "  # what str.strip() drops of ASCII
 
 
 class Graph6Error(ValueError):
@@ -126,10 +127,10 @@ def complement(g: Graph) -> Graph:
 
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 line (single-byte header, n <= 62)."""
-    s = text.strip()
+    s = text.strip(ASCII_WHITESPACE)
     if not s:
         raise Graph6Error("empty graph6 string")
-    data = s.encode("ascii", errors="replace")
+    data = [ord(c) for c in s]  # a non-ASCII character is out of range below
     for off, b in enumerate(data):
         if not 63 <= b <= 126:
             raise Graph6Error(f"byte {b} out of range [63,126] at offset {off}")

@@ -4,7 +4,9 @@ Sources: every labeled graph for n <= 8, the two-apex-over-a-clique
 boundary family for 11 <= n <= 22, and graph6 line streams for externally
 generated corpora.  The scan driver fans fixed-size chunks out to a worker
 pool and re-runs the exact per-graph checkers on anything the batch path
-flags, so failure reports carry exact integers.
+flags, so failure reports carry exact integers.  Chunks are drawn from the
+source only as the pool has room, at most two per worker in flight, so a
+graph6 stream is read in blocks while its first chunks are evaluated.
 
 Every chunk has one format: per order n, a stack of edge bits in graph6
 order, which a worker builds itself (the exhaustive and boundary sources
@@ -12,12 +14,14 @@ ship index ranges, a graph6 stream ships its raw lines, decoded and
 validated in one vectorized pass).  Everything checked derives from the
 stack: LAPACK spectra of the Seidel matrices S, exact S_k(S^2) from the
 multi-modular characteristic polynomials of S itself, the odd-pair count
-N_op from S^2 through
+N_op from S^2 (float32 BLAS products, exact at these sizes) through
 
     N_op = [C(n,2)(n-2)^2 - (||S^2||_F^2 - n(n-1)^2)/2] / 4,
 
 and SC-equivalence to K_n from an xor test on the adjacency bits.  Graph
 objects appear only for the flagged graphs the per-graph checkers re-verify.
+CSV rows, when collected, are rendered by the workers as final CSV lines,
+one text per chunk, and only merged and written by the parent.
 
 The exhaustive source is scanned one orbit at a time.  Every checked
 quantity (|spectrum|, S_k(A^2), N_op, SC-equivalence to K_n) is invariant
@@ -30,24 +34,24 @@ expanded back to the orbit's labeled members.  Every reported item is keyed
 by its position in the source's enumeration order (the labeled edge mask
 for the exhaustive source, the parameter index for the boundary family,
 the line number for a stream) and merged in that order.  Chunk boundaries
-do not depend on the worker count, so aggregate reports are reproducible
-field-for-field.
+do not depend on the worker count, so aggregate reports and CSV output are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .graphs import Graph, Graph6Error, parse_graph6
+from .graphs import ASCII_WHITESPACE, Graph, Graph6Error, parse_graph6
 # unused here; kept importable as seidelab.search.<name> for bench/tracing.py
 from .graphs import encode_graph6  # noqa: F401
 from .seidel import count_odd_pairs, is_sc_equivalent_to_complete  # noqa: F401
@@ -58,6 +62,9 @@ ENUM_MAX_N = 8
 BOUNDARY_MIN_N = 11
 BOUNDARY_MAX_N = 22
 CHUNK_SIZE = 1 << 15  # fixed so aggregates are worker-count independent
+_BLOCK_ENTRIES = 1 << 15  # float32 entries of S^2 per block in _odd_pairs
+_ROW_BLOCK = 1 << 12  # CSV lines rendered per step
+_EOL = "\r\n"  # csv.writer's line terminator
 
 
 class Graph6StreamError(ValueError):
@@ -171,7 +178,8 @@ class BoundaryFamily:
 
 @dataclass(frozen=True)
 class Graph6Stream:
-    """Newline-separated graph6 file; strict mode aborts on malformed lines."""
+    """Newline-separated graph6 file; strict mode aborts on malformed lines
+    (a non-ASCII byte makes a line malformed), lenient mode skips them."""
 
     path: str
     strict: bool = True
@@ -180,30 +188,79 @@ class Graph6Stream:
     def descriptor(self) -> str:
         return f"graph6-stream({self.path})"
 
-    def _lines(self):
-        with open(self.path, "r", encoding="ascii") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if line.strip():
-                    yield lineno, line.strip()
+    def _blocks(self):
+        """The file's nonblank lines, one read block at a time: their line
+        numbers and their bytes, stripped, each ended by a newline.  Lines end
+        at \\n, \\r\\n or a lone \\r, as in text mode; bytes pass through as
+        latin-1, so a non-ASCII byte reaches the graph6 checks, not a decoder."""
+        lineno = 1
+        pending = []  # the start of a line that spans read blocks
+        with open(self.path, "r", encoding="latin-1", newline=None) as fh:
+            while text := fh.read(_READ_BLOCK):
+                data = text.encode("latin-1")
+                cut = data.rfind(b"\n") + 1
+                if not cut:
+                    pending.append(data)
+                    continue
+                linenos, lines = _strip_lines(b"".join(pending) + data[:cut], lineno)
+                pending = [data[cut:]]
+                lineno += data.count(b"\n", 0, cut)
+                yield linenos, lines
+        if any(pending):
+            yield _strip_lines(b"".join(pending) + b"\n", lineno)
 
     def __iter__(self):
-        for lineno, line in self._lines():
-            try:
-                yield parse_graph6(line)
-            except Graph6Error as exc:
-                if self.strict:
-                    raise Graph6StreamError(f"line {lineno}: {exc}") from exc
+        for linenos, lines in self._blocks():
+            for lineno, line in zip(linenos.tolist(), lines.decode("latin-1").split("\n")):
+                try:
+                    yield parse_graph6(line)
+                except Graph6Error as exc:
+                    if self.strict:
+                        raise Graph6StreamError(f"line {lineno}: {exc}") from exc
 
     def chunk_specs(self, chunk_size: int = CHUNK_SIZE):
-        """Chunks of chunk_size nonblank lines, undecoded: their line numbers
-        and their text joined by newlines.  Workers decode and validate."""
-        specs = []
-        lines = self._lines()
-        while block := list(islice(lines, chunk_size)):
-            linenos, texts = zip(*block)
-            linenos = np.array(linenos, dtype=np.int64)
-            specs.append(("graph6", linenos, "\n".join(texts), self.strict))
-        return specs
+        """Chunks of chunk_size nonblank lines, undecoded and yielded as the
+        file is read: their line numbers and their newline-ended bytes.
+        Workers decode and validate."""
+        linenos, texts, have = [], [], 0
+        for numbers, lines in self._blocks():
+            newlines = np.flatnonzero(np.frombuffer(lines, dtype=np.uint8) == ord("\n"))
+            bounds = np.concatenate(([0], newlines + 1))  # line k is bounds[k]:bounds[k+1]
+            at = 0
+            while at < len(numbers):
+                take = min(chunk_size - have, len(numbers) - at)
+                linenos.append(numbers[at : at + take])
+                texts.append(lines[bounds[at] : bounds[at + take]])
+                have += take
+                at += take
+                if have == chunk_size:
+                    yield ("graph6", np.concatenate(linenos), b"".join(texts), self.strict)
+                    linenos, texts, have = [], [], 0
+        if have:
+            yield ("graph6", np.concatenate(linenos), b"".join(texts), self.strict)
+
+
+_READ_BLOCK = 1 << 18  # characters per read of a graph6 stream
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[[ord(c) for c in ASCII_WHITESPACE]] = True
+
+
+def _strip_lines(data: bytes, first_lineno: int) -> tuple[np.ndarray, bytes]:
+    """The nonblank lines of newline-ended bytes, stripped of ASCII whitespace
+    and ended by a newline, and their line numbers, counted from first_lineno."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    solid = np.flatnonzero(~_SPACE[buf])
+    head = np.searchsorted(solid, starts)  # first solid byte at or after the start
+    tail = np.searchsorted(solid, ends) - 1  # last solid byte before the end
+    nonblank = head <= tail
+    edges = np.zeros(len(buf) + 1, dtype=np.int8)
+    edges[solid[head[nonblank]]] = 1
+    edges[solid[tail[nonblank]] + 1] = -1
+    keep = np.cumsum(edges[:-1], dtype=np.int8).astype(bool)
+    keep[ends[nonblank]] = True
+    return first_lineno + np.flatnonzero(nonblank), buf[keep].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +269,15 @@ class Graph6Stream:
 # Every chunk becomes, per order n, a (B, C(n,2)) uint8 stack of edge bits
 # in graph6 order plus two functions naming its rows: members(rows) gives
 # the labeled graphs each row stands for as (row, position) arrays, members
-# of a row ascending by position, and name(rows, positions) their graph6.
+# of a row ascending by position, and name(rows, positions) their graph6 as
+# a str array.
 
 
 class _Stack(NamedTuple):
     n: int
     bits: np.ndarray
     members: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    name: Callable[[np.ndarray, np.ndarray], list[str]]
+    name: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _edge_pairs(n: int):
@@ -280,17 +338,16 @@ def _adjacency(n: int, bits: np.ndarray) -> np.ndarray:
 
 
 def _seidel(adj: np.ndarray) -> np.ndarray:
-    """Seidel matrices, int8: zero diagonal, -1 on edges, +1 elsewhere.
-    Their products stay exact in int8: every partial sum of a row-by-column
-    product is at most n - 1 <= 61 in magnitude."""
+    """Seidel matrices, int8: zero diagonal, -1 on edges, +1 elsewhere."""
     s = np.where(adj, np.int8(-1), np.int8(1))
     d = np.arange(adj.shape[-1])
     s[:, d, d] = 0
     return s
 
 
-def _graph6_lines(n: int, bits: np.ndarray) -> list[str]:
-    """graph6 lines of a stack of edge bits (the inverse of _decode_graph6)."""
+def _graph6_lines(n: int, bits: np.ndarray) -> np.ndarray:
+    """graph6 lines of a stack of edge bits, as a str array (the inverse of
+    _decode_graph6)."""
     nbytes = (bits.shape[1] + 5) // 6
     six = np.zeros((bits.shape[0], nbytes * 6), dtype=np.uint8)
     six[:, : bits.shape[1]] = bits
@@ -298,21 +355,20 @@ def _graph6_lines(n: int, bits: np.ndarray) -> list[str]:
     out[:, 0] = n + 63
     packed = np.packbits(six.reshape(bits.shape[0], nbytes, 6), axis=-1)[..., 0]
     out[:, 1:] = (packed >> 2) + 63  # six bits, high first, as the top of a byte
-    text = out.tobytes().decode("ascii")
-    return [text[k : k + nbytes + 1] for k in range(0, len(text), nbytes + 1)]
+    return out.view(f"S{nbytes + 1}").ravel().astype(f"U{nbytes + 1}")
 
 
-def _decode_graph6(linenos: np.ndarray, text: str, strict: bool):
-    """Decode newline-joined graph6 lines in one pass per line length.
+def _decode_graph6(linenos: np.ndarray, text: bytes, strict: bool):
+    """Decode newline-ended graph6 lines in one pass per line length.
 
     Applies every check parse_graph6 makes; a rejected line is handed to
     parse_graph6 for its error, which strict mode raises for the first such
     line and lenient mode skips.  Returns (n, line indices, edge bits) per
     order.
     """
-    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    ends = np.append(np.flatnonzero(buf == ord("\n")), len(buf))
-    starts = np.concatenate(([0], ends[:-1] + 1))
+    buf = np.frombuffer(text, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))[: len(ends)]
     lengths = ends - starts
     decoded = []
     rejected = []
@@ -333,10 +389,10 @@ def _decode_graph6(linenos: np.ndarray, text: str, strict: bool):
                 decoded.append((order, idx[sel[~padded]], bits[~padded, :nbits]))
         rejected.extend(idx[~ok].tolist())
     if rejected:
-        lines = text.split("\n")
+        lines = text.split(b"\n")
         for k in sorted(rejected):
             try:
-                parse_graph6(lines[k])
+                parse_graph6(lines[k].decode("latin-1"))
             except Graph6Error as exc:
                 if strict:
                     raise Graph6StreamError(f"line {linenos[k]}: {exc}") from exc
@@ -374,15 +430,15 @@ def _stacks(spec) -> tuple[int, list[_Stack]]:
             )
         ]
     _, linenos, text, strict = spec
-    lines = text.split("\n")
     stacks = []
     for n, index, bits in _decode_graph6(linenos, text, strict):
+        # a decoded line re-encodes to itself: the decoder rejects any other
         stacks.append(
             _Stack(
                 n,
                 bits,
                 lambda rows, index=index: (rows, linenos[index[rows]]),
-                lambda rows, positions, index=index: [lines[k] for k in index[rows]],
+                lambda rows, positions, n=n, bits=bits: _graph6_lines(n, bits[rows]),
             )
         )
     return sum(len(st.bits) for st in stacks), stacks
@@ -394,13 +450,21 @@ def _sk_batch(s: np.ndarray) -> np.ndarray:
     return sk_from_charpoly(charpoly_batch_i64(s))
 
 
-def _odd_pairs(a2: np.ndarray) -> np.ndarray:
-    """N_op from the squared Seidel matrices S^2.  For a pair X = {u, v} the
-    n-2 products S_uw S_vw sum to d = (S^2)_uv, and Y = {y, z} has an odd
+def _odd_pairs(s: np.ndarray) -> np.ndarray:
+    """N_op of a stack of Seidel matrices S, from S^2.  For a pair X = {u, v}
+    the n-2 products S_uw S_vw sum to d = (S^2)_uv, and Y = {y, z} has an odd
     number of cross edges iff its two products differ, so X has
-    ((n-2)^2 - d^2)/4 odd partners; the sum over X needs only ||S^2||_F."""
-    n = a2.shape[-1]
-    frobenius = np.einsum("bij,bij->b", a2, a2, dtype=np.int64)
+    ((n-2)^2 - d^2)/4 odd partners; the sum over X needs only ||S^2||_F.
+    S^2 comes from float32 BLAS products, about 2^15 / n^2 matrices at a
+    time; they are exact, since every partial sum is an integer of magnitude
+    at most n - 1 <= 61."""
+    bsz, n, _ = s.shape
+    frobenius = np.empty(bsz, dtype=np.int64)
+    step = max(1, _BLOCK_ENTRIES // (n * n))
+    for lo in range(0, bsz, step):
+        block = s[lo : lo + step].astype(np.float32)
+        a2 = np.matmul(block, block)
+        frobenius[lo : lo + step] = np.einsum("bij,bij->b", a2, a2, dtype=np.float64)
     off_diagonal = (frobenius - n * (n - 1) ** 2) // 2
     return (binomial(n, 2) * (n - 2) ** 2 - off_diagonal) // 4
 
@@ -425,7 +489,52 @@ class _ChunkResult:
     min_energy_graph6: str | None
     failure_reports: list  # report dicts
     equality_graph6: list  # graphs with |E_S - (2n-2)| <= tolerance
-    rows: list | None
+    row_text: str | None  # CSV lines (see _render_rows), ascending by position
+    row_positions: np.ndarray | None  # their positions, int64
+    row_margins: frozenset  # checks whose margin cell some row fills
+
+
+class _RowPart(NamedTuple):
+    """One stack's CSV rows: the stack row and position of each labeled
+    graph, the stack's name function, and its per-row columns."""
+
+    n: int
+    rows: np.ndarray
+    positions: np.ndarray
+    name: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    energy: np.ndarray
+    nop: np.ndarray
+    margins: dict  # check -> float margins of the stack rows
+
+
+def _render_rows(parts: list[_RowPart], checks) -> tuple[str, np.ndarray]:
+    """The CSV lines of a chunk's rows, ascending by position, and their
+    positions.  A line is what csv.writer writes for graph6, n, E_S, N_op and
+    one min-margin cell per check (floats by repr, blank where the graph's
+    order has no such margin).  Lines are rendered _ROW_BLOCK at a time, so
+    no per-cell object outlives its block."""
+    if not parts:  # a lenient stream chunk may decode nothing
+        return "", np.empty(0, dtype=np.int64)
+    which = np.repeat(np.arange(len(parts)), [len(p.rows) for p in parts])
+    rows = np.concatenate([p.rows for p in parts])
+    positions = np.concatenate([p.positions for p in parts])
+    order = np.argsort(positions, kind="stable")
+    line = ",".join(["{}"] * (4 + len(checks))) + _EOL
+    blocks = []
+    for lo in range(0, len(order), _ROW_BLOCK):
+        sel = order[lo : lo + _ROW_BLOCK]
+        cells = [np.empty(len(sel), dtype=object) for _ in range(4 + len(checks))]
+        for k, part in enumerate(parts):
+            mine = which[sel] == k
+            if not mine.any():
+                continue
+            r = rows[sel[mine]]
+            values = [part.name(r, positions[sel[mine]]), part.n, part.energy[r], part.nop[r]]
+            values += [part.margins[c][r] if c in part.margins else "" for c in checks]
+            for column, value in zip(cells, values):
+                column[mine] = value
+        blocks.append("".join(map(line.format, *cells)))
+    return "".join(blocks), positions[order]
 
 
 def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
@@ -435,7 +544,7 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
     min_g6 = None
     failures: list[tuple[int, dict]] = []
     equality: list[tuple[int, str]] = []
-    rows = [] if collect_rows else None
+    parts: list[_RowPart] = []
     for n, bits, members, name in stacks:
         bsz = bits.shape[0]
         adj = _adjacency(n, bits)
@@ -447,9 +556,7 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
         need_sk = bool({"sk-basic", "sk-oddpairs"} & set(checks)) and n >= 2
         need_nop = bool({"sk-oddpairs", "oddpair-lower"} & set(checks)) or collect_rows
         sk = _sk_batch(s) if need_sk else None
-        # S^2 stays int8 (exact, see _seidel): an int64 copy would be the
-        # largest array of an n = 7 chunk
-        nop = _odd_pairs(np.matmul(s, s)) if need_nop else None
+        nop = _odd_pairs(s) if need_nop else None
         del s
         sc = _sc_to_complete(adj)
 
@@ -487,28 +594,26 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
         k = int(np.argmin(pos))
         if (e, int(pos[k])) < (min_e, min_pos):
             min_e, min_pos = e, int(pos[k])
-            min_g6 = name(row[k : k + 1], pos[k : k + 1])[0]
+            min_g6 = str(name(row[k : k + 1], pos[k : k + 1])[0])
         near = np.abs(energy - (2 * n - 2)) <= STRICT_MARGIN
         row, pos = members(np.flatnonzero(near))
-        equality.extend(zip(pos.tolist(), name(row, pos)))
+        equality.extend(zip(pos.tolist(), name(row, pos).tolist()))
         row, pos = members(np.flatnonzero(fail))
-        for position, g6 in zip(pos.tolist(), name(row, pos)):
+        for position, g6 in zip(pos.tolist(), name(row, pos).tolist()):
             for rep in run_checks(parse_graph6(g6), checks, p_grid):
                 if not rep.passed:
                     failures.append((position, rep.as_dict()))
         if collect_rows:
-            columns = {"E_S": energy.tolist(), "N_op": nop.tolist()}
-            for check in checks:
-                if check in margins:
-                    margin = margins[check].astype(float)
-                    columns[f"{check}_min_margin"] = margin.tolist()
-            values = [
-                {"n": n, **dict(zip(columns, v))} for v in zip(*columns.values())
-            ]
             row, pos = members(np.arange(bsz))
-            for r, p, g6 in zip(row.tolist(), pos.tolist(), name(row, pos)):
-                rows.append((p, {"graph6": g6, **values[r]}))
-    return _ChunkResult(count, min_e, min_pos, min_g6, failures, equality, rows)
+            floats = {c: m.astype(float) for c, m in margins.items()}
+            parts.append(_RowPart(n, row, pos, name, energy, nop, floats))
+    text = positions = None
+    if collect_rows:
+        text, positions = _render_rows(parts, checks)
+    filled = frozenset(c for part in parts for c in part.margins)
+    return _ChunkResult(
+        count, min_e, min_pos, min_g6, failures, equality, text, positions, filled
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +622,12 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
 
 @dataclass
 class ScanReport:
+    """A scan's aggregate.  With collect_rows, row_text holds one CSV line
+    per graph in source order, rendered by the workers: graph6, n, E_S, N_op
+    and one min-margin cell per check of checks, blank where the graph's
+    order has no such margin; row_margins names the checks whose cell some
+    line fills.  write_csv writes them, and rows parses them back."""
+
     source: str
     checks: tuple
     p_grid: tuple
@@ -527,7 +638,24 @@ class ScanReport:
     min_energy: float
     equality_graph6: list
     wall_time: float | None = None
-    rows: list | None = field(default=None, repr=False)
+    row_text: str | None = field(default=None, repr=False)
+    row_margins: tuple = ()
+
+    @property
+    def rows(self) -> list[dict] | None:
+        """One dict per graph (graph6, n, E_S, N_op, then each filled margin
+        as <check>_min_margin), parsed back from row_text without loss:
+        floats are written by repr."""
+        if self.row_text is None:
+            return None
+        margins = [f"{c}_min_margin" for c in self.checks]
+        rows = []
+        for line in self.row_text.splitlines():
+            g6, n, energy, nop, *cells = line.split(",")
+            row = {"graph6": g6, "n": int(n), "E_S": float(energy), "N_op": int(nop)}
+            row.update((k, float(v)) for k, v in zip(margins, cells) if v)
+            rows.append(row)
+        return rows
 
     def as_dict(self, include_timing: bool = True) -> dict:
         d = {
@@ -555,23 +683,65 @@ class ScanReport:
 
     def write_csv(self, fh, *more: ScanReport) -> None:
         """One row per graph, of this report and then of each of more, under
-        one header; requires the scans to have collected rows."""
+        one header: a margin column for each check, in first-seen order, that
+        some row of some report fills.  Requires the scans to have collected
+        rows.  A report whose lines carry other margin cells than the header
+        is re-laid out line by line."""
         reports = (self, *more)
-        if any(r.rows is None for r in reports):
+        if any(r.row_text is None for r in reports):
             raise ValueError("scan was run without per-graph row collection")
-        rows = [row for r in reports for row in r.rows]
-        present = set().union(*rows)  # orders below 4 lack some margins
-        checks = dict.fromkeys(c for r in reports for c in r.checks)
-        names = ["graph6", "n", "E_S", "N_op"] + [
-            k for k in (f"{c}_min_margin" for c in checks) if k in present
-        ]
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        writer.writerows([row.get(k, "") for k in names] for row in rows)
+        filled = {c for r in reports for c in r.row_margins}
+        columns = [c for c in dict.fromkeys(c for r in reports for c in r.checks) if c in filled]
+        names = ["graph6", "n", "E_S", "N_op"] + [f"{c}_min_margin" for c in columns]
+        fh.write(",".join(names) + _EOL)
+        for r in reports:
+            if list(r.checks) == columns:
+                fh.write(r.row_text)
+            else:
+                fh.writelines(_relayout(r.row_text, r.checks, columns))
+
+
+def _relayout(text: str, checks, columns):
+    """Lines rendered with one margin cell per check of checks, re-cut to
+    the margin columns named: a named check they lack gets a blank cell, and
+    a check not named is dropped, being blank in every line."""
+    pick = [4 + checks.index(c) if c in checks else None for c in columns]
+    for line in text.splitlines():
+        cells = line.split(",")
+        yield ",".join(cells[:4] + [cells[k] if k is not None else "" for k in pick]) + _EOL
+
+
+def _merge_rows(results: list[_ChunkResult]) -> str:
+    """The chunks' CSV lines in source order: a stable sort by position.
+    Chunks of a stream already come in order; orbit members of the
+    exhaustive source interleave across chunks."""
+    positions = np.concatenate([np.empty(0, dtype=np.int64)] + [r.row_positions for r in results])
+    order = np.argsort(positions, kind="stable")
+    if np.array_equal(order, np.arange(len(order))):
+        return "".join(r.row_text for r in results)
+    lines = "".join(r.row_text for r in results).splitlines(keepends=True)
+    return "".join([lines[k] for k in order.tolist()])
 
 
 def _eval_chunk_star(args):
     return _eval_chunk(*args)
+
+
+def _pooled(pool, args, in_flight: int):
+    """Results of _eval_chunk_star over args, in order, from a pool that
+    holds at most in_flight chunks: the next chunk is drawn from args only
+    once a slot frees, so a stream is read as its chunks are evaluated."""
+    pending = deque()
+    try:
+        for a in args:
+            if len(pending) == in_flight:
+                yield pending.popleft().result()
+            pending.append(pool.submit(_eval_chunk_star, a))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 def scan(
@@ -585,21 +755,25 @@ def scan(
 ) -> ScanReport:
     """Run the selected checkers over every graph of the source.
 
-    The aggregate (counts, failures, minimum-energy record) is identical for
-    any worker count; wall time is the only field that varies.
+    Chunks are drawn from the source as the pool has room for them, at most
+    2 * workers at a time.  The aggregate (counts, failures, minimum-energy
+    record, CSV rows) is identical for any worker count; wall time is the
+    only field that varies.
     """
     checks = tuple(checks)
     unknown = set(checks) - set(CHECK_NAMES)
     if not checks or unknown:
         raise ValueError(f"checks must be a nonempty subset of {CHECK_NAMES}")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be positive")
     t0 = time.monotonic()
-    specs = source.chunk_specs(chunk_size)
-    args = [(spec, checks, tuple(p_grid), collect_rows) for spec in specs]
-    if workers <= 1 or len(specs) <= 1:
-        results = [_eval_chunk_star(a) for a in args]
+    args = ((spec, checks, tuple(p_grid), collect_rows) for spec in source.chunk_specs(chunk_size))
+    head = list(islice(args, 2))  # one chunk runs without a pool
+    if workers <= 1 or len(head) <= 1:
+        results = [_eval_chunk_star(a) for a in chain(head, args)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_eval_chunk_star, args, chunksize=1))
+            results = list(_pooled(pool, chain(head, args), 2 * workers))
     count = sum(r.count for r in results)
     by_position = itemgetter(0)  # stable: one graph's reports keep their order
     failures = sorted((f for r in results for f in r.failure_reports), key=by_position)
@@ -613,10 +787,10 @@ def scan(
         default=(np.inf, None, None),
         key=lambda t: t[:2],
     )
-    rows = None
+    row_text, row_margins = None, ()
     if collect_rows:
-        keyed = sorted((x for r in results for x in r.rows), key=by_position)
-        rows = [row for _, row in keyed]
+        row_text = _merge_rows(results)
+        row_margins = tuple(c for c in checks if any(c in r.row_margins for r in results))
     return ScanReport(
         source=source.descriptor,
         checks=checks,
@@ -628,5 +802,6 @@ def scan(
         min_energy=float(min_e),
         equality_graph6=[g6 for _, g6 in equality],
         wall_time=time.monotonic() - t0,
-        rows=rows,
+        row_text=row_text,
+        row_margins=row_margins,
     )

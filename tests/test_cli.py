@@ -124,6 +124,27 @@ class TestVerify:
         assert code == EXIT_OK
         assert "2 graphs" in out
 
+    def test_g6_file_non_ascii(self, capsys, tmp_path):
+        # a non-ASCII byte is a malformed line, not a decoding crash
+        p = tmp_path / "bad.g6"
+        p.write_bytes(b"C~\n\xff\nC~\n")
+        code, out, err = run_cli(capsys, "verify", "--g6-file", str(p))
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err == "error: line 2: byte 255 out of range [63,126] at offset 0\n"
+        code, out, _ = run_cli(capsys, "verify", "--g6-file", str(p), "--skip-bad-lines")
+        assert code == EXIT_OK
+        assert "2 graphs, 0 failures" in out
+
+    @pytest.mark.parametrize(
+        "source", [("--all-n", "5..3"), ("--boundary-family", "14..12")]
+    )
+    def test_reversed_range(self, capsys, source):
+        code, out, err = run_cli(capsys, "verify", *source, "--format", "json")
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert f"empty range {source[1]}" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(
             capsys, "verify", "--g6-file", "/nonexistent.g6", "--checks", "theorem2"

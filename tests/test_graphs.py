@@ -38,6 +38,13 @@ class TestParseGraph6:
         with pytest.raises(Graph6Error, match="offset 0"):
             parse_graph6("\x7fw")
 
+    def test_non_ascii_rejected(self):
+        # not read as "C?", the empty graph on four vertices
+        with pytest.raises(Graph6Error, match="byte 255 .* offset 1"):
+            parse_graph6("C\xff")
+        with pytest.raises(Graph6Error, match="offset 2"):
+            parse_graph6("C~\xa0")  # not stripped as whitespace
+
     def test_wrong_length(self):
         with pytest.raises(Graph6Error, match="edge bytes"):
             parse_graph6("Bww")

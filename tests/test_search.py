@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seidelab.graphs import (
+    ASCII_WHITESPACE,
     Graph,
     Graph6Error,
     complement,
@@ -39,7 +40,7 @@ from seidelab.search import (
     scan,
 )
 from seidelab import search
-from seidelab.spectral import char_poly_exact, charpoly_batch_i64
+from seidelab.spectral import char_poly_exact, charpoly_batch_i64, p_energy
 from seidelab.verify import run_checks
 from seidelab.seidel import (
     count_odd_pairs,
@@ -221,6 +222,8 @@ class TestScan:
             scan(AllGraphs(3), checks=())
         with pytest.raises(ValueError):
             scan(AllGraphs(3), checks=("bogus",))
+        with pytest.raises(ValueError, match="chunk_size"):
+            scan(AllGraphs(3), chunk_size=0)
 
     def test_worker_determinism(self):
         # n = 6 has 512 representatives: eight chunks
@@ -380,13 +383,14 @@ def test_decoder_matches_parse_graph6(rng):
     lines = [encode_graph6(graphs[k]) for k in order]
     linenos = np.arange(10, 10 + len(lines))
     seen = []
-    for n, index, bits in _decode_graph6(linenos, "\n".join(lines), strict=True):
+    text = "".join(line + "\n" for line in lines).encode("ascii")
+    for n, index, bits in _decode_graph6(linenos, text, strict=True):
         assert bits.shape == (len(index), n * (n - 1) // 2)
         for k, row in zip(index.tolist(), bits):
             assert _mask_of_bits(row) == parse_graph6(lines[k]).edge_mask()
             assert parse_graph6(lines[k]).n == n
         # and the vectorized encoder inverts the decoder
-        assert _graph6_lines(n, bits) == [lines[k] for k in index]
+        assert _graph6_lines(n, bits).tolist() == [lines[k] for k in index]
         seen += index.tolist()
     assert sorted(seen) == list(range(len(lines)))
 
@@ -440,8 +444,7 @@ def test_stack_nop_and_sc_match_per_graph(rng, n):
     adj = _adjacency(n, np.stack([_edge_bits(g) for g in graphs]))
     s = _seidel(adj)
     assert np.array_equal(s, np.stack([seidel_matrix(g) for g in graphs]))
-    a2 = (s @ s).astype(np.int64)
-    assert _odd_pairs(a2).tolist() == [count_odd_pairs(g) for g in graphs]
+    assert _odd_pairs(s).tolist() == [count_odd_pairs(g) for g in graphs]
     assert _sc_to_complete(adj).tolist() == [
         is_sc_equivalent_to_complete(g)[0] for g in graphs
     ]
@@ -473,3 +476,229 @@ def test_scan_calls_kernel_through_search_namespace(monkeypatch):
     rep = scan(AllGraphs(5), checks=("sk-basic",))
     assert rep.total_failures == 0
     assert sum(batches) == 1 << len(search._free_edges(5))
+
+
+# ---------------------------------------------------------------------------
+# CSV rows against csv.writer over per-graph values
+
+
+def _reference_rows(graphs, checks, p_grid=(1.0,)):
+    """Per graph: the cells graph6, n, E_S, N_op, and check -> min margin for
+    each check that has one at the graph's order.  Exact margins come from
+    run_checks; float ones from the graph's own eigvalsh spectrum, at the
+    orders where run_checks reports them (theorem1 from n = 2, theorem2
+    always)."""
+    exact = [c for c in checks if c not in ("theorem1", "theorem2")]
+    rows = []
+    for g in graphs:
+        vals = np.linalg.eigvalsh(seidel_matrix(g))
+        energy = float(np.sum(np.abs(vals)))
+        margins = {}
+        for rep in run_checks(g, exact):
+            margins[rep.check] = min(margins.get(rep.check, np.inf), rep.margin)
+        if "theorem1" in checks and g.n >= 2:
+            margins["theorem1"] = min(
+                p_energy(vals, p) - ((g.n - 1) ** p + (g.n - 2)) for p in p_grid
+            )
+        if "theorem2" in checks:
+            margins["theorem2"] = energy - (2 * g.n - 2)
+        rows.append(([encode_graph6(g), g.n, energy, count_odd_pairs(g)], margins))
+    return rows
+
+
+def _reference_csv(groups) -> str:
+    """csv.writer over (checks, rows) groups under one header: a margin
+    column per check, first-seen order, that some row fills."""
+    checks = dict.fromkeys(c for group_checks, _ in groups for c in group_checks)
+    filled = {c for _, rows in groups for _, margins in rows for c in margins}
+    columns = [c for c in checks if c in filled]
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["graph6", "n", "E_S", "N_op"] + [f"{c}_min_margin" for c in columns])
+    for _, rows in groups:
+        writer.writerows(cells + [margins.get(c, "") for c in columns] for cells, margins in rows)
+    return buf.getvalue()
+
+
+def _written(*reports) -> str:
+    buf = io.StringIO()
+    reports[0].write_csv(buf, *reports[1:])
+    return buf.getvalue()
+
+
+ALL_CHECKS = ("sk-basic", "sk-oddpairs", "oddpair-lower", "theorem1", "theorem2")
+SMALL = [Graph.from_edge_mask(n, m) for n in (1, 2, 3) for m in range(1 << (n * (n - 1) // 2))]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_csv_lenient_small_orders_match_csv_writer(tmp_path, workers):
+    # no row fills an sk-oddpairs or oddpair-lower margin: both columns drop
+    lines = [encode_graph6(g) for g in SMALL]
+    bad = sorted(MALFORMED.values())
+    text = [x for pair in zip(lines, bad + [""] * len(lines)) for x in pair]
+    p = tmp_path / "small.g6"
+    p.write_text("\n".join(text) + "\n")
+    p_grid = (0.25, 1.0)
+    rep = scan(
+        Graph6Stream(str(p), strict=False), ALL_CHECKS, p_grid,
+        workers=workers, collect_rows=True, chunk_size=4,
+    )
+    assert rep.graphs_scanned == len(SMALL)
+    want = _reference_csv([(ALL_CHECKS, _reference_rows(SMALL, ALL_CHECKS, p_grid))])
+    assert want.splitlines()[0] == (
+        "graph6,n,E_S,N_op,sk-basic_min_margin,theorem1_min_margin,theorem2_min_margin"
+    )
+    assert _written(rep) == want
+    # the rows view parses the lines back without loss
+    names = ["graph6", "n", "E_S", "N_op"] + [f"{c}_min_margin" for c in ALL_CHECKS]
+    buf = io.StringIO()
+    csv.writer(buf).writerows([row.get(k, "") for k in names] for row in rep.rows)
+    assert buf.getvalue() == rep.row_text
+
+
+def _representative(g: Graph) -> Graph:
+    """The member of g's switching-plus-complement orbit that the exhaustive
+    scan evaluates: vertex 0 isolated, and the last edge absent."""
+    h = switch(g, g.rows[0])
+    if g.n >= 3 and h.has_edge(g.n - 2, g.n - 1):
+        h = switch(complement(h), (1 << g.n) - 2)
+    return h
+
+
+def _exhaustive_reference(n, checks, p_grid=(1.0,)):
+    """Reference rows of AllGraphs(n) in mask order.  Every cell of a labeled
+    graph's row but its graph6 comes from its orbit representative, which
+    the exhaustive scan evaluates for it."""
+    by_representative = {}
+    rows = []
+    for mask in range(len(AllGraphs(n))):
+        g = Graph.from_edge_mask(n, mask)
+        h = _representative(g)
+        if h not in by_representative:
+            by_representative[h] = _reference_rows([h], checks, p_grid)[0]
+        cells, margins = by_representative[h]
+        rows.append(([encode_graph6(g)] + cells[1:], margins))
+    assert len(by_representative) == 1 << len(search._free_edges(n))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def all_graphs_reference():
+    checks = ("oddpair-lower", "theorem2")
+    groups = [(checks, _exhaustive_reference(n, checks)) for n in range(1, 7)]
+    return checks, _reference_csv(groups)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_csv_all_graphs_interleaved_chunks_match_csv_writer(all_graphs_reference, workers):
+    # orbit members of one chunk spread over the whole mask range
+    checks, want = all_graphs_reference
+    reports = [
+        scan(AllGraphs(n), checks, workers=workers, collect_rows=True, chunk_size=5)
+        for n in range(1, 7)
+    ]
+    assert _written(*reports) == want
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_csv_reports_with_different_margin_columns(tmp_path, workers):
+    small_checks = ("theorem2", "oddpair-lower")  # oddpair-lower is blank below n = 4
+    big_checks = ("sk-oddpairs", "oddpair-lower", "theorem1")
+    p = tmp_path / "small.g6"
+    p.write_text("".join(encode_graph6(g) + "\n" for g in SMALL))
+    small = scan(Graph6Stream(str(p)), small_checks, workers=workers, collect_rows=True, chunk_size=3)
+    big = scan(AllGraphs(4), big_checks, workers=workers, collect_rows=True, chunk_size=3)
+    small_rows = (small_checks, _reference_rows(SMALL, small_checks))
+    big_rows = (big_checks, _exhaustive_reference(4, big_checks))
+    assert _written(small, big) == _reference_csv([small_rows, big_rows])
+    assert _written(big, small) == _reference_csv([big_rows, small_rows])
+    assert _written(small).splitlines()[0] == "graph6,n,E_S,N_op,theorem2_min_margin"
+
+
+def test_chunk_rows_ascend_by_position(tmp_path):
+    # a chunk renders its orders' stacks interleaved back into input order,
+    # so a stream's chunks concatenate without a sort
+    lines = ["D~{", "C~", "Bw", "D??", "Ch", "@", "C?", "D~{"]
+    p = tmp_path / "mixed.g6"
+    p.write_text("\n\n".join(lines) + "\n")
+    (spec,) = Graph6Stream(str(p)).chunk_specs()
+    result = search._eval_chunk(spec, ("theorem2",), (1.0,), collect_rows=True)
+    assert result.row_positions.tolist() == list(range(1, 2 * len(lines), 2))
+    assert [line.split(",")[0] for line in result.row_text.splitlines()] == lines
+
+
+# ---------------------------------------------------------------------------
+# lazy stream feeding
+
+
+def test_pooled_draws_chunks_as_slots_free(monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
+    monkeypatch.setattr(search, "_eval_chunk_star", lambda a: a * a)
+    drawn = []
+
+    def args():
+        for k in range(20):
+            drawn.append(k)
+            yield k
+
+    with ThreadPoolExecutor(2) as pool:
+        for k, result in enumerate(search._pooled(pool, args(), 4)):
+            assert result == k * k
+            assert len(drawn) <= k + 1 + 4
+    assert len(drawn) == 20
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_lazy_stream_strict_error_and_determinism(tmp_path, workers):
+    # 30 lines in chunks of 3: ten chunks, more than 2 * workers in flight
+    lines = ["D~{", "Bw", "@", "Ch", "E?Bw", "C~"] * 5
+    lines[7] = "Cw!"  # line 8, the third chunk
+    lines[19] = "Dw"  # line 20, a later chunk
+    p = tmp_path / "bad.g6"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(Graph6Error) as parsed:
+        parse_graph6("Cw!")
+    with pytest.raises(Graph6StreamError) as streamed:
+        scan(Graph6Stream(str(p)), workers=workers, chunk_size=3)
+    assert str(streamed.value) == f"line 8: {parsed.value}"
+    with pytest.raises(Graph6StreamError) as iterated:
+        list(Graph6Stream(str(p)))
+    assert str(iterated.value) == str(streamed.value)
+    reports = [
+        scan(Graph6Stream(str(p), strict=False), DESK_CHECKS, workers=w, chunk_size=3)
+        for w in (1, workers)
+    ]
+    assert reports[0].graphs_scanned == 28
+    assert reports[0].to_json(include_timing=False) == reports[1].to_json(include_timing=False)
+
+
+@pytest.mark.parametrize("block", [3, 7, 1 << 18])
+def test_stream_reader_matches_text_mode(tmp_path, monkeypatch, block):
+    # blocks of a few characters split lines and \r\n pairs between reads
+    monkeypatch.setattr(search, "_READ_BLOCK", block)
+    data = (
+        b"C~\r\n\r\n  Bw \t\n\x0c\n@\rD~{\r\r\nE?Bw\n\xff\nC\xa0~\n"
+        b"\x1c\x1d\n" + b"Ch\n" * 7 + b"B?\r\nD??"
+    )
+    p = tmp_path / "mixed.g6"
+    p.write_bytes(data)
+    with open(p, encoding="latin-1") as fh:  # text mode: universal newlines
+        kept = [
+            (k, line.strip(ASCII_WHITESPACE))
+            for k, line in enumerate(fh, start=1)
+            if line.strip(ASCII_WHITESPACE)
+        ]
+    specs = list(Graph6Stream(str(p)).chunk_specs(chunk_size=4))
+    assert [s[1].tolist() for s in specs] == [
+        [k for k, _ in kept[i : i + 4]] for i in range(0, len(kept), 4)
+    ]
+    assert [s[2] for s in specs] == [
+        "".join(line + "\n" for _, line in kept[i : i + 4]).encode("latin-1")
+        for i in range(0, len(kept), 4)
+    ]
+    graphs = list(Graph6Stream(str(p), strict=False))
+    assert [encode_graph6(g) for g in graphs] == [
+        "C~", "Bw", "@", "D~{", "E?Bw"] + ["Ch"] * 7 + ["B?", "D??"]
+    with pytest.raises(Graph6StreamError, match="^line 9: byte 255 out of range"):
+        list(Graph6Stream(str(p)))
