@@ -7,41 +7,38 @@ The load-bearing identity is
 for p in (0, 2), together with the normalizing constants
 C_s = (integral_0^inf ln(1+t) t^(-s-1) dt)^(-1) and a closed-form lower
 bound for the integral of a positive-coefficient cubic.  The quadrature
-engine splits at t = 1, walks dyadic panels toward the endpoint singularity
-with fixed Gauss-Legendre nodes, and maps (1, inf) back onto (0, 1) by
-t -> 1/u.  The integrand is evaluated on PANEL_BLOCK panels per call, so the
-Horner loop over the S_k runs once per block rather than once per panel;
-the stopping rule still looks at one panel at a time.  Results are
-bit-reproducible for a fixed QuadratureSpec.
+puts t = e^x: ln f(e^x) e^(-sx) decays exponentially both ways and is
+analytic in |Im x| < d, d = pi when f has only negative real roots (as
+prod_i (1 + lambda_i^2 t) does), else d = pi/deg.  The trapezoid rule with
+step h then errs by at most 2M/(e^(2 pi d/h) - 1) (Trefethen & Weideman,
+SIAM Review 56, 2014).  Step and cut-offs follow from closed-form bounds, so
+rel_tol bounds the relative error up to rounding; the sum is one numpy
+array, bit-reproducible for a fixed QuadratureSpec.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 
-PANEL_BLOCK = 64  # dyadic panels evaluated per call of the integrand
-
-
 class QuadratureError(RuntimeError):
-    """Panel budget exhausted before the tail estimate met tolerance."""
+    """The cut-off range at the chosen step needs more nodes than the budget."""
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
+    """rel_tol bounds the relative error of the trapezoid sum; max_nodes caps
+    its length and is checked before the integrand is evaluated."""
+
     rel_tol: float = 1e-10
-    nodes_per_panel: int = 32
-    max_panels: int = 4000
+    max_nodes: int = 100_000
 
     def __post_init__(self):
-        if not 0 < self.rel_tol <= 1e-4:
-            raise ValueError("rel_tol must lie in (0, 1e-4]")
-        if self.nodes_per_panel < 2 or self.max_panels < 8:
-            raise ValueError("quadrature spec too coarse")
+        if not (0 < self.rel_tol <= 1e-4 and self.max_nodes >= 2):
+            raise ValueError("rel_tol must lie in (0, 1e-4] and max_nodes be at least 2")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -60,78 +57,86 @@ class CubicCoefficients:
             raise ValueError("cubic coefficients must all be positive")
 
 
-@lru_cache(maxsize=8)
-def _gauss_nodes(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    # map from [-1, 1] to [0, 1]
-    return (x + 1.0) / 2.0, w / 2.0
+def _trapezoid(coeffs, s: float, spec: QuadratureSpec, real_roots: bool) -> float:
+    """integral_R ln f(e^x) e^(-sx) dx, f(t) = sum_k coeffs[k] t^k, by the
+    trapezoid rule; rel_tol is split 1/2 : 1/4 : 1/4 over step and cut-offs.
 
-
-def _dyadic_unit_integral(fun, spec: QuadratureSpec) -> float:
-    """integral_0^1 fun(u) du over panels [2^-k-1, 2^-k], k = 0, 1, ...
-
-    fun is evaluated on PANEL_BLOCK panels at a time, as one (panels, nodes)
-    array.  The panel sums are then added one by one, stopping once the
-    geometric tail estimate from the last two panel contributions drops
-    below rel_tol relative to the running total.
+    With f = prod_i (1 + alpha_i t), M <= m0 sum_i |alpha_i|^s, m0 bounding
+    integral_R |ln(1 + e^(x + i phi))| e^(-sx) dx over |phi| <= pi (by 2e^x,
+    pi + ln 3 + ln(2/|x|) and x + pi + 1/2 on x < -ln 2, |x| < ln 2, x > ln 2).
+    real_roots promises alpha_i >= 0, so sum_i alpha_i^s = C_s I; otherwise
+    Fujiwara's bound |alpha_i| <= 2 max_k c_k^(1/k) applies.
     """
-    x, w = _gauss_nodes(spec.nodes_per_panel)
-    total = 0.0
-    prev = None
-    for start in range(0, spec.max_panels, PANEL_BLOCK):
-        hi = 2.0 ** -np.arange(start, min(start + PANEL_BLOCK, spec.max_panels))
-        lo = hi / 2.0
-        u = lo[:, None] + (hi - lo)[:, None] * x
-        with np.errstate(over="ignore", invalid="ignore"):
-            panels = (fun(u) @ w) * (hi - lo)
-        for k, panel in enumerate(panels.tolist(), start):
-            total += panel
-            if prev is not None and k >= 4:
-                scale = max(abs(total), 1e-300)
-                ap, aprev = abs(panel), abs(prev)
-                ratio = min(ap / aprev, 0.995) if aprev > 0 else 0.0
-                tail = ap * ratio / (1.0 - ratio) if ratio > 0 else 0.0
-                if max(ap, tail) <= spec.rel_tol * scale:
-                    return total
-            prev = panel
-    raise QuadratureError(
-        f"no convergence within {spec.max_panels} dyadic panels (rel_tol={spec.rel_tol})"
-    )
+    c = np.array([float(v) for v in coeffs])
+    if not c[1:].any():
+        return 0.0
+    # t -> t/scale makes max_k c_k^(1/k) = 1, so every c_k <= 1 and ln f(e^x)
+    # turns over near x = 0, where the two evaluation forms below meet
+    scale = float((c[1:] ** (1.0 / np.arange(1.0, len(c)))).max())
+    c = c * (1.0 / scale) ** np.arange(len(c))
+    c = c[: np.flatnonzero(c)[-1] + 1]
+    deg = len(c) - 1
+    k = np.arange(1.0, deg + 1.0)
+    # I >= integral of ln(1 + c_k t^k) t^(-s-1) = pi c_k^(s/k) / (s sin(pi s/k))
+    i_lo = math.pi / s * float((c[1:] ** (s / k) / np.sin(math.pi * s / k)).max())
+    m0 = 2.0 / (1.0 - s) + (1.0 + 3.65 * s) / s**2 + 17.5
+    if real_roots:
+        strip, m_over_i = math.pi, m0 * cp_constant(s)
+    else:
+        strip, m_over_i = math.pi / deg, m0 * deg * 2.0**s / i_lo
+    h = 2.0 * math.pi * strip / math.log1p(4.0 * m_over_i / spec.rel_tol)
+    tail = spec.rel_tol * i_lo / 4.0
+    # x < a <= -1: ln(1+y) <= y and c_k <= 1 bound the dropped nodes by
+    # sum_k e^((k-s)a)/(k-s) <= e^((1-s)a) / ((1-s)(1-1/e))
+    a = min(-1.0, math.log(tail * (1.0 - s) * (1.0 - 1.0 / math.e)) / (1.0 - s))
+    # x > b >= 1/s: (ln f(1) + deg x) e^(-sx) >= ln f(e^x) e^(-sx) decreases and
+    # integrates to e^(-sb) (big_a + big_b b).  x e^(-sx/2) <= 2/(e s) makes the
+    # start safe, and the increasing map below lowers b toward the exact cut-off
+    big_a, big_b = math.log(float(c.sum())) / s + deg / s**2, deg / s
+    b = max(1.0 / s, 2.0 / s * math.log((big_a + 2.0 * big_b / (math.e * s)) / tail))
+    for _ in range(3):
+        b = max(1.0 / s, math.log((big_a + big_b * b) / tail) / s)
+    # nodes j h for j = -n_neg..n_pos cover [a, b]
+    n_neg, n_pos = math.ceil(-a / h), math.ceil(b / h)
+    if n_neg + n_pos + 1 > spec.max_nodes:
+        raise QuadratureError(
+            f"{n_neg + n_pos + 1} nodes > max_nodes={spec.max_nodes} at rel_tol={spec.rel_tol}"
+        )
+    neg, pos = h * np.arange(-n_neg, 1.0), h * np.arange(1.0, n_pos + 1.0)
+    # x <= 0: ln f = log1p(y), y = g e^x with g = (f(e^x) - 1)/e^x, summed as
+    # (log1p(y)/y) g e^((1-s)x) so that tiny or underflowing y lose nothing
+    t = np.exp(neg)
+    g = _horner(c[:0:-1], t)
+    y = g * t
+    ratio = np.divide(np.log1p(y), y, out=np.ones_like(y), where=y > 0.0)
+    total = (ratio * g) @ np.exp((1.0 - s) * neg)
+    # x > 0: ln f = deg x + ln(sum_k c_k e^((k-deg)x)), a polynomial in e^-x
+    total += (deg * pos + np.log(_horner(c, np.exp(-pos)))) @ np.exp(-s * pos)
+    return scale**s * h * float(total)
+
+
+def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] z^(len-1-j), highest power first, in place."""
+    acc = np.full_like(z, coeffs[0])
+    for v in coeffs[1:].tolist():
+        acc *= z
+        acc += v
+    return acc
 
 
 def integral_log_poly(coeffs, s: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """integral_0^inf ln(f(t)) t^(-s-1) dt for f(t) = sum_k coeffs[k] t^k.
 
     Requires 0 < s < 1, coeffs[0] = 1 and all coefficients nonnegative, so
-    the endpoint singularity t^(-s) is integrable and ln f is evaluated via
-    log1p near t = 0 without cancellation.
+    the endpoint singularity t^(-s) is integrable and f has no zero in
+    |arg t| < pi/deg.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"singular exponent s={s} outside (0, 1)")
     c = [float(v) for v in coeffs]
-    if not c or c[0] != 1.0 or any(v < 0 for v in c):
-        raise ValueError("coefficients must start with 1 and be nonnegative")
-    deg = len(c) - 1
-    tail = np.array(c[1:][::-1], dtype=np.float64)  # (f(t)-1)/t, highest power first
-    rev = np.array(c, dtype=np.float64)  # f(1/u) * u^deg as poly in u, highest first
-
-    def low(t):
-        # ln(f(t)) * t^(-s-1) on (0, 1]: f(t) - 1 via Horner, then log1p;
-        # on deep panels fold one power of t into the log factor so the
-        # t^(-s-1) prefactor cannot overflow
-        g = np.polyval(tail, t)
-        x = g * t
-        return np.where(
-            x < 1e-8, g * t ** (-s), np.log1p(np.maximum(x, 0.0)) * t ** (-s - 1.0)
-        )
-
-    def high(u):
-        # t = 1/u on (1, inf): ln f(1/u) = ln(sum_k c_k u^(deg-k)) - deg*ln(u)
-        return (np.log(np.polyval(rev, u)) - deg * np.log(u)) * u ** (s - 1.0)
-
-    if deg == 0:
-        return 0.0
-    return _dyadic_unit_integral(low, spec) + _dyadic_unit_integral(high, spec)
+    if not c or c[0] != 1.0 or not all(0.0 <= v < math.inf for v in c):
+        raise ValueError("coefficients must start with 1 and be finite and nonnegative")
+    return _trapezoid(c, s, spec, real_roots=False)
 
 
 def cp_constant(p: float) -> float:
@@ -159,9 +164,7 @@ def base_integral_check(
     """(alpha^p, C_p * integral_0^inf ln(1+alpha t) t^(-p-1) dt) for assertion."""
     if alpha <= 0:
         raise ValueError("alpha must be a positive real")
-    lhs = alpha**p
-    rhs = cp_constant(p) * integral_log_poly([1.0, alpha], p, spec)
-    return lhs, rhs
+    return alpha**p, cp_constant(p) * integral_log_poly([1.0, alpha], p, spec)
 
 
 def energy_by_integral(sk, p: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
@@ -170,7 +173,7 @@ def energy_by_integral(sk, p: float, spec: QuadratureSpec = DEFAULT_SPEC) -> flo
         raise ValueError(f"p={p} outside (0, 2)")
     if not sk or int(sk[0]) != 1 or any(v < 0 for v in sk):
         raise ValueError("S_k list must start with S_0 = 1 and be nonnegative")
-    return cp_constant(p / 2.0) * integral_log_poly(sk, p / 2.0, spec)
+    return cp_constant(p / 2.0) * _trapezoid(sk, p / 2.0, spec, real_roots=True)
 
 
 def cubic_bound_rhs(cc: CubicCoefficients) -> float:

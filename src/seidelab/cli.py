@@ -4,7 +4,7 @@ Subcommands: `energy` (single-graph spectrum and p-energies), `verify`
 (checker scans over graphs, files, or generators), `constants` (C_p by
 closed form and quadrature).  Exit codes: 0 all pass, 1 check failure,
 2 input/parse error, 3 numeric failure (a spectrum that fails its residual
-check, or a quadrature that does not converge).
+check, or a quadrature that needs more nodes than its budget).
 """
 
 from __future__ import annotations
@@ -51,7 +51,10 @@ def _quad_spec() -> QuadratureSpec:
     tol = os.environ.get("SEIDELAB_QUAD_TOL")
     if tol is None:
         return DEFAULT_SPEC
-    return QuadratureSpec(rel_tol=float(tol))
+    try:
+        return QuadratureSpec(rel_tol=float(tol))
+    except ValueError:
+        raise ValueError(f"SEIDELAB_QUAD_TOL={tol!r} is not a number in (0, 1e-4]") from None
 
 
 def cmd_energy(args) -> int:
@@ -84,7 +87,7 @@ def cmd_energy(args) -> int:
                 entry["eigenvalue_backend"] = p_energy(spectrum, p)
             if args.backend in ("integral", "both"):
                 if 0.0 < p < 2.0:
-                    entry["integral_backend"] = energy_by_integral(sk, p, _quad_spec())
+                    entry["integral_backend"] = energy_by_integral(sk, p, args.spec)
                 else:
                     entry["integral_backend"] = None  # identity only holds on (0,2)
             out["energies"].append(entry)
@@ -216,8 +219,6 @@ def _verify_single(args, checks, p_grid) -> int:
 
 
 def cmd_constants(args) -> int:
-    spec = _quad_spec()
-    code = EXIT_OK
     for p in args.p:
         if not 0.0 < p < 1.0:
             print(f"error: p={p} outside (0, 1)", file=sys.stderr)
@@ -232,7 +233,7 @@ def cmd_constants(args) -> int:
             print(f"C_{_fmt(p)} closed-form={_fmt(closed)}")
             continue
         try:
-            quad = cp_constant_quadrature(p, spec)
+            quad = cp_constant_quadrature(p, args.spec)
         except QuadratureError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NUMERIC_ERROR
@@ -240,7 +241,7 @@ def cmd_constants(args) -> int:
             f"C_{_fmt(p)} closed-form={_fmt(closed)} "
             f"quadrature={_fmt(quad)} diff={_fmt(abs(closed - quad))}"
         )
-    return code
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,6 +295,12 @@ def main(argv=None) -> int:
     for p in getattr(args, "p", []):
         if args.command in ("energy", "verify") and not 0.0 < p <= 2.0:
             print(f"error: p={p} outside (0, 2]", file=sys.stderr)
+            return EXIT_INPUT_ERROR
+    if args.command == "constants" or getattr(args, "backend", "eig") != "eig":
+        try:
+            args.spec = _quad_spec()
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
     return args.func(args)
 

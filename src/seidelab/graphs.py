@@ -175,21 +175,11 @@ def encode_graph6(g: Graph) -> str:
     """Canonical graph6 line for a graph with n <= 62."""
     if g.n > GRAPH6_MAX_N:
         raise Graph6Error(f"n={g.n} exceeds single-byte graph6 range (<= {GRAPH6_MAX_N})")
-    out = [g.n + 63]
     nbits = g.n * (g.n - 1) // 2
-    mask = g.edge_mask()
-    acc = 0
-    filled = 0
-    for e in range(nbits):
-        acc = (acc << 1) | (mask >> e & 1)
-        filled += 1
-        if filled == 6:
-            out.append(acc + 63)
-            acc = 0
-            filled = 0
-    if filled:
-        out.append((acc << (6 - filled)) + 63)
-    return bytes(out).decode("ascii")
+    # bit e of the edge mask is the e-th graph6 bit, big-endian in 6-bit groups
+    bits = format(g.edge_mask(), f"0{nbits}b")[::-1][:nbits].ljust(-(-nbits // 6) * 6, "0")
+    groups = (bits[i : i + 6] for i in range(0, len(bits), 6))
+    return chr(g.n + 63) + "".join(chr(int(b, 2) + 63) for b in groups)
 
 
 def seidel_matrix(g: Graph) -> np.ndarray:

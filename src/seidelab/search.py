@@ -626,7 +626,10 @@ class ScanReport:
     per graph in source order, rendered by the workers: graph6, n, E_S, N_op
     and one min-margin cell per check of checks, blank where the graph's
     order has no such margin; row_margins names the checks whose cell some
-    line fills.  write_csv writes them, and rows parses them back."""
+    line fills.  write_csv writes them, and rows parses them back.  Rows of
+    an exhaustive source carry their orbit representative's floats: equal to
+    the graph's own in exact arithmetic, they may differ in the last digits,
+    which no verdict depends on."""
 
     source: str
     checks: tuple

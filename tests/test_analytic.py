@@ -16,7 +16,7 @@ from seidelab.analytic import (
     energy_by_integral,
     integral_log_poly,
 )
-from seidelab.graphs import complete_graph, cycle_graph
+from seidelab.graphs import complete_graph, cycle_graph, empty_graph
 from seidelab.spectral import eigenvalues, elementary_symmetric_A2, p_energy
 
 from conftest import random_graph
@@ -83,73 +83,62 @@ class TestIntegralLogPoly:
         b = integral_log_poly([1.0, 3.0, 2.0], 0.7, spec)
         assert a == b
 
-    def test_panel_budget_error(self):
-        # 8 panels are fewer than one block
-        spec = QuadratureSpec(rel_tol=1e-10, nodes_per_panel=2, max_panels=8)
-        with pytest.raises(QuadratureError, match="within 8 dyadic panels"):
-            integral_log_poly([1.0, 1.0], 0.99, spec)
-
-
-def _panel_by_panel(fun, spec, used):
-    """The dyadic quadrature with one integrand call per panel; appends the
-    number of panels it used to `used`."""
-    x, w = analytic._gauss_nodes(spec.nodes_per_panel)
-    total, prev = 0.0, None
-    for k in range(spec.max_panels):
-        hi = 2.0 ** (-k)
-        lo = hi / 2.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            panel = float(np.dot(w, fun(lo + (hi - lo) * x))) * (hi - lo)
-        total += panel
-        if prev is not None and k >= 4:
-            ap, aprev = abs(panel), abs(prev)
-            ratio = min(ap / aprev, 0.995) if aprev > 0 else 0.0
-            tail = ap * ratio / (1.0 - ratio) if ratio > 0 else 0.0
-            if max(ap, tail) <= spec.rel_tol * max(abs(total), 1e-300):
-                used.append(k + 1)
-                return total
-        prev = panel
-    raise QuadratureError("reference did not converge")
-
-
-class TestPanelBlocks:
-    """Blocked panel evaluation against a panel-by-panel reference loop."""
-
-    def _blocked_and_reference(self, monkeypatch, compute):
-        blocked = compute()
-        used = []
-        monkeypatch.setattr(
-            analytic,
-            "_dyadic_unit_integral",
-            lambda fun, spec: _panel_by_panel(fun, spec, used),
-        )
-        reference = compute()
-        monkeypatch.undo()
-        return blocked, reference, used
-
-    def test_stops_inside_first_block(self, monkeypatch):
-        spec = QuadratureSpec(rel_tol=1e-6)
-        blocked, reference, used = self._blocked_and_reference(
-            monkeypatch, lambda: integral_log_poly([1.0, 3.0, 2.0], 0.5, spec)
-        )
-        assert max(used) < analytic.PANEL_BLOCK
-        assert blocked == pytest.approx(reference, rel=1e-14)
-
-    def test_crosses_two_block_boundaries(self, monkeypatch):
-        # s = 0.25 on (1, inf): panel sums decay like 2^(-k/4), ~150 panels
+    def test_node_budget_error(self, monkeypatch):
         sk = elementary_symmetric_A2(cycle_graph(5))
-        blocked, reference, used = self._blocked_and_reference(
-            monkeypatch, lambda: energy_by_integral(sk, 0.5)
-        )
-        assert max(used) > 2 * analytic.PANEL_BLOCK
-        assert blocked == pytest.approx(reference, rel=1e-14)
+        # the budget is checked before the integrand is evaluated
+        monkeypatch.setattr(analytic, "_horner", None)
+        spec = QuadratureSpec(max_nodes=50)
+        with pytest.raises(QuadratureError, match="max_nodes=50"):
+            integral_log_poly([1.0, 1.0], 0.5, spec)
+        with pytest.raises(QuadratureError, match="max_nodes=50"):
+            energy_by_integral(sk, 1.0, spec)
+
+    def test_spec_validation(self):
+        for kwargs in ({"rel_tol": 0.0}, {"rel_tol": 1e-3}, {"max_nodes": 1}):
+            with pytest.raises(ValueError):
+                QuadratureSpec(**kwargs)
+
+
+TIGHT = QuadratureSpec(rel_tol=1e-13)
+
+
+class TestTrapezoid:
+    """The trapezoid rule on t = e^x against closed forms, to its stated bound."""
+
+    @pytest.mark.parametrize("n", [2, 5, 10, 13, 30, 60, 62])
+    def test_energy_matches_spectrum(self, n, rng):
+        for g in (random_graph(rng, n), complete_graph(n), cycle_graph(max(n, 3))):
+            sk = elementary_symmetric_A2(g)
+            spectrum = eigenvalues(g)
+            for p in [0.1, 0.3, 0.5, 1.0, 1.5, 1.9]:
+                direct = p_energy(spectrum, p)
+                assert energy_by_integral(sk, p, TIGHT) == pytest.approx(direct, rel=1e-12)
+                assert energy_by_integral(sk, p) == pytest.approx(direct, rel=1e-10)
+
+    @pytest.mark.parametrize("theta", [math.pi / 2 - 1e-3, math.pi / 2 - 0.05, math.pi / 2])
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+    def test_complex_root_pair(self, theta, s):
+        # (1 + r e^(i theta) t)(1 + r e^(-i theta) t): roots at arg t = pi -+ theta,
+        # at the edge of the strip |arg t| < pi/2 that deg = 2 guarantees
+        for r in [0.01, 1.0, 30.0]:
+            coeffs = [1.0, max(2.0 * r * math.cos(theta), 0.0), r * r]
+            exact = 2.0 * r**s * math.cos(s * theta) / cp_constant(s)
+            assert integral_log_poly(coeffs, s, TIGHT) == pytest.approx(exact, rel=1e-12)
 
     @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
-    def test_cp_constant_quadrature(self, monkeypatch, p):
-        blocked, reference, _ = self._blocked_and_reference(
-            monkeypatch, lambda: cp_constant_quadrature(p)
-        )
-        assert blocked == pytest.approx(reference, rel=1e-14)
+    def test_cp_constant_quadrature(self, p):
+        assert cp_constant_quadrature(p, TIGHT) == pytest.approx(cp_constant(p), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 10, 30, 62])
+    def test_node_budget_suffices(self, n, rng):
+        # a few hundred nodes cover p in [0.5, 1.5] at every order the lab handles
+        spec = QuadratureSpec(max_nodes=2000)
+        for g in (random_graph(rng, n), complete_graph(n), empty_graph(n)):
+            sk = elementary_symmetric_A2(g)
+            for p in [0.5, 0.75, 1.0, 1.25, 1.5]:
+                assert energy_by_integral(sk, p, spec) == pytest.approx(
+                    p_energy(eigenvalues(g), p), rel=1e-10
+                )
 
 
 class TestEnergyByIntegral:

@@ -248,6 +248,27 @@ class TestConstants:
         code, _, err = run_cli(capsys, "constants", "-p", "1.5")
         assert code == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("tol", ["abc", "0.5", "0", "nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("constants", "-p", "0.5"), ("energy", "--g6", "DUW", "--backend", "both")],
+    )
+    def test_bad_quad_tol(self, capsys, monkeypatch, tol, argv):
+        monkeypatch.setenv("SEIDELAB_QUAD_TOL", tol)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err.startswith("error: SEIDELAB_QUAD_TOL=")
+
+    def test_quad_tol_override(self, capsys, monkeypatch):
+        monkeypatch.setenv("SEIDELAB_QUAD_TOL", "1e-6")
+        code, out, _ = run_cli(capsys, "constants", "-p", "0.5")
+        assert code == EXIT_OK
+        assert "quadrature=" in out
+        # the eigenvalue backend ignores the setting
+        monkeypatch.setenv("SEIDELAB_QUAD_TOL", "abc")
+        assert run_cli(capsys, "energy", "--g6", "DUW")[0] == EXIT_OK
+
     def test_near_degenerate_warns(self, capsys):
         code, out, err = run_cli(capsys, "constants", "-p", "0.99")
         assert code == EXIT_OK
