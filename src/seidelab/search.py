@@ -3,10 +3,11 @@
 Sources: every labeled graph for n <= 8, the two-apex-over-a-clique
 boundary family for 11 <= n <= 22, and graph6 line streams for externally
 generated corpora.  The scan driver fans fixed-size chunks out to a worker
-pool and re-runs the exact per-graph checkers on anything the batch path
-flags, so failure reports carry exact integers.  Chunks are drawn from the
-source only as the pool has room, at most two per worker in flight, so a
-graph6 stream is read in blocks while its first chunks are evaluated.
+pool, where verify.evaluate checks its stacks, and re-runs run_checks on
+anything the batch path flags, so failure reports carry exact integers.
+Chunks are drawn from the source only as the pool has room, at most two
+per worker in flight, so a graph6 stream is read in blocks while its
+first chunks are evaluated.
 
 Every chunk has one format: per order n, a stack of edge bits in graph6
 order, which a worker builds itself (the exhaustive and boundary sources
@@ -19,7 +20,7 @@ N_op from S^2 (float32 BLAS products, exact at these sizes) through
     N_op = [C(n,2)(n-2)^2 - (||S^2||_F^2 - n(n-1)^2)/2] / 4,
 
 and SC-equivalence to K_n from an xor test on the adjacency bits.  Graph
-objects appear only for the flagged graphs the per-graph checkers re-verify.
+objects appear only for the flagged graphs run_checks re-verifies.
 CSV rows, when collected, are rendered by the workers as final CSV lines,
 one text per chunk, and only merged and written by the parent.
 
@@ -56,7 +57,7 @@ from .graphs import ASCII_WHITESPACE, Graph, Graph6Error, parse_graph6
 from .graphs import encode_graph6  # noqa: F401
 from .seidel import count_odd_pairs, is_sc_equivalent_to_complete  # noqa: F401
 from .spectral import binomial, charpoly_batch_i64, p_energy, sk_from_charpoly
-from .verify import CHECK_NAMES, STRICT_MARGIN, run_checks
+from .verify import evaluate, near_equality, reads, run_checks, validate
 
 ENUM_MAX_N = 8
 BOUNDARY_MIN_N = 11
@@ -444,12 +445,6 @@ def _stacks(spec) -> tuple[int, list[_Stack]]:
     return sum(len(st.bits) for st in stacks), stacks
 
 
-def _sk_batch(s: np.ndarray) -> np.ndarray:
-    """Exact S_0..S_n of S^2 for a stack of Seidel matrices S, ascending k:
-    int64 up to n = 13, Python ints above."""
-    return sk_from_charpoly(charpoly_batch_i64(s))
-
-
 def _odd_pairs(s: np.ndarray) -> np.ndarray:
     """N_op of a stack of Seidel matrices S, from S^2.  For a pair X = {u, v}
     the n-2 products S_uw S_vw sum to d = (S^2)_uv, and Y = {y, z} has an odd
@@ -550,44 +545,24 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
         adj = _adjacency(n, bits)
         s = _seidel(adj)
         # scan throughput path: batched LAPACK spectra; flagged graphs are
-        # re-verified one by one through the certified per-graph checkers
+        # re-verified one by one through run_checks
+        need = reads(n, checks)
         vals = np.linalg.eigvalsh(s)
-        energy = np.sum(np.abs(vals), axis=1)
-        need_sk = bool({"sk-basic", "sk-oddpairs"} & set(checks)) and n >= 2
-        need_nop = bool({"sk-oddpairs", "oddpair-lower"} & set(checks)) or collect_rows
-        sk = _sk_batch(s) if need_sk else None
-        nop = _odd_pairs(s) if need_nop else None
+        sk = sk_from_charpoly(charpoly_batch_i64(s)) if "sk" in need else None
+        nop = _odd_pairs(s) if "nop" in need or collect_rows else None
         del s
-        sc = _sc_to_complete(adj)
-
+        sc = _sc_to_complete(adj) if "sc" in need else None
         fail = np.zeros(bsz, dtype=bool)
         margins: dict[str, np.ndarray] = {}
-        base = np.array([n * (n - 1) * binomial(n - 2, k - 1) for k in range(1, n + 1)])
-        if "sk-basic" in checks and n >= 2:
-            marg = (sk[:, 1:] - base).min(axis=1)
-            margins["sk-basic"] = marg
-            fail |= marg < 0
-        if "sk-oddpairs" in checks and n >= 4:
-            extra = np.array([4 * binomial(n - 4, k - 2) for k in range(1, n + 1)])
-            marg = (sk[:, 1:] - base - nop[:, None] * extra).min(axis=1)
-            margins["sk-oddpairs"] = marg
-            fail |= marg < 0
-        if "oddpair-lower" in checks and n >= 4:
-            bound = 2 * (n - 3) ** 2
-            bad = np.where(sc, nop != 0, nop < bound)
-            margins["oddpair-lower"] = np.where(sc, -nop, nop - bound).astype(float)
-            fail |= bad
-        if "theorem1" in checks and n >= 2:
-            t1 = np.full(bsz, np.inf)
-            for p in p_grid:
-                marg = p_energy(vals, p) - ((n - 1) ** p + (n - 2))
-                t1 = np.minimum(t1, marg)
-                fail |= marg <= STRICT_MARGIN
-            margins["theorem1"] = t1
-        if "theorem2" in checks:
-            marg = energy - (2 * n - 2)
-            margins["theorem2"] = marg
-            fail |= np.where(sc, marg < -STRICT_MARGIN, marg <= STRICT_MARGIN)
+        energy = None  # E_S, theorem2's lhs when theorem2 applies
+        for check, (lhs, rhs, margin, passed) in evaluate(n, checks, p_grid, vals, sk, nop, sc):
+            fail |= ~passed.all(axis=1)
+            margins[check] = margin.min(axis=1).astype(float)
+            if check == "theorem2":
+                energy = lhs[:, 0]
+            del lhs, rhs, margin, passed  # before the next check's arrays are built
+        if energy is None:
+            energy = p_energy(vals, 1.0)
         # minimum-energy record: the first attaining graph by position
         e = float(energy.min())
         row, pos = members(np.flatnonzero(energy == e))
@@ -595,8 +570,7 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
         if (e, int(pos[k])) < (min_e, min_pos):
             min_e, min_pos = e, int(pos[k])
             min_g6 = str(name(row[k : k + 1], pos[k : k + 1])[0])
-        near = np.abs(energy - (2 * n - 2)) <= STRICT_MARGIN
-        row, pos = members(np.flatnonzero(near))
+        row, pos = members(np.flatnonzero(near_equality(n, energy)))
         equality.extend(zip(pos.tolist(), name(row, pos).tolist()))
         row, pos = members(np.flatnonzero(fail))
         for position, g6 in zip(pos.tolist(), name(row, pos).tolist()):
@@ -605,8 +579,7 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
                     failures.append((position, rep.as_dict()))
         if collect_rows:
             row, pos = members(np.arange(bsz))
-            floats = {c: m.astype(float) for c, m in margins.items()}
-            parts.append(_RowPart(n, row, pos, name, energy, nop, floats))
+            parts.append(_RowPart(n, row, pos, name, energy, nop, margins))
     text = positions = None
     if collect_rows:
         text, positions = _render_rows(parts, checks)
@@ -763,14 +736,12 @@ def scan(
     record, CSV rows) is identical for any worker count; wall time is the
     only field that varies.
     """
-    checks = tuple(checks)
-    unknown = set(checks) - set(CHECK_NAMES)
-    if not checks or unknown:
-        raise ValueError(f"checks must be a nonempty subset of {CHECK_NAMES}")
+    checks, p_grid = tuple(checks), tuple(p_grid)
+    validate(checks, p_grid)
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
     t0 = time.monotonic()
-    args = ((spec, checks, tuple(p_grid), collect_rows) for spec in source.chunk_specs(chunk_size))
+    args = ((spec, checks, p_grid, collect_rows) for spec in source.chunk_specs(chunk_size))
     head = list(islice(args, 2))  # one chunk runs without a pool
     if workers <= 1 or len(head) <= 1:
         results = [_eval_chunk_star(a) for a in chain(head, args)]
@@ -797,7 +768,7 @@ def scan(
     return ScanReport(
         source=source.descriptor,
         checks=checks,
-        p_grid=tuple(p_grid),
+        p_grid=p_grid,
         graphs_scanned=count,
         total_failures=len(failures),
         failures=[f for _, f in failures[:failure_cap]],

@@ -102,8 +102,8 @@ def p_energy(s: Spectrum | np.ndarray, p: float) -> float | np.ndarray:
         raise ValueError("p must be positive")
     vals = np.asarray(s.values if isinstance(s, Spectrum) else s, dtype=np.float64)
     mags = np.abs(vals)
-    mags = np.where(mags < EIGENVALUE_SNAP, 0.0, mags)
-    total = np.sum(mags**p, axis=-1)
+    mags[mags < EIGENVALUE_SNAP] = 0.0
+    total = (mags**p).sum(axis=-1)
     return float(total) if total.ndim == 0 else total
 
 
@@ -202,10 +202,10 @@ def _charpoly_residues(m: np.ndarray, primes: tuple[int, ...], a: int) -> np.nda
     diag = np.arange(n)
     mk = np.repeat(m[None], len(primes), axis=0)  # M_1 = A
     mk_bound = a
+    inverse = np.array([[pow(k, -1, p) for k in range(1, n + 1)] for p in primes])  # 1/k mod p
     for k in range(1, n + 1):
         tr = np.einsum("pbii->pb", mk).astype(np.int64) % ps
-        inv_k = np.array([pow(k, -1, p) for p in primes], dtype=np.int64)[:, None]
-        ck = (ps - tr) * inv_k % ps  # c_{n-k} = -tr(M_k) / k
+        ck = (ps - tr) * inverse[:, k - 1 : k] % ps  # c_{n-k} = -tr(M_k) / k
         out[:, :, n - k] = ck
         if k == n:
             break
@@ -279,10 +279,11 @@ def sk_from_charpoly(coeffs: np.ndarray) -> np.ndarray:
     (-1)^k sum_{i+j=2k} (-1)^i f_i f_j, whose terms pair up around i = k."""
     n = coeffs.shape[-1] - 1
     f = coeffs[:, ::-1]
-    sk = np.empty_like(coeffs)
+    sk = np.empty_like(coeffs, order="F")  # filled a column at a time
+    sign = (-1) ** np.arange(2 * n + 1)
     for k in range(n + 1):
-        i = np.arange(max(0, 2 * k - n), k)
-        cross = (f[:, i] * f[:, 2 * k - i]) @ (-1) ** (i + k)
+        lo = max(0, 2 * k - n)  # f_i f_(2k-i) for i = lo..k-1
+        cross = (f[:, lo:k] * f[:, 2 * k - lo : k : -1]) @ sign[lo + k : 2 * k]
         sk[:, k] = f[:, k] * f[:, k] + 2 * cross
     return sk
 

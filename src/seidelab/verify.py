@@ -1,23 +1,35 @@
-"""One checker per lemma/theorem, each returning a margin report.
+"""The lemma and theorem checks, each defined once in evaluate, on stacks.
 
+Scans evaluate their chunk stacks; run_checks evaluates a stack of one,
+built by the checked single-graph backends, and reports each entry.
 Integer-valued claims (the S_k lower bounds and the odd-pair counts) are
-compared through the exact backend and the reports carry the integers as
-decimal strings; floating point appears only in the energy inequalities.
+exact, and reports carry them as decimal strings; floating point appears
+only in the energy inequalities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+
+import numpy as np
 
 from . import graphs
 from .graphs import Graph, encode_graph6
 from .seidel import count_odd_pairs, is_sc_equivalent_to_complete
-from .spectral import Spectrum, binomial, eigenvalues, elementary_symmetric_A2, p_energy
+from .spectral import binomial, eigenvalues, elementary_symmetric_A2, p_energy
 
 STRICT_MARGIN = 1e-6  # strict inequalities must clear this; equalities stay within it
 
 CHECK_NAMES = ("sk-basic", "sk-oddpairs", "oddpair-lower", "theorem1", "theorem2")
-_MIN_ORDER = {"sk-basic": 2, "sk-oddpairs": 4, "oddpair-lower": 4, "theorem1": 2, "theorem2": 1}
+# check: (the smallest order it applies at, the quantities it reads)
+_CHECKS = {
+    "sk-basic": (2, {"sk"}),
+    "sk-oddpairs": (4, {"sk", "nop"}),
+    "oddpair-lower": (4, {"nop", "sc"}),
+    "theorem1": (2, {"vals"}),
+    "theorem2": (1, {"vals", "sc"}),
+}
 
 
 @dataclass(frozen=True)
@@ -42,130 +54,149 @@ class VerificationReport:
         }
 
 
-def _sk_reports(g6: str, n: int, sk, check: str, nop: int, meta: dict) -> list:
-    """S_k(A^2) >= n(n-1) C(n-2, k-1) + 4 nop C(n-4, k-2) exactly, k = 1..n."""
-    reports = []
-    for k in range(1, n + 1):
-        bound = n * (n - 1) * binomial(n - 2, k - 1) + 4 * nop * binomial(n - 4, k - 2)
-        margin = sk[k] - bound
-        reports.append(
-            VerificationReport(
-                g6, check, margin >= 0, str(sk[k]), str(bound),
-                float(margin), {"n": n, "k": k, **meta},
-            )
-        )
-    return reports
+def validate(checks, p_grid) -> None:
+    """Raise ValueError unless checks is a nonempty subset of CHECK_NAMES
+    and, when it holds theorem1, p_grid is a nonempty grid inside (0, 2)."""
+    unknown = set(checks) - set(CHECK_NAMES)
+    if unknown:
+        raise ValueError(f"unknown checks: {sorted(unknown)}")
+    if not checks:
+        raise ValueError(f"checks must be a nonempty subset of {CHECK_NAMES}")
+    if "theorem1" in checks and not (p_grid and all(0.0 < p < 2.0 for p in p_grid)):
+        raise ValueError(f"theorem1 needs p in the open interval (0, 2), got {list(p_grid)}")
 
 
-def _oddpair_lower_report(g6: str, n: int, nop: int, sc: bool) -> VerificationReport:
-    bound = 0 if sc else 2 * (n - 3) ** 2
-    passed = nop == 0 if sc else nop >= bound
-    return VerificationReport(
-        g6, "oddpair-lower", passed, str(nop), str(bound),
-        float(nop - bound), {"n": n, "sc_equivalent": sc, "N_op": nop},
-    )
+def applicable(n: int, checks) -> list[str]:
+    """The checks of checks that apply at order n, in CHECK_NAMES order."""
+    return [c for c in CHECK_NAMES if c in checks and n >= _CHECKS[c][0]]
 
 
-def _theorem1_report(g6: str, n: int, p: float, spectrum: Spectrum) -> VerificationReport:
-    if not 0.0 < p < 2.0:
-        raise ValueError(f"p={p} outside (0, 2)")
-    lhs = p_energy(spectrum, p)
-    rhs = (n - 1) ** p + (n - 2)
-    margin = lhs - rhs
-    return VerificationReport(
-        g6, "theorem1", margin > STRICT_MARGIN,
-        f"{lhs!r}", f"{rhs!r}", margin, {"n": n, "p": p},
-    )
+def reads(n: int, checks) -> set[str]:
+    """What evaluate reads ("vals", "sk", "nop", "sc") for checks at order n."""
+    return set().union(*(_CHECKS[c][1] for c in applicable(n, checks)))
 
 
-def _theorem2_report(g6: str, n: int, spectrum: Spectrum, sc: bool) -> VerificationReport:
-    energy = p_energy(spectrum, 1.0)
-    rhs = 2 * n - 2
-    margin = energy - rhs
-    passed = margin >= -STRICT_MARGIN if sc else margin > STRICT_MARGIN
-    return VerificationReport(
-        g6, "theorem2", passed, f"{energy!r}", str(rhs), margin,
-        {"n": n, "sc_equivalent": sc, "branch": "equality-class" if sc else "strict"},
-    )
+def near_equality(n: int, energy):
+    """Whether E_S is within the tolerance of 2n-2, the equality case."""
+    return np.abs(energy - (2 * n - 2)) <= STRICT_MARGIN
 
 
-def verify_sk_basic(g: Graph, sk: list[int] | None = None) -> list[VerificationReport]:
-    """S_k(A^2) >= n(n-1) C(n-2, k-1) exactly, for k = 1..n."""
-    if g.n < 2:
-        raise ValueError("needs at least two vertices")
-    sk = elementary_symmetric_A2(g) if sk is None else sk
-    return _sk_reports(encode_graph6(g), g.n, sk, "sk-basic", 0, {})
+@lru_cache(maxsize=None)
+def _sk_bounds(n: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """n(n-1) C(n-2, k-1) and 4 C(n-4, k-2) for k = 1..n, in dtype."""
+    base = np.array([n * (n - 1) * binomial(n - 2, k - 1) for k in range(1, n + 1)], dtype)
+    extra = np.array([4 * binomial(n - 4, k - 2) for k in range(1, n + 1)], dtype)
+    base.flags.writeable = extra.flags.writeable = False
+    return base, extra
 
 
-def verify_sk_oddpairs(
-    g: Graph, sk: list[int] | None = None, nop: int | None = None
-) -> list[VerificationReport]:
-    """S_k(A^2) >= n(n-1) C(n-2, k-1) + 4 N_op C(n-4, k-2), exactly.
+def evaluate(n: int, checks, p_grid, vals, sk, nop, sc):
+    """Each check of checks that applies at order n on a stack of B graphs,
+    in CHECK_NAMES order and one at a time, as (check, (lhs, rhs, margin,
+    passed)) of (B, K) arrays: K = n for the S_k checks, one per p for
+    theorem1, one otherwise.
 
-    Stated for k <= n-2; the vanishing-binomial convention extends the
-    check harmlessly to all k = 1..n.
+    vals: (B, n) spectra; sk: (B, n+1) exact S_0..S_n of A^2, int64 or
+    Python ints, in whose dtype the S_k bounds are formed; nop: (B,) N_op;
+    sc: (B,) SC-equivalence to K_n.  Quantities reads(n, checks) does not
+    name may be None.  Strict float inequalities must clear STRICT_MARGIN.
+      sk-basic       S_k >= n(n-1) C(n-2, k-1), k = 1..n
+      sk-oddpairs    S_k >= n(n-1) C(n-2, k-1) + 4 N_op C(n-4, k-2), stated
+                     for k <= n-2 and harmless up to n (C vanishes)
+      oddpair-lower  N_op = 0 on the SC-class of K_n (margin -N_op), else
+                     N_op >= 2(n-3)^2
+      theorem1       E_p > (n-1)^p + (n-2), per p of p_grid
+      theorem2       E_S >= 2n-2: within STRICT_MARGIN on the SC-class of
+                     K_n, strictly off it
     """
-    if g.n < 4:
-        raise ValueError("needs at least four vertices")
-    sk = elementary_symmetric_A2(g) if sk is None else sk
-    nop = count_odd_pairs(g) if nop is None else nop
-    return _sk_reports(encode_graph6(g), g.n, sk, "sk-oddpairs", nop, {"N_op": nop})
-
-
-def verify_oddpair_lower(g: Graph, nop: int | None = None) -> VerificationReport:
-    """N_op = 0 on the SC-class of K_n, else N_op >= 2(n-3)^2."""
-    if g.n < 4:
-        raise ValueError("needs at least four vertices")
-    nop = count_odd_pairs(g) if nop is None else nop
-    return _oddpair_lower_report(encode_graph6(g), g.n, nop, is_sc_equivalent_to_complete(g)[0])
-
-
-def verify_theorem1(
-    g: Graph, p: float, spectrum: Spectrum | None = None
-) -> VerificationReport:
-    """E_p(G) > (n-1)^p + (n-2) strictly, for p in (0, 2)."""
-    if g.n < 2:
-        raise ValueError("needs at least two vertices")
-    spectrum = eigenvalues(g) if spectrum is None else spectrum
-    return _theorem1_report(encode_graph6(g), g.n, p, spectrum)
-
-
-def verify_theorem2(g: Graph, spectrum: Spectrum | None = None) -> VerificationReport:
-    """E_S(G) >= 2n-2, strictly off the SC-class of K_n.
-
-    Equality-branch passes need |E_S - (2n-2)| within the tolerance and the
-    SC-equivalence test to agree; strict-branch passes need the margin to
-    clear the threshold.
-    """
-    spectrum = eigenvalues(g) if spectrum is None else spectrum
-    return _theorem2_report(encode_graph6(g), g.n, spectrum, is_sc_equivalent_to_complete(g)[0])
+    for check in applicable(n, checks):
+        if check in ("sk-basic", "sk-oddpairs"):
+            lhs = sk[:, 1:]
+            base, extra = _sk_bounds(n, sk.dtype)
+            if check == "sk-basic":
+                rhs = np.repeat(base[None], len(lhs), axis=0)
+            else:
+                rhs = base + nop.astype(sk.dtype)[:, None] * extra
+            margin = lhs - rhs
+            passed = margin >= 0
+        elif check == "oddpair-lower":
+            lhs = nop[:, None]
+            rhs = np.where(sc, 0, 2 * (n - 3) ** 2)[:, None]
+            margin = np.where(sc[:, None], -lhs, lhs - rhs)
+            passed = margin >= 0  # on the class, -N_op >= 0 iff N_op = 0
+        elif check == "theorem1":
+            lhs = np.array([p_energy(vals, p) for p in p_grid]).T
+            bound = np.array([(n - 1) ** p + (n - 2) for p in p_grid])
+            rhs = np.repeat(bound[None], len(lhs), axis=0)
+            margin = lhs - bound
+            passed = margin > STRICT_MARGIN
+        else:
+            lhs = p_energy(vals, 1.0)[:, None]
+            rhs = np.full(lhs.shape, 2 * n - 2)
+            margin = lhs - (2 * n - 2)
+            passed = np.where(sc[:, None], margin >= -STRICT_MARGIN, margin > STRICT_MARGIN)
+        yield check, (lhs, rhs, margin, passed)
 
 
 def run_checks(
     g: Graph, checks=CHECK_NAMES, p_grid=(1.0,)
 ) -> list[VerificationReport]:
-    """Run the selected checkers that apply at g's order, computing each
-    intermediate (graph6, Seidel matrix, S_k, N_op, spectrum, SC flag) once."""
-    unknown = set(checks) - set(CHECK_NAMES)
-    if unknown:
-        raise ValueError(f"unknown checks: {sorted(unknown)}")
-    n, run = g.n, {c for c in checks if g.n >= _MIN_ORDER[c]}
+    """Run the selected checks that apply at g's order on a stack of one,
+    computing each intermediate (graph6, Seidel matrix, S_k, N_op, spectrum,
+    SC flag) once through the checked single-graph backends."""
+    validate(checks, p_grid)
+    n, need = g.n, reads(g.n, checks)
     g6 = encode_graph6(g)
     # looked up on the module, so a wrapper installed there sees the call
-    s = graphs.seidel_matrix(g) if run - {"oddpair-lower"} else None  # all others use it
-    sk = elementary_symmetric_A2(s) if run & {"sk-basic", "sk-oddpairs"} else None
-    nop = count_odd_pairs(g) if run & {"sk-oddpairs", "oddpair-lower"} else None
-    spectrum = eigenvalues(s) if run & {"theorem1", "theorem2"} else None
-    sc = is_sc_equivalent_to_complete(g)[0] if run & {"oddpair-lower", "theorem2"} else None
-    reports: list[VerificationReport] = []
-    if "sk-basic" in run:
-        reports.extend(_sk_reports(g6, n, sk, "sk-basic", 0, {}))
-    if "sk-oddpairs" in run:
-        reports.extend(_sk_reports(g6, n, sk, "sk-oddpairs", nop, {"N_op": nop}))
-    if "oddpair-lower" in run:
-        reports.append(_oddpair_lower_report(g6, n, nop, sc))
-    if "theorem1" in run:
-        reports.extend(_theorem1_report(g6, n, p, spectrum) for p in p_grid)
-    if "theorem2" in run:
-        reports.append(_theorem2_report(g6, n, spectrum, sc))
+    s = graphs.seidel_matrix(g) if need & {"sk", "vals"} else None
+    sk = np.array([elementary_symmetric_A2(s)], dtype=object) if "sk" in need else None
+    nop = count_odd_pairs(g) if "nop" in need else None
+    vals = np.array([eigenvalues(s).values]) if "vals" in need else None
+    sc = is_sc_equivalent_to_complete(g)[0] if "sc" in need else None
+    branch = "equality-class" if sc else "strict"
+    metadata = {
+        "sk-basic": lambda j: {"n": n, "k": j + 1},
+        "sk-oddpairs": lambda j: {"n": n, "k": j + 1, "N_op": nop},
+        "oddpair-lower": lambda j: {"n": n, "sc_equivalent": sc, "N_op": nop},
+        "theorem1": lambda j: {"n": n, "p": p_grid[j]},
+        "theorem2": lambda j: {"n": n, "sc_equivalent": sc, "branch": branch},
+    }
+    reports = []
+    for check, arrays in evaluate(n, checks, p_grid, vals, sk, np.array([nop]), np.array([sc])):
+        meta = metadata[check]
+        reports += [
+            VerificationReport(g6, check, ok, repr(lhs), repr(rhs), float(margin), meta(j))
+            for j, (lhs, rhs, margin, ok) in enumerate(zip(*(a[0].tolist() for a in arrays)))
+        ]
     return reports
+
+
+def _only(g: Graph, check: str, p_grid=(1.0,)) -> list[VerificationReport]:
+    if g.n < _CHECKS[check][0]:
+        raise ValueError(f"{check} needs at least {_CHECKS[check][0]} vertices")
+    return run_checks(g, (check,), p_grid)
+
+
+def verify_sk_basic(g: Graph) -> list[VerificationReport]:
+    """S_k(A^2) >= n(n-1) C(n-2, k-1) exactly, for k = 1..n."""
+    return _only(g, "sk-basic")
+
+
+def verify_sk_oddpairs(g: Graph) -> list[VerificationReport]:
+    """S_k(A^2) >= n(n-1) C(n-2, k-1) + 4 N_op C(n-4, k-2) exactly, k = 1..n."""
+    return _only(g, "sk-oddpairs")
+
+
+def verify_oddpair_lower(g: Graph) -> VerificationReport:
+    """N_op = 0 on the SC-class of K_n, else N_op >= 2(n-3)^2."""
+    return _only(g, "oddpair-lower")[0]
+
+
+def verify_theorem1(g: Graph, p: float) -> VerificationReport:
+    """E_p(G) > (n-1)^p + (n-2) strictly, for p in (0, 2)."""
+    return _only(g, "theorem1", (p,))[0]
+
+
+def verify_theorem2(g: Graph) -> VerificationReport:
+    """E_S(G) >= 2n-2, strictly off the SC-class of K_n."""
+    return _only(g, "theorem2")[0]

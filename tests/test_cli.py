@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from seidelab import graphs, spectral
 from seidelab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
@@ -41,6 +42,20 @@ class TestEnergy:
             assert entry["integral_backend"] == pytest.approx(
                 entry["eigenvalue_backend"], rel=1e-8, abs=1e-8
             )
+
+    @pytest.mark.parametrize("backend", ["eig", "integral", "both"])
+    def test_builds_seidel_matrix_once(self, capsys, monkeypatch, backend):
+        built, original = [], graphs.seidel_matrix
+
+        def counting(g):
+            built.append(g)
+            return original(g)
+
+        monkeypatch.setattr(graphs, "seidel_matrix", counting)
+        monkeypatch.setattr(spectral, "seidel_matrix", counting)
+        code, _, _ = run_cli(capsys, "energy", "--g6", "DUW", "--backend", backend)
+        assert code == EXIT_OK
+        assert len(built) == 1
 
     def test_p2_has_no_integral(self, capsys):
         code, out, _ = run_cli(
@@ -101,6 +116,7 @@ class TestVerify:
     def test_unknown_check(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--g6", "Bw", "--checks", "nope")
         assert code == EXIT_INPUT_ERROR
+        assert err == "error: unknown checks: ['nope']\n"
 
     def test_theorem1_p_domain(self, capsys):
         code, _, err = run_cli(

@@ -36,12 +36,17 @@ from seidelab.search import (
     _orbit_offsets,
     _sc_to_complete,
     _seidel,
-    _sk_batch,
     scan,
 )
 from seidelab import search
-from seidelab.spectral import char_poly_exact, charpoly_batch_i64, p_energy
-from seidelab.verify import run_checks
+from seidelab.spectral import (
+    binomial,
+    char_poly_exact,
+    charpoly_batch_i64,
+    p_energy,
+    sk_from_charpoly,
+)
+from seidelab.verify import evaluate, run_checks
 from seidelab.seidel import (
     count_odd_pairs,
     is_sc_equivalent_to_complete,
@@ -180,7 +185,7 @@ class TestScan:
     def test_boundary_sk_matches_exact(self, n):
         graphs = list(BoundaryFamily(n))[::61]
         s = np.stack([seidel_matrix(g) for g in graphs])
-        for sk, m in zip(_sk_batch(s), s):
+        for sk, m in zip(sk_from_charpoly(charpoly_batch_i64(s)), s):
             coeffs = char_poly_exact(m @ m).coeffs
             assert list(sk) == [(-1) ** k * coeffs[n - k] for k in range(n + 1)]
 
@@ -224,6 +229,11 @@ class TestScan:
             scan(AllGraphs(3), checks=("bogus",))
         with pytest.raises(ValueError, match="chunk_size"):
             scan(AllGraphs(3), chunk_size=0)
+        # a theorem1 grid must be nonempty and inside (0, 2), checked before
+        # any chunk runs, even at n = 1, where theorem1 does not apply
+        for p_grid in [(2.0,), (), (0.5, 0.0)]:
+            with pytest.raises(ValueError, match="theorem1"):
+                scan(AllGraphs(1), checks=("theorem1",), p_grid=p_grid)
 
     def test_worker_determinism(self):
         # n = 6 has 512 representatives: eight chunks
@@ -339,8 +349,7 @@ def test_orbit_scan_failures_match_labeled_scan(labeled_files, monkeypatch):
     in labeled order.  The theorems hold, so an inflated strict margin makes
     the near-extremal graphs fail (48 at n = 4, 320 at n = 5), and a small
     failure cap truncates the list."""
-    monkeypatch.setattr("seidelab.search.STRICT_MARGIN", 0.8)
-    monkeypatch.setattr("seidelab.verify.STRICT_MARGIN", 0.8)
+    monkeypatch.setattr("seidelab.verify.STRICT_MARGIN", 0.8)  # read by both paths
     checks = ("sk-basic", "sk-oddpairs", "oddpair-lower", "theorem1", "theorem2")
     total = 0
     for n, path in labeled_files.items():
@@ -448,6 +457,24 @@ def test_stack_nop_and_sc_match_per_graph(rng, n):
     assert _sc_to_complete(adj).tolist() == [
         is_sc_equivalent_to_complete(g)[0] for g in graphs
     ]
+    # the scan kernels through evaluate give run_checks' exact S_k integers;
+    # a bound formed in int64 overflows from n = 50
+    checks = ("sk-basic", "sk-oddpairs")
+    sk = sk_from_charpoly(charpoly_batch_i64(s))
+    batch = dict(
+        evaluate(n, checks, (1.0,), np.linalg.eigvalsh(s), sk, _odd_pairs(s), _sc_to_complete(adj))
+    )
+    for b, g in enumerate(graphs):
+        reports = run_checks(g, checks)
+        for check, (lhs, rhs, margin, _) in batch.items():
+            want = [(int(r.lhs), int(r.rhs)) for r in reports if r.check == check]
+            assert list(zip(lhs[b].tolist(), rhs[b].tolist())) == want
+            assert margin[b].tolist() == [x - y for x, y in want]
+            nop = count_odd_pairs(g) if check == "sk-oddpairs" else 0
+            assert [y for _, y in want] == [
+                n * (n - 1) * binomial(n - 2, k - 1) + 4 * nop * binomial(n - 4, k - 2)
+                for k in range(1, n + 1)
+            ]
 
 
 @pytest.mark.parametrize("n", [11, 14, 22])
@@ -492,7 +519,7 @@ def _reference_rows(graphs, checks, p_grid=(1.0,)):
     rows = []
     for g in graphs:
         vals = np.linalg.eigvalsh(seidel_matrix(g))
-        energy = float(np.sum(np.abs(vals)))
+        energy = p_energy(vals, 1.0)
         margins = {}
         for rep in run_checks(g, exact):
             margins[rep.check] = min(margins.get(rep.check, np.inf), rep.margin)

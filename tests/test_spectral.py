@@ -27,9 +27,9 @@ from seidelab.spectral import (
     eigenvalues,
     elementary_symmetric_A2,
     p_energy,
+    sk_from_charpoly,
     submatrix_det_parity,
 )
-from seidelab.search import _sk_batch
 
 from conftest import graph_strategy, random_graph
 
@@ -227,7 +227,7 @@ class TestCharPolyBatch:
         s = _seidel_stack(graphs)
         batch = charpoly_batch_i64(s)
         assert batch.dtype == (np.int64 if n <= 13 else object)
-        for row, sk, m, g in zip(batch, _sk_batch(s), s, graphs):
+        for row, sk, m, g in zip(batch, sk_from_charpoly(batch), s, graphs):
             assert tuple(int(c) for c in row) == char_poly_exact(m).coeffs
             assert [int(v) for v in sk] == elementary_symmetric_A2(g) == _sk_exact(m)
 
@@ -243,7 +243,7 @@ class TestCharPolyBatch:
             binomial(n - 1, k) + (n - 1) ** 2 * binomial(n - 1, k - 1) for k in range(n + 1)
         ]
         expect = [closed, closed, _sk_exact(s[2])]
-        assert _sk_batch(s).tolist() == expect
+        assert sk_from_charpoly(charpoly_batch_i64(s)).tolist() == expect
         assert [elementary_symmetric_A2(g) for g in graphs] == expect
 
     @pytest.mark.parametrize("q", [5, 13, 29, 61])
@@ -254,7 +254,8 @@ class TestCharPolyBatch:
         s = _seidel_stack([g])
         assert np.array_equal(s[0] @ s[0], q * np.eye(n, dtype=np.int64))
         expect = [math.comb(n, k) * q**k for k in range(n + 1)]
-        assert _sk_batch(s)[0].tolist() == elementary_symmetric_A2(g) == expect
+        sk = sk_from_charpoly(charpoly_batch_i64(s))
+        assert sk[0].tolist() == elementary_symmetric_A2(g) == expect
 
     @given(graph_strategy(min_n=1, max_n=30))
     @settings(max_examples=25)
@@ -270,7 +271,8 @@ class TestCharPolyBatch:
         for n in range(1, 15):
             s = _seidel_stack([complete_graph(n), empty_graph(n)])
             dtype = np.int64 if n <= 13 else object
-            assert charpoly_batch_i64(s).dtype == _sk_batch(s).dtype == dtype
+            coeffs = charpoly_batch_i64(s)
+            assert coeffs.dtype == sk_from_charpoly(coeffs).dtype == dtype
 
     @pytest.mark.parametrize("n", [7, 9, 16])
     def test_row_independent_of_batch(self, rng, n):
@@ -286,7 +288,8 @@ class TestCharPolyBatch:
             assert list(one[0]) == list(whole[i])
             assert i >= 7 or list(seven[i]) == list(whole[i])
         assert charpoly_batch_i64(s.astype(np.int64)).tolist() == whole.tolist()
-        assert _sk_batch(s[-7:]).tolist() == _sk_batch(s)[-7:].tolist()
+        sk = sk_from_charpoly(whole)
+        assert sk_from_charpoly(charpoly_batch_i64(s[-7:])).tolist() == sk[-7:].tolist()
 
     def test_crt_primes(self):
         for p in CRT_PRIMES:
