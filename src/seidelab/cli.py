@@ -10,6 +10,7 @@ check, or a quadrature that needs more nodes than its budget).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -134,10 +135,11 @@ def cmd_verify(args) -> int:
     p_grid = tuple(args.p)
     try:
         validate(checks, p_grid)
-        if args.g6 is not None:
-            return _verify_single(args, checks, p_grid)
         sources = []
-        if args.all_n is not None:
+        if args.g6 is not None:
+            if args.format == "csv":
+                raise ValueError("--format csv writes scan rows; use json or plain with --g6")
+        elif args.all_n is not None:
             for n in _parse_range(args.all_n, 1, ENUM_MAX_N):
                 sources.append(AllGraphs(n))
         elif args.boundary_family is not None:
@@ -145,29 +147,32 @@ def cmd_verify(args) -> int:
                 sources.append(BoundaryFamily(n))
         else:
             sources.append(Graph6Stream(args.g6_file, strict=args.strict_parse))
+        # opened before any graph is checked, as a shell redirection would be
+        output = contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    reports = []
-    try:
-        for src in sources:
-            reports.append(
-                scan(
-                    src,
-                    checks=checks,
-                    p_grid=p_grid,
-                    workers=args.workers,
-                    collect_rows=args.format == "csv",
+    with output as out:
+        if args.g6 is not None:
+            return _verify_single(args, checks, p_grid, out)
+        reports = []
+        try:
+            for src in sources:
+                reports.append(
+                    scan(
+                        src,
+                        checks=checks,
+                        p_grid=p_grid,
+                        workers=args.workers,
+                        collect_rows=args.format == "csv",
+                    )
                 )
-            )
-    except (Graph6StreamError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except SpectrumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC_ERROR
-    out = sys.stdout if args.out is None else open(args.out, "w")
-    try:
+        except (Graph6StreamError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
+        except SpectrumError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC_ERROR
         if args.format == "json":
             payload = [r.as_dict(include_timing=not args.no_timing) for r in reports]
             print(json.dumps(payload, indent=2, sort_keys=True), file=out)
@@ -187,14 +192,11 @@ def cmd_verify(args) -> int:
                         f"lhs={f['lhs']} rhs={f['rhs']} margin={f['margin']}",
                         file=out,
                     )
-    finally:
-        if out is not sys.stdout:
-            out.close()
     failed = sum(r.total_failures for r in reports)
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
-def _verify_single(args, checks, p_grid) -> int:
+def _verify_single(args, checks, p_grid, out) -> int:
     try:
         g = parse_graph6(args.g6)
     except Graph6Error as exc:
@@ -206,11 +208,11 @@ def _verify_single(args, checks, p_grid) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
     if args.format == "json":
-        print(json.dumps([r.as_dict() for r in reports], indent=2, sort_keys=True))
+        print(json.dumps([r.as_dict() for r in reports], indent=2, sort_keys=True), file=out)
     else:
         for r in reports:
             status = "pass" if r.passed else "FAIL"
-            print(f"{status} {r.check} lhs={r.lhs} rhs={r.rhs} margin={_fmt(r.margin)}")
+            print(f"{status} {r.check} lhs={r.lhs} rhs={r.rhs} margin={_fmt(r.margin)}", file=out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 

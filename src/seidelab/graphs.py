@@ -3,11 +3,17 @@
 Vertices are the dense integers 0..n-1.  Adjacency is stored as one machine
 word per vertex (n is capped at 64), which makes complements, switching and
 parity counts elsewhere in the package cheap bit operations.
+
+The edge-bit stack kernels at the end of the module (adjacency matrices,
+Seidel matrices, graph6 encoding, graph6 six-bit unpacking) are the only
+implementations of what they compute: scans run them on whole chunks, and
+seidel_matrix, encode_graph6 and parse_graph6 run them on a stack of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -63,27 +69,15 @@ class Graph:
         """Graph from an integer whose bit e is edge number e in graph6 order.
 
         Edge e runs over pairs (i, j), i < j, ordered colexicographically:
-        (0,1), (0,2), (1,2), (0,3), (1,3), (2,3), ...
+        (0,1), (0,2), (1,2), (0,3), (1,3), (2,3), ...  Bits past the last
+        edge are ignored.
         """
-        rows = [0] * n
-        e = 0
-        for j in range(1, n):
-            for i in range(j):
-                if mask >> e & 1:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-                e += 1
-        return Graph(n, tuple(rows))
+        m = n * (n - 1) // 2
+        raw = np.frombuffer((mask & ((1 << m) - 1)).to_bytes(m // 8 + 1, "little"), np.uint8)
+        return _graph_of_bits(n, np.unpackbits(raw, bitorder="little")[None, :m])
 
     def edge_mask(self) -> int:
-        mask = 0
-        e = 0
-        for j in range(1, self.n):
-            for i in range(j):
-                if self.rows[i] >> j & 1:
-                    mask |= 1 << e
-                e += 1
-        return mask
+        return _mask_of_bits(_edge_bits(self)[0])
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
@@ -126,73 +120,112 @@ def complement(g: Graph) -> Graph:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 line (single-byte header, n <= 62)."""
+    """Decode one graph6 line (single-byte header, n <= 62), a stack of one
+    through _unpack_graph6.  Every graph6 error message comes from here."""
     s = text.strip(ASCII_WHITESPACE)
     if not s:
         raise Graph6Error("empty graph6 string")
-    data = [ord(c) for c in s]  # a non-ASCII character is out of range below
-    for off, b in enumerate(data):
-        if not 63 <= b <= 126:
-            raise Graph6Error(f"byte {b} out of range [63,126] at offset {off}")
-    n = data[0] - 63
+    data = np.array([ord(c) for c in s])  # a non-ASCII character is out of range below
+    bad = np.flatnonzero((data < 63) | (data > 126))
+    if bad.size:
+        raise Graph6Error(f"byte {data[bad[0]]} out of range [63,126] at offset {bad[0]}")
+    n = int(data[0]) - 63
     if n == 63:
         raise Graph6Error("multi-byte graph6 header (n > 62) not supported")
     if n < 1:
         raise Graph6Error("graph6 order must be at least 1")
-    nbits = n * (n - 1) // 2
-    nbytes = (nbits + 5) // 6
+    nbytes = (n * (n - 1) // 2 + 5) // 6
     if len(data) - 1 != nbytes:
         raise Graph6Error(
             f"expected {nbytes} edge bytes for n={n}, got {len(data) - 1}"
         )
-    rows = [0] * n
-    bit = 0
-    for off, b in enumerate(data[1:], start=1):
-        v = b - 63
-        for k in range(5, -1, -1):
-            if bit >= nbits:
-                if v >> k & 1:
-                    raise Graph6Error(f"nonzero padding bit at offset {off}")
-                continue
-            if v >> k & 1:
-                i, j = _edge_from_index(bit)
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            bit += 1
-    return Graph(n, tuple(rows))
-
-
-def _edge_from_index(e: int) -> tuple[int, int]:
-    # colex order: edges with larger endpoint j occupy indices j(j-1)/2 .. j(j+1)/2 - 1
-    j = 1
-    while j * (j + 1) // 2 <= e:
-        j += 1
-    i = e - j * (j - 1) // 2
-    return i, j
+    bits, padded = _unpack_graph6(n, data[None, 1:].astype(np.uint8))
+    if padded[0]:  # padding only ever fills part of the last byte
+        raise Graph6Error(f"nonzero padding bit at offset {nbytes}")
+    return _graph_of_bits(n, bits)
 
 
 def encode_graph6(g: Graph) -> str:
     """Canonical graph6 line for a graph with n <= 62."""
     if g.n > GRAPH6_MAX_N:
         raise Graph6Error(f"n={g.n} exceeds single-byte graph6 range (<= {GRAPH6_MAX_N})")
-    nbits = g.n * (g.n - 1) // 2
-    # bit e of the edge mask is the e-th graph6 bit, big-endian in 6-bit groups
-    bits = format(g.edge_mask(), f"0{nbits}b")[::-1][:nbits].ljust(-(-nbits // 6) * 6, "0")
-    groups = (bits[i : i + 6] for i in range(0, len(bits), 6))
-    return chr(g.n + 63) + "".join(chr(int(b, 2) + 63) for b in groups)
+    return str(_graph6_lines(g.n, _edge_bits(g))[0])
 
 
 def seidel_matrix(g: Graph) -> np.ndarray:
     """Seidel matrix: zero diagonal, -1 on edges, +1 on non-edges (int64)."""
-    n = g.n
-    s = np.ones((n, n), dtype=np.int64)
-    np.fill_diagonal(s, 0)
-    for i in range(n):
-        r = g.rows[i]
-        for j in range(n):
-            if r >> j & 1:
-                s[i, j] = -1
+    return _seidel(_adjacency(g.n, _edge_bits(g)))[0].astype(np.int64)
+
+
+# ---------------------------------------------------------------------------
+# edge-bit stacks: B graphs on n vertices as a (B, C(n,2)) uint8 array whose
+# column e is edge e in graph6 order, as in Graph.from_edge_mask
+
+
+@lru_cache(maxsize=None)
+def _endpoints(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only arrays i, j of the endpoints i < j of the C(n,2) edges."""
+    j, i = np.tril_indices(n, -1)  # colex: (0,1), (0,2), (1,2), (0,3), ...
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
+def _edge_bits(g: Graph) -> np.ndarray:
+    """g as a stack of one: bit i of rows[j] for each edge (i, j)."""
+    i, j = _endpoints(g.n)
+    rows = np.array(g.rows, dtype=np.uint64)
+    return ((rows[None, j] >> i.astype(np.uint64)) & np.uint64(1)).astype(np.uint8)
+
+
+def _graph_of_bits(n: int, bits: np.ndarray) -> Graph:
+    """The graph of a stack of one."""
+    adj = _adjacency(n, bits)[0].astype(np.uint64)
+    return Graph(n, tuple((adj << np.arange(n, dtype=np.uint64)).sum(axis=1).tolist()))
+
+
+def _mask_of_bits(bits: np.ndarray) -> int:
+    """The edge mask of one row of edge bits: bit e is edge e."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _adjacency(n: int, bits: np.ndarray) -> np.ndarray:
+    """(B, n, n) uint8 adjacency matrices of a stack of edge bits."""
+    i, j = _endpoints(n)
+    adj = np.zeros((bits.shape[0], n, n), dtype=np.uint8)
+    adj[:, i, j] = bits
+    adj[:, j, i] = bits
+    return adj
+
+
+def _seidel(adj: np.ndarray) -> np.ndarray:
+    """Seidel matrices, int8: zero diagonal, -1 on edges, +1 elsewhere."""
+    s = np.where(adj, np.int8(-1), np.int8(1))
+    d = np.arange(adj.shape[-1])
+    s[:, d, d] = 0
     return s
+
+
+def _graph6_lines(n: int, bits: np.ndarray) -> np.ndarray:
+    """graph6 lines of a stack of edge bits, as a str array (the inverse of
+    _unpack_graph6)."""
+    nbytes = (bits.shape[1] + 5) // 6
+    six = np.zeros((bits.shape[0], nbytes * 6), dtype=np.uint8)
+    six[:, : bits.shape[1]] = bits
+    out = np.empty((bits.shape[0], nbytes + 1), dtype=np.uint8)
+    out[:, 0] = n + 63
+    packed = np.packbits(six.reshape(bits.shape[0], nbytes, 6), axis=-1)[..., 0]
+    out[:, 1:] = (packed >> 2) + 63  # six bits, high first, as the top of a byte
+    return out.view(f"S{nbytes + 1}").ravel().astype(f"U{nbytes + 1}")
+
+
+def _unpack_graph6(n: int, body: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edge bits of a stack of graph6 lines on n vertices, from the (B, nbytes)
+    uint8 bytes after the header, each in 63..126, and whether each line
+    sets a padding bit past the C(n,2) edge bits."""
+    nbits = n * (n - 1) // 2
+    six = np.unpackbits(body[..., None] - 63, axis=-1)[..., 2:]
+    bits = six.reshape(body.shape[0], 6 * body.shape[1])
+    return bits[:, :nbits], bits[:, nbits:].any(axis=1)
 
 
 def path_graph(n: int) -> Graph:

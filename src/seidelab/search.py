@@ -13,13 +13,12 @@ Every chunk has one format: per order n, a stack of edge bits in graph6
 order, which a worker builds itself (the exhaustive and boundary sources
 ship index ranges, a graph6 stream ships its raw lines, decoded and
 validated in one vectorized pass).  Everything checked derives from the
-stack: LAPACK spectra of the Seidel matrices S, exact S_k(S^2) from the
-multi-modular characteristic polynomials of S itself, the odd-pair count
-N_op from S^2 (float32 BLAS products, exact at these sizes) through
-
-    N_op = [C(n,2)(n-2)^2 - (||S^2||_F^2 - n(n-1)^2)/2] / 4,
-
-and SC-equivalence to K_n from an xor test on the adjacency bits.  Graph
+stack, through the kernels that also serve the per-graph functions:
+adjacency and Seidel matrices S and graph6 lines from graphs, LAPACK
+spectra, exact S_k(S^2) from the multi-modular characteristic polynomials
+of S itself (spectral), and the odd-pair count N_op from ||S^2||_F and
+SC-equivalence to K_n from an xor test on the adjacency bits (seidel).
+This module keeps only the sources, the driver and CSV rendering.  Graph
 objects appear only for the flagged graphs run_checks re-verifies.
 CSV rows, when collected, are rendered by the workers as final CSV lines,
 one text per chunk, and only merged and written by the parent.
@@ -52,18 +51,29 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .graphs import ASCII_WHITESPACE, Graph, Graph6Error, parse_graph6
+from .graphs import (
+    ASCII_WHITESPACE,
+    Graph,
+    Graph6Error,
+    _adjacency,
+    _endpoints,
+    _graph6_lines,
+    _graph_of_bits,
+    _seidel,
+    _unpack_graph6,
+    parse_graph6,
+)
 # unused here; kept importable as seidelab.search.<name> for bench/tracing.py
 from .graphs import encode_graph6  # noqa: F401
 from .seidel import count_odd_pairs, is_sc_equivalent_to_complete  # noqa: F401
-from .spectral import binomial, charpoly_batch_i64, p_energy, sk_from_charpoly
+from .seidel import _odd_pairs, _sc_to_complete
+from .spectral import charpoly_batch_i64, p_energy, sk_from_charpoly
 from .verify import evaluate, near_equality, reads, run_checks, validate
 
 ENUM_MAX_N = 8
 BOUNDARY_MIN_N = 11
 BOUNDARY_MAX_N = 22
 CHUNK_SIZE = 1 << 15  # fixed so aggregates are worker-count independent
-_BLOCK_ENTRIES = 1 << 15  # float32 entries of S^2 per block in _odd_pairs
 _ROW_BLOCK = 1 << 12  # CSV lines rendered per step
 _EOL = "\r\n"  # csv.writer's line terminator
 
@@ -150,7 +160,7 @@ class BoundaryFamily:
         rows: apex v1 = n-2 sees [0, a), apex v2 = n-1 sees [0, c) and
         [a, a+b-c), and e joins the apexes."""
         m = self.n - 2
-        j, i = np.tril_indices(self.n, -1)
+        i, j = _endpoints(self.n)
         a, b, c, e = np.asarray(params, dtype=np.int64).reshape(-1, 4).T[:, :, None]
         to_v2 = (i < c) | ((i >= a) & (i < a + b - c))
         v2_column = np.where(i < m, to_v2, e == 1)  # j = n-1; i = n-2 is the apex edge
@@ -158,8 +168,7 @@ class BoundaryFamily:
         return bits.astype(np.uint8)
 
     def graph_for(self, a: int, b: int, c: int, e: int) -> Graph:
-        bits = self.edge_bits([(a, b, c, e)])[0]
-        return Graph.from_edge_mask(self.n, _mask_of_bits(bits))
+        return _graph_of_bits(self.n, self.edge_bits([(a, b, c, e)]))
 
     def __len__(self) -> int:
         return len(self.params())
@@ -281,14 +290,10 @@ class _Stack(NamedTuple):
     name: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _edge_pairs(n: int):
-    return [(i, j) for j in range(1, n) for i in range(j)]
-
-
 def _free_edges(n: int) -> list[int]:
     """Edge numbers a representative may set: not at vertex 0, and not the
     last edge (n-2, n-1), which complementation normalizes to absent."""
-    return [e for e, (i, _) in enumerate(_edge_pairs(n)) if i != 0][:-1]
+    return np.flatnonzero(_endpoints(n)[0])[:-1].tolist()
 
 
 def _class_masks(n: int, start: int, stop: int) -> np.ndarray:
@@ -305,58 +310,19 @@ def _orbit_offsets(n: int) -> np.ndarray:
     """XOR masks taking a representative to each labeled member of its orbit:
     switching on every subset of vertices 1..n-1, with and without the
     complement for n >= 3 (for n <= 2 the complement is itself a switch)."""
-    pairs = _edge_pairs(n)
-    cuts = []
-    for w in range(0, 1 << n, 2):  # vertex subsets that leave vertex 0 alone
-        cut = 0
-        for e, (i, j) in enumerate(pairs):
-            if (w >> i ^ w >> j) & 1:
-                cut |= 1 << e
-        cuts.append(cut)
+    w = np.arange(0, 1 << n, 2, dtype=np.uint64)[:, None]  # subsets leaving vertex 0 alone
+    i, j = (v.astype(np.uint64) for v in _endpoints(n))
+    cut = (w >> i ^ w >> j) & np.uint64(1)  # edge e is cut iff one endpoint is in w
+    cuts = (cut << np.arange(len(i), dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
     if n >= 3:
-        full = (1 << len(pairs)) - 1
-        cuts += [c ^ full for c in cuts]
-    return np.array(cuts, dtype=np.uint64)
+        cuts = np.concatenate([cuts, cuts ^ np.uint64((1 << len(i)) - 1)])
+    return cuts
 
 
 def _mask_bits(n: int, masks: np.ndarray) -> np.ndarray:
     """Edge bits of uint64 edge masks: column e is bit e."""
     shifts = np.arange(n * (n - 1) // 2, dtype=np.uint64)
     return ((masks[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
-
-
-def _mask_of_bits(bits: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
-def _adjacency(n: int, bits: np.ndarray) -> np.ndarray:
-    """(B, n, n) uint8 adjacency matrices of a stack of edge bits."""
-    j, i = np.tril_indices(n, -1)  # colex: (0,1), (0,2), (1,2), (0,3), ...
-    adj = np.zeros((bits.shape[0], n, n), dtype=np.uint8)
-    adj[:, i, j] = bits
-    adj[:, j, i] = bits
-    return adj
-
-
-def _seidel(adj: np.ndarray) -> np.ndarray:
-    """Seidel matrices, int8: zero diagonal, -1 on edges, +1 elsewhere."""
-    s = np.where(adj, np.int8(-1), np.int8(1))
-    d = np.arange(adj.shape[-1])
-    s[:, d, d] = 0
-    return s
-
-
-def _graph6_lines(n: int, bits: np.ndarray) -> np.ndarray:
-    """graph6 lines of a stack of edge bits, as a str array (the inverse of
-    _decode_graph6)."""
-    nbytes = (bits.shape[1] + 5) // 6
-    six = np.zeros((bits.shape[0], nbytes * 6), dtype=np.uint8)
-    six[:, : bits.shape[1]] = bits
-    out = np.empty((bits.shape[0], nbytes + 1), dtype=np.uint8)
-    out[:, 0] = n + 63
-    packed = np.packbits(six.reshape(bits.shape[0], nbytes, 6), axis=-1)[..., 0]
-    out[:, 1:] = (packed >> 2) + 63  # six bits, high first, as the top of a byte
-    return out.view(f"S{nbytes + 1}").ravel().astype(f"U{nbytes + 1}")
 
 
 def _decode_graph6(linenos: np.ndarray, text: bytes, strict: bool):
@@ -381,13 +347,10 @@ def _decode_graph6(linenos: np.ndarray, text: bytes, strict: bool):
         ok &= (n * (n - 1) // 2 + 5) // 6 == length - 1
         for order in np.unique(n[ok]).tolist():
             sel = np.flatnonzero(ok & (n == order))
-            six = np.unpackbits(rows[sel, 1:, None] - 63, axis=-1)[..., 2:]
-            bits = six.reshape(len(sel), 6 * (length - 1))
-            nbits = order * (order - 1) // 2
-            padded = bits[:, nbits:].any(axis=1)
+            bits, padded = _unpack_graph6(order, rows[sel, 1:])
             ok[sel[padded]] = False
             if not padded.all():
-                decoded.append((order, idx[sel[~padded]], bits[~padded, :nbits]))
+                decoded.append((order, idx[sel[~padded]], bits[~padded]))
         rejected.extend(idx[~ok].tolist())
     if rejected:
         lines = text.split(b"\n")
@@ -443,35 +406,6 @@ def _stacks(spec) -> tuple[int, list[_Stack]]:
             )
         )
     return sum(len(st.bits) for st in stacks), stacks
-
-
-def _odd_pairs(s: np.ndarray) -> np.ndarray:
-    """N_op of a stack of Seidel matrices S, from S^2.  For a pair X = {u, v}
-    the n-2 products S_uw S_vw sum to d = (S^2)_uv, and Y = {y, z} has an odd
-    number of cross edges iff its two products differ, so X has
-    ((n-2)^2 - d^2)/4 odd partners; the sum over X needs only ||S^2||_F.
-    S^2 comes from float32 BLAS products, about 2^15 / n^2 matrices at a
-    time; they are exact, since every partial sum is an integer of magnitude
-    at most n - 1 <= 61."""
-    bsz, n, _ = s.shape
-    frobenius = np.empty(bsz, dtype=np.int64)
-    step = max(1, _BLOCK_ENTRIES // (n * n))
-    for lo in range(0, bsz, step):
-        block = s[lo : lo + step].astype(np.float32)
-        a2 = np.matmul(block, block)
-        frobenius[lo : lo + step] = np.einsum("bij,bij->b", a2, a2, dtype=np.float64)
-    off_diagonal = (frobenius - n * (n - 1) ** 2) // 2
-    return (binomial(n, 2) * (n - 2) ** 2 - off_diagonal) // 4
-
-
-def _sc_to_complete(adj: np.ndarray) -> np.ndarray:
-    """SC-equivalence to K_n: after normalizing vertex 0 to universal, the
-    bits adj(i,j) ^ adj(0,i) ^ adj(0,j) must be constant over pairs i<j."""
-    n = adj.shape[-1]
-    first = adj[:, 0, 1:]
-    x = adj[:, 1:, 1:] ^ first[:, :, None] ^ first[:, None, :]  # zero diagonal
-    total = x.sum(axis=(1, 2), dtype=np.int64)
-    return (total == 0) | (total == (n - 1) * (n - 2))
 
 
 @dataclass

@@ -6,16 +6,24 @@ Seidel spectrum is invariant.  An odd pair is an ordered pair (X, Y) of
 disjoint 2-subsets with an odd number of cross edges; their count is an
 SC-invariant and is zero exactly on the switching class of the complete
 graph.
+
+N_op and SC-equivalence to K_n are computed only by the stack kernels
+_odd_pairs and _sc_to_complete, which scans run on whole chunks and
+count_odd_pairs and is_sc_equivalent_to_complete on a stack of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
+from math import comb
 
-from .graphs import Graph, complement, encode_graph6
+import numpy as np
+
+from .graphs import Graph, _adjacency, _edge_bits, _endpoints, _graph6_lines, _seidel
 
 SWITCHING_KEY_MAX_N = 8
+_BLOCK_ENTRIES = 1 << 15  # float32 entries of S^2 per block in _odd_pairs
 
 
 @dataclass(frozen=True)
@@ -49,46 +57,64 @@ def _mask_of(subset) -> int:
 
 
 def is_sc_equivalent_to_complete(g: Graph) -> tuple[bool, SCWitness | None]:
-    """Decide SC-equivalence to K_n, with the normalizing switch as witness.
+    """Decide SC-equivalence to K_n, with the normalizing switch as witness:
+    _sc_to_complete on a stack of one.
 
-    Switch on the complement of N[v0] so that vertex 0 becomes universal;
+    Switching on mask = the complement of N[v0] makes vertex 0 universal;
     the graph is SC-equivalent to K_n iff the remaining vertices then induce
     a complete graph (no complement needed) or an empty one (complement
-    needed).  The witness satisfies switch(g, mask) = K_n when complemented
-    is false, and complement(switch(g, mask)) = K_n when it is true.
+    needed, read from the switched pair (1, 2)).  The witness satisfies
+    switch(g, mask) = K_n when complemented is false, and
+    complement(switch(g, mask)) = K_n when it is true.
     """
-    full = (1 << g.n) - 1
-    mask = full & ~g.closed_neighborhood(0)
-    h = switch(g, mask)
-    induced_complete = all((h.rows[i] | 1 | (1 << i)) == full for i in range(1, g.n))
-    if induced_complete:
-        return True, SCWitness(mask, complemented=False)
-    induced_empty = all(h.rows[i] == 1 for i in range(1, g.n))
-    if induced_empty:
+    adj = _adjacency(g.n, _edge_bits(g))
+    if not _sc_to_complete(adj)[0]:
+        return False, None
+    mask = ((1 << g.n) - 1) & ~g.closed_neighborhood(0)
+    if g.n >= 3 and not adj[0, 1, 2] ^ adj[0, 0, 1] ^ adj[0, 0, 2]:
         # one further switch on {v0} empties the graph; its complement is K_n
         return True, SCWitness(mask ^ 1, complemented=True)
-    return False, None
+    return True, SCWitness(mask, complemented=False)
 
 
 def count_odd_pairs(g: Graph) -> int:
     """Number of ordered pairs (X, Y) of disjoint 2-subsets with an odd
-    number of cross edges.  Always even; zero for n < 4."""
-    n = g.n
-    if n < 4:
-        return 0
-    count = 0
-    for x1, x2 in combinations(range(n), 2):
-        # (X, {y1, y2}) is odd iff bits y1, y2 of rows[x1] ^ rows[x2] differ,
-        # so the odd second elements for this X number ones * zeros
-        rx = (g.rows[x1] ^ g.rows[x2]) & ~(1 << x1) & ~(1 << x2)
-        ones = bin(rx).count("1")
-        count += ones * (n - 2 - ones)
-    return count
+    number of cross edges: _odd_pairs on a stack of one.  Always even; zero
+    for n < 4."""
+    return int(_odd_pairs(_seidel(_adjacency(g.n, _edge_bits(g))))[0])
 
 
-def _isolate_vertex0(g: Graph) -> Graph:
-    """The unique member of g's switching class in which vertex 0 is isolated."""
-    return switch(g, g.neighborhood(0))
+def _odd_pairs(s: np.ndarray) -> np.ndarray:
+    """N_op of a stack of Seidel matrices S, from S^2.  For a pair X = {u, v}
+    the n-2 products S_uw S_vw sum to d = (S^2)_uv, and Y = {y, z} has an odd
+    number of cross edges iff its two products differ, so X has
+    ((n-2)^2 - d^2)/4 odd partners; the sum over X needs only ||S^2||_F:
+
+        N_op = [C(n,2)(n-2)^2 - (||S^2||_F^2 - n(n-1)^2)/2] / 4.
+
+    S^2 comes from float32 BLAS products, about 2^15 / n^2 matrices at a
+    time; they are exact, since every partial sum is an integer of magnitude
+    at most n - 1 <= 63."""
+    bsz, n, _ = s.shape
+    frobenius = np.empty(bsz, dtype=np.int64)
+    step = max(1, _BLOCK_ENTRIES // (n * n))
+    for lo in range(0, bsz, step):
+        block = s[lo : lo + step].astype(np.float32)
+        a2 = np.matmul(block, block)
+        frobenius[lo : lo + step] = np.einsum("bij,bij->b", a2, a2, dtype=np.float64)
+    off_diagonal = (frobenius - n * (n - 1) ** 2) // 2
+    return (comb(n, 2) * (n - 2) ** 2 - off_diagonal) // 4
+
+
+def _sc_to_complete(adj: np.ndarray) -> np.ndarray:
+    """SC-equivalence to K_n of a stack of adjacency matrices: after
+    normalizing vertex 0 to universal, the bits adj(i,j) ^ adj(0,i) ^ adj(0,j)
+    must be constant over pairs i<j."""
+    n = adj.shape[-1]
+    first = adj[:, 0, 1:]
+    x = adj[:, 1:, 1:] ^ first[:, :, None] ^ first[:, None, :]  # zero diagonal
+    total = x.sum(axis=(1, 2), dtype=np.int64)
+    return (total == 0) | (total == (n - 1) * (n - 2))
 
 
 def switching_class_key(g: Graph) -> bytes:
@@ -96,17 +122,19 @@ def switching_class_key(g: Graph) -> bytes:
     up to relabeling.
 
     Minimizes the graph6 encoding of the vertex-0-isolated switching-class
-    representative over all vertex permutations of g and of its complement.
-    Factorial cost; refused above n = 8.
+    representative over all vertex permutations of g and of its complement,
+    encoded as one stack.  Factorial cost; refused above n = 8.
     """
     if g.n > SWITCHING_KEY_MAX_N:
         raise ValueError(
             f"switching_class_key is exact-canonical only for n <= {SWITCHING_KEY_MAX_N}"
         )
-    best = None
-    for h in (g, complement(g)):
-        for perm in permutations(range(g.n)):
-            cand = encode_graph6(_isolate_vertex0(h.permute(perm))).encode("ascii")
-            if best is None or cand < best:
-                best = cand
-    return best
+    perms = np.array(list(permutations(range(g.n))), dtype=np.intp)
+    adj = _adjacency(g.n, _edge_bits(g))[0]
+    h = adj[perms[:, :, None], perms[:, None, :]]  # h[p](u, v) = adj(p[u], p[v])
+    # switching on N(0) isolates vertex 0: edge (u, v) flips by h(0,u) ^ h(0,v)
+    i, j = _endpoints(g.n)
+    isolated = h[:, i, j] ^ h[:, 0, i] ^ h[:, 0, j]
+    # the complement's representative is this one's complement off vertex 0
+    stack = np.concatenate([isolated, isolated ^ (i != 0)])
+    return min(_graph6_lines(g.n, stack).tolist()).encode("ascii")

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from seidelab import graphs, spectral
+from seidelab import cli, graphs, spectral
 from seidelab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
@@ -217,6 +217,40 @@ class TestVerify:
         for row in rows:
             assert row["theorem2_min_margin"]
             assert (row["oddpair-lower_min_margin"] == "") == (int(row["n"]) < 4)
+
+    @pytest.mark.parametrize("fmt", ["json", "plain"])
+    def test_single_graph_to_file(self, capsys, tmp_path, fmt):
+        argv = ("verify", "--g6", "Bw", "--format", fmt)
+        _, want, _ = run_cli(capsys, *argv)
+        out_path = tmp_path / "r.txt"
+        code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+        assert (code, out, err) == (EXIT_OK, "", "")
+        assert out_path.read_text() == want
+
+    @pytest.mark.parametrize("source", [("--all-n", "3"), ("--g6", "Bw")])
+    def test_bad_out_path_fails_before_checking(self, capsys, tmp_path, monkeypatch, source):
+        def refuse(*args, **kwargs):
+            raise AssertionError("checked a graph before opening --out")
+
+        monkeypatch.setattr(cli, "scan", refuse)
+        monkeypatch.setattr(cli, "run_checks", refuse)
+        bad = tmp_path / "missing" / "x.csv"
+        fmt = "csv" if source[0] == "--all-n" else "json"
+        code, out, err = run_cli(capsys, "verify", *source, "--format", fmt, "--out", str(bad))
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err
+
+    def test_csv_needs_a_scan_source(self, capsys, tmp_path):
+        out_path = tmp_path / "rows.csv"
+        code, out, err = run_cli(
+            capsys, "verify", "--g6", "G", "--format", "csv", "--out", str(out_path)
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err == "error: --format csv writes scan rows; use json or plain with --g6\n"
+        assert not out_path.exists()
 
     def test_workers_match_serial(self, capsys):
         argv = (

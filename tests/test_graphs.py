@@ -4,8 +4,14 @@ from hypothesis import given
 from itertools import permutations
 
 from seidelab.graphs import (
+    GRAPH6_MAX_N,
     Graph,
     Graph6Error,
+    _adjacency,
+    _edge_bits,
+    _graph6_lines,
+    _seidel,
+    _unpack_graph6,
     complement,
     complete_graph,
     cycle_graph,
@@ -16,7 +22,14 @@ from seidelab.graphs import (
     seidel_matrix,
 )
 
-from conftest import graph_strategy
+from conftest import (
+    graph_strategy,
+    random_graph,
+    reference_edge_bits,
+    reference_encode_graph6,
+    reference_parse_graph6,
+    reference_seidel_matrix,
+)
 
 
 class TestParseGraph6:
@@ -145,3 +158,61 @@ class TestSeidelMatrix:
         s = seidel_matrix(g)
         sc = seidel_matrix(complement(g))
         assert np.all(sc == -s + 2 * np.diag(np.diag(s)))
+
+
+# the edge-bit kernels and the per-graph functions built on them against the
+# reference loops of conftest.py
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_codec_and_seidel_match_reference(rng, n):
+    graphs = [random_graph(rng, n=n) for _ in range(3)] + [empty_graph(n), complete_graph(n)]
+    bits = np.stack([reference_edge_bits(g) for g in graphs])
+    want = np.stack([reference_seidel_matrix(g) for g in graphs])
+    assert np.array_equal(_seidel(_adjacency(n, bits)), want)
+    for g, row, s in zip(graphs, bits, want):
+        assert np.array_equal(_edge_bits(g), row[None])
+        mask = sum(b << e for e, b in enumerate(row.tolist()))
+        assert g.edge_mask() == mask and Graph.from_edge_mask(n, mask) == g
+        assert seidel_matrix(g).dtype == np.int64
+        assert np.array_equal(seidel_matrix(g), s)
+    if n > GRAPH6_MAX_N:  # Graph goes to 64 vertices, graph6 to 62
+        for g in graphs:
+            with pytest.raises(Graph6Error) as got:
+                encode_graph6(g)
+            with pytest.raises(Graph6Error) as expected:
+                reference_encode_graph6(g)
+            assert str(got.value) == str(expected.value)
+        return
+    lines = [reference_encode_graph6(g) for g in graphs]
+    assert [encode_graph6(g) for g in graphs] == lines == _graph6_lines(n, bits).tolist()
+    assert [parse_graph6(line) for line in lines] == graphs
+    assert [reference_parse_graph6(line) for line in lines] == graphs
+    body = np.array([[ord(c) for c in line[1:]] for line in lines], dtype=np.uint8)
+    unpacked, padded = _unpack_graph6(n, body)
+    assert np.array_equal(unpacked, bits) and not padded.any()
+
+
+def _short_lines():
+    """Headers for orders 0..5, 63 and 64, each alone and followed by every
+    byte from 60 to 127, and by "w" and that byte."""
+    for header in [chr(63 + n) for n in (0, 1, 2, 3, 4, 5, 63, 64)]:
+        yield header
+        for b in range(60, 128):
+            yield header + chr(b)
+            yield header + "w" + chr(b)
+    yield from ["", " \t", "C\xff", "C~\xa0", "A\u20ac", " Bw\r\n", "~??" + "?" * 10]
+
+
+def test_parse_matches_reference_on_short_lines():
+    # every accepted line decodes alike, and every rejected one raises the
+    # same message
+    for text in _short_lines():
+        try:
+            want = reference_parse_graph6(text)
+        except Graph6Error as exc:
+            with pytest.raises(Graph6Error) as got:
+                parse_graph6(text)
+            assert str(got.value) == str(exc), repr(text)
+        else:
+            assert parse_graph6(text) == want, repr(text)

@@ -22,20 +22,15 @@ from seidelab.graphs import (
     parse_graph6,
     seidel_matrix,
 )
+from seidelab.graphs import _adjacency, _graph6_lines, _seidel
 from seidelab.search import (
     AllGraphs,
     BoundaryFamily,
     Graph6Stream,
     Graph6StreamError,
-    _adjacency,
     _class_masks,
     _decode_graph6,
-    _graph6_lines,
-    _mask_of_bits,
-    _odd_pairs,
     _orbit_offsets,
-    _sc_to_complete,
-    _seidel,
     scan,
 )
 from seidelab import search
@@ -48,13 +43,25 @@ from seidelab.spectral import (
 )
 from seidelab.verify import evaluate, run_checks
 from seidelab.seidel import (
+    _odd_pairs,
+    _sc_to_complete,
     count_odd_pairs,
     is_sc_equivalent_to_complete,
     switch,
     switching_class_key,
 )
 
-from conftest import graph_strategy, random_graph
+from conftest import (
+    graph_strategy,
+    random_graph,
+    reference_count_odd_pairs,
+    reference_edge_bits,
+    reference_encode_graph6,
+    reference_is_sc_equivalent_to_complete,
+    reference_parse_graph6,
+    reference_seidel_matrix,
+    sc_members,
+)
 
 DESK_CHECKS = ("sk-basic", "sk-oddpairs", "oddpair-lower", "theorem2")
 
@@ -377,27 +384,22 @@ def test_exhaustive_n8_theorem2():
 
 
 # ---------------------------------------------------------------------------
-# edge-bit stack kernels against the per-graph functions
-
-
-def _edge_bits(g: Graph) -> np.ndarray:
-    mask = g.edge_mask()
-    return np.array([mask >> e & 1 for e in range(g.n * (g.n - 1) // 2)], dtype=np.uint8)
+# edge-bit stack kernels against the reference loops of conftest.py
 
 
 def test_decoder_matches_parse_graph6(rng):
     graphs = [random_graph(rng, n=n) for n in range(1, 63) for _ in range(3)]
     graphs += [complete_graph(n) for n in (1, 2, 3, 17, 62)]
     order = rng.permutation(len(graphs))
-    lines = [encode_graph6(graphs[k]) for k in order]
+    lines = [reference_encode_graph6(graphs[k]) for k in order]
     linenos = np.arange(10, 10 + len(lines))
     seen = []
     text = "".join(line + "\n" for line in lines).encode("ascii")
     for n, index, bits in _decode_graph6(linenos, text, strict=True):
         assert bits.shape == (len(index), n * (n - 1) // 2)
         for k, row in zip(index.tolist(), bits):
-            assert _mask_of_bits(row) == parse_graph6(lines[k]).edge_mask()
-            assert parse_graph6(lines[k]).n == n
+            assert np.array_equal(row, reference_edge_bits(reference_parse_graph6(lines[k])))
+            assert reference_parse_graph6(lines[k]).n == n
         # and the vectorized encoder inverts the decoder
         assert _graph6_lines(n, bits).tolist() == [lines[k] for k in index]
         seen += index.tolist()
@@ -436,26 +438,15 @@ def test_decoder_rejects_like_parse_graph6(tmp_path, kind, workers):
         assert rep.graphs_scanned == len(good) == len(list(Graph6Stream(str(p), strict=False)))
 
 
-def _sc_members(rng, n):
-    """Random members of K_n's switching class, with and without complement,
-    and a graph one edge away from it."""
-    w = int(rng.integers(0, 1 << min(n, 62)))
-    k = switch(complete_graph(n), w)
-    out = [k, complement(k)]
-    if n >= 2:
-        out.append(Graph.from_edge_mask(n, k.edge_mask() ^ 1))
-    return out
-
-
 @pytest.mark.parametrize("n", range(1, 63))
 def test_stack_nop_and_sc_match_per_graph(rng, n):
-    graphs = [random_graph(rng, n=n) for _ in range(3)] + _sc_members(rng, n)
-    adj = _adjacency(n, np.stack([_edge_bits(g) for g in graphs]))
+    graphs = [random_graph(rng, n=n) for _ in range(3)] + sc_members(rng, n)
+    adj = _adjacency(n, np.stack([reference_edge_bits(g) for g in graphs]))
     s = _seidel(adj)
-    assert np.array_equal(s, np.stack([seidel_matrix(g) for g in graphs]))
-    assert _odd_pairs(s).tolist() == [count_odd_pairs(g) for g in graphs]
+    assert np.array_equal(s, np.stack([reference_seidel_matrix(g) for g in graphs]))
+    assert _odd_pairs(s).tolist() == [reference_count_odd_pairs(g) for g in graphs]
     assert _sc_to_complete(adj).tolist() == [
-        is_sc_equivalent_to_complete(g)[0] for g in graphs
+        reference_is_sc_equivalent_to_complete(g)[0] for g in graphs
     ]
     # the scan kernels through evaluate give run_checks' exact S_k integers;
     # a bound formed in int64 overflows from n = 50
@@ -470,7 +461,7 @@ def test_stack_nop_and_sc_match_per_graph(rng, n):
             want = [(int(r.lhs), int(r.rhs)) for r in reports if r.check == check]
             assert list(zip(lhs[b].tolist(), rhs[b].tolist())) == want
             assert margin[b].tolist() == [x - y for x, y in want]
-            nop = count_odd_pairs(g) if check == "sk-oddpairs" else 0
+            nop = reference_count_odd_pairs(g) if check == "sk-oddpairs" else 0
             assert [y for _, y in want] == [
                 n * (n - 1) * binomial(n - 2, k - 1) + 4 * nop * binomial(n - 4, k - 2)
                 for k in range(1, n + 1)
@@ -487,7 +478,7 @@ def test_boundary_bits_match_edge_lists(n):
         edges += [(i, m + 1) for i in range(c)]
         edges += [(i, m + 1) for i in range(a, a + b - c)]
         edges += [(m, m + 1)] * e
-        assert _mask_of_bits(bits) == Graph.from_edges(n, edges).edge_mask()
+        assert np.array_equal(bits, reference_edge_bits(Graph.from_edges(n, edges)))
 
 
 def test_scan_calls_kernel_through_search_namespace(monkeypatch):
@@ -529,7 +520,8 @@ def _reference_rows(graphs, checks, p_grid=(1.0,)):
             )
         if "theorem2" in checks:
             margins["theorem2"] = energy - (2 * g.n - 2)
-        rows.append(([encode_graph6(g), g.n, energy, count_odd_pairs(g)], margins))
+        cells = [reference_encode_graph6(g), g.n, energy, reference_count_odd_pairs(g)]
+        rows.append((cells, margins))
     return rows
 
 
@@ -604,7 +596,7 @@ def _exhaustive_reference(n, checks, p_grid=(1.0,)):
         if h not in by_representative:
             by_representative[h] = _reference_rows([h], checks, p_grid)[0]
         cells, margins = by_representative[h]
-        rows.append(([encode_graph6(g)] + cells[1:], margins))
+        rows.append(([reference_encode_graph6(g)] + cells[1:], margins))
     assert len(by_representative) == 1 << len(search._free_edges(n))
     return rows
 

@@ -6,6 +6,8 @@ from itertools import combinations
 
 from seidelab.graphs import (
     Graph,
+    _adjacency,
+    _seidel,
     complement,
     complete_graph,
     cycle_graph,
@@ -13,6 +15,8 @@ from seidelab.graphs import (
     seidel_matrix,
 )
 from seidelab.seidel import (
+    _odd_pairs,
+    _sc_to_complete,
     count_odd_pairs,
     is_sc_equivalent_to_complete,
     switch,
@@ -20,7 +24,14 @@ from seidelab.seidel import (
 )
 from seidelab.spectral import char_poly_exact, submatrix_det_parity
 
-from conftest import graph_strategy
+from conftest import (
+    graph_strategy,
+    random_graph,
+    reference_count_odd_pairs,
+    reference_edge_bits,
+    reference_is_sc_equivalent_to_complete,
+    sc_members,
+)
 
 
 def brute_force_odd_pairs(g):
@@ -175,3 +186,28 @@ class TestSwitchingClassKey:
         assert switching_class_key(complement(g)) == key
         perm = data.draw(st.permutations(range(g.n)))
         assert switching_class_key(g.permute(perm)) == key
+
+
+# the edge-bit kernels and the per-graph functions built on them against the
+# reference loops of conftest.py
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_nop_and_sc_match_reference(rng, n):
+    graphs = [random_graph(rng, n=n) for _ in range(3)] + sc_members(rng, n)
+    nops = [reference_count_odd_pairs(g) for g in graphs]
+    scs = [reference_is_sc_equivalent_to_complete(g) for g in graphs]
+    adj = _adjacency(n, np.stack([reference_edge_bits(g) for g in graphs]))
+    assert _odd_pairs(_seidel(adj)).tolist() == nops
+    assert _sc_to_complete(adj).tolist() == [ok for ok, _ in scs]
+    for g, nop, sc in zip(graphs, nops, scs):
+        assert type(count_odd_pairs(g)) is int and count_odd_pairs(g) == nop
+        ok, witness = is_sc_equivalent_to_complete(g)
+        assert type(ok) is bool and (ok, witness) == sc
+
+
+def test_sc_witness_matches_reference_every_small_graph():
+    for n in range(1, 7):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            g = Graph.from_edge_mask(n, mask)
+            assert is_sc_equivalent_to_complete(g) == reference_is_sc_equivalent_to_complete(g)

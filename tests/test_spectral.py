@@ -215,21 +215,44 @@ def _sk_exact(m: np.ndarray) -> list[int]:
     return [(-1) ** k * coeffs[n - k] for k in range(n + 1)]
 
 
+def _charpoly_closed(n: int, once: int, rest: int) -> tuple[int, ...]:
+    """Coefficients, x^0 first, of (x - once)(x - rest)^(n-1)."""
+    power = [math.comb(n - 1, k) * (-rest) ** (n - 1 - k) for k in range(n)] + [0]
+    return tuple((power[k - 1] if k else 0) - once * power[k] for k in range(n + 1))
+
+
+def _closed_forms(n: int) -> list[tuple[tuple[int, ...], list[int]]]:
+    """det(xI - S) and S_0..S_n of S^2 for K_n, whose S = I - J has the
+    spectrum 1 - n, 1^(n-1), and for the empty graph, S = J - I.  Both have
+    S^2 = I + (n-2) J, with eigenvalues (n-1)^2 once and 1 n-1 times."""
+    sk = [binomial(n - 1, k) + (n - 1) ** 2 * binomial(n - 1, k - 1) for k in range(n + 1)]
+    return [(_charpoly_closed(n, 1 - n, 1), sk), (_charpoly_closed(n, n - 1, -1), sk)]
+
+
 class TestCharPolyBatch:
     """The multi-modular kernel against the object-dtype oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 13])
+    def test_closed_forms_match_oracle(self, n):
+        for g, (coeffs, sk) in zip([complete_graph(n), empty_graph(n)], _closed_forms(n)):
+            m = seidel_matrix(g)
+            assert char_poly_exact(m).coeffs == coeffs
+            assert _sk_exact(m) == sk
 
     @pytest.mark.parametrize("n, randoms", [(9, 6), (16, 4), (22, 4), (40, 1), (62, 1)])
     def test_matches_exact(self, rng, n, randoms):
         # K_n and its complement share S^2 = I + (n-2) J, the largest
-        # entries a Seidel S^2 can have
+        # entries a Seidel S^2 can have; they are checked against closed
+        # forms, the random graphs against the oracle
         graphs = [complete_graph(n), empty_graph(n)]
         graphs += [_random_graph_any_n(rng, n) for _ in range(randoms)]
         s = _seidel_stack(graphs)
+        expect = _closed_forms(n) + [(char_poly_exact(m).coeffs, _sk_exact(m)) for m in s[2:]]
         batch = charpoly_batch_i64(s)
         assert batch.dtype == (np.int64 if n <= 13 else object)
-        for row, sk, m, g in zip(batch, sk_from_charpoly(batch), s, graphs):
-            assert tuple(int(c) for c in row) == char_poly_exact(m).coeffs
-            assert [int(v) for v in sk] == elementary_symmetric_A2(g) == _sk_exact(m)
+        for row, sk, g, (coeffs, sks) in zip(batch, sk_from_charpoly(batch), graphs, expect):
+            assert tuple(int(c) for c in row) == coeffs
+            assert [int(v) for v in sk] == elementary_symmetric_A2(g) == sks
 
     @pytest.mark.parametrize("n", range(1, 63))
     def test_sk_matches_exact_every_n(self, rng, n):
@@ -239,10 +262,7 @@ class TestCharPolyBatch:
         # through the oracle
         graphs = [complete_graph(n), empty_graph(n), _random_graph_any_n(rng, n)]
         s = _seidel_stack(graphs)
-        closed = [
-            binomial(n - 1, k) + (n - 1) ** 2 * binomial(n - 1, k - 1) for k in range(n + 1)
-        ]
-        expect = [closed, closed, _sk_exact(s[2])]
+        expect = [sk for _, sk in _closed_forms(n)] + [_sk_exact(s[2])]
         assert sk_from_charpoly(charpoly_batch_i64(s)).tolist() == expect
         assert [elementary_symmetric_A2(g) for g in graphs] == expect
 
