@@ -3,8 +3,9 @@
 Subcommands: `energy` (single-graph spectrum and p-energies), `verify`
 (checker scans over graphs, files, or generators), `constants` (C_p by
 closed form and quadrature).  Exit codes: 0 all pass, 1 check failure,
-2 input/parse error, 3 numeric failure (a spectrum that fails its residual
-check, or a quadrature that needs more nodes than its budget).
+2 input/parse error or an output pipe closed early, 3 numeric failure (a
+spectrum that fails its residual check, or a quadrature that needs more
+nodes than its budget).
 """
 
 from __future__ import annotations
@@ -135,6 +136,8 @@ def cmd_verify(args) -> int:
     p_grid = tuple(args.p)
     try:
         validate(checks, p_grid)
+        if args.workers < 1:
+            raise ValueError(f"--workers {args.workers}: need at least 1")
         sources = []
         if args.g6 is not None:
             if args.format == "csv":
@@ -300,7 +303,13 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`); point it at devnull so
+        # the interpreter's final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

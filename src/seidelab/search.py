@@ -20,8 +20,6 @@ of S itself (spectral), and the odd-pair count N_op from ||S^2||_F and
 SC-equivalence to K_n from an xor test on the adjacency bits (seidel).
 This module keeps only the sources, the driver and CSV rendering.  Graph
 objects appear only for the flagged graphs run_checks re-verifies.
-CSV rows, when collected, are rendered by the workers as final CSV lines,
-one text per chunk, and only merged and written by the parent.
 
 The exhaustive source is scanned one orbit at a time.  Every checked
 quantity (|spectrum|, S_k(A^2), N_op, SC-equivalence to K_n) is invariant
@@ -29,25 +27,32 @@ under Seidel switching and under complementation (A -> -A), so each orbit
 of that group is evaluated once, on the representative with vertex 0
 isolated and the last edge (n-2, n-1) absent, and counted with the orbit's
 size: 2^n labeled graphs for n >= 3, 2^(n-1) below.  Only what a report
-names (equality graphs, failures, the minimum-energy witness, CSV rows) is
-expanded back to the orbit's labeled members.  Every reported item is keyed
-by its position in the source's enumeration order (the labeled edge mask
-for the exhaustive source, the parameter index for the boundary family,
-the line number for a stream) and merged in that order.  Chunk boundaries
-do not depend on the worker count, so aggregate reports and CSV output are
+names (equality graphs, failures, the minimum-energy witness) is expanded
+back to the orbit's labeled members, keyed by its position in the source's
+enumeration order (the labeled edge mask for the exhaustive source, the
+parameter index for the boundary family, the line number for a stream)
+and merged in that order.
+
+CSV rows, when collected, come from every chunk in source order, so the
+scan only joins them: a stream or boundary chunk returns its lines as
+text rendered in the worker, and an exhaustive chunk its representatives'
+columns, from which write_csv renders each labeled graph's line as it is
+written, mapping the graph to its representative.  Chunk boundaries do not
+depend on the worker count, so aggregate reports and CSV output are
 reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from operator import itemgetter
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -74,7 +79,7 @@ ENUM_MAX_N = 8
 BOUNDARY_MIN_N = 11
 BOUNDARY_MAX_N = 22
 CHUNK_SIZE = 1 << 15  # fixed so aggregates are worker-count independent
-_ROW_BLOCK = 1 << 12  # CSV lines rendered per step
+_ROW_BLOCK = 1 << 12  # exhaustive CSV lines rendered per step
 _EOL = "\r\n"  # csv.writer's line terminator
 
 
@@ -278,9 +283,10 @@ def _strip_lines(data: bytes, first_lineno: int) -> tuple[np.ndarray, bytes]:
 #
 # Every chunk becomes, per order n, a (B, C(n,2)) uint8 stack of edge bits
 # in graph6 order plus two functions naming its rows: members(rows) gives
-# the labeled graphs each row stands for as (row, position) arrays, members
-# of a row ascending by position, and name(rows, positions) their graph6 as
-# a str array.
+# the labeled graphs each row stands for as (row, position) arrays, and
+# name(rows, positions) their graph6 as a str array.  A stream or boundary
+# stack also gives each row's slot, its place among the chunk's graphs in
+# source order; an orbit stack has none, its rows standing for many graphs.
 
 
 class _Stack(NamedTuple):
@@ -288,6 +294,7 @@ class _Stack(NamedTuple):
     bits: np.ndarray
     members: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     name: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    slots: np.ndarray | None
 
 
 def _free_edges(n: int) -> list[int]:
@@ -317,6 +324,21 @@ def _orbit_offsets(n: int) -> np.ndarray:
     if n >= 3:
         cuts = np.concatenate([cuts, cuts ^ np.uint64((1 << len(i)) - 1)])
     return cuts
+
+
+def _representatives(n: int, bits: np.ndarray) -> np.ndarray:
+    """The representative number of each labeled graph of a stack, the
+    inverse of _class_masks and _orbit_offsets: switching on vertex 0's
+    neighbourhood isolates vertex 0, complementing the edges among 1..n-1
+    clears the last edge if it is then present, and the free edges' bits
+    spell the number."""
+    i, j = _endpoints(n)
+    w = np.zeros((len(bits), n), dtype=np.uint8)  # the switched vertices
+    w[:, j[i == 0]] = bits[:, i == 0]
+    rep = bits ^ w[:, i] ^ w[:, j]
+    rep ^= rep[:, -1:] & (i > 0)
+    free = _free_edges(n)
+    return (rep[:, free].astype(np.int64) << np.arange(len(free))).sum(axis=1)
 
 
 def _mask_bits(n: int, masks: np.ndarray) -> np.ndarray:
@@ -373,14 +395,13 @@ def _stacks(spec) -> tuple[int, list[_Stack]]:
         offsets = _orbit_offsets(n)
 
         def members(rows):
-            labeled = np.sort(masks[rows, None] ^ offsets, axis=1)
-            return np.repeat(rows, len(offsets)), labeled.ravel()
+            return np.repeat(rows, len(offsets)), (masks[rows, None] ^ offsets).ravel()
 
         def name(rows, positions):
             return _graph6_lines(n, _mask_bits(n, positions))
 
         count = (stop - start) * len(offsets)
-        return count, [_Stack(n, _mask_bits(n, masks), members, name)]
+        return count, [_Stack(n, _mask_bits(n, masks), members, name, None)]
     if spec[0] == "boundary":
         _, n, start, stop = spec
         family = BoundaryFamily(n)
@@ -391,11 +412,17 @@ def _stacks(spec) -> tuple[int, list[_Stack]]:
                 bits,
                 lambda rows: (rows, rows + start),
                 lambda rows, positions: _graph6_lines(n, bits[rows]),
+                np.arange(stop - start),
             )
         ]
     _, linenos, text, strict = spec
+    decoded = _decode_graph6(linenos, text, strict)
+    slot = np.zeros(len(linenos), dtype=np.int64)
+    for _, index, _ in decoded:
+        slot[index] = 1
+    slot = np.cumsum(slot) - 1  # a decoded line's place among the chunk's decoded lines
     stacks = []
-    for n, index, bits in _decode_graph6(linenos, text, strict):
+    for n, index, bits in decoded:
         # a decoded line re-encodes to itself: the decoder rejects any other
         stacks.append(
             _Stack(
@@ -403,6 +430,7 @@ def _stacks(spec) -> tuple[int, list[_Stack]]:
                 bits,
                 lambda rows, index=index: (rows, linenos[index[rows]]),
                 lambda rows, positions, n=n, bits=bits: _graph6_lines(n, bits[rows]),
+                slot[index],
             )
         )
     return sum(len(st.bits) for st in stacks), stacks
@@ -418,52 +446,20 @@ class _ChunkResult:
     min_energy_graph6: str | None
     failure_reports: list  # report dicts
     equality_graph6: list  # graphs with |E_S - (2n-2)| <= tolerance
-    row_text: str | None  # CSV lines (see _render_rows), ascending by position
-    row_positions: np.ndarray | None  # their positions, int64
-    row_margins: frozenset  # checks whose margin cell some row fills
+    # with collect_rows: the CSV lines in source order, or for an exhaustive
+    # chunk its representatives' columns (see _render_rows and _OrbitRows)
+    rows: str | dict | None
 
 
-class _RowPart(NamedTuple):
-    """One stack's CSV rows: the stack row and position of each labeled
-    graph, the stack's name function, and its per-row columns."""
-
-    n: int
-    rows: np.ndarray
-    positions: np.ndarray
-    name: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    energy: np.ndarray
-    nop: np.ndarray
-    margins: dict  # check -> float margins of the stack rows
-
-
-def _render_rows(parts: list[_RowPart], checks) -> tuple[str, np.ndarray]:
-    """The CSV lines of a chunk's rows, ascending by position, and their
-    positions.  A line is what csv.writer writes for graph6, n, E_S, N_op and
-    one min-margin cell per check (floats by repr, blank where the graph's
-    order has no such margin).  Lines are rendered _ROW_BLOCK at a time, so
-    no per-cell object outlives its block."""
-    if not parts:  # a lenient stream chunk may decode nothing
-        return "", np.empty(0, dtype=np.int64)
-    which = np.repeat(np.arange(len(parts)), [len(p.rows) for p in parts])
-    rows = np.concatenate([p.rows for p in parts])
-    positions = np.concatenate([p.positions for p in parts])
-    order = np.argsort(positions, kind="stable")
+def _render_rows(n: int, graph6: np.ndarray, columns: dict, checks):
+    """csv.writer's line for each graph of one order, lazily: graph6, n,
+    E_S, N_op and one min-margin cell per check, floats by repr.  columns
+    maps "E_S", "N_op" and each check with a margin at order n to one value
+    per graph; a check without one gets a blank cell."""
     line = ",".join(["{}"] * (4 + len(checks))) + _EOL
-    blocks = []
-    for lo in range(0, len(order), _ROW_BLOCK):
-        sel = order[lo : lo + _ROW_BLOCK]
-        cells = [np.empty(len(sel), dtype=object) for _ in range(4 + len(checks))]
-        for k, part in enumerate(parts):
-            mine = which[sel] == k
-            if not mine.any():
-                continue
-            r = rows[sel[mine]]
-            values = [part.name(r, positions[sel[mine]]), part.n, part.energy[r], part.nop[r]]
-            values += [part.margins[c][r] if c in part.margins else "" for c in checks]
-            for column, value in zip(cells, values):
-                column[mine] = value
-        blocks.append("".join(map(line.format, *cells)))
-    return "".join(blocks), positions[order]
+    cells = [graph6.tolist(), repeat(n)]
+    cells += [columns[k].tolist() if k in columns else repeat("") for k in ("E_S", "N_op", *checks)]
+    return map(line.format, *cells)
 
 
 def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
@@ -473,8 +469,9 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
     min_g6 = None
     failures: list[tuple[int, dict]] = []
     equality: list[tuple[int, str]] = []
-    parts: list[_RowPart] = []
-    for n, bits, members, name in stacks:
+    rows = None
+    lines = [""] * count if collect_rows and spec[0] != "classes" else None
+    for n, bits, members, name, slots in stacks:
         bsz = bits.shape[0]
         adj = _adjacency(n, bits)
         s = _seidel(adj)
@@ -512,15 +509,16 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
                 if not rep.passed:
                     failures.append((position, rep.as_dict()))
         if collect_rows:
-            row, pos = members(np.arange(bsz))
-            parts.append(_RowPart(n, row, pos, name, energy, nop, margins))
-    text = positions = None
-    if collect_rows:
-        text, positions = _render_rows(parts, checks)
-    filled = frozenset(c for part in parts for c in part.margins)
-    return _ChunkResult(
-        count, min_e, min_pos, min_g6, failures, equality, text, positions, filled
-    )
+            columns = {"E_S": energy, "N_op": nop, **margins}
+            if slots is None:  # orbit representatives: write_csv renders their graphs
+                rows = columns
+            else:  # a stream chunk's orders interleave: each line goes to its slot
+                graph6 = _graph6_lines(n, bits)
+                for k, line in zip(slots.tolist(), _render_rows(n, graph6, columns, checks)):
+                    lines[k] = line
+    if lines is not None:
+        rows = "".join(lines)
+    return _ChunkResult(count, min_e, min_pos, min_g6, failures, equality, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -529,14 +527,16 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
 
 @dataclass
 class ScanReport:
-    """A scan's aggregate.  With collect_rows, row_text holds one CSV line
-    per graph in source order, rendered by the workers: graph6, n, E_S, N_op
-    and one min-margin cell per check of checks, blank where the graph's
-    order has no such margin; row_margins names the checks whose cell some
-    line fills.  write_csv writes them, and rows parses them back.  Rows of
-    an exhaustive source carry their orbit representative's floats: equal to
-    the graph's own in exact arithmetic, they may differ in the last digits,
-    which no verdict depends on."""
+    """A scan's aggregate.  With collect_rows, csv_rows yields one CSV line
+    per graph in source order, a block of lines at a time: graph6, n, E_S,
+    N_op and one min-margin cell per check of checks, blank where the
+    graph's order has no such margin.  A stream or boundary scan keeps each
+    chunk's lines as its worker rendered them; an exhaustive scan keeps its
+    representatives' columns and renders the labeled graphs' lines from
+    them as they are written (see _OrbitRows).  Rows of an exhaustive source
+    carry their orbit representative's floats: equal to the graph's own in
+    exact arithmetic, they may differ in the last digits, which no verdict
+    depends on."""
 
     source: str
     checks: tuple
@@ -548,24 +548,7 @@ class ScanReport:
     min_energy: float
     equality_graph6: list
     wall_time: float | None = None
-    row_text: str | None = field(default=None, repr=False)
-    row_margins: tuple = ()
-
-    @property
-    def rows(self) -> list[dict] | None:
-        """One dict per graph (graph6, n, E_S, N_op, then each filled margin
-        as <check>_min_margin), parsed back from row_text without loss:
-        floats are written by repr."""
-        if self.row_text is None:
-            return None
-        margins = [f"{c}_min_margin" for c in self.checks]
-        rows = []
-        for line in self.row_text.splitlines():
-            g6, n, energy, nop, *cells = line.split(",")
-            row = {"graph6": g6, "n": int(n), "E_S": float(energy), "N_op": int(nop)}
-            row.update((k, float(v)) for k, v in zip(margins, cells) if v)
-            rows.append(row)
-        return rows
+    csv_rows: Iterable[str] | None = field(default=None, repr=False)
 
     def as_dict(self, include_timing: bool = True) -> dict:
         d = {
@@ -579,7 +562,8 @@ class ScanReport:
             },
             "min_energy": {
                 "graph6": self.min_energy_graph6,
-                "value": self.min_energy,
+                # no graph, no minimum: null, as JSON has no Infinity
+                "value": self.min_energy if self.graphs_scanned else None,
             },
             "equality_graph6": self.equality_graph6,
             "failures": self.failures,
@@ -593,44 +577,36 @@ class ScanReport:
 
     def write_csv(self, fh, *more: ScanReport) -> None:
         """One row per graph, of this report and then of each of more, under
-        one header: a margin column for each check, in first-seen order, that
-        some row of some report fills.  Requires the scans to have collected
-        rows.  A report whose lines carry other margin cells than the header
-        is re-laid out line by line."""
+        one header: graph6, n, E_S, N_op and a margin column per check.  The
+        reports must have collected rows and have the same checks."""
         reports = (self, *more)
-        if any(r.row_text is None for r in reports):
+        if any(r.csv_rows is None for r in reports):
             raise ValueError("scan was run without per-graph row collection")
-        filled = {c for r in reports for c in r.row_margins}
-        columns = [c for c in dict.fromkeys(c for r in reports for c in r.checks) if c in filled]
-        names = ["graph6", "n", "E_S", "N_op"] + [f"{c}_min_margin" for c in columns]
+        if any(r.checks != self.checks for r in more):
+            raise ValueError("reports written under one CSV header must have the same checks")
+        names = ["graph6", "n", "E_S", "N_op"] + [f"{c}_min_margin" for c in self.checks]
         fh.write(",".join(names) + _EOL)
         for r in reports:
-            if list(r.checks) == columns:
-                fh.write(r.row_text)
-            else:
-                fh.writelines(_relayout(r.row_text, r.checks, columns))
+            fh.writelines(r.csv_rows)
 
 
-def _relayout(text: str, checks, columns):
-    """Lines rendered with one margin cell per check of checks, re-cut to
-    the margin columns named: a named check they lack gets a blank cell, and
-    a check not named is dropped, being blank in every line."""
-    pick = [4 + checks.index(c) if c in checks else None for c in columns]
-    for line in text.splitlines():
-        cells = line.split(",")
-        yield ",".join(cells[:4] + [cells[k] if k is not None else "" for k in pick]) + _EOL
+@dataclass(frozen=True, eq=False)
+class _OrbitRows:
+    """An exhaustive scan's CSV lines, rendered as they are iterated,
+    _ROW_BLOCK labeled graphs at a time in edge-mask order: each graph's
+    cells but graph6 come from its orbit representative's columns."""
 
+    n: int
+    checks: tuple
+    columns: dict  # "E_S", "N_op" and margins, indexed by representative number
 
-def _merge_rows(results: list[_ChunkResult]) -> str:
-    """The chunks' CSV lines in source order: a stable sort by position.
-    Chunks of a stream already come in order; orbit members of the
-    exhaustive source interleave across chunks."""
-    positions = np.concatenate([np.empty(0, dtype=np.int64)] + [r.row_positions for r in results])
-    order = np.argsort(positions, kind="stable")
-    if np.array_equal(order, np.arange(len(order))):
-        return "".join(r.row_text for r in results)
-    lines = "".join(r.row_text for r in results).splitlines(keepends=True)
-    return "".join([lines[k] for k in order.tolist()])
+    def __iter__(self):
+        total = 1 << (self.n * (self.n - 1) // 2)
+        for lo in range(0, total, _ROW_BLOCK):
+            bits = _mask_bits(self.n, np.arange(lo, min(lo + _ROW_BLOCK, total), dtype=np.uint64))
+            rep = _representatives(self.n, bits)
+            columns = {k: v[rep] for k, v in self.columns.items()}
+            yield "".join(_render_rows(self.n, _graph6_lines(self.n, bits), columns, self.checks))
 
 
 def _eval_chunk_star(args):
@@ -665,23 +641,27 @@ def scan(
 ) -> ScanReport:
     """Run the selected checkers over every graph of the source.
 
-    Chunks are drawn from the source as the pool has room for them, at most
-    2 * workers at a time.  The aggregate (counts, failures, minimum-energy
-    record, CSV rows) is identical for any worker count; wall time is the
-    only field that varies.
+    The pool has min(workers, CPU count) processes, and chunks are drawn
+    from the source as it has room for them, at most twice that many at a
+    time.  The aggregate (counts, failures, minimum-energy record, CSV rows)
+    is identical for any worker count; wall time is the only field that
+    varies.
     """
     checks, p_grid = tuple(checks), tuple(p_grid)
     validate(checks, p_grid)
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    processes = min(workers, os.cpu_count() or 1)  # more than the CPUs only add forks
     t0 = time.monotonic()
     args = ((spec, checks, p_grid, collect_rows) for spec in source.chunk_specs(chunk_size))
     head = list(islice(args, 2))  # one chunk runs without a pool
-    if workers <= 1 or len(head) <= 1:
+    if processes == 1 or len(head) <= 1:
         results = [_eval_chunk_star(a) for a in chain(head, args)]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(_pooled(pool, chain(head, args), 2 * workers))
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            results = list(_pooled(pool, chain(head, args), 2 * processes))
     count = sum(r.count for r in results)
     by_position = itemgetter(0)  # stable: one graph's reports keep their order
     failures = sorted((f for r in results for f in r.failure_reports), key=by_position)
@@ -695,10 +675,10 @@ def scan(
         default=(np.inf, None, None),
         key=lambda t: t[:2],
     )
-    row_text, row_margins = None, ()
-    if collect_rows:
-        row_text = _merge_rows(results)
-        row_margins = tuple(c for c in checks if any(c in r.row_margins for r in results))
+    csv_rows = [r.rows for r in results] if collect_rows else None
+    if collect_rows and isinstance(source, AllGraphs):
+        columns = {k: np.concatenate([t[k] for t in csv_rows]) for k in csv_rows[0]}
+        csv_rows = _OrbitRows(source.n, checks, columns)
     return ScanReport(
         source=source.descriptor,
         checks=checks,
@@ -710,6 +690,5 @@ def scan(
         min_energy=float(min_e),
         equality_graph6=[g6 for _, g6 in equality],
         wall_time=time.monotonic() - t0,
-        row_text=row_text,
-        row_margins=row_margins,
+        csv_rows=csv_rows,
     )

@@ -1,7 +1,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,6 +255,53 @@ class TestVerify:
         assert out == ""
         assert err == "error: --format csv writes scan rows; use json or plain with --g6\n"
         assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "text, flags", [("", ()), ("Bww\n~\n\nC\n", ("--skip-bad-lines",))]
+    )
+    def test_json_without_graphs_is_strict(self, capsys, tmp_path, text, flags):
+        # no graph, no minimum energy: null, not Infinity, which JSON lacks
+        p = tmp_path / "none.g6"
+        p.write_text(text)
+        code, out, _ = run_cli(capsys, "verify", "--g6-file", str(p), *flags, "--format", "json")
+        assert code == EXIT_OK
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        (doc,) = json.loads(out, parse_constant=refuse)
+        assert doc["counts"]["graphs_scanned"] == 0
+        assert doc["min_energy"] == {"graph6": None, "value": None}
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one(self, capsys, tmp_path, monkeypatch, workers):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scanned with workers < 1")
+
+        monkeypatch.setattr(cli, "scan", refuse)
+        out_path = tmp_path / "rows.csv"
+        code, out, err = run_cli(
+            capsys, "verify", "--all-n", "3", "--workers", workers, "--out", str(out_path)
+        )
+        assert (code, out) == (EXIT_INPUT_ERROR, "")
+        assert err == f"error: --workers {workers}: need at least 1\n"
+        assert not out_path.exists()
+
+    def test_closed_stdout_pipe(self):
+        # `verify ... | head -1`: the reader leaves after one line
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "seidelab.cli", "verify", "--all-n", "1..6", "--format", "csv"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline().startswith(b"graph6,n,E_S,N_op,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == EXIT_INPUT_ERROR
+        assert err == b""
 
     def test_workers_match_serial(self, capsys):
         argv = (

@@ -66,6 +66,17 @@ from conftest import (
 DESK_CHECKS = ("sk-basic", "sk-oddpairs", "oddpair-lower", "theorem2")
 
 
+def _written(*reports) -> str:
+    buf = io.StringIO()
+    reports[0].write_csv(buf, *reports[1:])
+    return buf.getvalue()
+
+
+def _csv_rows(*reports) -> list[dict]:
+    """The rows write_csv writes for the reports, read by csv.DictReader."""
+    return list(csv.DictReader(io.StringIO(_written(*reports))))
+
+
 class TestAllGraphs:
     def test_counts(self):
         assert len(AllGraphs(3)) == 8
@@ -206,16 +217,18 @@ class TestScan:
         rep = scan(
             Graph6Stream(str(p)), checks=("oddpair-lower",), collect_rows=True
         )
-        assert [row["graph6"] for row in rep.rows] == lines
-        for row, g in zip(rep.rows, graphs):
-            assert row["n"] == g.n
-            assert row["N_op"] == count_odd_pairs(g)
+        rows = _csv_rows(rep)
+        assert [row["graph6"] for row in rows] == lines
+        for row, g in zip(rows, graphs):
+            assert int(row["n"]) == g.n
+            assert int(row["N_op"]) == count_odd_pairs(g)
             energy = np.abs(np.linalg.eigvalsh(seidel_matrix(g))).sum()
-            assert row["E_S"] == pytest.approx(energy, rel=1e-12)
+            assert float(row["E_S"]) == pytest.approx(energy, rel=1e-12)
         rep = scan(AllGraphs(5), checks=("oddpair-lower",), collect_rows=True)
-        assert len(rep.rows) == 1024
-        for row in rep.rows:
-            assert row["N_op"] == count_odd_pairs(parse_graph6(row["graph6"]))
+        rows = _csv_rows(rep)
+        assert len(rows) == 1024
+        for row in rows:
+            assert int(row["N_op"]) == count_odd_pairs(parse_graph6(row["graph6"]))
 
     def test_csv_mixed_orders(self, tmp_path):
         # a first row below n = 4 has no odd-pair margin; later rows do
@@ -282,7 +295,7 @@ class TestScan:
         p = tmp_path / "mixed.g6"
         p.write_text("\n".join(lines) + "\n")
         rep = scan(Graph6Stream(str(p)), checks=DESK_CHECKS, collect_rows=True)
-        assert [row["graph6"] for row in rep.rows] == lines
+        assert [row["graph6"] for row in _csv_rows(rep)] == lines
         assert rep.equality_graph6 == ["D~{", "C~", "D??", "C?", "D~{"]
 
 
@@ -299,9 +312,7 @@ def test_csv_margins_match_run_checks(graphs):
         path = Path(tmp) / "graphs.g6"
         path.write_text("\n".join(lines) + "\n")
         rep = scan(Graph6Stream(str(path)), checks, p_grid, collect_rows=True)
-    buf = io.StringIO()
-    rep.write_csv(buf)
-    rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
+    rows = _csv_rows(rep)
     assert [row["graph6"] for row in rows] == lines
     for row, g in zip(rows, graphs):
         reports = run_checks(g, checks, p_grid)
@@ -525,23 +536,13 @@ def _reference_rows(graphs, checks, p_grid=(1.0,)):
     return rows
 
 
-def _reference_csv(groups) -> str:
-    """csv.writer over (checks, rows) groups under one header: a margin
-    column per check, first-seen order, that some row fills."""
-    checks = dict.fromkeys(c for group_checks, _ in groups for c in group_checks)
-    filled = {c for _, rows in groups for _, margins in rows for c in margins}
-    columns = [c for c in checks if c in filled]
+def _reference_csv(checks, rows) -> str:
+    """csv.writer over reference rows under one header: a margin column per
+    check, blank where a row's order has no such margin."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["graph6", "n", "E_S", "N_op"] + [f"{c}_min_margin" for c in columns])
-    for _, rows in groups:
-        writer.writerows(cells + [margins.get(c, "") for c in columns] for cells, margins in rows)
-    return buf.getvalue()
-
-
-def _written(*reports) -> str:
-    buf = io.StringIO()
-    reports[0].write_csv(buf, *reports[1:])
+    writer.writerow(["graph6", "n", "E_S", "N_op"] + [f"{c}_min_margin" for c in checks])
+    writer.writerows(cells + [margins.get(c, "") for c in checks] for cells, margins in rows)
     return buf.getvalue()
 
 
@@ -551,7 +552,7 @@ SMALL = [Graph.from_edge_mask(n, m) for n in (1, 2, 3) for m in range(1 << (n * 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_csv_lenient_small_orders_match_csv_writer(tmp_path, workers):
-    # no row fills an sk-oddpairs or oddpair-lower margin: both columns drop
+    # no row fills an sk-oddpairs or oddpair-lower margin: both columns stay, blank
     lines = [encode_graph6(g) for g in SMALL]
     bad = sorted(MALFORMED.values())
     text = [x for pair in zip(lines, bad + [""] * len(lines)) for x in pair]
@@ -563,16 +564,18 @@ def test_csv_lenient_small_orders_match_csv_writer(tmp_path, workers):
         workers=workers, collect_rows=True, chunk_size=4,
     )
     assert rep.graphs_scanned == len(SMALL)
-    want = _reference_csv([(ALL_CHECKS, _reference_rows(SMALL, ALL_CHECKS, p_grid))])
+    reference = _reference_rows(SMALL, ALL_CHECKS, p_grid)
+    want = _reference_csv(ALL_CHECKS, reference)
     assert want.splitlines()[0] == (
-        "graph6,n,E_S,N_op,sk-basic_min_margin,theorem1_min_margin,theorem2_min_margin"
+        "graph6,n,E_S,N_op,sk-basic_min_margin,sk-oddpairs_min_margin,"
+        "oddpair-lower_min_margin,theorem1_min_margin,theorem2_min_margin"
     )
     assert _written(rep) == want
-    # the rows view parses the lines back without loss
-    names = ["graph6", "n", "E_S", "N_op"] + [f"{c}_min_margin" for c in ALL_CHECKS]
-    buf = io.StringIO()
-    csv.writer(buf).writerows([row.get(k, "") for k in names] for row in rep.rows)
-    assert buf.getvalue() == rep.row_text
+    # floats are written by repr: the cells read back are the values themselves
+    for row, (cells, margins) in zip(_csv_rows(rep), reference, strict=True):
+        assert [row["graph6"], int(row["n"]), float(row["E_S"]), int(row["N_op"])] == cells
+        read = {c: float(row[f"{c}_min_margin"]) for c in ALL_CHECKS if row[f"{c}_min_margin"]}
+        assert read == margins
 
 
 def _representative(g: Graph) -> Graph:
@@ -604,13 +607,20 @@ def _exhaustive_reference(n, checks, p_grid=(1.0,)):
 @pytest.fixture(scope="module")
 def all_graphs_reference():
     checks = ("oddpair-lower", "theorem2")
-    groups = [(checks, _exhaustive_reference(n, checks)) for n in range(1, 7)]
-    return checks, _reference_csv(groups)
+    rows = [row for n in range(1, 7) for row in _exhaustive_reference(n, checks)]
+    return checks, _reference_csv(checks, rows)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_csv_all_graphs_interleaved_chunks_match_csv_writer(all_graphs_reference, workers):
-    # orbit members of one chunk spread over the whole mask range
+@pytest.mark.parametrize(
+    "workers, block", [(1, None), (2, None), (1, 7), (2, 7)], ids=["1", "2", "1-block7", "2-block7"]
+)
+def test_csv_all_graphs_interleaved_chunks_match_csv_writer(
+    all_graphs_reference, monkeypatch, workers, block
+):
+    # orbit members of one chunk spread over the whole mask range; blocks of
+    # 7 rendered lines end mid-orbit
+    if block is not None:
+        monkeypatch.setattr(search, "_ROW_BLOCK", block)
     checks, want = all_graphs_reference
     reports = [
         scan(AllGraphs(n), checks, workers=workers, collect_rows=True, chunk_size=5)
@@ -621,29 +631,74 @@ def test_csv_all_graphs_interleaved_chunks_match_csv_writer(all_graphs_reference
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_csv_reports_with_different_margin_columns(tmp_path, workers):
-    small_checks = ("theorem2", "oddpair-lower")  # oddpair-lower is blank below n = 4
+    # one header serves reports with the same checks only; a stream report
+    # and an exhaustive one share it
+    checks = ("theorem2", "oddpair-lower")  # oddpair-lower is blank below n = 4
     big_checks = ("sk-oddpairs", "oddpair-lower", "theorem1")
     p = tmp_path / "small.g6"
     p.write_text("".join(encode_graph6(g) + "\n" for g in SMALL))
-    small = scan(Graph6Stream(str(p)), small_checks, workers=workers, collect_rows=True, chunk_size=3)
+    small = scan(Graph6Stream(str(p)), checks, workers=workers, collect_rows=True, chunk_size=3)
+    mid = scan(AllGraphs(4), checks, workers=workers, collect_rows=True, chunk_size=3)
     big = scan(AllGraphs(4), big_checks, workers=workers, collect_rows=True, chunk_size=3)
-    small_rows = (small_checks, _reference_rows(SMALL, small_checks))
-    big_rows = (big_checks, _exhaustive_reference(4, big_checks))
-    assert _written(small, big) == _reference_csv([small_rows, big_rows])
-    assert _written(big, small) == _reference_csv([big_rows, small_rows])
-    assert _written(small).splitlines()[0] == "graph6,n,E_S,N_op,theorem2_min_margin"
+    small_rows = _reference_rows(SMALL, checks)
+    mid_rows = _exhaustive_reference(4, checks)
+    assert _written(small, mid) == _reference_csv(checks, small_rows + mid_rows)
+    assert _written(mid, small) == _reference_csv(checks, mid_rows + small_rows)
+    assert _written(big) == _reference_csv(big_checks, _exhaustive_reference(4, big_checks))
+    assert _written(small).splitlines()[0] == (
+        "graph6,n,E_S,N_op,theorem2_min_margin,oddpair-lower_min_margin"
+    )
+    for reports in [(small, big), (big, small), (mid, big)]:
+        with pytest.raises(ValueError, match="same checks"):
+            _written(*reports)
+
+
+def test_csv_header_names_every_requested_check():
+    # no check but theorem2 has a margin at n = 1, and neither odd-pair
+    # check one below n = 4: the columns stay, blank
+    reports = [scan(AllGraphs(n), ALL_CHECKS, collect_rows=True) for n in (1, 2, 3)]
+    rows = [row for n in (1, 2, 3) for row in _exhaustive_reference(n, ALL_CHECKS)]
+    assert _written(*reports) == _reference_csv(ALL_CHECKS, rows)
+    assert _written(*reports).splitlines()[0] == (
+        "graph6,n,E_S,N_op," + ",".join(f"{c}_min_margin" for c in ALL_CHECKS)
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_representatives_invert_orbit_expansion(n):
+    offsets = _orbit_offsets(n)
+    classes = _class_masks(n, 0, 1 << len(search._free_edges(n)))
+    if n == 8:  # sampled: each member of a sampled orbit maps to its representative
+        sample = np.random.default_rng(8).choice(len(classes), 64, replace=False)
+        masks = (classes[sample, None] ^ offsets).ravel()
+        got = search._representatives(n, search._mask_bits(n, masks))
+        assert np.array_equal(got, np.repeat(sample, len(offsets)))
+        return
+    # every labeled mask maps to the representative whose orbit holds it,
+    # and each representative is hit once per orbit member
+    hits = np.zeros(len(classes), dtype=np.int64)
+    for lo in range(0, len(AllGraphs(n)), 1 << 16):
+        masks = np.arange(lo, min(lo + (1 << 16), len(AllGraphs(n))), dtype=np.uint64)
+        got = search._representatives(n, search._mask_bits(n, masks))
+        assert np.isin(masks ^ classes[got], offsets).all()
+        hits += np.bincount(got, minlength=len(classes))
+    assert (hits == len(offsets)).all()
 
 
 def test_chunk_rows_ascend_by_position(tmp_path):
-    # a chunk renders its orders' stacks interleaved back into input order,
-    # so a stream's chunks concatenate without a sort
+    # a chunk puts its orders' lines back into input order, skipping blank
+    # and malformed lines, so a stream's chunks concatenate without a sort
     lines = ["D~{", "C~", "Bw", "D??", "Ch", "@", "C?", "D~{"]
     p = tmp_path / "mixed.g6"
-    p.write_text("\n\n".join(lines) + "\n")
-    (spec,) = Graph6Stream(str(p)).chunk_specs()
+    p.write_text("\n\nBww\n".join(lines) + "\n")
+    (spec,) = Graph6Stream(str(p), strict=False).chunk_specs()
     result = search._eval_chunk(spec, ("theorem2",), (1.0,), collect_rows=True)
-    assert result.row_positions.tolist() == list(range(1, 2 * len(lines), 2))
-    assert [line.split(",")[0] for line in result.row_text.splitlines()] == lines
+    assert [line.split(",")[0] for line in result.rows.splitlines()] == lines
+    # an exhaustive chunk returns its representatives' columns instead
+    (spec,) = AllGraphs(5).chunk_specs()
+    result = search._eval_chunk(spec, ("theorem2", "oddpair-lower"), (1.0,), collect_rows=True)
+    assert sorted(result.rows) == ["E_S", "N_op", "oddpair-lower", "theorem2"]
+    assert {len(column) for column in result.rows.values()} == {32}
 
 
 # ---------------------------------------------------------------------------
@@ -666,6 +721,46 @@ def test_pooled_draws_chunks_as_slots_free(monkeypatch):
             assert result == k * k
             assert len(drawn) <= k + 1 + 4
     assert len(drawn) == 20
+
+
+def test_pool_size_capped_at_cpu_count(monkeypatch):
+    # a stand-in pool on at most two threads records the size it is asked
+    # for; no process pool is started
+    from concurrent.futures import ThreadPoolExecutor
+
+    sizes, in_flight = [], []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=min(max_workers, 2))
+
+    pooled = search._pooled
+
+    def recording_pooled(pool, args, n):
+        in_flight.append(n)
+        return pooled(pool, args, n)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(search, "_pooled", recording_pooled)
+    want = scan(AllGraphs(6), chunk_size=64).to_json(include_timing=False)
+    for cpus, pool in [(3, [3]), (None, [])]:  # no CPU count: one process, serially
+        sizes.clear(), in_flight.clear()
+        monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
+        rep = scan(AllGraphs(6), workers=100_000, chunk_size=64)
+        assert sizes == pool
+        assert in_flight == [2 * k for k in pool]
+        assert rep.to_json(include_timing=False) == want
+
+
+def test_workers_rejected_before_any_chunk(monkeypatch):
+    def refuse(args):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(search, "_eval_chunk_star", refuse)
+    for workers in (0, -2):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            scan(AllGraphs(6), workers=workers, chunk_size=64)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
