@@ -183,10 +183,12 @@ def cmd_verify(args) -> int:
             reports[0].write_csv(out, *reports[1:])
         else:
             for r in reports:
+                low = "none"  # no graph, no minimum, as the JSON report's null
+                if r.graphs_scanned:
+                    low = f"{_fmt(r.min_energy)} at {r.min_energy_graph6}"
                 print(
                     f"{r.source}: {r.graphs_scanned} graphs, "
-                    f"{r.total_failures} failures, "
-                    f"min E_S = {_fmt(r.min_energy)} at {r.min_energy_graph6}",
+                    f"{r.total_failures} failures, min E_S = {low}",
                     file=out,
                 )
                 for f in r.failures:

@@ -49,10 +49,11 @@ class Graph:
                 raise ValueError(f"row {i} has bits beyond vertex range")
             if r >> i & 1:
                 raise ValueError(f"vertex {i} has a loop")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if (self.rows[i] >> j & 1) != (self.rows[j] >> i & 1):
-                    raise ValueError(f"adjacency not symmetric at ({i},{j})")
+        bit = np.arange(self.n, dtype=np.uint64)
+        adj = np.array(self.rows, dtype=np.uint64)[:, None] >> bit & np.uint64(1)
+        if not np.array_equal(adj, adj.T):  # name the first pair i < j, row by row
+            i, j = divmod(int(np.flatnonzero(np.triu(adj != adj.T))[0]), self.n)
+            raise ValueError(f"adjacency not symmetric at ({i},{j})")
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":

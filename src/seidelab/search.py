@@ -50,6 +50,7 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
@@ -487,8 +488,10 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
         margins: dict[str, np.ndarray] = {}
         energy = None  # E_S, theorem2's lhs when theorem2 applies
         for check, (lhs, rhs, margin, passed) in evaluate(n, checks, p_grid, vals, sk, nop, sc):
-            fail |= ~passed.all(axis=1)
-            margins[check] = margin.min(axis=1).astype(float)
+            # a row holds one value per k or p: reduce over the few columns,
+            # not along each short row
+            fail |= ~reduce(np.logical_and, passed.T)
+            margins[check] = reduce(np.minimum, margin.T).astype(float)
             if check == "theorem2":
                 energy = lhs[:, 0]
             del lhs, rhs, margin, passed  # before the next check's arrays are built

@@ -7,11 +7,15 @@ identities of A and A^2.  Scans take their spectra from batched LAPACK
 eigvalsh in the search module.  The exact one is charpoly_batch_i64:
 Faddeev-LeVerrier on stacks of integer matrices in float64 BLAS products
 kept below 2^53, modulo as many primes as a Hadamard bound asks for, with
-the integers rebuilt by Garner's CRT.  Run on the Seidel matrix A itself
+the integers rebuilt by Garner's CRT.  The products are reduced in place by
+the rounded quotient, M - p rint(M (1/p)), which is exact whatever the
+rounding, and the primes come from a 28-bit or a 40-bit list, whichever
+needs fewer under the envelope n^2 a (p + 2) < 2^53: one prime up to
+n = 17, two up to n = 30, five at n = 62.  Run on the Seidel matrix A itself
 and passed through sk_from_charpoly, it yields the exact S_k(A^2) of every
-scan and verify call up to n = 62.  The object-dtype recurrence
-char_poly_exact and fraction-free Bareiss determinants stay as oracles and
-behind the Cauchy-Binet check.
+scan and verify call up to n = 62, int64 up to n = 16.  The object-dtype
+recurrence char_poly_exact and fraction-free Bareiss determinants stay as
+oracles and behind the Cauchy-Binet check.
 """
 
 from __future__ import annotations
@@ -156,64 +160,113 @@ def char_poly_exact(a) -> ExactCharPoly:
     return ExactCharPoly(tuple(int(c) for c in coeffs))
 
 
-# Primes just below 2^28, descending, listed rather than searched for at
-# import.  Being > 62, each makes 1..n invertible mod p; the first 7 cover
-# the characteristic polynomial of a Seidel matrix up to n = 62, and after a
-# reduction the next product's trace, n^2 (p + p/2) for +-1 entries, stays
-# below 2^53, where float64 arithmetic on integers is exact.
+# Two lists of primes, descending, listed rather than searched for at import:
+# just below 2^28 and just below 2^40.  Being > 64, each makes 1..n invertible
+# mod p.  _crt_primes picks one list per stack.  A product of +-1 matrices
+# reduced modulo a prime p has trace at most n^2 (p + 2) (_charpoly_residues),
+# which must stay below 2^53, where float64 arithmetic on integers is exact:
+# the narrow list fits any n <= 64 with entries up to 2^13, the wide one
+# Seidel matrices up to n = 90.
 CRT_PRIMES = (
     268435399, 268435367, 268435361, 268435337, 268435331, 268435313, 268435291,
     268435273, 268435243, 268435183, 268435171, 268435157, 268435147, 268435133,
 )
+CRT_PRIMES_WIDE = (
+    1099511627689, 1099511627609, 1099511627581, 1099511627573, 1099511627563,
+    1099511627491, 1099511627483, 1099511627477, 1099511627387, 1099511627339,
+)
 _F64_EXACT = 1 << 53
 _BLOCK_ENTRIES = 1 << 15  # float64 entries of M_k per block, over all primes
+_SK_INT64_MAX_N = 16  # C(n,k) (n-1)^k < 2^63 up to here
 
 
-def _crt_primes(n: int, d: int) -> tuple[int, ...]:
-    """The fewest leading CRT_PRIMES with product > 2 max_k C(n,k) d^(k/2).
+def _crt_primes(n: int, d: int, a: int = 1) -> tuple[int, ...]:
+    """The fewest leading primes of one list with product > 2 max_k C(n,k)
+    d^(k/2), for an n x n integer matrix with entries up to a.
 
-    For an n x n integer matrix whose rows have squared norm at most d,
-    Hadamard's inequality bounds each k x k principal minor by d^(k/2), so
-    |c_{n-k}| <= C(n,k) d^(k/2) and symmetric residues recover c exactly.
+    Hadamard's inequality bounds each k x k principal minor by d^(k/2) when
+    every row has squared norm at most d, so |c_{n-k}| <= C(n,k) d^(k/2) and
+    symmetric residues recover c exactly.  Only a list whose largest prime p
+    keeps the envelope n^2 a (p + 2) below 2^53 qualifies; of those, the one
+    needing fewer primes wins, CRT_PRIMES on a tie.  For Seidel matrices
+    that is one prime up to n = 17 (the wide one from n = 14), two up to
+    n = 30 and five at n = 62.
     """
     bound_sq = max(comb(n, k) ** 2 * d**k for k in range(n + 1))
-    total = 1
-    for count, p in enumerate(CRT_PRIMES, start=1):
-        total *= p
-        if total * total > 4 * bound_sq:
-            return CRT_PRIMES[:count]
-    raise ValueError(f"coefficient bound at n={n}, d={d} exceeds prod(CRT_PRIMES)")
+    fitting = [ps for ps in (CRT_PRIMES, CRT_PRIMES_WIDE) if n * n * a * (ps[0] + 2) < _F64_EXACT]
+    if not fitting:
+        raise ValueError("matrix entries too large for exact float64 products")
+    covering = []
+    for primes in fitting:
+        total = 1
+        for count, p in enumerate(primes, start=1):
+            total *= p
+            if total * total > 4 * bound_sq:
+                covering.append(primes[:count])
+                break
+    if not covering:
+        raise ValueError(f"coefficient bound at n={n}, d={d} exceeds prod(CRT_PRIMES)")
+    return min(covering, key=len)  # the first, CRT_PRIMES, on a tie
+
+
+def _reduce(m: np.ndarray, p: np.ndarray, spare: np.ndarray) -> None:
+    """m <- m - p rint(m (1/p)) in place, for float64 integers |m| < 2^53;
+    spare is scratch of m's shape.
+
+    The quotient Q is an integer, so the result lies in the residue class of
+    m however the quotient was rounded; Q p and the difference are integers
+    below 2^53, so both are exact.  The rounded quotient is off m/p by at
+    most |m| 2^-52 + 1/2, so the result satisfies |r| <= p/2 + 2.
+    """
+    np.multiply(m, 1.0 / p, out=spare)
+    np.rint(spare, out=spare)
+    spare *= p
+    m -= spare
 
 
 def _charpoly_residues(m: np.ndarray, primes: tuple[int, ...], a: int) -> np.ndarray:
     """Faddeev-LeVerrier on a (b, n, n) float64 block of integers modulo
-    every prime at once; returns (P, b, n+1) ascending coefficients in [0, p).
+    every prime of one list at once; returns (P, b, n+1) ascending
+    coefficients in [0, p).
 
-    |entries of m| <= a.  The running product M_k is reduced mod p only when
-    the next product's trace could reach 2^53; c_k is kept as a symmetric
-    residue, so below that threshold M_k is the exact integer matrix and
-    every partial sum of a BLAS product is an exactly represented integer.
+    |entries of m| <= a.  The running product M_k is exact until the next
+    product's trace could reach 2^53; then _reduce brings its entries to
+    |r| <= p/2 + 2 in the same residue class.  With c_k kept as a symmetric
+    residue, every entry entering a product is at most p + 2, every partial
+    sum of a BLAS product stays below n^2 a (p + 2) < 2^53, and so is an
+    exactly represented integer.  c_{n-k} = -tr(M_k)/k mod p takes the
+    multiply by 1/k mod p for primes below 2^28.  For wider primes that
+    product would overflow int64, so c = (r + j p)/k with j = -r p^-1 mod k,
+    an exact division of integers below k p < 2^47.
     """
     b, n, _ = m.shape
     ps = np.array(primes, dtype=np.int64)[:, None]  # (P, 1)
+    pf = ps.astype(np.float64)[..., None, None]  # (P, 1, 1, 1)
     half, pmax = ps // 2, max(primes)
+    wide = pmax * pmax >= 1 << 63
     out = np.empty((len(primes), b, n + 1), dtype=np.int64)
     out[..., n] = 1
-    diag = np.arange(n)
     mk = np.repeat(m[None], len(primes), axis=0)  # M_1 = A
+    spare = np.empty_like(mk)
     mk_bound = a
-    inverse = np.array([[pow(k, -1, p) for k in range(1, n + 1)] for p in primes])  # 1/k mod p
+    if wide:  # p^-1 mod k, for j
+        inverse = np.array([[pow(p, -1, k) for k in range(1, n + 1)] for p in primes])
+    else:  # k^-1 mod p
+        inverse = np.array([[pow(k, -1, p) for k in range(1, n + 1)] for p in primes])
     for k in range(1, n + 1):
-        tr = np.einsum("pbii->pb", mk).astype(np.int64) % ps
-        ck = (ps - tr) * inverse[:, k - 1 : k] % ps  # c_{n-k} = -tr(M_k) / k
-        out[:, :, n - k] = ck
+        r = -np.einsum("pbii->pb", mk).astype(np.int64) % ps  # -tr(M_k) mod p
+        if wide:
+            ck = (r + (-r * inverse[:, k - 1 : k] % k) * ps) // k
+        else:
+            ck = r * inverse[:, k - 1 : k] % ps
+        out[:, :, n - k] = ck  # c_{n-k} = -tr(M_k) / k
         if k == n:
             break
         if n * n * a * (mk_bound + pmax // 2) >= _F64_EXACT:
-            np.remainder(mk, ps[:, :, None, None].astype(np.float64), out=mk)
-            mk_bound = pmax - 1
-        mk[..., diag, diag] += np.where(ck > half, ck - ps, ck)[..., None]
-        mk = np.matmul(m, mk)
+            _reduce(mk, pf, spare)
+            mk_bound = pmax // 2 + 2
+        np.einsum("pbii->pbi", mk)[...] += np.where(ck > half, ck - ps, ck)[..., None]
+        mk, spare = np.matmul(m, mk, out=spare), mk
         mk_bound = n * a * (mk_bound + pmax // 2)
     return out
 
@@ -221,14 +274,16 @@ def _charpoly_residues(m: np.ndarray, primes: tuple[int, ...], a: int) -> np.nda
 def _garner(res: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
     """Integers x with |x| < prod(primes)/2 from residues res[i] = x mod
     primes[i], by Garner's mixed-radix reconstruction.  One prime gives int64,
-    several give Python ints in an object array."""
+    several give Python ints in an object array.  The mixed-radix digits are
+    int64 while p^2 < 2^63 and Python ints above."""
     if len(primes) == 1:
         x, p = res[0], primes[0]
         x[x > p // 2] -= p
         return x
+    wide = max(primes) ** 2 >= 1 << 63
     digits = []
     for i, p in enumerate(primes):
-        v = res[i]
+        v = res[i].astype(object) if wide else res[i]
         for q, dq in zip(primes, digits):
             v = (v - dq) * pow(q, -1, p) % p
         digits.append(v)
@@ -245,12 +300,13 @@ def charpoly_batch_i64(mats: np.ndarray) -> np.ndarray:
 
     Faddeev-LeVerrier runs on float64 BLAS products, converted from the
     integer stack one block of about 2^15 / (P n^2) matrices at a time,
-    modulo each of the P primes _crt_primes(n, d); d, the largest squared
-    row norm of the entrywise largest magnitudes over the stack (n - 1 for
-    Seidel matrices), bounds every row's.  Garner's algorithm rebuilds the
-    integers: int64 when one prime suffices (Seidel matrices up to n = 13),
-    Python ints in an object array otherwise.  A row does not depend on the
-    rest of its batch.
+    modulo each of the P primes _crt_primes(n, d, a); a is the largest
+    entry magnitude and d the largest squared row norm of the entrywise
+    largest magnitudes over the stack (n - 1 for Seidel matrices), which
+    bounds every row's.  Garner's algorithm rebuilds the integers: int64
+    when one prime suffices (Seidel matrices up to n = 17), Python ints in
+    an object array otherwise.  A row does not depend on the rest of its
+    batch.
     """
     m = np.asarray(mats)
     if m.dtype.kind not in "iu":
@@ -261,9 +317,7 @@ def charpoly_batch_i64(mats: np.ndarray) -> np.ndarray:
     ends = np.stack([m.min(axis=0, initial=0), m.max(axis=0, initial=0)])
     mag = abs(ends.astype(object)).max(axis=0)  # (n, n) Python ints
     a = int(mag.max(initial=0))
-    if n * n * a * (CRT_PRIMES[0] * 3 // 2) >= _F64_EXACT:
-        raise ValueError("matrix entries too large for exact float64 products")
-    primes = _crt_primes(n, int((mag * mag).sum(axis=1).max(initial=0)))
+    primes = _crt_primes(n, int((mag * mag).sum(axis=1).max(initial=0)), a)
     res = np.empty((len(primes), bsz, n + 1), dtype=np.int64)
     step = max(1, _BLOCK_ENTRIES // (len(primes) * n * n or 1))
     for lo in range(0, bsz, step):
@@ -273,19 +327,30 @@ def charpoly_batch_i64(mats: np.ndarray) -> np.ndarray:
 
 
 def sk_from_charpoly(coeffs: np.ndarray) -> np.ndarray:
-    """S_0..S_n of A^2, ascending, in the dtype of the (B, n+1) ascending
-    coefficients c of det(xI - A).  From det(x^2 I - A^2) =
+    """S_0..S_n of A^2, ascending, from the (B, n+1) ascending coefficients c
+    of det(xI - A) of Seidel matrices.  From det(x^2 I - A^2) =
     (-1)^n det(xI - A) det(-xI - A), with f_i = c_{n-i}, S_k is
-    (-1)^k sum_{i+j=2k} (-1)^i f_i f_j, whose terms pair up around i = k."""
+    (-1)^k sum_{i+j=2k} (-1)^i f_i f_j, whose terms pair up around i = k.
+
+    int64 coefficients give int64 S_k up to n = 16, computed in uint64,
+    where wraparound is arithmetic mod 2^64: the sum is exact once the true
+    S_k is known to lie in [0, 2^63).  It does, because by Maclaurin's
+    inequality S_k <= C(n,k) (sum lambda^2 / n)^k = C(n,k) (n-1)^k, at most
+    7.0e18 for n <= 16.  From n = 17, and for object coefficients, S_k are
+    Python ints in an object array.
+    """
     n = coeffs.shape[-1] - 1
-    f = coeffs[:, ::-1]
-    sk = np.empty_like(coeffs, order="F")  # filled a column at a time
-    sign = (-1) ** np.arange(2 * n + 1)
+    if coeffs.dtype != object and n <= _SK_INT64_MAX_N:
+        f = coeffs.astype(np.int64, copy=False).view(np.uint64)[:, ::-1]
+    else:
+        f = coeffs.astype(object, copy=False)[:, ::-1]
+    sign = ((-1) ** np.arange(2 * n + 1)).astype(f.dtype)
+    sk = np.empty_like(f, order="F")  # filled a column at a time
     for k in range(n + 1):
         lo = max(0, 2 * k - n)  # f_i f_(2k-i) for i = lo..k-1
         cross = (f[:, lo:k] * f[:, 2 * k - lo : k : -1]) @ sign[lo + k : 2 * k]
         sk[:, k] = f[:, k] * f[:, k] + 2 * cross
-    return sk
+    return sk if sk.dtype == object else sk.view(np.int64)
 
 
 def elementary_symmetric_A2(a: np.ndarray | Graph) -> list[int]:

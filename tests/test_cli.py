@@ -273,6 +273,17 @@ class TestVerify:
         assert doc["counts"]["graphs_scanned"] == 0
         assert doc["min_energy"] == {"graph6": None, "value": None}
 
+    @pytest.mark.parametrize(
+        "text, flags", [("", ()), ("Bww\n~\n\nC\n", ("--skip-bad-lines",))]
+    )
+    def test_plain_without_graphs(self, capsys, tmp_path, text, flags):
+        # no graph, no minimum energy: "none", as the JSON report's null
+        p = tmp_path / "none.g6"
+        p.write_text(text)
+        code, out, err = run_cli(capsys, "verify", "--g6-file", str(p), *flags)
+        assert (code, err) == (EXIT_OK, "")
+        assert out == f"graph6-stream({p}): 0 graphs, 0 failures, min E_S = none\n"
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one(self, capsys, tmp_path, monkeypatch, workers):
         def refuse(*args, **kwargs):

@@ -123,6 +123,26 @@ class TestGraphInvariants:
         with pytest.raises(ValueError, match="symmetric"):
             Graph(2, (2, 0))
 
+    @pytest.mark.parametrize("n", [2, 3, 9, 63, 64])
+    def test_asymmetric_names_first_pair(self, rng, n):
+        # the first asymmetric (i, j), i < j, in row-major order
+        for flips in (1, 2, 5):
+            g = random_graph(rng, n=n)
+            rows = list(g.rows)
+            for _ in range(flips):
+                i, j = rng.choice(n, size=2, replace=False)
+                rows[i] ^= 1 << int(j)
+            pairs = [
+                (i, j) for i in range(n) for j in range(i + 1, n)
+                if (rows[i] >> j & 1) != (rows[j] >> i & 1)
+            ]
+            if not pairs:  # two flips undid each other
+                assert Graph(n, tuple(rows)) == g
+                continue
+            with pytest.raises(ValueError) as info:
+                Graph(n, tuple(rows))
+            assert str(info.value) == "adjacency not symmetric at ({},{})".format(*pairs[0])
+
     def test_order_bounds(self):
         with pytest.raises(ValueError):
             Graph(0, ())

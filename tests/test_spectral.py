@@ -14,11 +14,14 @@ from seidelab.graphs import (
     path_graph,
     seidel_matrix,
 )
+from seidelab.search import BoundaryFamily
 from seidelab.spectral import (
     CRT_PRIMES,
+    CRT_PRIMES_WIDE,
     ExactCharPoly,
     SpectrumError,
     _crt_primes,
+    _reduce,
     binomial,
     bareiss_det,
     cauchy_binet_check,
@@ -249,7 +252,7 @@ class TestCharPolyBatch:
         s = _seidel_stack(graphs)
         expect = _closed_forms(n) + [(char_poly_exact(m).coeffs, _sk_exact(m)) for m in s[2:]]
         batch = charpoly_batch_i64(s)
-        assert batch.dtype == (np.int64 if n <= 13 else object)
+        assert batch.dtype == (np.int64 if n <= 17 else object)
         for row, sk, g, (coeffs, sks) in zip(batch, sk_from_charpoly(batch), graphs, expect):
             assert tuple(int(c) for c in row) == coeffs
             assert [int(v) for v in sk] == elementary_symmetric_A2(g) == sks
@@ -286,13 +289,14 @@ class TestCharPolyBatch:
         )
         assert elementary_symmetric_A2(g) == _sk_exact(s[0])
 
-    def test_int64_up_to_13(self):
-        # one prime covers the coefficients of a Seidel matrix up to n = 13
-        for n in range(1, 15):
+    def test_int64_switch_points(self):
+        # one prime covers the coefficients of a Seidel matrix up to n = 17,
+        # and S_k <= C(n,k) (n-1)^k fits int64 up to n = 16
+        for n in range(1, 20):
             s = _seidel_stack([complete_graph(n), empty_graph(n)])
-            dtype = np.int64 if n <= 13 else object
             coeffs = charpoly_batch_i64(s)
-            assert coeffs.dtype == sk_from_charpoly(coeffs).dtype == dtype
+            assert coeffs.dtype == (np.int64 if n <= 17 else object)
+            assert sk_from_charpoly(coeffs).dtype == (np.int64 if n <= 16 else object)
 
     @pytest.mark.parametrize("n", [7, 9, 16])
     def test_row_independent_of_batch(self, rng, n):
@@ -318,23 +322,95 @@ class TestCharPolyBatch:
         # Hadamard: |c_{n-k}| <= C(n,k) (n-1)^(k/2) for a Seidel matrix
         bound_sq = max(math.comb(62, k) ** 2 * 61**k for k in range(63))
         assert math.prod(CRT_PRIMES[:7]) ** 2 > 4 * bound_sq
+        assert math.prod(CRT_PRIMES_WIDE[:5]) ** 2 > 4 * bound_sq
         counts = [len(_crt_primes(n, n - 1)) for n in (8, 9, 16, 22, 62)]
-        assert counts == [1, 1, 2, 2, 7]
+        assert counts == [1, 1, 1, 2, 5]
         # lazy reduction: after reducing, the next product's trace over +-1
         # entries stays below 2^53, where float64 holds every integer
-        p = max(CRT_PRIMES)
-        assert 62 * 62 * (p + p // 2) < 2**53
+        for primes in (CRT_PRIMES, CRT_PRIMES_WIDE):
+            assert 62 * 62 * (max(primes) + 2) < 2**53
+
+    def test_wide_primes_are_prime(self):
+        # Miller-Rabin with the first twelve prime bases is deterministic
+        # below 3.3e24
+        bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+        def is_prime(p):
+            d, s = p - 1, 0
+            while d % 2 == 0:
+                d, s = d // 2, s + 1
+            for b in bases:
+                x = pow(b, d, p)
+                if x in (1, p - 1):
+                    continue
+                for _ in range(s - 1):
+                    x = x * x % p
+                    if x == p - 1:
+                        break
+                else:
+                    return False
+            return True
+
+        # 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7
+        assert all(map(is_prime, CRT_PRIMES)) and not is_prime(3215031751)
+        assert list(CRT_PRIMES_WIDE) == sorted(set(CRT_PRIMES_WIDE), reverse=True)
+        assert all(2**39 < p < 2**40 and is_prime(p) for p in CRT_PRIMES_WIDE)
+
+    @pytest.mark.parametrize("p", [CRT_PRIMES[0], CRT_PRIMES_WIDE[0]], ids=["narrow", "wide"])
+    def test_reduce_keeps_residue_class(self, rng, p):
+        # any float64 integer below 2^53 goes to a symmetric residue, within
+        # 2 of p/2, of its own class: the extremes, the ties q p + p/2 and
+        # random values of every magnitude
+        top = 2**53 - 1
+        ties = [q * p + sign * (p // 2) for q in (0, 1, top // p - 1) for sign in (1, -1)]
+        rand = rng.integers(-top, top, size=4000) >> rng.integers(0, 53, size=4000)
+        ints = [top, -top, 0, p, -p, *ties, *ties[::-1], *rand.tolist()]
+        m = np.array(ints, dtype=np.float64)
+        _reduce(m, np.float64(p), np.empty_like(m))
+        assert all(r == int(r) and (int(r) - x) % p == 0 for r, x in zip(m.tolist(), ints))
+        assert np.abs(m).max() <= p // 2 + 2
+
+    @pytest.mark.parametrize("primes", [CRT_PRIMES, CRT_PRIMES_WIDE], ids=["narrow", "wide"])
+    def test_envelope_edge_matches_exact(self, rng, primes):
+        # entries up to the largest a with n^2 a (p + 2) < 2^53; the powers
+        # of a J and -a J reach the entry bounds the kernel tracks
+        n = 16
+        p = max(primes)
+        a = (2**53 - 1) // (n * n * (p + 2))
+        assert n * n * (a + 1) * (p + 2) >= 2**53
+        assert max(_crt_primes(n, n * a * a, a)) == p
+        ones = np.ones((n, n), dtype=np.int64)
+        mats = np.stack([a * ones, -a * ones] + [rng.integers(-a, a + 1, (n, n)) for _ in range(4)])
+        batch = charpoly_batch_i64(mats)
+        assert [tuple(row) for row in batch.tolist()] == [char_poly_exact(m).coeffs for m in mats]
+
+    @pytest.mark.parametrize("n", [13, 14, 16, 17])
+    def test_switch_points_match_oracle(self, n):
+        # one prime and int64 coefficients through n = 17, int64 S_k through
+        # n = 16: the closed forms and boundary-family members, whose S_k
+        # are near the smallest allowed, against the object-dtype oracle
+        graphs = [complete_graph(n), empty_graph(n)] + list(BoundaryFamily(n))[::29]
+        s = _seidel_stack(graphs)
+        coeffs = charpoly_batch_i64(s)
+        sk = sk_from_charpoly(coeffs)
+        assert len(_crt_primes(n, n - 1)) == 1 and coeffs.dtype == np.int64
+        assert sk.dtype == (np.int64 if n <= 16 else object)
+        expect = _closed_forms(n) + [(char_poly_exact(m).coeffs, _sk_exact(m)) for m in s[2:]]
+        assert [(tuple(c), k) for c, k in zip(coeffs.tolist(), sk.tolist())] == expect
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             charpoly_batch_i64(np.ones((2, 3), dtype=np.int64))
         with pytest.raises(ValueError, match="CRT_PRIMES"):  # too many primes
             charpoly_batch_i64(np.full((1, 100, 100), 1000, dtype=np.int64))
-        # the 2^53 envelope: n^2 a (p + p/2) for entries up to a, here n = 2
+        # the 2^53 envelope: n^2 a (p + 2) for entries up to a, here n = 2,
+        # where only the narrow list fits: 4 a (2^28 - 55) < 2^53 up to
+        # a = 2^23 + 1
         eye = np.eye(2, dtype=np.int64)[None]
-        assert charpoly_batch_i64(eye << 22).tolist() == [[1 << 44, -(1 << 23), 1]]
+        a = (1 << 23) + 1
+        assert charpoly_batch_i64(eye * a).tolist() == [[a * a, -2 * a, 1]]
         with pytest.raises(ValueError, match="float64"):
-            charpoly_batch_i64(eye << 23)
+            charpoly_batch_i64(eye * (a + 1))
 
 
 class TestElementarySymmetric:
