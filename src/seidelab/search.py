@@ -21,25 +21,28 @@ SC-equivalence to K_n from an xor test on the adjacency bits (seidel).
 This module keeps only the sources, the driver and CSV rendering.  Graph
 objects appear only for the flagged graphs run_checks re-verifies.
 
-The exhaustive source is scanned one orbit at a time.  Every checked
-quantity (|spectrum|, S_k(A^2), N_op, SC-equivalence to K_n) is invariant
-under Seidel switching and under complementation (A -> -A), so each orbit
-of that group is evaluated once, on the representative with vertex 0
-isolated and the last edge (n-2, n-1) absent, and counted with the orbit's
-size: 2^n labeled graphs for n >= 3, 2^(n-1) below.  Only what a report
-names (equality graphs, failures, the minimum-energy witness) is expanded
-back to the orbit's labeled members, keyed by its position in the source's
-enumeration order (the labeled edge mask for the exhaustive source, the
-parameter index for the boundary family, the line number for a stream)
-and merged in that order.
+The exhaustive and boundary sources are scanned one orbit at a time.
+Every checked quantity (|spectrum|, S_k(A^2), N_op, SC-equivalence to K_n)
+is invariant under Seidel switching, relabeling and complementation
+(A -> -A).  The exhaustive source evaluates each switching-plus-complement
+orbit once, on the representative with vertex 0 isolated and the last edge
+(n-2, n-1) absent, and counts it with the orbit's size: 2^n labeled graphs
+for n >= 3, 2^(n-1) below.  The boundary family evaluates each orbit of
+switching on its apexes once, on the orbit's first member (see
+_boundary_table), and counts its members; isomorphic members outside that
+group are still evaluated apart.  Only what a report names (equality
+graphs, failures, the minimum-energy witness) is expanded back to the
+orbit's members, keyed by its position in the source's enumeration order
+(the labeled edge mask for the exhaustive source, the parameter index for
+the boundary family, the line number for a stream) and merged in that
+order.
 
 CSV rows, when collected, come from every chunk in source order, so the
-scan only joins them: a stream or boundary chunk returns its lines as
-text rendered in the worker, and an exhaustive chunk its representatives'
-columns, from which write_csv renders each labeled graph's line as it is
-written, mapping the graph to its representative.  Chunk boundaries do not
-depend on the worker count, so aggregate reports and CSV output are
-reproducible byte for byte.
+scan only joins them: a stream chunk returns its lines as text rendered in
+the worker, and an orbit chunk its representatives' columns, from which
+write_csv renders each graph's line as it is written, mapping the graph to
+its representative.  Chunk boundaries do not depend on the worker count,
+so aggregate reports and CSV output are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
@@ -128,6 +131,11 @@ class AllGraphs:
             for start in range(0, total, chunk_size)
         ]
 
+    def member_block(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Edge bits and representative numbers of edge masks start..stop-1."""
+        bits = _mask_bits(self.n, np.arange(start, stop, dtype=np.uint64))
+        return bits, _representatives(self.n, bits)
+
 
 @dataclass(frozen=True)
 class BoundaryFamily:
@@ -135,8 +143,10 @@ class BoundaryFamily:
 
     Parameterized by (a, b, c, e): the apex clique-neighborhood sizes a >= b,
     their overlap c, and the apex-apex edge flag, with the shared block laid
-    out first.  May emit isomorphic duplicates; sound for universally
-    quantified checks.
+    out first.  Its chunks hold switching orbit representatives (see
+    _boundary_table); a scan counts and reports every member all the same.
+    Members related by switching are evaluated once, isomorphic members
+    outside that group are not merged.
     """
 
     n: int
@@ -151,15 +161,8 @@ class BoundaryFamily:
     def descriptor(self) -> str:
         return f"boundary-family(n={self.n})"
 
-    def params(self):
-        m = self.n - 2
-        out = []
-        for a in range(m + 1):
-            for b in range(a + 1):
-                for c in range(max(0, a + b - m), b + 1):
-                    for e in (0, 1):
-                        out.append((a, b, c, e))
-        return out
+    def params(self) -> list[tuple[int, int, int, int]]:
+        return list(map(tuple, _boundary_table(self.n).params.tolist()))
 
     def edge_bits(self, params) -> np.ndarray:
         """Edge bits, graph6 order, of the members with the given (a, b, c, e)
@@ -177,19 +180,63 @@ class BoundaryFamily:
         return _graph_of_bits(self.n, self.edge_bits([(a, b, c, e)]))
 
     def __len__(self) -> int:
-        return len(self.params())
+        return len(_boundary_table(self.n).params)
 
     def __iter__(self):
         for a, b, c, e in self.params():
             yield self.graph_for(a, b, c, e)
 
     def chunk_specs(self, chunk_size: int = CHUNK_SIZE):
-        """Chunks of parameter ranges, chunk_size members each."""
-        total = len(self)
+        """Chunks of representative numbers, chunk_size representatives each."""
+        total = len(_boundary_table(self.n).reps)
         return [
             ("boundary", self.n, start, min(start + chunk_size, total))
             for start in range(0, total, chunk_size)
         ]
+
+    def member_block(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Edge bits and representative numbers of members start..stop-1."""
+        table = _boundary_table(self.n)
+        return self.edge_bits(table.params[start:stop]), table.rep[start:stop]
+
+
+class _BoundaryTable(NamedTuple):
+    params: np.ndarray  # (a, b, c, e) of every member, in source order
+    rep: np.ndarray  # each member's representative number
+    reps: np.ndarray  # parameter index of each representative, ascending
+
+
+@lru_cache(maxsize=None)
+def _boundary_table(n: int) -> _BoundaryTable:
+    """The boundary family's members and their switching orbits.
+
+    Switching on apex v1 maps (a, b, c, e) to (m-a, b, b-c, 1-e), on apex v2
+    to (a, m-b, a-c, 1-e), and on both to (m-a, m-b, m-a-b+c, e), m = n-2;
+    swapping the apexes then restores a >= b.  Each image is a member up to
+    a relabeling of the clique, and the four images of a member are its
+    whole orbit.  An orbit's representative is its least parameter index, so
+    it is the orbit's first member in source order; representatives are
+    numbered in that order.
+    """
+    m = n - 2
+    grid = np.indices((m + 1, m + 1, m + 1, 2)).reshape(4, -1)
+    a, b, c, e = grid
+    params = grid[:, (b <= a) & (c <= b) & (a + b - c <= m)].T
+    index = np.full((m + 1, m + 1, m + 1, 2), -1, dtype=np.int64)
+    index[tuple(params.T)] = np.arange(len(params))
+    a, b, c, e = params.T
+    images = np.array(
+        [
+            (a, b, c, e),
+            (m - a, b, b - c, 1 - e),
+            (a, m - b, a - c, 1 - e),
+            (m - a, m - b, m - a - b + c, e),
+        ]
+    )  # (image, field, member)
+    high, low = images[:, :2].max(axis=1), images[:, :2].min(axis=1)  # a >= b
+    first = index[high, low, images[:, 2], images[:, 3]].min(axis=0)
+    reps, rep = np.unique(first, return_inverse=True)
+    return _BoundaryTable(params, rep, reps)
 
 
 @dataclass(frozen=True)
@@ -284,10 +331,10 @@ def _strip_lines(data: bytes, first_lineno: int) -> tuple[np.ndarray, bytes]:
 #
 # Every chunk becomes, per order n, a (B, C(n,2)) uint8 stack of edge bits
 # in graph6 order plus two functions naming its rows: members(rows) gives
-# the labeled graphs each row stands for as (row, position) arrays, and
-# name(rows, positions) their graph6 as a str array.  A stream or boundary
-# stack also gives each row's slot, its place among the chunk's graphs in
-# source order; an orbit stack has none, its rows standing for many graphs.
+# the graphs each row stands for as (row, position) arrays, and
+# name(rows, positions) their graph6 as a str array.  A stream stack also
+# gives each row's slot, its place among the chunk's graphs in source
+# order; an orbit stack has none, its rows standing for many graphs.
 
 
 class _Stack(NamedTuple):
@@ -406,16 +453,18 @@ def _stacks(spec) -> tuple[int, list[_Stack]]:
     if spec[0] == "boundary":
         _, n, start, stop = spec
         family = BoundaryFamily(n)
-        bits = family.edge_bits(family.params()[start:stop])
-        return stop - start, [
-            _Stack(
-                n,
-                bits,
-                lambda rows: (rows, rows + start),
-                lambda rows, positions: _graph6_lines(n, bits[rows]),
-                np.arange(stop - start),
-            )
-        ]
+        table = _boundary_table(n)
+
+        def members(rows):
+            positions = np.flatnonzero(np.isin(table.rep, rows + start))
+            return table.rep[positions] - start, positions
+
+        def name(rows, positions):
+            return _graph6_lines(n, family.edge_bits(table.params[positions]))
+
+        count = int(np.count_nonzero((table.rep >= start) & (table.rep < stop)))
+        bits = family.edge_bits(table.params[table.reps[start:stop]])
+        return count, [_Stack(n, bits, members, name, None)]
     _, linenos, text, strict = spec
     decoded = _decode_graph6(linenos, text, strict)
     slot = np.zeros(len(linenos), dtype=np.int64)
@@ -447,8 +496,8 @@ class _ChunkResult:
     min_energy_graph6: str | None
     failure_reports: list  # report dicts
     equality_graph6: list  # graphs with |E_S - (2n-2)| <= tolerance
-    # with collect_rows: the CSV lines in source order, or for an exhaustive
-    # chunk its representatives' columns (see _render_rows and _OrbitRows)
+    # with collect_rows: a stream chunk's CSV lines in source order, or for an
+    # orbit chunk its representatives' columns (see _render_rows and _OrbitRows)
     rows: str | dict | None
 
 
@@ -471,7 +520,7 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
     failures: list[tuple[int, dict]] = []
     equality: list[tuple[int, str]] = []
     rows = None
-    lines = [""] * count if collect_rows and spec[0] != "classes" else None
+    lines = [""] * count if collect_rows and spec[0] == "graph6" else None
     for n, bits, members, name, slots in stacks:
         bsz = bits.shape[0]
         adj = _adjacency(n, bits)
@@ -533,12 +582,12 @@ class ScanReport:
     """A scan's aggregate.  With collect_rows, csv_rows yields one CSV line
     per graph in source order, a block of lines at a time: graph6, n, E_S,
     N_op and one min-margin cell per check of checks, blank where the
-    graph's order has no such margin.  A stream or boundary scan keeps each
-    chunk's lines as its worker rendered them; an exhaustive scan keeps its
-    representatives' columns and renders the labeled graphs' lines from
-    them as they are written (see _OrbitRows).  Rows of an exhaustive source
-    carry their orbit representative's floats: equal to the graph's own in
-    exact arithmetic, they may differ in the last digits, which no verdict
+    graph's order has no such margin.  A stream scan keeps each chunk's
+    lines as its worker rendered them; an exhaustive or boundary scan keeps
+    its representatives' columns and renders its graphs' lines from them as
+    they are written (see _OrbitRows).  Rows of an orbit source carry their
+    orbit representative's floats: equal to the graph's own in exact
+    arithmetic, they may differ in the last digits, which no verdict
     depends on."""
 
     source: str
@@ -595,21 +644,21 @@ class ScanReport:
 
 @dataclass(frozen=True, eq=False)
 class _OrbitRows:
-    """An exhaustive scan's CSV lines, rendered as they are iterated,
-    _ROW_BLOCK labeled graphs at a time in edge-mask order: each graph's
-    cells but graph6 come from its orbit representative's columns."""
+    """An orbit source's CSV lines, rendered as they are iterated, _ROW_BLOCK
+    graphs at a time in source order: each graph's cells but graph6 come from
+    its orbit representative's columns.  The source's member_block gives a
+    block's edge bits and representative numbers."""
 
-    n: int
+    source: AllGraphs | BoundaryFamily
     checks: tuple
     columns: dict  # "E_S", "N_op" and margins, indexed by representative number
 
     def __iter__(self):
-        total = 1 << (self.n * (self.n - 1) // 2)
+        n, total = self.source.n, len(self.source)
         for lo in range(0, total, _ROW_BLOCK):
-            bits = _mask_bits(self.n, np.arange(lo, min(lo + _ROW_BLOCK, total), dtype=np.uint64))
-            rep = _representatives(self.n, bits)
+            bits, rep = self.source.member_block(lo, min(lo + _ROW_BLOCK, total))
             columns = {k: v[rep] for k, v in self.columns.items()}
-            yield "".join(_render_rows(self.n, _graph6_lines(self.n, bits), columns, self.checks))
+            yield "".join(_render_rows(n, _graph6_lines(n, bits), columns, self.checks))
 
 
 def _eval_chunk_star(args):
@@ -679,9 +728,9 @@ def scan(
         key=lambda t: t[:2],
     )
     csv_rows = [r.rows for r in results] if collect_rows else None
-    if collect_rows and isinstance(source, AllGraphs):
+    if collect_rows and hasattr(source, "member_block"):  # an orbit source
         columns = {k: np.concatenate([t[k] for t in csv_rows]) for k in csv_rows[0]}
-        csv_rows = _OrbitRows(source.n, checks, columns)
+        csv_rows = _OrbitRows(source, checks, columns)
     return ScanReport(
         source=source.descriptor,
         checks=checks,

@@ -51,12 +51,12 @@ def check_seidel_matrix(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("Seidel matrix must be square")
-    if np.any(np.diag(a) != 0):
+    wrong = np.abs(a) != ~np.eye(len(a), dtype=bool)  # |A| != J - I
+    if wrong.diagonal().any():
         raise ValueError("Seidel matrix must have zero diagonal")
-    off = a[~np.eye(a.shape[0], dtype=bool)]
-    if a.shape[0] > 1 and not np.all(np.abs(off) == 1):
+    if wrong.any():
         raise ValueError("off-diagonal Seidel entries must be +-1")
-    if np.any(a != a.T):
+    if (a != a.T).any():
         raise ValueError("Seidel matrix must be symmetric")
     return a
 

@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
+from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
@@ -699,6 +703,150 @@ def test_chunk_rows_ascend_by_position(tmp_path):
     result = search._eval_chunk(spec, ("theorem2", "oddpair-lower"), (1.0,), collect_rows=True)
     assert sorted(result.rows) == ["E_S", "N_op", "oddpair-lower", "theorem2"]
     assert {len(column) for column in result.rows.values()} == {32}
+
+
+# ---------------------------------------------------------------------------
+# the boundary family, one switching orbit at a time
+
+BOUNDARY_ORDERS = range(11, 23)
+
+
+@lru_cache(maxsize=None)
+def _apex_switchings(n: int, a: int, b: int, c: int, e: int) -> list[tuple]:
+    """(a, b, c, e) of the graphs that switching on apex v1, on v2 and on
+    both make of a member, read off the switched graphs: the apexes' clique
+    neighbourhood sizes and overlap and the apex edge, the larger
+    neighbourhood first.  The clique is untouched, so these four numbers
+    fix each graph up to a relabeling of the clique."""
+    m = n - 2
+    g = BoundaryFamily(n).graph_for(a, b, c, e)
+    images = []
+    for apexes in (1 << m, 1 << (m + 1), 3 << m):
+        h = switch(g, apexes)
+        assert all(h.has_edge(i, j) for i, j in combinations(range(m), 2))
+        n1, n2 = ({i for i in range(m) if h.has_edge(i, v)} for v in (m, m + 1))
+        p, q = sorted([len(n1), len(n2)], reverse=True)
+        images.append((p, q, len(n1 & n2), int(h.has_edge(m, m + 1))))
+    return images
+
+
+def _boundary_orbits(n: int) -> list[np.ndarray]:
+    """Each orbit's parameter indices, in representative-number order."""
+    rep = search._boundary_table(n).rep
+    return [np.flatnonzero(rep == k) for k in range(rep.max() + 1)]
+
+
+@pytest.mark.parametrize("n", BOUNDARY_ORDERS)
+def test_boundary_orbits_partition_params(n):
+    fam = BoundaryFamily(n)
+    table = search._boundary_table(n)
+    params = fam.params()
+    index = {p: k for k, p in enumerate(params)}
+    orbits = _boundary_orbits(n)
+    assert np.array_equal(np.sort(np.concatenate(orbits)), np.arange(len(params)))
+    assert [int(orbit[0]) for orbit in orbits] == table.reps.tolist()
+    assert np.all(np.diff(table.reps) > 0)
+    assert len(fam) == len(params) and len(fam.chunk_specs(1)) == len(orbits)
+    for k, p in enumerate(params):
+        for image in _apex_switchings(n, *p):
+            assert table.rep[index[image]] == table.rep[k]
+
+
+def test_boundary_orbit_counts():
+    orbits = [len(search._boundary_table(n).reps) for n in BOUNDARY_ORDERS]
+    assert sum(orbits) == 2971
+    assert sum(orbits[:6]) == 785  # n = 11..16
+    assert sum(len(BoundaryFamily(n)) for n in BOUNDARY_ORDERS) == 10982
+
+
+@pytest.mark.parametrize("n", BOUNDARY_ORDERS)
+def test_boundary_checked_quantities_constant_on_orbits(n):
+    fam = BoundaryFamily(n)
+    adj = _adjacency(n, fam.edge_bits(fam.params()))
+    s = _seidel(adj)
+    vals = np.linalg.eigvalsh(s)
+    sk = sk_from_charpoly(charpoly_batch_i64(s))
+    nop = _odd_pairs(s)
+    sc = _sc_to_complete(adj)
+    for orbit in _boundary_orbits(n):
+        first, rest = orbit[0], orbit[1:]
+        assert (sk[rest] == sk[first]).all()
+        assert (nop[rest] == nop[first]).all()
+        assert (sc[rest] == sc[first]).all()
+        assert np.abs(vals[rest] - vals[first]).max(initial=0.0) <= 1e-9
+
+
+@pytest.mark.parametrize("workers, chunk_size", [(1, 1), (1, 7), (2, 7), (2, None)])
+def test_boundary_report_independent_of_chunks(workers, chunk_size):
+    assert _boundary_reports(workers, chunk_size) == _boundary_reports(1, None)
+
+
+@lru_cache(maxsize=None)
+def _boundary_reports(workers, chunk_size):
+    size = {} if chunk_size is None else {"chunk_size": chunk_size}
+    return [
+        scan(BoundaryFamily(n), ("sk-oddpairs", "oddpair-lower", "theorem2"), workers=workers, **size)
+        .to_json(include_timing=False)
+        for n in BOUNDARY_ORDERS
+    ]
+
+
+def _boundary_reference(n, checks):
+    """Reference rows of BoundaryFamily(n) in parameter order.  Every cell of
+    a member's row but its graph6 comes from its orbit's least member, found
+    by closing the member's apex switchings."""
+    fam = BoundaryFamily(n)
+    params = fam.params()
+    index = {p: k for k, p in enumerate(params)}
+    first = []
+    for k in range(len(params)):
+        orbit, frontier = {k}, [k]
+        while frontier:
+            images = {index[q] for q in _apex_switchings(n, *params[frontier.pop()])}
+            frontier.extend(images - orbit)
+            orbit |= images
+        first.append(min(orbit))
+    by_first = {k: _reference_rows([fam.graph_for(*params[k])], checks)[0] for k in set(first)}
+    rows = []
+    for p, k in zip(params, first):
+        cells, margins = by_first[k]
+        rows.append(([reference_encode_graph6(fam.graph_for(*p))] + cells[1:], margins))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def boundary_reference():
+    checks = ("oddpair-lower", "theorem2")
+    rows = [row for n in BOUNDARY_ORDERS for row in _boundary_reference(n, checks)]
+    return checks, _reference_csv(checks, rows)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_csv_boundary_matches_representative_reference(
+    boundary_reference, monkeypatch, workers
+):
+    # a chunk of 5 representatives holds members spread over the family;
+    # blocks of 7 rendered lines end mid-orbit
+    monkeypatch.setattr(search, "_ROW_BLOCK", 7)
+    checks, want = boundary_reference
+    reports = [
+        scan(BoundaryFamily(n), checks, workers=workers, collect_rows=True, chunk_size=5)
+        for n in BOUNDARY_ORDERS
+    ]
+    assert _written(*reports) == want
+
+
+def test_import_builds_no_boundary_table():
+    # neither the import nor an exhaustive scan builds a boundary orbit table
+    code = (
+        "import seidelab\n"
+        "from seidelab import search\n"
+        "assert search._boundary_table.cache_info().currsize == 0\n"
+        "seidelab.scan(seidelab.AllGraphs(4), collect_rows=True)\n"
+        "assert search._boundary_table.cache_info().currsize == 0\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 # ---------------------------------------------------------------------------

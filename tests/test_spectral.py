@@ -25,6 +25,7 @@ from seidelab.spectral import (
     binomial,
     bareiss_det,
     cauchy_binet_check,
+    check_seidel_matrix,
     char_poly_exact,
     charpoly_batch_i64,
     eigenvalues,
@@ -70,6 +71,36 @@ class TestEigenvalues:
             eigenvalues(np.array([[0, 2], [2, 0]]))
         with pytest.raises(ValueError):
             eigenvalues(np.array([[0, 1], [-1, 0]]))
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (np.zeros((2, 3)), "Seidel matrix must be square"),
+            (np.zeros(4), "Seidel matrix must be square"),
+            (np.zeros((2, 2, 2)), "Seidel matrix must be square"),
+            ([[0, 1], [1, -1]], "Seidel matrix must have zero diagonal"),
+            ([[1, 2], [3, 1]], "Seidel matrix must have zero diagonal"),  # before +-1
+            ([[0.0, np.nan], [np.nan, 0.0]], "off-diagonal Seidel entries must be +-1"),
+            ([[0, 0], [0, 0]], "off-diagonal Seidel entries must be +-1"),
+            ([[0, 2], [-2, 0]], "off-diagonal Seidel entries must be +-1"),  # before symmetry
+            ([[0, 1, 1], [1, 0, -1], [1, 1, 0]], "Seidel matrix must be symmetric"),
+        ],
+    )
+    def test_rejection_messages(self, matrix, message):
+        # each malformed input is refused with its own message, the checks
+        # running in the order listed
+        with pytest.raises(ValueError) as raised:
+            check_seidel_matrix(np.asarray(matrix))
+        assert str(raised.value) == message
+        with pytest.raises(ValueError) as raised:
+            eigenvalues(np.asarray(matrix))
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_accepts_seidel_matrices(self, n):
+        for g in (complete_graph(n), empty_graph(n), path_graph(n)):
+            s = seidel_matrix(g)
+            assert check_seidel_matrix(s) is s
 
     @given(graph_strategy(min_n=2, max_n=10))
     @settings(max_examples=60, deadline=None)
@@ -300,7 +331,7 @@ class TestCharPolyBatch:
 
     @pytest.mark.parametrize("n", [7, 9, 16])
     def test_row_independent_of_batch(self, rng, n):
-        # blocks hold 2^15 / (P n^2) matrices (668, 404 and 64 here); the
+        # blocks hold 2^15 / (P n^2) matrices (668, 404 and 128 here); the
         # stack spans three blocks and part of a fourth
         count = 3 * (2**15 // (len(_crt_primes(n, n - 1)) * n * n)) + 1
         graphs = [complete_graph(n)] + [random_graph(rng, n=n) for _ in range(count - 1)]
