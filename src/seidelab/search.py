@@ -6,8 +6,8 @@ generated corpora.  The scan driver fans fixed-size chunks out to a worker
 pool, where verify.evaluate checks its stacks, and re-runs run_checks on
 anything the batch path flags, so failure reports carry exact integers.
 Chunks are drawn from the source only as the pool has room, at most two
-per worker in flight, so a graph6 stream is read in blocks while its
-first chunks are evaluated.
+per worker in flight, so a graph6 stream is read line by line, one chunk
+at a time, while its first chunks are evaluated.
 
 Every chunk has one format: per order n, a stack of edge bits in graph6
 order, which a worker builds itself (the exhaustive and boundary sources
@@ -251,79 +251,38 @@ class Graph6Stream:
     def descriptor(self) -> str:
         return f"graph6-stream({self.path})"
 
-    def _blocks(self):
-        """The file's nonblank lines, one read block at a time: their line
-        numbers and their bytes, stripped, each ended by a newline.  Lines end
-        at \\n, \\r\\n or a lone \\r, as in text mode; bytes pass through as
+    def _lines(self):
+        """The file's nonblank lines, stripped, with their line numbers.  Lines
+        end at \\n, \\r\\n or a lone \\r, as in text mode; bytes pass through as
         latin-1, so a non-ASCII byte reaches the graph6 checks, not a decoder."""
-        lineno = 1
-        pending = []  # the start of a line that spans read blocks
         with open(self.path, "r", encoding="latin-1", newline=None) as fh:
-            while text := fh.read(_READ_BLOCK):
-                data = text.encode("latin-1")
-                cut = data.rfind(b"\n") + 1
-                if not cut:
-                    pending.append(data)
-                    continue
-                linenos, lines = _strip_lines(b"".join(pending) + data[:cut], lineno)
-                pending = [data[cut:]]
-                lineno += data.count(b"\n", 0, cut)
-                yield linenos, lines
-        if any(pending):
-            yield _strip_lines(b"".join(pending) + b"\n", lineno)
+            for lineno, line in enumerate(fh, start=1):
+                if line := line.strip(ASCII_WHITESPACE):
+                    yield lineno, line
 
     def __iter__(self):
-        for linenos, lines in self._blocks():
-            for lineno, line in zip(linenos.tolist(), lines.decode("latin-1").split("\n")):
-                try:
-                    yield parse_graph6(line)
-                except Graph6Error as exc:
-                    if self.strict:
-                        raise Graph6StreamError(f"line {lineno}: {exc}") from exc
+        for lineno, line in self._lines():
+            try:
+                yield parse_graph6(line)
+            except Graph6Error as exc:
+                if self.strict:
+                    raise Graph6StreamError(f"line {lineno}: {exc}") from exc
 
     def chunk_specs(self, chunk_size: int = CHUNK_SIZE):
-        """Chunks of chunk_size nonblank lines, undecoded and yielded as the
-        file is read: their line numbers and their newline-ended bytes.
-        Workers decode and validate."""
-        linenos, texts, have = [], [], 0
-        for numbers, lines in self._blocks():
-            newlines = np.flatnonzero(np.frombuffer(lines, dtype=np.uint8) == ord("\n"))
-            bounds = np.concatenate(([0], newlines + 1))  # line k is bounds[k]:bounds[k+1]
-            at = 0
-            while at < len(numbers):
-                take = min(chunk_size - have, len(numbers) - at)
-                linenos.append(numbers[at : at + take])
-                texts.append(lines[bounds[at] : bounds[at + take]])
-                have += take
-                at += take
-                if have == chunk_size:
-                    yield ("graph6", np.concatenate(linenos), b"".join(texts), self.strict)
-                    linenos, texts, have = [], [], 0
-        if have:
-            yield ("graph6", np.concatenate(linenos), b"".join(texts), self.strict)
-
-
-_READ_BLOCK = 1 << 18  # characters per read of a graph6 stream
-_SPACE = np.zeros(256, dtype=bool)
-_SPACE[[ord(c) for c in ASCII_WHITESPACE]] = True
-
-
-def _strip_lines(data: bytes, first_lineno: int) -> tuple[np.ndarray, bytes]:
-    """The nonblank lines of newline-ended bytes, stripped of ASCII whitespace
-    and ended by a newline, and their line numbers, counted from first_lineno."""
-    buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    solid = np.flatnonzero(~_SPACE[buf])
-    head = np.searchsorted(solid, starts)  # first solid byte at or after the start
-    tail = np.searchsorted(solid, ends) - 1  # last solid byte before the end
-    nonblank = head <= tail
-    edges = np.zeros(len(buf) + 1, dtype=np.int8)
-    edges[solid[head[nonblank]]] = 1
-    edges[solid[tail[nonblank]] + 1] = -1
-    keep = np.cumsum(edges[:-1], dtype=np.int8).astype(bool)
-    keep[ends[nonblank]] = True
-    return first_lineno + np.flatnonzero(nonblank), buf[keep].tobytes()
+        """Chunks of chunk_size nonblank lines, read from the file only as
+        the scan takes each chunk: their line numbers and their stripped
+        text, each line ended by a newline, as latin-1 bytes.  Workers
+        decode and validate."""
+        numbered = self._lines()
+        while True:
+            linenos, lines = [], []  # flat lists: a list of pairs doubles the peak memory
+            for lineno, line in islice(numbered, chunk_size):
+                linenos.append(lineno)
+                lines.append(line)
+            if not lines:
+                return
+            text = "\n".join(lines) + "\n"
+            yield ("graph6", np.array(linenos, dtype=np.int64), text.encode("latin-1"), self.strict)
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +292,8 @@ def _strip_lines(data: bytes, first_lineno: int) -> tuple[np.ndarray, bytes]:
 # in graph6 order plus two functions naming its rows: members(rows) gives
 # the graphs each row stands for as (row, position) arrays, and
 # name(rows, positions) their graph6 as a str array.  A stream stack also
-# gives each row's slot, its place among the chunk's graphs in source
-# order; an orbit stack has none, its rows standing for many graphs.
+# gives its rows' slots, their line indices within the chunk; an orbit
+# stack has none, its rows standing for many graphs.
 
 
 class _Stack(NamedTuple):
@@ -466,13 +425,8 @@ def _stacks(spec) -> tuple[int, list[_Stack]]:
         bits = family.edge_bits(table.params[table.reps[start:stop]])
         return count, [_Stack(n, bits, members, name, None)]
     _, linenos, text, strict = spec
-    decoded = _decode_graph6(linenos, text, strict)
-    slot = np.zeros(len(linenos), dtype=np.int64)
-    for _, index, _ in decoded:
-        slot[index] = 1
-    slot = np.cumsum(slot) - 1  # a decoded line's place among the chunk's decoded lines
     stacks = []
-    for n, index, bits in decoded:
+    for n, index, bits in _decode_graph6(linenos, text, strict):
         # a decoded line re-encodes to itself: the decoder rejects any other
         stacks.append(
             _Stack(
@@ -480,7 +434,7 @@ def _stacks(spec) -> tuple[int, list[_Stack]]:
                 bits,
                 lambda rows, index=index: (rows, linenos[index[rows]]),
                 lambda rows, positions, n=n, bits=bits: _graph6_lines(n, bits[rows]),
-                slot[index],
+                index,
             )
         )
     return sum(len(st.bits) for st in stacks), stacks
@@ -520,7 +474,7 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
     failures: list[tuple[int, dict]] = []
     equality: list[tuple[int, str]] = []
     rows = None
-    lines = [""] * count if collect_rows and spec[0] == "graph6" else None
+    lines = [""] * len(spec[1]) if collect_rows and spec[0] == "graph6" else None
     for n, bits, members, name, slots in stacks:
         bsz = bits.shape[0]
         adj = _adjacency(n, bits)
@@ -564,7 +518,8 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
             columns = {"E_S": energy, "N_op": nop, **margins}
             if slots is None:  # orbit representatives: write_csv renders their graphs
                 rows = columns
-            else:  # a stream chunk's orders interleave: each line goes to its slot
+            else:  # a stream chunk's orders interleave: each line goes to its
+                # slot, and a line lenient mode skipped stays "" in the join
                 graph6 = _graph6_lines(n, bits)
                 for k, line in zip(slots.tolist(), _render_rows(n, graph6, columns, checks)):
                     lines[k] = line

@@ -691,13 +691,16 @@ def test_representatives_invert_orbit_expansion(n):
 
 def test_chunk_rows_ascend_by_position(tmp_path):
     # a chunk puts its orders' lines back into input order, skipping blank
-    # and malformed lines, so a stream's chunks concatenate without a sort
+    # and malformed lines, so a stream's chunks concatenate without a sort;
+    # the second input also starts and ends the chunk with malformed lines
     lines = ["D~{", "C~", "Bw", "D??", "Ch", "@", "C?", "D~{"]
+    text = "\n\nBww\n".join(lines) + "\n"
     p = tmp_path / "mixed.g6"
-    p.write_text("\n\nBww\n".join(lines) + "\n")
-    (spec,) = Graph6Stream(str(p), strict=False).chunk_specs()
-    result = search._eval_chunk(spec, ("theorem2",), (1.0,), collect_rows=True)
-    assert [line.split(",")[0] for line in result.rows.splitlines()] == lines
+    for data in (text, "Bww\n" + text + "D~\n"):
+        p.write_text(data)
+        (spec,) = Graph6Stream(str(p), strict=False).chunk_specs()
+        result = search._eval_chunk(spec, ("theorem2",), (1.0,), collect_rows=True)
+        assert [line.split(",")[0] for line in result.rows.splitlines()] == lines
     # an exhaustive chunk returns its representatives' columns instead
     (spec,) = AllGraphs(5).chunk_specs()
     result = search._eval_chunk(spec, ("theorem2", "oddpair-lower"), (1.0,), collect_rows=True)
@@ -935,10 +938,8 @@ def test_lazy_stream_strict_error_and_determinism(tmp_path, workers):
     assert reports[0].to_json(include_timing=False) == reports[1].to_json(include_timing=False)
 
 
-@pytest.mark.parametrize("block", [3, 7, 1 << 18])
-def test_stream_reader_matches_text_mode(tmp_path, monkeypatch, block):
-    # blocks of a few characters split lines and \r\n pairs between reads
-    monkeypatch.setattr(search, "_READ_BLOCK", block)
+def test_stream_reader_matches_text_mode(tmp_path):
+    # \r\n, lone \r, blank, padded and non-ASCII lines, and no final newline
     data = (
         b"C~\r\n\r\n  Bw \t\n\x0c\n@\rD~{\r\r\nE?Bw\n\xff\nC\xa0~\n"
         b"\x1c\x1d\n" + b"Ch\n" * 7 + b"B?\r\nD??"
@@ -964,3 +965,24 @@ def test_stream_reader_matches_text_mode(tmp_path, monkeypatch, block):
         "C~", "Bw", "@", "D~{", "E?Bw"] + ["Ch"] * 7 + ["B?", "D??"]
     with pytest.raises(Graph6StreamError, match="^line 9: byte 255 out of range"):
         list(Graph6Stream(str(p)))
+
+
+def test_stream_is_read_lazily(tmp_path, monkeypatch):
+    # the first chunk arrives long before the file is read through, and
+    # closing the chunk generator closes the file
+    p = tmp_path / "long.g6"
+    p.write_bytes(b"Bw\n" * (1 << 20))
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        opened.append(fh)
+        return fh
+
+    monkeypatch.setattr(search, "open", recording_open, raising=False)
+    specs = Graph6Stream(str(p)).chunk_specs(chunk_size=2)
+    assert next(specs)[1].tolist() == [1, 2]
+    (fh,) = opened
+    assert fh.buffer.raw.tell() < p.stat().st_size / 4
+    specs.close()
+    assert fh.closed
