@@ -83,6 +83,7 @@ ENUM_MAX_N = 8
 BOUNDARY_MIN_N = 11
 BOUNDARY_MAX_N = 22
 CHUNK_SIZE = 1 << 15  # fixed so aggregates are worker-count independent
+FAILURE_CAP = 1000  # failure reports a ScanReport keeps; total_failures counts all
 _ROW_BLOCK = 1 << 12  # exhaustive CSV lines rendered per step
 _EOL = "\r\n"  # csv.writer's line terminator
 
@@ -642,7 +643,6 @@ def scan(
     checks=("theorem2",),
     p_grid=(1.0,),
     workers: int = 1,
-    failure_cap: int = 1000,
     collect_rows: bool = False,
     chunk_size: int = CHUNK_SIZE,
 ) -> ScanReport:
@@ -692,7 +692,7 @@ def scan(
         p_grid=p_grid,
         graphs_scanned=count,
         total_failures=len(failures),
-        failures=[f for _, f in failures[:failure_cap]],
+        failures=[f for _, f in failures[:FAILURE_CAP]],
         min_energy_graph6=min_g6,
         min_energy=float(min_e),
         equality_graph6=[g6 for _, g6 in equality],

@@ -5,28 +5,29 @@ graphs, checked after the fact: its eigenpairs must rebuild the matrix to
 within RESIDUAL_TOL_FACTOR * n, and the eigenvalues must meet the trace
 identities of A and A^2.  Scans take their spectra from batched LAPACK
 eigvalsh in the search module.  The exact one is charpoly_batch_i64:
-Faddeev-LeVerrier on stacks of integer matrices in float64 BLAS products
-kept below 2^53, modulo as many primes as a Hadamard bound asks for, with
-the integers rebuilt by Garner's CRT.  The products are reduced in place by
-the rounded quotient, M - p rint(M (1/p)), which is exact whatever the
-rounding, and the primes come from a 28-bit or a 40-bit list, whichever
-needs fewer under the envelope n^2 a (p + 2) < 2^53: one prime up to
-n = 17, two up to n = 30, five at n = 62.  Run on the Seidel matrix A itself
-and passed through sk_from_charpoly, it yields the exact S_k(A^2) of every
-scan and verify call up to n = 62, int64 up to n = 16.  The object-dtype
-recurrence char_poly_exact and fraction-free Bareiss determinants stay as
-oracles and behind the Cauchy-Binet check.
+Faddeev-LeVerrier on stacks of Seidel matrices in float64 BLAS products
+kept below 2^53, modulo as many primes as a Hadamard bound at their order
+asks for, with the integers rebuilt by Garner's CRT.  The products are
+reduced in place by the rounded quotient, M - p rint(M (1/p)), which is
+exact whatever the rounding, and the primes come from a 28-bit or a 40-bit
+list, whichever needs fewer at that order: one prime up to n = 17, two up
+to n = 30, six at n = 64.  Run on the Seidel matrix A itself and passed
+through sk_from_charpoly, it yields the exact S_k(A^2) of every scan and
+verify call up to n = 64, int64 up to n = 16.  The object-dtype recurrence
+char_poly_exact and fraction-free Bareiss determinants stay as oracles and
+behind the Cauchy-Binet check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb, prod
 
 import numpy as np
 
-from .graphs import Graph, seidel_matrix
+from .graphs import MAX_VERTICES, Graph, seidel_matrix
 
 RESIDUAL_TOL_FACTOR = 1e-12  # eigenpairs must rebuild A to within factor * n
 
@@ -161,12 +162,11 @@ def char_poly_exact(a) -> ExactCharPoly:
 
 
 # Two lists of primes, descending, listed rather than searched for at import:
-# just below 2^28 and just below 2^40.  Being > 64, each makes 1..n invertible
-# mod p.  _crt_primes picks one list per stack.  A product of +-1 matrices
-# reduced modulo a prime p has trace at most n^2 (p + 2) (_charpoly_residues),
-# which must stay below 2^53, where float64 arithmetic on integers is exact:
-# the narrow list fits any n <= 64 with entries up to 2^13, the wide one
-# Seidel matrices up to n = 90.
+# just below 2^28 and just below 2^40.  Being prime and > 64, each is
+# invertible modulo every k <= n.  _crt_primes picks the list and the prime
+# count by order.  A Seidel matrix times a matrix reduced modulo a prime p has trace at most
+# n^2 (p + 2) (_charpoly_residues), which must stay below 2^53, where float64
+# arithmetic on integers is exact: both lists fit every n <= MAX_VERTICES = 64.
 CRT_PRIMES = (
     268435399, 268435367, 268435361, 268435337, 268435331, 268435313, 268435291,
     268435273, 268435243, 268435183, 268435171, 268435157, 268435147, 268435133,
@@ -180,33 +180,24 @@ _BLOCK_ENTRIES = 1 << 15  # float64 entries of M_k per block, over all primes
 _SK_INT64_MAX_N = 16  # C(n,k) (n-1)^k < 2^63 up to here
 
 
-def _crt_primes(n: int, d: int, a: int = 1) -> tuple[int, ...]:
+@lru_cache(maxsize=None)
+def _crt_primes(n: int) -> tuple[int, ...]:
     """The fewest leading primes of one list with product > 2 max_k C(n,k)
-    d^(k/2), for an n x n integer matrix with entries up to a.
+    (n-1)^(k/2), for Seidel stacks of order n <= 64; CRT_PRIMES on a tie.
 
-    Hadamard's inequality bounds each k x k principal minor by d^(k/2) when
-    every row has squared norm at most d, so |c_{n-k}| <= C(n,k) d^(k/2) and
-    symmetric residues recover c exactly.  Only a list whose largest prime p
-    keeps the envelope n^2 a (p + 2) below 2^53 qualifies; of those, the one
-    needing fewer primes wins, CRT_PRIMES on a tie.  For Seidel matrices
-    that is one prime up to n = 17 (the wide one from n = 14), two up to
-    n = 30 and five at n = 62.
+    Every row of a Seidel matrix has squared norm n - 1, so Hadamard's
+    inequality bounds each k x k principal minor by (n-1)^(k/2), hence
+    |c_{n-k}| <= C(n,k) (n-1)^(k/2), and symmetric residues recover c
+    exactly.  That is one prime up to n = 17 (the wide one from n = 14),
+    two up to n = 30 and six at n = 64.
     """
-    bound_sq = max(comb(n, k) ** 2 * d**k for k in range(n + 1))
-    fitting = [ps for ps in (CRT_PRIMES, CRT_PRIMES_WIDE) if n * n * a * (ps[0] + 2) < _F64_EXACT]
-    if not fitting:
-        raise ValueError("matrix entries too large for exact float64 products")
-    covering = []
-    for primes in fitting:
-        total = 1
-        for count, p in enumerate(primes, start=1):
-            total *= p
-            if total * total > 4 * bound_sq:
-                covering.append(primes[:count])
-                break
-    if not covering:
-        raise ValueError(f"coefficient bound at n={n}, d={d} exceeds prod(CRT_PRIMES)")
-    return min(covering, key=len)  # the first, CRT_PRIMES, on a tie
+    bound_sq = max(comb(n, k) ** 2 * (n - 1) ** k for k in range(n + 1))
+
+    def leading(primes):
+        prefixes = (primes[:count] for count in range(1, len(primes) + 1))
+        return next(ps for ps in prefixes if prod(ps) ** 2 > 4 * bound_sq)
+
+    return min(leading(CRT_PRIMES), leading(CRT_PRIMES_WIDE), key=len)
 
 
 def _reduce(m: np.ndarray, p: np.ndarray, spare: np.ndarray) -> None:
@@ -224,50 +215,42 @@ def _reduce(m: np.ndarray, p: np.ndarray, spare: np.ndarray) -> None:
     m -= spare
 
 
-def _charpoly_residues(m: np.ndarray, primes: tuple[int, ...], a: int) -> np.ndarray:
-    """Faddeev-LeVerrier on a (b, n, n) float64 block of integers modulo
-    every prime of one list at once; returns (P, b, n+1) ascending
+def _charpoly_residues(m: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
+    """Faddeev-LeVerrier on a (b, n, n) float64 block of a Seidel stack
+    modulo every prime of one list at once; returns (P, b, n+1) ascending
     coefficients in [0, p).
 
-    |entries of m| <= a.  The running product M_k is exact until the next
-    product's trace could reach 2^53; then _reduce brings its entries to
-    |r| <= p/2 + 2 in the same residue class.  With c_k kept as a symmetric
-    residue, every entry entering a product is at most p + 2, every partial
-    sum of a BLAS product stays below n^2 a (p + 2) < 2^53, and so is an
-    exactly represented integer.  c_{n-k} = -tr(M_k)/k mod p takes the
-    multiply by 1/k mod p for primes below 2^28.  For wider primes that
-    product would overflow int64, so c = (r + j p)/k with j = -r p^-1 mod k,
-    an exact division of integers below k p < 2^47.
+    The running product M_k is exact until the next product's trace could
+    reach 2^53; then _reduce brings its entries to |r| <= p/2 + 2 in the same
+    residue class.  With c_k kept as a symmetric residue, every entry entering
+    a product is at most p + 2, every partial sum of a BLAS product with the
+    +-1 entries of m stays below n^2 (p + 2) < 2^53, and so is an exactly
+    represented integer.  c_{n-k} = -tr(M_k)/k mod p is c = (r + j p)/k with
+    r = -tr(M_k) mod p and j = -r p^-1 mod k, an exact division of integers
+    below k p < 2^47 for p < 2^40 and k <= 64.
     """
     b, n, _ = m.shape
     ps = np.array(primes, dtype=np.int64)[:, None]  # (P, 1)
     pf = ps.astype(np.float64)[..., None, None]  # (P, 1, 1, 1)
     half, pmax = ps // 2, max(primes)
-    wide = pmax * pmax >= 1 << 63
     out = np.empty((len(primes), b, n + 1), dtype=np.int64)
     out[..., n] = 1
     mk = np.repeat(m[None], len(primes), axis=0)  # M_1 = A
     spare = np.empty_like(mk)
-    mk_bound = a
-    if wide:  # p^-1 mod k, for j
-        inverse = np.array([[pow(p, -1, k) for k in range(1, n + 1)] for p in primes])
-    else:  # k^-1 mod p
-        inverse = np.array([[pow(k, -1, p) for k in range(1, n + 1)] for p in primes])
+    mk_bound = 1
+    inverse = np.array([[pow(-p, -1, k) for k in range(1, n + 1)] for p in primes])  # -p^-1 mod k
     for k in range(1, n + 1):
         r = -np.einsum("pbii->pb", mk).astype(np.int64) % ps  # -tr(M_k) mod p
-        if wide:
-            ck = (r + (-r * inverse[:, k - 1 : k] % k) * ps) // k
-        else:
-            ck = r * inverse[:, k - 1 : k] % ps
+        ck = (r + r * inverse[:, k - 1 : k] % k * ps) // k
         out[:, :, n - k] = ck  # c_{n-k} = -tr(M_k) / k
         if k == n:
             break
-        if n * n * a * (mk_bound + pmax // 2) >= _F64_EXACT:
+        if n * n * (mk_bound + pmax // 2) >= _F64_EXACT:
             _reduce(mk, pf, spare)
             mk_bound = pmax // 2 + 2
         np.einsum("pbii->pbi", mk)[...] += np.where(ck > half, ck - ps, ck)[..., None]
         mk, spare = np.matmul(m, mk, out=spare), mk
-        mk_bound = n * a * (mk_bound + pmax // 2)
+        mk_bound = n * (mk_bound + pmax // 2)
     return out
 
 
@@ -295,34 +278,30 @@ def _garner(res: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
 
 
 def charpoly_batch_i64(mats: np.ndarray) -> np.ndarray:
-    """Exact det(xI - M) for a (B, n, n) stack of integer matrices; returns
-    (B, n+1) coefficients in ascending power order.
+    """Exact det(xI - S) for a (B, n, n) Seidel stack of order
+    n <= MAX_VERTICES; returns (B, n+1) coefficients in ascending power order.
 
     Faddeev-LeVerrier runs on float64 BLAS products, converted from the
-    integer stack one block of about 2^15 / (P n^2) matrices at a time,
-    modulo each of the P primes _crt_primes(n, d, a); a is the largest
-    entry magnitude and d the largest squared row norm of the entrywise
-    largest magnitudes over the stack (n - 1 for Seidel matrices), which
-    bounds every row's.  Garner's algorithm rebuilds the integers: int64
-    when one prime suffices (Seidel matrices up to n = 17), Python ints in
-    an object array otherwise.  A row does not depend on the rest of its
-    batch.
+    stack one block of about 2^15 / (P n^2) matrices at a time, modulo each
+    of the P primes _crt_primes(n), the prime count by order.  Garner's
+    algorithm rebuilds the integers: int64 when one prime suffices (up to
+    n = 17), Python ints in an object array otherwise.  A row does not depend
+    on the rest of its batch.  The primes cover Seidel coefficients only, so
+    a stack with |S| != J - I anywhere, or of a larger order, raises
+    ValueError.
     """
     m = np.asarray(mats)
-    if m.dtype.kind not in "iu":
-        m = m.astype(np.int64)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise ValueError("expected a (B, n, n) stack of square matrices")
     bsz, n, _ = m.shape
-    ends = np.stack([m.min(axis=0, initial=0), m.max(axis=0, initial=0)])
-    mag = abs(ends.astype(object)).max(axis=0)  # (n, n) Python ints
-    a = int(mag.max(initial=0))
-    primes = _crt_primes(n, int((mag * mag).sum(axis=1).max(initial=0)), a)
+    if n > MAX_VERTICES or (np.abs(m) != ~np.eye(n, dtype=bool)).any():
+        raise ValueError(f"expected Seidel matrices, |S| = J - I, of order at most {MAX_VERTICES}")
+    primes = _crt_primes(n)
     res = np.empty((len(primes), bsz, n + 1), dtype=np.int64)
     step = max(1, _BLOCK_ENTRIES // (len(primes) * n * n or 1))
     for lo in range(0, bsz, step):
         block = m[lo : lo + step].astype(np.float64)
-        res[:, lo : lo + step] = _charpoly_residues(block, primes, a)
+        res[:, lo : lo + step] = _charpoly_residues(block, primes)
     return _garner(res, primes)
 
 

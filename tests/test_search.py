@@ -372,11 +372,12 @@ def test_orbit_scan_failures_match_labeled_scan(labeled_files, monkeypatch):
     the near-extremal graphs fail (48 at n = 4, 320 at n = 5), and a small
     failure cap truncates the list."""
     monkeypatch.setattr("seidelab.verify.STRICT_MARGIN", 0.8)  # read by both paths
+    monkeypatch.setattr("seidelab.search.FAILURE_CAP", 100)
     checks = ("sk-basic", "sk-oddpairs", "oddpair-lower", "theorem1", "theorem2")
     total = 0
     for n, path in labeled_files.items():
         orbit, labeled = (
-            scan(src, checks, (0.5, 1.0), failure_cap=100)
+            scan(src, checks, (0.5, 1.0))
             for src in (AllGraphs(n), Graph6Stream(str(path)))
         )
         total += orbit.total_failures

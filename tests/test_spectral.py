@@ -20,7 +20,9 @@ from seidelab.spectral import (
     CRT_PRIMES_WIDE,
     ExactCharPoly,
     SpectrumError,
+    _charpoly_residues,
     _crt_primes,
+    _garner,
     _reduce,
     binomial,
     bareiss_det,
@@ -214,15 +216,6 @@ class TestCharPolyExact:
         scale = max(1.0, np.max(np.abs(exact)))
         assert np.max(np.abs(poly - exact)) < 1e-8 * scale
 
-    def test_batch_matches_exact(self, rng):
-        mats = np.stack(
-            [seidel_matrix(random_graph(rng, n=6)).astype(np.int64) for _ in range(32)]
-        )
-        sq = mats @ mats
-        batch = charpoly_batch_i64(sq)
-        for i in range(32):
-            assert tuple(int(c) for c in batch[i]) == char_poly_exact(sq[i]).coeffs
-
 
 def _random_graph_any_n(rng, n: int) -> Graph:
     m = n * (n - 1) // 2
@@ -333,7 +326,7 @@ class TestCharPolyBatch:
     def test_row_independent_of_batch(self, rng, n):
         # blocks hold 2^15 / (P n^2) matrices (668, 404 and 128 here); the
         # stack spans three blocks and part of a fourth
-        count = 3 * (2**15 // (len(_crt_primes(n, n - 1)) * n * n)) + 1
+        count = 3 * (2**15 // (len(_crt_primes(n)) * n * n)) + 1
         graphs = [complete_graph(n)] + [random_graph(rng, n=n) for _ in range(count - 1)]
         s = _seidel_stack(graphs).astype(np.int8)  # as scans pass it
         whole = charpoly_batch_i64(s)
@@ -348,18 +341,30 @@ class TestCharPolyBatch:
 
     def test_crt_primes(self):
         for p in CRT_PRIMES:
-            assert p > 62
+            assert p > 64
             assert all(p % q for q in range(2, math.isqrt(p) + 1))
         # Hadamard: |c_{n-k}| <= C(n,k) (n-1)^(k/2) for a Seidel matrix
-        bound_sq = max(math.comb(62, k) ** 2 * 61**k for k in range(63))
-        assert math.prod(CRT_PRIMES[:7]) ** 2 > 4 * bound_sq
-        assert math.prod(CRT_PRIMES_WIDE[:5]) ** 2 > 4 * bound_sq
-        counts = [len(_crt_primes(n, n - 1)) for n in (8, 9, 16, 22, 62)]
-        assert counts == [1, 1, 1, 2, 5]
-        # lazy reduction: after reducing, the next product's trace over +-1
-        # entries stays below 2^53, where float64 holds every integer
+        bound_sq = max(math.comb(64, k) ** 2 * 63**k for k in range(65))
+        assert math.prod(CRT_PRIMES[:8]) ** 2 > 4 * bound_sq
+        assert math.prod(CRT_PRIMES_WIDE[:6]) ** 2 > 4 * bound_sq
+        # the prime count by order: (last n, count, list), each from the n
+        # after the previous last n on
+        steps = [
+            (13, 1, CRT_PRIMES), (17, 1, CRT_PRIMES_WIDE),
+            (22, 2, CRT_PRIMES), (30, 2, CRT_PRIMES_WIDE),
+            (31, 3, CRT_PRIMES), (42, 3, CRT_PRIMES_WIDE),
+            (53, 4, CRT_PRIMES_WIDE), (63, 5, CRT_PRIMES_WIDE), (64, 6, CRT_PRIMES_WIDE),
+        ]
+        expect, first = [], 1
+        for last, count, primes in steps:
+            expect += [primes[:count]] * (last + 1 - first)
+            first = last + 1
+        assert [_crt_primes(n) for n in range(1, 65)] == expect
+        # lazy reduction: after reducing, every partial sum of the next
+        # product with +-1 entries stays below 2^53, where float64 holds
+        # every integer
         for primes in (CRT_PRIMES, CRT_PRIMES_WIDE):
-            assert 62 * 62 * (max(primes) + 2) < 2**53
+            assert 64 * 64 * (max(primes) + 2) < 2**53
 
     def test_wide_primes_are_prime(self):
         # Miller-Rabin with the first twelve prime bases is deterministic
@@ -401,19 +406,36 @@ class TestCharPolyBatch:
         assert all(r == int(r) and (int(r) - x) % p == 0 for r, x in zip(m.tolist(), ints))
         assert np.abs(m).max() <= p // 2 + 2
 
-    @pytest.mark.parametrize("primes", [CRT_PRIMES, CRT_PRIMES_WIDE], ids=["narrow", "wide"])
-    def test_envelope_edge_matches_exact(self, rng, primes):
-        # entries up to the largest a with n^2 a (p + 2) < 2^53; the powers
-        # of a J and -a J reach the entry bounds the kernel tracks
+    @pytest.mark.parametrize(
+        "primes", [CRT_PRIMES[:2], CRT_PRIMES_WIDE[:1]], ids=["narrow", "wide"]
+    )
+    def test_one_residue_formula_on_both_lists(self, rng, primes):
+        # c = (r + j p)/k serves 28-bit and 40-bit primes alike.  Two narrow
+        # primes and one wide prime each cover n = 16; _crt_primes picks the
+        # wide one there, so the narrow pair is passed in directly
         n = 16
-        p = max(primes)
-        a = (2**53 - 1) // (n * n * (p + 2))
-        assert n * n * (a + 1) * (p + 2) >= 2**53
-        assert max(_crt_primes(n, n * a * a, a)) == p
-        ones = np.ones((n, n), dtype=np.int64)
-        mats = np.stack([a * ones, -a * ones] + [rng.integers(-a, a + 1, (n, n)) for _ in range(4)])
-        batch = charpoly_batch_i64(mats)
-        assert [tuple(row) for row in batch.tolist()] == [char_poly_exact(m).coeffs for m in mats]
+        assert _crt_primes(n) == CRT_PRIMES_WIDE[:1]
+        graphs = [complete_graph(n), empty_graph(n)]
+        graphs += [_random_graph_any_n(rng, n) for _ in range(6)]
+        s = _seidel_stack(graphs)
+        coeffs = _garner(_charpoly_residues(s.astype(np.float64), primes), primes)
+        expect = [c for c, _ in _closed_forms(n)] + [char_poly_exact(m).coeffs for m in s[2:]]
+        assert [tuple(int(c) for c in row) for row in coeffs] == expect
+
+    @pytest.mark.parametrize("n", [63, 64])
+    def test_orders_beyond_graph6(self, rng, n):
+        # Graph allows n = 63 and 64, which graph6 cannot encode; n = 64 is
+        # the only order that takes six primes
+        graphs = [complete_graph(n), empty_graph(n), _random_graph_any_n(rng, n)]
+        s = _seidel_stack(graphs)
+        coeffs = charpoly_batch_i64(s)
+        sk = [[int(v) for v in row] for row in sk_from_charpoly(coeffs)]
+        assert len(_crt_primes(n)) == {63: 5, 64: 6}[n]
+        assert [tuple(int(c) for c in row) for row in coeffs] == (
+            [c for c, _ in _closed_forms(n)] + [char_poly_exact(s[2]).coeffs]
+        )
+        assert sk[:2] == [k for _, k in _closed_forms(n)]
+        assert [elementary_symmetric_A2(g) for g in graphs] == sk
 
     @pytest.mark.parametrize("n", [13, 14, 16, 17])
     def test_switch_points_match_oracle(self, n):
@@ -424,24 +446,25 @@ class TestCharPolyBatch:
         s = _seidel_stack(graphs)
         coeffs = charpoly_batch_i64(s)
         sk = sk_from_charpoly(coeffs)
-        assert len(_crt_primes(n, n - 1)) == 1 and coeffs.dtype == np.int64
+        assert len(_crt_primes(n)) == 1 and coeffs.dtype == np.int64
         assert sk.dtype == (np.int64 if n <= 16 else object)
         expect = _closed_forms(n) + [(char_poly_exact(m).coeffs, _sk_exact(m)) for m in s[2:]]
         assert [(tuple(c), k) for c, k in zip(coeffs.tolist(), sk.tolist())] == expect
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            charpoly_batch_i64(np.ones((2, 3), dtype=np.int64))
-        with pytest.raises(ValueError, match="CRT_PRIMES"):  # too many primes
-            charpoly_batch_i64(np.full((1, 100, 100), 1000, dtype=np.int64))
-        # the 2^53 envelope: n^2 a (p + 2) for entries up to a, here n = 2,
-        # where only the narrow list fits: 4 a (2^28 - 55) < 2^53 up to
-        # a = 2^23 + 1
-        eye = np.eye(2, dtype=np.int64)[None]
-        a = (1 << 23) + 1
-        assert charpoly_batch_i64(eye * a).tolist() == [[a * a, -2 * a, 1]]
-        with pytest.raises(ValueError, match="float64"):
-            charpoly_batch_i64(eye * (a + 1))
+        # the prime count comes from the order alone, so anything but a
+        # Seidel stack of order at most 64 would come back wrong
+        s = seidel_matrix(cycle_graph(5))
+        two = s.copy()
+        two[0, 2] = two[2, 0] = 2
+        for bad in [np.ones((2, 2, 3), dtype=np.int64), s]:
+            with pytest.raises(ValueError, match="square"):
+                charpoly_batch_i64(bad)
+        for bad in [s @ s, s + np.eye(5, dtype=np.int64), two]:
+            with pytest.raises(ValueError, match="Seidel"):
+                charpoly_batch_i64(np.stack([s, bad]))
+        with pytest.raises(ValueError, match="at most 64"):  # J - I at n = 65
+            charpoly_batch_i64((1 - np.eye(65, dtype=np.int64))[None])
 
 
 class TestElementarySymmetric:
