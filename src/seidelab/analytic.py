@@ -12,8 +12,10 @@ analytic in |Im x| < d, d = pi when f has only negative real roots (as
 prod_i (1 + lambda_i^2 t) does), else d = pi/deg.  The trapezoid rule with
 step h then errs by at most 2M/(e^(2 pi d/h) - 1) (Trefethen & Weideman,
 SIAM Review 56, 2014).  Step and cut-offs follow from closed-form bounds, so
-rel_tol bounds the relative error up to rounding; the sum is one numpy
-array, bit-reproducible for a fixed QuadratureSpec.
+rel_tol bounds the relative error up to rounding; the right tail's leading
+part (deg x + ln c_deg) e^(-sx) is summed over every node in closed form, so
+the cut-off does not grow like 1/s.  The sum is one numpy array,
+bit-reproducible for a fixed QuadratureSpec.
 """
 
 from __future__ import annotations
@@ -89,13 +91,17 @@ def _trapezoid(coeffs, s: float, spec: QuadratureSpec, real_roots: bool) -> floa
     # x < a <= -1: ln(1+y) <= y and c_k <= 1 bound the dropped nodes by
     # sum_k e^((k-s)a)/(k-s) <= e^((1-s)a) / ((1-s)(1-1/e))
     a = min(-1.0, math.log(tail * (1.0 - s) * (1.0 - 1.0 / math.e)) / (1.0 - s))
-    # x > b >= 1/s: (ln f(1) + deg x) e^(-sx) >= ln f(e^x) e^(-sx) decreases and
-    # integrates to e^(-sb) (big_a + big_b b).  x e^(-sx/2) <= 2/(e s) makes the
-    # start safe, and the increasing map below lowers b toward the exact cut-off
-    big_a, big_b = math.log(float(c.sum())) / s + deg / s**2, deg / s
-    b = max(1.0 / s, 2.0 / s * math.log((big_a + 2.0 * big_b / (math.e * s)) / tail))
-    for _ in range(3):
-        b = max(1.0 / s, math.log((big_a + big_b * b) / tail) / s)
+    # x > 0: ln f(e^x) = deg x + ln c_deg + r(x), r = ln(1 + sum_(k<deg) c_k/c_deg
+    # e^((k-deg)x)).  The first two terms are summed over every node in closed
+    # form below.  r decreases from at most ln(f(1)/c_deg) and lies below
+    # (f(1)/c_deg) e^(-x), so the nodes of r e^(-sx) beyond b add at most
+    # ln(f(1)/c_deg) e^(-sb)/s and at most (f(1)/c_deg) e^(-(1+s)b)/(1+s); b
+    # takes the smaller cut-off of the two, which does not grow like 1/s
+    spread = math.log(float(c.sum()) / c[-1])
+    b = max(
+        0.0,
+        min(math.log(spread / (s * tail)) / s, (spread - math.log((1.0 + s) * tail)) / (1.0 + s)),
+    )
     # nodes j h for j = -n_neg..n_pos cover [a, b]
     n_neg, n_pos = math.ceil(-a / h), math.ceil(b / h)
     if n_neg + n_pos + 1 > spec.max_nodes:
@@ -110,8 +116,12 @@ def _trapezoid(coeffs, s: float, spec: QuadratureSpec, real_roots: bool) -> floa
     y = g * t
     ratio = np.divide(np.log1p(y), y, out=np.ones_like(y), where=y > 0.0)
     total = (ratio * g) @ np.exp((1.0 - s) * neg)
-    # x > 0: ln f = deg x + ln(sum_k c_k e^((k-deg)x)), a polynomial in e^-x
-    total += (deg * pos + np.log(_horner(c, np.exp(-pos)))) @ np.exp(-s * pos)
+    # x > 0: h sum_(j>=1) (deg j h + ln c_deg) q^j, q = e^(-sh), is
+    # h q/(1-q) (deg h/(1-q) + ln c_deg); r is a polynomial in e^-x
+    q, one_minus_q = math.exp(-s * h), -math.expm1(-s * h)
+    total += q / one_minus_q * (deg * h / one_minus_q + math.log(c[-1]))
+    z = np.exp(-pos)
+    total += np.log1p(z * _horner(c[:-1], z) / c[-1]) @ np.exp(-s * pos)
     return scale**s * h * float(total)
 
 

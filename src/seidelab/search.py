@@ -30,12 +30,18 @@ orbit once, on the representative with vertex 0 isolated and the last edge
 for n >= 3, 2^(n-1) below.  The boundary family evaluates each orbit of
 switching on its apexes once, on the orbit's first member (see
 _boundary_table), and counts its members; isomorphic members outside that
-group are still evaluated apart.  Only what a report names (equality
-graphs, failures, the minimum-energy witness) is expanded back to the
-orbit's members, keyed by its position in the source's enumeration order
-(the labeled edge mask for the exhaustive source, the parameter index for
-the boundary family, the line number for a stream) and merged in that
-order.
+group are still evaluated apart.  Within a chunk, the representatives are
+grouped by their exact Seidel characteristic polynomial, of which every
+checked quantity is a function (see _stack_quantities): spectra, S_k,
+N_op, the SC flag and the checks run once per distinct polynomial, on the
+first row that has it, and are scattered back to every row (n = 7 has 53
+distinct polynomials for its 16,384 representatives).  A stream chunk is
+grouped the same way when its checks read S_k, and otherwise evaluates
+every row.  Only what a report names (equality graphs, failures, the
+minimum-energy witness) is expanded back to the orbit's members, keyed by
+its position in the source's enumeration order (the labeled edge mask for
+the exhaustive source, the parameter index for the boundary family, the
+line number for a stream) and merged in that order.
 
 CSV rows, when collected, come from every chunk in source order, so the
 scan only joins them: a stream chunk returns its lines as text rendered in
@@ -467,6 +473,50 @@ def _render_rows(n: int, graph6: np.ndarray, columns: dict, checks):
     return map(line.format, *cells)
 
 
+def _distinct_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first index of each distinct row of a (B, K) array, and each
+    row's number among them: coeffs[first][inverse] equals coeffs.  Exact
+    for int64 and object rows alike: lexsort orders the rows by every
+    column and neighbours are compared whole, so no hash is trusted; it is
+    stable, so a group's first sorted row is its smallest index."""
+    order = np.lexsort(coeffs.T)
+    ranked = coeffs[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+def _stack_quantities(n: int, bits: np.ndarray, need: set, orbit: bool):
+    """(inverse, vals, sk, nop, sc): the spectra and whatever else need
+    names of "sk", "nop" and "sc" (see evaluate), for one row per distinct
+    Seidel characteristic polynomial p(x) = det(xI - S), and the index
+    taking each row of the stack to its distinct row.
+
+    Every checked quantity is a function of p: the spectrum is its roots,
+    S_k(S^2) comes from its coefficients, N_op from ||S^2||_F^2, the sum of
+    the fourth powers of the roots, and S is SC-equivalent to K_n iff p is
+    (x + n - 1)(x - 1)^(n-1) or (x - n + 1)(x + 1)^(n-1).  So the first row
+    with each polynomial stands for the others.  Orbit stacks, whose rows
+    repeat few polynomials, and stacks whose checks read S_k compute the
+    polynomials and group by them; any other stack has one group per row,
+    and inverse is then a slice, which scatters at no cost."""
+    adj = _adjacency(n, bits)
+    s = _seidel(adj)
+    coeffs = charpoly_batch_i64(s) if orbit or "sk" in need else None
+    if coeffs is None:
+        inverse = slice(None)
+    else:
+        first, inverse = _distinct_rows(coeffs)
+        s, adj, coeffs = s[first], adj[first], coeffs[first]
+    vals = np.linalg.eigvalsh(s)
+    sk = sk_from_charpoly(coeffs) if "sk" in need else None
+    nop = _odd_pairs(s) if "nop" in need else None
+    sc = _sc_to_complete(adj) if "sc" in need else None
+    return inverse, vals, sk, nop, sc
+
+
 def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
     count, stacks = _stacks(spec)
     min_e = np.inf
@@ -477,18 +527,12 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
     rows = None
     lines = [""] * len(spec[1]) if collect_rows and spec[0] == "graph6" else None
     for n, bits, members, name, slots in stacks:
-        bsz = bits.shape[0]
-        adj = _adjacency(n, bits)
-        s = _seidel(adj)
-        # scan throughput path: batched LAPACK spectra; flagged graphs are
+        # scan throughput path: batched LAPACK spectra, once per distinct
+        # char poly and scattered back to every row; flagged graphs are
         # re-verified one by one through run_checks
-        need = reads(n, checks)
-        vals = np.linalg.eigvalsh(s)
-        sk = sk_from_charpoly(charpoly_batch_i64(s)) if "sk" in need else None
-        nop = _odd_pairs(s) if "nop" in need or collect_rows else None
-        del s
-        sc = _sc_to_complete(adj) if "sc" in need else None
-        fail = np.zeros(bsz, dtype=bool)
+        need = reads(n, checks) | ({"nop"} if collect_rows else set())
+        inverse, vals, sk, nop, sc = _stack_quantities(n, bits, need, slots is None)
+        fail = np.zeros(len(vals), dtype=bool)
         margins: dict[str, np.ndarray] = {}
         energy = None  # E_S, theorem2's lhs when theorem2 applies
         for check, (lhs, rhs, margin, passed) in evaluate(n, checks, p_grid, vals, sk, nop, sc):
@@ -501,6 +545,9 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
             del lhs, rhs, margin, passed  # before the next check's arrays are built
         if energy is None:
             energy = p_energy(vals, 1.0)
+        if collect_rows:
+            columns = {k: v[inverse] for k, v in {"E_S": energy, "N_op": nop, **margins}.items()}
+        fail, energy = fail[inverse], energy[inverse]
         # minimum-energy record: the first attaining graph by position
         e = float(energy.min())
         row, pos = members(np.flatnonzero(energy == e))
@@ -516,7 +563,6 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
                 if not rep.passed:
                     failures.append((position, rep.as_dict()))
         if collect_rows:
-            columns = {"E_S": energy, "N_op": nop, **margins}
             if slots is None:  # orbit representatives: write_csv renders their graphs
                 rows = columns
             else:  # a stream chunk's orders interleave: each line goes to its
@@ -541,10 +587,13 @@ class ScanReport:
     graph's order has no such margin.  A stream scan keeps each chunk's
     lines as its worker rendered them; an exhaustive or boundary scan keeps
     its representatives' columns and renders its graphs' lines from them as
-    they are written (see _OrbitRows).  Rows of an orbit source carry their
-    orbit representative's floats: equal to the graph's own in exact
-    arithmetic, they may differ in the last digits, which no verdict
-    depends on."""
+    they are written (see _OrbitRows).  A row's float cells (E_S and the
+    energy margins) come from the first row in its chunk with the same
+    Seidel characteristic polynomial, for an orbit source the first such
+    orbit representative: equal to the graph's own in exact arithmetic,
+    they may differ in the last digits (by at most 1.6e-14 over every graph
+    at n <= 7), which no verdict depends on.  N_op and the exact margins are
+    the graph's own."""
 
     source: str
     checks: tuple
@@ -602,8 +651,10 @@ class ScanReport:
 class _OrbitRows:
     """An orbit source's CSV lines, rendered as they are iterated, _ROW_BLOCK
     graphs at a time in source order: each graph's cells but graph6 come from
-    its orbit representative's columns.  The source's member_block gives a
-    block's edge bits and representative numbers."""
+    its orbit representative's columns, whose floats are those of the first
+    representative in its chunk with the same characteristic polynomial.
+    The source's member_block gives a block's edge bits and representative
+    numbers."""
 
     source: AllGraphs | BoundaryFamily
     checks: tuple

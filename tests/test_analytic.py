@@ -140,6 +140,18 @@ class TestTrapezoid:
                     p_energy(eigenvalues(g), p), rel=1e-10
                 )
 
+    @pytest.mark.parametrize("n", [10, 30, 60])
+    def test_small_p_node_budget(self, n, rng):
+        # the right cut-off does not grow like 1/p: its tail's leading terms
+        # are summed in closed form
+        spec = QuadratureSpec(max_nodes=2000)
+        for g in (random_graph(rng, n), complete_graph(n), empty_graph(n)):
+            sk = elementary_symmetric_A2(g)
+            for p in [1e-4, 5e-4, 1e-3, 1e-2]:
+                assert energy_by_integral(sk, p, spec) == pytest.approx(
+                    p_energy(eigenvalues(g), p), rel=1e-10
+                )
+
 
 class TestEnergyByIntegral:
     def test_k3(self):

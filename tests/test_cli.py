@@ -61,6 +61,17 @@ class TestEnergy:
         assert code == EXIT_OK
         assert len(built) == 1
 
+    def test_small_p_integral(self, capsys):
+        # the right tail's leading terms are summed in closed form, so the
+        # node count does not grow like 1/p
+        code, out, _ = run_cli(
+            capsys, "energy", "--g6", "I~~~~~~~w", "-p", "0.0005", "--backend", "both"
+        )
+        assert code == EXIT_OK
+        (line,) = [x for x in out.splitlines() if x.startswith("E_")]
+        values = dict(part.split("=") for part in line.split()[1:])
+        assert float(values["integral"]) == pytest.approx(float(values["eig"]), rel=1e-6)
+
     def test_p2_has_no_integral(self, capsys):
         code, out, _ = run_cli(
             capsys, "energy", "--g6", "Bw", "--backend", "both",
@@ -322,6 +333,32 @@ class TestVerify:
         _, serial, _ = run_cli(capsys, *argv)
         _, parallel, _ = run_cli(capsys, *argv, "--workers", "3")
         assert serial == parallel
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "report, argv",
+    [
+        (
+            "all-n-1-7.json",
+            ["--all-n", "1..7", "--checks", "sk-basic,sk-oddpairs,oddpair-lower,theorem1,theorem2",
+             "-p", "0.5", "-p", "1", "-p", "1.5"],
+        ),
+        (
+            "boundary-11-16.json",
+            ["--boundary-family", "11..16",
+             "--checks", "sk-basic,sk-oddpairs,oddpair-lower,theorem2"],
+        ),
+    ],
+)
+def test_scan_reports_match_golden_json(capsys, report, argv):
+    # committed reports of the orbit scans, which evaluate each distinct
+    # Seidel char poly once per chunk: the JSON must not move by a byte
+    code, out, _ = run_cli(capsys, "verify", *argv, "--format", "json", "--no-timing")
+    assert code == EXIT_OK
+    assert out.encode() == (GOLDEN / report).read_bytes()
 
 
 class TestNumericError:
