@@ -12,9 +12,10 @@ analytic in |Im x| < d, d = pi when f has only negative real roots (as
 prod_i (1 + lambda_i^2 t) does), else d = pi/deg.  The trapezoid rule with
 step h then errs by at most 2M/(e^(2 pi d/h) - 1) (Trefethen & Weideman,
 SIAM Review 56, 2014).  Step and cut-offs follow from closed-form bounds, so
-rel_tol bounds the relative error up to rounding; the right tail's leading
-part (deg x + ln c_deg) e^(-sx) is summed over every node in closed form, so
-the cut-off does not grow like 1/s.  The sum is one numpy array,
+rel_tol bounds the relative error up to rounding.  Both tails' leading
+parts, c_1 e^((1-s)x) on the left and (deg x + ln c_deg) e^(-sx) on the
+right, are summed over every node in closed form, so the cut-offs grow like
+neither 1/(1-s) nor 1/s.  The sum is one numpy array,
 bit-reproducible for a fixed QuadratureSpec.
 """
 
@@ -88,9 +89,12 @@ def _trapezoid(coeffs, s: float, spec: QuadratureSpec, real_roots: bool) -> floa
         strip, m_over_i = math.pi / deg, m0 * deg * 2.0**s / i_lo
     h = 2.0 * math.pi * strip / math.log1p(4.0 * m_over_i / spec.rel_tol)
     tail = spec.rel_tol * i_lo / 4.0
-    # x < a <= -1: ln(1+y) <= y and c_k <= 1 bound the dropped nodes by
-    # sum_k e^((k-s)a)/(k-s) <= e^((1-s)a) / ((1-s)(1-1/e))
-    a = min(-1.0, math.log(tail * (1.0 - s) * (1.0 - 1.0 / math.e)) / (1.0 - s))
+    # x <= 0: ln f(e^x) = c_1 e^x + r(x).  The first term is summed over every
+    # node in closed form below.  With y = f(e^x) - 1, r is sum_(k>=2) c_k e^(kx)
+    # minus y - ln(1+y), both in [0, e^(2x)/(1-1/e)] on x <= -1 since c_k <= 1,
+    # so the nodes of r e^(-sx) below a <= -1 add at most
+    # e^((2-s)a) / ((2-s)(1-1/e)), a cut-off that does not grow like 1/(1-s)
+    a = min(-1.0, math.log(tail * (2.0 - s) * (1.0 - 1.0 / math.e)) / (2.0 - s))
     # x > 0: ln f(e^x) = deg x + ln c_deg + r(x), r = ln(1 + sum_(k<deg) c_k/c_deg
     # e^((k-deg)x)).  The first two terms are summed over every node in closed
     # form below.  r decreases from at most ln(f(1)/c_deg) and lies below
@@ -109,13 +113,15 @@ def _trapezoid(coeffs, s: float, spec: QuadratureSpec, real_roots: bool) -> floa
             f"{n_neg + n_pos + 1} nodes > max_nodes={spec.max_nodes} at rel_tol={spec.rel_tol}"
         )
     neg, pos = h * np.arange(-n_neg, 1.0), h * np.arange(1.0, n_pos + 1.0)
-    # x <= 0: ln f = log1p(y), y = g e^x with g = (f(e^x) - 1)/e^x, summed as
-    # (log1p(y)/y) g e^((1-s)x) so that tiny or underflowing y lose nothing
+    # x <= 0: h sum_(j<=0) c_1 e^((1-s)jh) is h c_1/(1 - e^(-(1-s)h)); with
+    # y = g e^x, g = (f(e^x) - 1)/e^x, r is summed as ((log1p(y)/y) g - c_1)
+    # e^((1-s)x) so that tiny or underflowing y lose nothing
+    total = c[1] / -math.expm1(-(1.0 - s) * h)
     t = np.exp(neg)
     g = _horner(c[:0:-1], t)
     y = g * t
     ratio = np.divide(np.log1p(y), y, out=np.ones_like(y), where=y > 0.0)
-    total = (ratio * g) @ np.exp((1.0 - s) * neg)
+    total += (ratio * g - c[1]) @ np.exp((1.0 - s) * neg)
     # x > 0: h sum_(j>=1) (deg j h + ln c_deg) q^j, q = e^(-sh), is
     # h q/(1-q) (deg h/(1-q) + ln c_deg); r is a polynomial in e^-x
     q, one_minus_q = math.exp(-s * h), -math.expm1(-s * h)
@@ -154,11 +160,12 @@ def cp_constant(p: float) -> float:
 
     The defining integral is (integral_0^inf ln(1+t) t^(-p-1) dt)^(-1);
     cp_constant_quadrature evaluates that directly and the test suite holds
-    the two within 1e-9 relative.
+    the two within 1e-9 relative.  sin(pi p) is taken as sin(pi (1 - p))
+    above p = 1/2, where 1 - p is exact, so p near 1 keeps full precision.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p={p} outside (0, 1)")
-    return p * math.sin(math.pi * p) / math.pi
+    return p * math.sin(math.pi * min(p, 1.0 - p)) / math.pi
 
 
 def cp_constant_quadrature(p: float, spec: QuadratureSpec = DEFAULT_SPEC) -> float:

@@ -4,8 +4,9 @@ Subcommands: `energy` (single-graph spectrum and p-energies), `verify`
 (checker scans over graphs, files, or generators), `constants` (C_p by
 closed form and quadrature).  Exit codes: 0 all pass, 1 check failure,
 2 input/parse error or an output pipe closed early, 3 numeric failure (a
-spectrum that fails its residual check, or a quadrature that needs more
-nodes than its budget).
+spectrum that fails its residual check or a trace identity, or a
+quadrature that needs more nodes than its budget).  Commands raise; `main`
+alone maps an exception to its exit code and one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .analytic import (
     energy_by_integral,
 )
 from . import graphs
-from .graphs import Graph6Error, parse_graph6
+from .graphs import parse_graph6
 from .seidel import count_odd_pairs, is_sc_equivalent_to_complete
 from .search import (
     BOUNDARY_MAX_N,
@@ -34,7 +35,6 @@ from .search import (
     AllGraphs,
     BoundaryFamily,
     Graph6Stream,
-    Graph6StreamError,
     scan,
 )
 from .spectral import SpectrumError, eigenvalues, elementary_symmetric_A2, p_energy
@@ -61,17 +61,9 @@ def _quad_spec() -> QuadratureSpec:
 
 
 def cmd_energy(args) -> int:
-    try:
-        g = parse_graph6(args.g6)
-    except Graph6Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    g = parse_graph6(args.g6)
     s = graphs.seidel_matrix(g)  # through the module, so a wrapper there sees it
-    try:
-        spectrum = eigenvalues(s)
-    except SpectrumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC_ERROR
+    spectrum = eigenvalues(s)
     sc, _ = is_sc_equivalent_to_complete(g)
     nop = count_odd_pairs(g)
     out = {
@@ -84,20 +76,16 @@ def cmd_energy(args) -> int:
         "energies": [],
     }
     sk = elementary_symmetric_A2(s) if args.backend in ("integral", "both") else None
-    try:
-        for p in args.p:
-            entry = {"p": p}
-            if args.backend in ("eig", "both"):
-                entry["eigenvalue_backend"] = p_energy(spectrum, p)
-            if args.backend in ("integral", "both"):
-                if 0.0 < p < 2.0:
-                    entry["integral_backend"] = energy_by_integral(sk, p, args.spec)
-                else:
-                    entry["integral_backend"] = None  # identity only holds on (0,2)
-            out["energies"].append(entry)
-    except QuadratureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC_ERROR
+    for p in args.p:
+        entry = {"p": p}
+        if args.backend in ("eig", "both"):
+            entry["eigenvalue_backend"] = p_energy(spectrum, p)
+        if args.backend in ("integral", "both"):
+            if 0.0 < p < 2.0:
+                entry["integral_backend"] = energy_by_integral(sk, p, args.spec)
+            else:
+                entry["integral_backend"] = None  # identity only holds on (0,2)
+        out["energies"].append(entry)
     if args.format == "json":
         print(json.dumps(out, indent=2, sort_keys=True))
     else:
@@ -134,48 +122,36 @@ def _parse_range(spec: str, lo: int, hi: int) -> list[int]:
 def cmd_verify(args) -> int:
     checks = tuple(args.checks.split(",")) if args.checks else CHECK_NAMES
     p_grid = tuple(args.p)
-    try:
-        validate(checks, p_grid)
-        if args.workers < 1:
-            raise ValueError(f"--workers {args.workers}: need at least 1")
-        sources = []
-        if args.g6 is not None:
-            if args.format == "csv":
-                raise ValueError("--format csv writes scan rows; use json or plain with --g6")
-        elif args.all_n is not None:
-            for n in _parse_range(args.all_n, 1, ENUM_MAX_N):
-                sources.append(AllGraphs(n))
-        elif args.boundary_family is not None:
-            for n in _parse_range(args.boundary_family, BOUNDARY_MIN_N, BOUNDARY_MAX_N):
-                sources.append(BoundaryFamily(n))
-        else:
-            sources.append(Graph6Stream(args.g6_file, strict=args.strict_parse))
-        # opened before any graph is checked, as a shell redirection would be
-        output = contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w")
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    validate(checks, p_grid)
+    if args.workers < 1:
+        raise ValueError(f"--workers {args.workers}: need at least 1")
+    sources = []
+    if args.g6 is not None:
+        if args.format == "csv":
+            raise ValueError("--format csv writes scan rows; use json or plain with --g6")
+    elif args.all_n is not None:
+        for n in _parse_range(args.all_n, 1, ENUM_MAX_N):
+            sources.append(AllGraphs(n))
+    elif args.boundary_family is not None:
+        for n in _parse_range(args.boundary_family, BOUNDARY_MIN_N, BOUNDARY_MAX_N):
+            sources.append(BoundaryFamily(n))
+    else:
+        sources.append(Graph6Stream(args.g6_file, strict=args.strict_parse))
+    # opened before any graph is checked, as a shell redirection would be
+    output = contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w")
     with output as out:
         if args.g6 is not None:
             return _verify_single(args, checks, p_grid, out)
-        reports = []
-        try:
-            for src in sources:
-                reports.append(
-                    scan(
-                        src,
-                        checks=checks,
-                        p_grid=p_grid,
-                        workers=args.workers,
-                        collect_rows=args.format == "csv",
-                    )
-                )
-        except (Graph6StreamError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
-        except SpectrumError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC_ERROR
+        reports = [
+            scan(
+                src,
+                checks=checks,
+                p_grid=p_grid,
+                workers=args.workers,
+                collect_rows=args.format == "csv",
+            )
+            for src in sources
+        ]
         if args.format == "json":
             payload = [r.as_dict(include_timing=not args.no_timing) for r in reports]
             print(json.dumps(payload, indent=2, sort_keys=True), file=out)
@@ -202,16 +178,7 @@ def cmd_verify(args) -> int:
 
 
 def _verify_single(args, checks, p_grid, out) -> int:
-    try:
-        g = parse_graph6(args.g6)
-    except Graph6Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    try:
-        reports = run_checks(g, checks, p_grid)
-    except SpectrumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC_ERROR
+    reports = run_checks(parse_graph6(args.g6), checks, p_grid)
     if args.format == "json":
         print(json.dumps([r.as_dict() for r in reports], indent=2, sort_keys=True), file=out)
     else:
@@ -223,23 +190,8 @@ def _verify_single(args, checks, p_grid, out) -> int:
 
 def cmd_constants(args) -> int:
     for p in args.p:
-        if not 0.0 < p < 1.0:
-            print(f"error: p={p} outside (0, 1)", file=sys.stderr)
-            return EXIT_INPUT_ERROR
         closed = cp_constant(p)
-        if p > 0.98:
-            print(
-                f"warning: p={_fmt(p)} is near-degenerate for the defining "
-                "integral; reporting the closed form only",
-                file=sys.stderr,
-            )
-            print(f"C_{_fmt(p)} closed-form={_fmt(closed)}")
-            continue
-        try:
-            quad = cp_constant_quadrature(p, args.spec)
-        except QuadratureError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC_ERROR
+        quad = cp_constant_quadrature(p, args.spec)
         print(
             f"C_{_fmt(p)} closed-form={_fmt(closed)} "
             f"quadrature={_fmt(quad)} diff={_fmt(abs(closed - quad))}"
@@ -295,22 +247,25 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "p", None) is None:
         args.p = [1.0]
-    for p in getattr(args, "p", []):
-        if args.command in ("energy", "verify") and not 0.0 < p <= 2.0:
-            print(f"error: p={p} outside (0, 2]", file=sys.stderr)
-            return EXIT_INPUT_ERROR
-    if args.command == "constants" or getattr(args, "backend", "eig") != "eig":
-        try:
-            args.spec = _quad_spec()
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
     try:
+        for p in args.p:
+            if args.command in ("energy", "verify") and not 0.0 < p <= 2.0:
+                raise ValueError(f"p={p} outside (0, 2]")
+        if args.command == "constants" or getattr(args, "backend", "eig") != "eig":
+            args.spec = _quad_spec()
         return args.func(args)
     except BrokenPipeError:
         # the reader closed stdout early (`| head`); point it at devnull so
         # the interpreter's final flush does not raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT_ERROR
+    except (SpectrumError, QuadratureError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC_ERROR
+    except (ValueError, OSError) as exc:
+        # input rejections: graph6, checks, ranges, --workers, p domains and
+        # files that cannot be opened
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

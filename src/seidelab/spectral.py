@@ -33,7 +33,8 @@ RESIDUAL_TOL_FACTOR = 1e-12  # eigenpairs must rebuild A to within factor * n
 
 
 class SpectrumError(RuntimeError):
-    """LAPACK eigh failed, or its eigenpairs do not reconstruct the matrix."""
+    """LAPACK eigh failed, its eigenpairs do not reconstruct the matrix, or its
+    eigenvalues break tr S = 0 or sum(w^2) = n(n-1)."""
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,8 @@ def eigenvalues(a: np.ndarray | Graph) -> Spectrum:
 
     The residual max |(Q diag(w) Q^T - A)_ij| is the pass/fail test:
     above RESIDUAL_TOL_FACTOR * n, or when eigh raises, SpectrumError.
-    Zero trace and sum(w^2) = n(n-1) are enforced before returning.
+    Zero trace and sum(w^2) = n(n-1) are enforced before returning, with
+    SpectrumError too.
     """
     if isinstance(a, Graph):
         a = seidel_matrix(a)
@@ -84,9 +86,9 @@ def eigenvalues(a: np.ndarray | Graph) -> Spectrum:
             f"eigenpair residual {residual:.3e} exceeds {RESIDUAL_TOL_FACTOR * n:.3e}"
         )
     if abs(w.sum()) > 1e-9 * n:
-        raise ValueError(f"eigenvalue sum {w.sum():.3e} violates zero trace")
+        raise SpectrumError(f"eigenvalue sum {w.sum():.3e} violates zero trace")
     if abs(np.sum(w * w) - n * (n - 1)) > 1e-8 * n * n:
-        raise ValueError("eigenvalue square sum violates trace of A^2")
+        raise SpectrumError("eigenvalue square sum violates trace of A^2")
     return Spectrum(tuple(float(x) for x in w), residual)
 
 

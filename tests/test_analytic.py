@@ -87,10 +87,10 @@ class TestIntegralLogPoly:
         sk = elementary_symmetric_A2(cycle_graph(5))
         # the budget is checked before the integrand is evaluated
         monkeypatch.setattr(analytic, "_horner", None)
-        spec = QuadratureSpec(max_nodes=50)
-        with pytest.raises(QuadratureError, match="max_nodes=50"):
+        spec = QuadratureSpec(max_nodes=20)
+        with pytest.raises(QuadratureError, match="max_nodes=20"):
             integral_log_poly([1.0, 1.0], 0.5, spec)
-        with pytest.raises(QuadratureError, match="max_nodes=50"):
+        with pytest.raises(QuadratureError, match="max_nodes=20"):
             energy_by_integral(sk, 1.0, spec)
 
     def test_spec_validation(self):
@@ -151,6 +151,19 @@ class TestTrapezoid:
                 assert energy_by_integral(sk, p, spec) == pytest.approx(
                     p_energy(eigenvalues(g), p), rel=1e-10
                 )
+
+
+    @pytest.mark.parametrize("n", [10, 30, 60])
+    def test_near_two_node_budget(self, n, rng):
+        # the left cut-off does not grow like 1/(2 - p): its tail's leading
+        # term is summed in closed form; C_(p/2) keeps full precision there
+        spec = QuadratureSpec(max_nodes=2000)
+        for g in (random_graph(rng, n), complete_graph(n), empty_graph(n)):
+            sk = elementary_symmetric_A2(g)
+            for p in [1.99, 1.999, 1.9999, 1.99999]:
+                direct = p_energy(eigenvalues(g), p)
+                assert energy_by_integral(sk, p, spec) == pytest.approx(direct, rel=1e-10)
+                assert energy_by_integral(sk, p, TIGHT) == pytest.approx(direct, rel=1e-12)
 
 
 class TestEnergyByIntegral:

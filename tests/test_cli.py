@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seidelab import cli, graphs, spectral
+from seidelab import cli, graphs, spectral, verify
+from seidelab.analytic import QuadratureSpec
 from seidelab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
@@ -71,6 +72,19 @@ class TestEnergy:
         (line,) = [x for x in out.splitlines() if x.startswith("E_")]
         values = dict(part.split("=") for part in line.split()[1:])
         assert float(values["integral"]) == pytest.approx(float(values["eig"]), rel=1e-6)
+
+    def test_near_two_integral(self, capsys):
+        # the left tail's leading term is summed in closed form, so the
+        # node count does not grow like 1/(2 - p)
+        code, out, _ = run_cli(
+            capsys, "energy", "--g6", "I~~~~~~~w", "-p", "1.999", "-p", "1.99999",
+            "--backend", "both", "--format", "json",
+        )
+        assert code == EXIT_OK
+        energies = json.loads(out)["energies"]
+        assert [e["p"] for e in energies] == [1.999, 1.99999]
+        for entry in energies:
+            assert entry["integral_backend"] == pytest.approx(entry["eigenvalue_backend"], rel=1e-9)
 
     def test_p2_has_no_integral(self, capsys):
         code, out, _ = run_cli(
@@ -418,8 +432,82 @@ class TestConstants:
         monkeypatch.setenv("SEIDELAB_QUAD_TOL", "abc")
         assert run_cli(capsys, "energy", "--g6", "DUW")[0] == EXIT_OK
 
-    def test_near_degenerate_warns(self, capsys):
-        code, out, err = run_cli(capsys, "constants", "-p", "0.99")
-        assert code == EXIT_OK
-        assert "near-degenerate" in err
-        assert "quadrature" not in out
+    def test_quadrature_near_one(self, capsys):
+        code, out, err = run_cli(capsys, "constants", "-p", "0.99", "-p", "0.9999", "-p", "0.99999")
+        assert (code, err) == (EXIT_OK, "")
+        lines = out.splitlines()
+        assert [line.split()[0] for line in lines] == ["C_0.99", "C_0.9999", "C_0.99999"]
+        for line in lines:
+            values = dict(part.split("=") for part in line.split()[1:])
+            assert float(values["quadrature"]) == pytest.approx(
+                float(values["closed-form"]), rel=1e-9
+            )
+
+
+class TestErrorMapping:
+    """main alone turns exceptions into exit codes and one error: line."""
+
+    def test_trace_violation_is_numeric(self, capsys, monkeypatch):
+        # the top eigenvalue 1e-6 too large, its eigenvector scaled so that
+        # the eigenpairs still reconstruct the matrix
+        eigh = np.linalg.eigh
+
+        def shifted(a):
+            w, q = eigh(a)
+            q[:, -1] *= math.sqrt(w[-1] / (w[-1] + 1e-6))
+            w[-1] += 1e-6
+            return w, q
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        with pytest.raises(spectral.SpectrumError, match="trace"):
+            spectral.eigenvalues(graphs.parse_graph6("DUW"))
+        code, out, err = run_cli(capsys, "energy", "--g6", "DUW")
+        assert (code, out) == (EXIT_NUMERIC_ERROR, "")
+        assert err.startswith("error: ") and "trace" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("energy", "--g6", "DUW", "--backend", "both"), ("constants", "-p", "0.5")],
+    )
+    def test_quadrature_error_is_numeric(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("SEIDELAB_QUAD_TOL", raising=False)
+        monkeypatch.setattr(cli, "DEFAULT_SPEC", QuadratureSpec(max_nodes=2))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_NUMERIC_ERROR, "")
+        assert err.startswith("error: ") and "max_nodes=2 " in err and err.count("\n") == 1
+
+    def test_spectrum_error_in_scan_is_numeric(self, capsys, monkeypatch):
+        # a zero batch spectrum flags every graph; re-verifying one fails
+        def refuse(s):
+            raise spectral.SpectrumError("refused")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda s: np.zeros(s.shape[:-1]))
+        monkeypatch.setattr(verify, "eigenvalues", refuse)
+        code, out, err = run_cli(capsys, "verify", "--all-n", "4")
+        assert (code, out, err) == (EXIT_NUMERIC_ERROR, "", "error: refused\n")
+
+    @pytest.mark.parametrize(
+        "code, setup, argv",
+        [
+            (EXIT_INPUT_ERROR, "", ["energy", "--g6", "Bww"]),
+            (
+                EXIT_NUMERIC_ERROR,
+                "cli.DEFAULT_SPEC = QuadratureSpec(max_nodes=2)",
+                ["constants", "-p", "0.5"],
+            ),
+        ],
+    )
+    def test_one_error_line_without_traceback(self, code, setup, argv):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        env.pop("SEIDELAB_QUAD_TOL", None)
+        script = (
+            "import sys\nfrom seidelab import cli\nfrom seidelab.analytic import QuadratureSpec\n"
+            f"{setup}\nsys.exit(cli.main({argv!r}))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, env=env, timeout=120
+        )
+        assert (proc.returncode, proc.stdout) == (code, b"")
+        assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+        assert b"Traceback" not in proc.stderr
