@@ -38,7 +38,7 @@ from .search import (
     scan,
 )
 from .spectral import SpectrumError, eigenvalues, elementary_symmetric_A2, p_energy
-from .verify import CHECK_NAMES, run_checks, validate
+from .verify import CHECK_NAMES, require_applicable, run_checks, validate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -178,7 +178,9 @@ def cmd_verify(args) -> int:
 
 
 def _verify_single(args, checks, p_grid, out) -> int:
-    reports = run_checks(parse_graph6(args.g6), checks, p_grid)
+    g = parse_graph6(args.g6)
+    require_applicable(g.n, checks if args.checks else ())  # named checks must apply
+    reports = run_checks(g, checks, p_grid)
     if args.format == "json":
         print(json.dumps([r.as_dict() for r in reports], indent=2, sort_keys=True), file=out)
     else:

@@ -4,10 +4,10 @@ Vertices are the dense integers 0..n-1.  Adjacency is stored as one machine
 word per vertex (n is capped at 64), which makes complements, switching and
 parity counts elsewhere in the package cheap bit operations.
 
-The edge-bit stack kernels at the end of the module (adjacency matrices,
-Seidel matrices, graph6 encoding, graph6 six-bit unpacking) are the only
-implementations of what they compute: scans run them on whole chunks, and
-seidel_matrix, encode_graph6 and parse_graph6 run them on a stack of one.
+The edge-bit stack kernels at the end of the module build Seidel matrices S
+(the one matrix kernel; the adjacency is S < 0), encode graph6 lines and
+unpack their six-bit bytes.  Each is the only implementation of what it
+computes: scans run it on whole chunks, per-graph functions on a stack of one.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ def encode_graph6(g: Graph) -> str:
 
 def seidel_matrix(g: Graph) -> np.ndarray:
     """Seidel matrix: zero diagonal, -1 on edges, +1 on non-edges (int64)."""
-    return _seidel(_adjacency(g.n, _edge_bits(g)))[0].astype(np.int64)
+    return _seidel(g.n, _edge_bits(g))[0].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,7 @@ def _edge_bits(g: Graph) -> np.ndarray:
 
 def _graph_of_bits(n: int, bits: np.ndarray) -> Graph:
     """The graph of a stack of one."""
-    adj = _adjacency(n, bits)[0].astype(np.uint64)
+    adj = (_seidel(n, bits)[0] < 0).astype(np.uint64)
     return Graph(n, tuple((adj << np.arange(n, dtype=np.uint64)).sum(axis=1).tolist()))
 
 
@@ -189,20 +189,12 @@ def _mask_of_bits(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-def _adjacency(n: int, bits: np.ndarray) -> np.ndarray:
-    """(B, n, n) uint8 adjacency matrices of a stack of edge bits."""
+def _seidel(n: int, bits: np.ndarray) -> np.ndarray:
+    """Seidel matrices of a stack of edge bits, (B, n, n) int8: 1 - 2 bits off the diagonal."""
     i, j = _endpoints(n)
-    adj = np.zeros((bits.shape[0], n, n), dtype=np.uint8)
-    adj[:, i, j] = bits
-    adj[:, j, i] = bits
-    return adj
-
-
-def _seidel(adj: np.ndarray) -> np.ndarray:
-    """Seidel matrices, int8: zero diagonal, -1 on edges, +1 elsewhere."""
-    s = np.where(adj, np.int8(-1), np.int8(1))
-    d = np.arange(adj.shape[-1])
-    s[:, d, d] = 0
+    s = np.ones((bits.shape[0], n, n), dtype=np.int8)
+    s[:, i, j] = s[:, j, i] = 1 - 2 * bits.astype(np.int8)
+    s[:, np.arange(n), np.arange(n)] = 0
     return s
 
 

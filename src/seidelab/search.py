@@ -14,10 +14,10 @@ order, which a worker builds itself (the exhaustive and boundary sources
 ship index ranges, a graph6 stream ships its raw lines, decoded and
 validated in one vectorized pass).  Everything checked derives from the
 stack, through the kernels that also serve the per-graph functions:
-adjacency and Seidel matrices S and graph6 lines from graphs, LAPACK
-spectra, exact S_k(S^2) from the multi-modular characteristic polynomials
-of S itself (spectral), and the odd-pair count N_op from ||S^2||_F and
-SC-equivalence to K_n from an xor test on the adjacency bits (seidel).
+Seidel matrices S and graph6 lines from graphs, LAPACK spectra, exact
+S_k(S^2) from the multi-modular characteristic polynomials of S itself
+(spectral), and the odd-pair count N_op from ||S^2||_F and SC-equivalence
+to K_n from a sign test on S (seidel).  S is the one matrix stack.
 This module keeps only the sources, the driver and CSV rendering.  Graph
 objects appear only for the flagged graphs run_checks re-verifies.
 
@@ -70,7 +70,6 @@ from .graphs import (
     ASCII_WHITESPACE,
     Graph,
     Graph6Error,
-    _adjacency,
     _endpoints,
     _graph6_lines,
     _graph_of_bits,
@@ -502,18 +501,17 @@ def _stack_quantities(n: int, bits: np.ndarray, need: set, orbit: bool):
     repeat few polynomials, and stacks whose checks read S_k compute the
     polynomials and group by them; any other stack has one group per row,
     and inverse is then a slice, which scatters at no cost."""
-    adj = _adjacency(n, bits)
-    s = _seidel(adj)
+    s = _seidel(n, bits)
     coeffs = charpoly_batch_i64(s) if orbit or "sk" in need else None
     if coeffs is None:
         inverse = slice(None)
     else:
         first, inverse = _distinct_rows(coeffs)
-        s, adj, coeffs = s[first], adj[first], coeffs[first]
+        s, coeffs = s[first], coeffs[first]
     vals = np.linalg.eigvalsh(s)
     sk = sk_from_charpoly(coeffs) if "sk" in need else None
     nop = _odd_pairs(s) if "nop" in need else None
-    sc = _sc_to_complete(adj) if "sc" in need else None
+    sc = _sc_to_complete(s) if "sc" in need else None
     return inverse, vals, sk, nop, sc
 
 

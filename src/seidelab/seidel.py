@@ -7,9 +7,10 @@ disjoint 2-subsets with an odd number of cross edges; their count is an
 SC-invariant and is zero exactly on the switching class of the complete
 graph.
 
-N_op and SC-equivalence to K_n are computed only by the stack kernels
-_odd_pairs and _sc_to_complete, which scans run on whole chunks and
-count_odd_pairs and is_sc_equivalent_to_complete on a stack of one.
+N_op (from ||S^2||_F) and SC-equivalence to K_n (a sign test on S) are
+computed only by the stack kernels _odd_pairs and _sc_to_complete on Seidel
+matrices S, which scans run on whole chunks and the per-graph functions on
+a stack of one.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from .graphs import Graph, _adjacency, _edge_bits, _endpoints, _graph6_lines, _seidel
+from .graphs import Graph, _edge_bits, _endpoints, _graph6_lines, _seidel
 
 SWITCHING_KEY_MAX_N = 8
 _BLOCK_ENTRIES = 1 << 15  # float32 entries of S^2 per block in _odd_pairs
@@ -67,11 +68,11 @@ def is_sc_equivalent_to_complete(g: Graph) -> tuple[bool, SCWitness | None]:
     switch(g, mask) = K_n when complemented is false, and
     complement(switch(g, mask)) = K_n when it is true.
     """
-    adj = _adjacency(g.n, _edge_bits(g))
-    if not _sc_to_complete(adj)[0]:
+    s = _seidel(g.n, _edge_bits(g))
+    if not _sc_to_complete(s)[0]:
         return False, None
     mask = ((1 << g.n) - 1) & ~g.closed_neighborhood(0)
-    if g.n >= 3 and not adj[0, 1, 2] ^ adj[0, 0, 1] ^ adj[0, 0, 2]:
+    if g.n >= 3 and s[0, 1, 2] * s[0, 0, 1] * s[0, 0, 2] > 0:
         # one further switch on {v0} empties the graph; its complement is K_n
         return True, SCWitness(mask ^ 1, complemented=True)
     return True, SCWitness(mask, complemented=False)
@@ -81,7 +82,7 @@ def count_odd_pairs(g: Graph) -> int:
     """Number of ordered pairs (X, Y) of disjoint 2-subsets with an odd
     number of cross edges: _odd_pairs on a stack of one.  Always even; zero
     for n < 4."""
-    return int(_odd_pairs(_seidel(_adjacency(g.n, _edge_bits(g))))[0])
+    return int(_odd_pairs(_seidel(g.n, _edge_bits(g)))[0])
 
 
 def _odd_pairs(s: np.ndarray) -> np.ndarray:
@@ -106,15 +107,13 @@ def _odd_pairs(s: np.ndarray) -> np.ndarray:
     return (comb(n, 2) * (n - 2) ** 2 - off_diagonal) // 4
 
 
-def _sc_to_complete(adj: np.ndarray) -> np.ndarray:
-    """SC-equivalence to K_n of a stack of adjacency matrices: after
-    normalizing vertex 0 to universal, the bits adj(i,j) ^ adj(0,i) ^ adj(0,j)
-    must be constant over pairs i<j."""
-    n = adj.shape[-1]
-    first = adj[:, 0, 1:]
-    x = adj[:, 1:, 1:] ^ first[:, :, None] ^ first[:, None, :]  # zero diagonal
-    total = x.sum(axis=(1, 2), dtype=np.int64)
-    return (total == 0) | (total == (n - 1) * (n - 2))
+def _sc_to_complete(s: np.ndarray) -> np.ndarray:
+    """SC-equivalence to K_n of a stack of Seidel matrices: switching vertex
+    0 to universal turns S(i,j) into S(i,j) S(0,i) S(0,j), whose signs must
+    all agree over pairs 1 <= i < j."""
+    n, first = s.shape[-1], s[:, 0, 1:]
+    x = s[:, 1:, 1:] * first[:, :, None] * first[:, None, :]  # zero diagonal
+    return np.abs(x.sum(axis=(1, 2), dtype=np.int64)) == (n - 1) * (n - 2)
 
 
 def switching_class_key(g: Graph) -> bytes:
@@ -130,11 +129,11 @@ def switching_class_key(g: Graph) -> bytes:
             f"switching_class_key is exact-canonical only for n <= {SWITCHING_KEY_MAX_N}"
         )
     perms = np.array(list(permutations(range(g.n))), dtype=np.intp)
-    adj = _adjacency(g.n, _edge_bits(g))[0]
-    h = adj[perms[:, :, None], perms[:, None, :]]  # h[p](u, v) = adj(p[u], p[v])
-    # switching on N(0) isolates vertex 0: edge (u, v) flips by h(0,u) ^ h(0,v)
+    s = _seidel(g.n, _edge_bits(g))[0]
+    h = s[perms[:, :, None], perms[:, None, :]]  # h[p](u, v) = S(p[u], p[v])
+    # switching on N(0) isolates vertex 0: (u, v) is an edge iff h(u,v) h(0,u) h(0,v) < 0
     i, j = _endpoints(g.n)
-    isolated = h[:, i, j] ^ h[:, 0, i] ^ h[:, 0, j]
+    isolated = h[:, i, j] * h[:, 0, i] * h[:, 0, j] < 0
     # the complement's representative is this one's complement off vertex 0
     stack = np.concatenate([isolated, isolated ^ (i != 0)])
     return min(_graph6_lines(g.n, stack).tolist()).encode("ascii")

@@ -1,7 +1,7 @@
 """The lemma and theorem checks, each defined once in evaluate, on stacks.
 
 Scans evaluate their chunk stacks; run_checks evaluates a stack of one,
-built by the checked single-graph backends, and reports each entry.
+read off one Seidel matrix, and reports each entry.
 Integer-valued claims (the S_k lower bounds and the odd-pair counts) are
 exact, and reports carry them as decimal strings; floating point appears
 only in the energy inequalities.
@@ -16,7 +16,9 @@ import numpy as np
 
 from . import graphs
 from .graphs import Graph, encode_graph6
-from .seidel import count_odd_pairs, is_sc_equivalent_to_complete
+# unused here; kept importable as seidelab.verify.<name> for bench/tracing.py
+from .seidel import count_odd_pairs, is_sc_equivalent_to_complete  # noqa: F401
+from .seidel import _odd_pairs, _sc_to_complete
 from .spectral import binomial, eigenvalues, elementary_symmetric_A2, p_energy
 
 STRICT_MARGIN = 1e-6  # strict inequalities must clear this; equalities stay within it
@@ -69,6 +71,13 @@ def validate(checks, p_grid) -> None:
 def applicable(n: int, checks) -> list[str]:
     """The checks of checks that apply at order n, in CHECK_NAMES order."""
     return [c for c in CHECK_NAMES if c in checks and n >= _CHECKS[c][0]]
+
+
+def require_applicable(n: int, checks) -> None:
+    """Raise ValueError naming the first check of checks that needs more than n vertices."""
+    for c in CHECK_NAMES:
+        if c in checks and n < _CHECKS[c][0]:
+            raise ValueError(f"{c} needs at least {_CHECKS[c][0]} vertices")
 
 
 def reads(n: int, checks) -> set[str]:
@@ -141,18 +150,18 @@ def evaluate(n: int, checks, p_grid, vals, sk, nop, sc):
 def run_checks(
     g: Graph, checks=CHECK_NAMES, p_grid=(1.0,)
 ) -> list[VerificationReport]:
-    """Run the selected checks that apply at g's order on a stack of one,
-    computing each intermediate (graph6, Seidel matrix, S_k, N_op, spectrum,
-    SC flag) once through the checked single-graph backends."""
+    """Run the selected checks that apply at g's order on one Seidel matrix
+    S, reading S_k and the spectrum off it through the checked single-graph
+    backends, and N_op and the SC flag through the stack kernels."""
     validate(checks, p_grid)
     n, need = g.n, reads(g.n, checks)
     g6 = encode_graph6(g)
     # looked up on the module, so a wrapper installed there sees the call
-    s = graphs.seidel_matrix(g) if need & {"sk", "vals"} else None
+    s = graphs.seidel_matrix(g)
     sk = np.array([elementary_symmetric_A2(s)], dtype=object) if "sk" in need else None
-    nop = count_odd_pairs(g) if "nop" in need else None
+    nop = int(_odd_pairs(s[None])[0]) if "nop" in need else None
     vals = np.array([eigenvalues(s).values]) if "vals" in need else None
-    sc = is_sc_equivalent_to_complete(g)[0] if "sc" in need else None
+    sc = bool(_sc_to_complete(s[None])[0]) if "sc" in need else None
     branch = "equality-class" if sc else "strict"
     metadata = {
         "sk-basic": lambda j: {"n": n, "k": j + 1},
@@ -172,8 +181,7 @@ def run_checks(
 
 
 def _only(g: Graph, check: str, p_grid=(1.0,)) -> list[VerificationReport]:
-    if g.n < _CHECKS[check][0]:
-        raise ValueError(f"{check} needs at least {_CHECKS[check][0]} vertices")
+    require_applicable(g.n, (check,))
     return run_checks(g, (check,), p_grid)
 
 

@@ -23,7 +23,6 @@ from seidelab.graphs import complete_graph, parse_graph6
 from seidelab.search import (
     AllGraphs,
     BoundaryFamily,
-    _adjacency,
     _class_masks,
     _free_edges,
     _mask_bits,
@@ -140,7 +139,7 @@ def test_criterion_06_exact_sk_bounds(desk_scan):
         # and test_representatives_invert_orbit_expansion)
         if n >= 2:
             masks = _class_masks(n, 0, 1 << len(_free_edges(n)))
-            s = _seidel(_adjacency(n, _mask_bits(n, masks)))
+            s = _seidel(n, _mask_bits(n, masks))
             s1 = sk_from_charpoly(charpoly_batch_i64(s))[:, 1]
             ok &= bool(np.all(s1 == n * (n - 1)))
     report(6, "exact S_k inequalities for n <= 7", ok)

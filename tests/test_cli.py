@@ -147,6 +147,22 @@ class TestVerify:
         assert code == EXIT_INPUT_ERROR
         assert err == "error: unknown checks: ['nope']\n"
 
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_named_check_below_its_order(self, capsys, fmt):
+        # a check named with --checks must apply; the default set skips
+        code, out, err = run_cli(
+            capsys, "verify", "--g6", "Bw", "--checks", "oddpair-lower", "--format", fmt
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err == "error: oddpair-lower needs at least 4 vertices\n"
+        code, out, _ = run_cli(capsys, "verify", "--g6", "Bw", "--format", fmt)
+        assert code == EXIT_OK
+        checks = [r["check"] for r in json.loads(out)] if fmt == "json" else [
+            line.split()[1] for line in out.splitlines()
+        ]
+        assert list(dict.fromkeys(checks)) == ["sk-basic", "theorem1", "theorem2"]
+
     def test_theorem1_p_domain(self, capsys):
         code, _, err = run_cli(
             capsys, "verify", "--g6", "DUW", "--checks", "theorem1", "-p", "2.0"

@@ -26,7 +26,7 @@ from seidelab.graphs import (
     parse_graph6,
     seidel_matrix,
 )
-from seidelab.graphs import _adjacency, _graph6_lines, _seidel
+from seidelab.graphs import _graph6_lines, _seidel
 from seidelab.search import (
     AllGraphs,
     BoundaryFamily,
@@ -457,11 +457,10 @@ def test_decoder_rejects_like_parse_graph6(tmp_path, kind, workers):
 @pytest.mark.parametrize("n", range(1, 63))
 def test_stack_nop_and_sc_match_per_graph(rng, n):
     graphs = [random_graph(rng, n=n) for _ in range(3)] + sc_members(rng, n)
-    adj = _adjacency(n, np.stack([reference_edge_bits(g) for g in graphs]))
-    s = _seidel(adj)
+    s = _seidel(n, np.stack([reference_edge_bits(g) for g in graphs]))
     assert np.array_equal(s, np.stack([reference_seidel_matrix(g) for g in graphs]))
     assert _odd_pairs(s).tolist() == [reference_count_odd_pairs(g) for g in graphs]
-    assert _sc_to_complete(adj).tolist() == [
+    assert _sc_to_complete(s).tolist() == [
         reference_is_sc_equivalent_to_complete(g)[0] for g in graphs
     ]
     # the scan kernels through evaluate give run_checks' exact S_k integers;
@@ -469,7 +468,7 @@ def test_stack_nop_and_sc_match_per_graph(rng, n):
     checks = ("sk-basic", "sk-oddpairs")
     sk = sk_from_charpoly(charpoly_batch_i64(s))
     batch = dict(
-        evaluate(n, checks, (1.0,), np.linalg.eigvalsh(s), sk, _odd_pairs(s), _sc_to_complete(adj))
+        evaluate(n, checks, (1.0,), np.linalg.eigvalsh(s), sk, _odd_pairs(s), _sc_to_complete(s))
     )
     for b, g in enumerate(graphs):
         reports = run_checks(g, checks)
@@ -762,8 +761,7 @@ def test_grouped_quantities_match_per_row_kernels(source):
     for spec in source.chunk_specs():
         (st,) = search._stacks(spec)[1]
         inverse, vals, sk, nop, sc = search._stack_quantities(st.n, st.bits, need, True)
-        adj = _adjacency(st.n, st.bits)
-        s = _seidel(adj)
+        s = _seidel(st.n, st.bits)
         coeffs = charpoly_batch_i64(s)
         groups, first = np.unique(inverse, return_index=True)
         assert np.array_equal(groups, np.arange(len(vals)))
@@ -771,7 +769,7 @@ def test_grouped_quantities_match_per_row_kernels(source):
         assert len(first) == len(np.unique(coeffs, axis=0))
         assert np.array_equal(vals.view(np.int64), np.linalg.eigvalsh(s[first]).view(np.int64))
         assert np.array_equal(nop[inverse], _odd_pairs(s))
-        assert np.array_equal(sc[inverse], _sc_to_complete(adj))
+        assert np.array_equal(sc[inverse], _sc_to_complete(s))
         assert np.array_equal(sk[inverse], sk_from_charpoly(coeffs))
 
 
@@ -781,7 +779,7 @@ def test_rows_sharing_a_char_poly_carry_identical_floats(source):
     for spec in source.chunk_specs(chunk_size=50):
         result = search._eval_chunk(spec, ALL_CHECKS, p_grid, collect_rows=True)
         (st,) = search._stacks(spec)[1]
-        coeffs = charpoly_batch_i64(_seidel(_adjacency(st.n, st.bits)))
+        coeffs = charpoly_batch_i64(_seidel(st.n, st.bits))
         _, first, group = np.unique(coeffs, axis=0, return_index=True, return_inverse=True)
         for column in ("E_S", "theorem1", "theorem2"):
             bits = result.rows[column].view(np.int64)
@@ -881,12 +879,11 @@ def test_boundary_orbit_counts():
 @pytest.mark.parametrize("n", BOUNDARY_ORDERS)
 def test_boundary_checked_quantities_constant_on_orbits(n):
     fam = BoundaryFamily(n)
-    adj = _adjacency(n, fam.edge_bits(fam.params()))
-    s = _seidel(adj)
+    s = _seidel(n, fam.edge_bits(fam.params()))
     vals = np.linalg.eigvalsh(s)
     sk = sk_from_charpoly(charpoly_batch_i64(s))
     nop = _odd_pairs(s)
-    sc = _sc_to_complete(adj)
+    sc = _sc_to_complete(s)
     for orbit in _boundary_orbits(n):
         first, rest = orbit[0], orbit[1:]
         assert (sk[rest] == sk[first]).all()

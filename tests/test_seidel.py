@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from itertools import combinations
+from math import comb
 
 from seidelab.graphs import (
     Graph,
-    _adjacency,
     _seidel,
     complement,
     complete_graph,
@@ -177,6 +177,17 @@ class TestSwitchingClassKey:
         with pytest.raises(ValueError):
             switching_class_key(complete_graph(9))
 
+    def test_pinned_keys(self):
+        # values, not only invariance, so that a rewrite cannot move a key
+        distinct = [
+            len({switching_class_key(Graph.from_edge_mask(n, m)) for m in range(1 << comb(n, 2))})
+            for n in range(1, 6)
+        ]
+        assert distinct == [1, 1, 1, 2, 4]
+        assert switching_class_key(complete_graph(4)) == b"C?"
+        assert switching_class_key(cycle_graph(5)) == b"D@S"
+        assert switching_class_key(path_graph(4)) == b"C@"
+
     @given(graph_strategy(max_n=6), st.data())
     @settings(max_examples=30, deadline=None)
     def test_sc_class_invariant(self, g, data):
@@ -197,9 +208,9 @@ def test_nop_and_sc_match_reference(rng, n):
     graphs = [random_graph(rng, n=n) for _ in range(3)] + sc_members(rng, n)
     nops = [reference_count_odd_pairs(g) for g in graphs]
     scs = [reference_is_sc_equivalent_to_complete(g) for g in graphs]
-    adj = _adjacency(n, np.stack([reference_edge_bits(g) for g in graphs]))
-    assert _odd_pairs(_seidel(adj)).tolist() == nops
-    assert _sc_to_complete(adj).tolist() == [ok for ok, _ in scs]
+    s = _seidel(n, np.stack([reference_edge_bits(g) for g in graphs]))
+    assert _odd_pairs(s).tolist() == nops
+    assert _sc_to_complete(s).tolist() == [ok for ok, _ in scs]
     for g, nop, sc in zip(graphs, nops, scs):
         assert type(count_odd_pairs(g)) is int and count_odd_pairs(g) == nop
         ok, witness = is_sc_equivalent_to_complete(g)

@@ -1,10 +1,12 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from seidelab.graphs import Graph, complete_graph, cycle_graph, path_graph
+from seidelab import graphs, seidel
+from seidelab.graphs import Graph, complete_graph, cycle_graph, parse_graph6, path_graph
 from seidelab.verify import (
     CHECK_NAMES,
     STRICT_MARGIN,
@@ -143,3 +145,24 @@ class TestRunChecks:
         for r in run_checks(cycle_graph(5)):
             d = r.as_dict()
             assert json.loads(json.dumps(d)) == d
+
+    def test_builds_one_stack(self, monkeypatch):
+        calls, original = [], graphs._edge_bits
+
+        def counting(g):
+            calls.append(g)
+            return original(g)
+
+        monkeypatch.setattr(graphs, "_edge_bits", counting)
+        monkeypatch.setattr(seidel, "_edge_bits", counting)
+        run_checks(parse_graph6("DUW"), CHECK_NAMES, (0.5, 1.0))
+        assert len(calls) == 2  # the graph6 line and the Seidel matrix
+
+    def test_reports_match_committed(self):
+        # every report of five graphs (n = 5, 10, 10, 30, 60), committed
+        # with the graph6 line as key; json.dumps also rejects numpy scalars
+        doc = json.loads((Path(__file__).parent / "data" / "run-checks.json").read_text())
+        for g6, want in doc.items():
+            got = [r.as_dict() for r in run_checks(parse_graph6(g6), CHECK_NAMES, (0.5, 1.0))]
+            assert [r.pop("graph6") for r in got] == [g6] * len(want)
+            assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
