@@ -27,7 +27,9 @@ from .analytic import (
 )
 from . import graphs
 from .graphs import parse_graph6
-from .seidel import count_odd_pairs, is_sc_equivalent_to_complete
+# unused here; kept importable as seidelab.cli.<name> for bench/tracing.py
+from .seidel import count_odd_pairs, is_sc_equivalent_to_complete  # noqa: F401
+from .seidel import _odd_pairs, _sc_to_complete
 from .search import (
     BOUNDARY_MAX_N,
     BOUNDARY_MIN_N,
@@ -64,8 +66,8 @@ def cmd_energy(args) -> int:
     g = parse_graph6(args.g6)
     s = graphs.seidel_matrix(g)  # through the module, so a wrapper there sees it
     spectrum = eigenvalues(s)
-    sc, _ = is_sc_equivalent_to_complete(g)
-    nop = count_odd_pairs(g)
+    sc = bool(_sc_to_complete(s[None])[0])
+    nop = int(_odd_pairs(s[None])[0])
     out = {
         "graph6": args.g6.strip(),
         "n": g.n,

@@ -6,8 +6,9 @@ parity counts elsewhere in the package cheap bit operations.
 
 The edge-bit stack kernels at the end of the module build Seidel matrices S
 (the one matrix kernel; the adjacency is S < 0), encode graph6 lines and
-unpack their six-bit bytes.  Each is the only implementation of what it
-computes: scans run it on whole chunks, per-graph functions on a stack of one.
+decode them, the decoder being the one graph6 validator.  Each is the only
+implementation of what it computes: scans run it on whole chunks,
+per-graph functions on a stack of one.
 """
 
 from __future__ import annotations
@@ -121,28 +122,16 @@ def complement(g: Graph) -> Graph:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 line (single-byte header, n <= 62), a stack of one
-    through _unpack_graph6.  Every graph6 error message comes from here."""
+    """Decode one graph6 line (single-byte header, n <= 62), stripped of ASCII
+    whitespace, as a stack of one through _decode_graph6, raising its message."""
     s = text.strip(ASCII_WHITESPACE)
     if not s:
         raise Graph6Error("empty graph6 string")
-    data = np.array([ord(c) for c in s])  # a non-ASCII character is out of range below
-    bad = np.flatnonzero((data < 63) | (data > 126))
-    if bad.size:
-        raise Graph6Error(f"byte {data[bad[0]]} out of range [63,126] at offset {bad[0]}")
-    n = int(data[0]) - 63
-    if n == 63:
-        raise Graph6Error("multi-byte graph6 header (n > 62) not supported")
-    if n < 1:
-        raise Graph6Error("graph6 order must be at least 1")
-    nbytes = (n * (n - 1) // 2 + 5) // 6
-    if len(data) - 1 != nbytes:
-        raise Graph6Error(
-            f"expected {nbytes} edge bytes for n={n}, got {len(data) - 1}"
-        )
-    bits, padded = _unpack_graph6(n, data[None, 1:].astype(np.uint8))
-    if padded[0]:  # padding only ever fills part of the last byte
-        raise Graph6Error(f"nonzero padding bit at offset {nbytes}")
+    codes = np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32)  # every code point
+    decoded, rejected = _decode_graph6(codes, np.zeros(1, dtype=np.intp), np.array([len(s)]))
+    if rejected:
+        raise Graph6Error(rejected[0][1])
+    n, _, bits = decoded[0]
     return _graph_of_bits(n, bits)
 
 
@@ -219,6 +208,45 @@ def _unpack_graph6(n: int, body: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     six = np.unpackbits(body[..., None] - 63, axis=-1)[..., 2:]
     bits = six.reshape(body.shape[0], 6 * body.shape[1])
     return bits[:, :nbits], bits[:, nbits:].any(axis=1)
+
+
+def _decode_graph6(codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """The one graph6 validator, for nonempty lines codes[starts[k] : starts[k] +
+    lengths[k]] of any integer dtype: (n, line indices, edge bits) per order,
+    decoded in one pass per length, and (line index, message) per rejected line."""
+    decoded, rejected = [], []
+    for length in sorted(set(lengths.tolist())):
+        idx = (lengths == length).nonzero()[0]
+        rows = codes[starts[idx, None] + np.arange(length)]
+        bad = (rows < 63) | (rows > 126)
+        ok = ~bad.any(axis=1)
+        for r in (~ok).nonzero()[0].tolist():
+            off = int(bad[r].argmax())
+            message = f"byte {rows[r, off]} out of range [63,126] at offset {off}"
+            rejected.append((int(idx[r]), message))
+        for header in sorted(set(rows[ok, 0].tolist())):
+            n, sel = header - 63, (ok & (rows[:, 0] == header)).nonzero()[0]
+            message = _order_error(n, length)
+            if message is None:
+                bits, padded = _unpack_graph6(n, rows[sel, 1:].astype(np.uint8))
+                if not padded.all():
+                    decoded.append((n, idx[sel[~padded]], bits[~padded]))
+                # padding only ever fills part of the last byte
+                sel, message = sel[padded], f"nonzero padding bit at offset {length - 1}"
+            rejected += [(k, message) for k in idx[sel].tolist()]
+    return decoded, sorted(rejected)
+
+
+def _order_error(n: int, length: int) -> str | None:
+    """Why a graph6 line of this length cannot have order n, if it cannot."""
+    if n == 63:
+        return "multi-byte graph6 header (n > 62) not supported"
+    if n < 1:
+        return "graph6 order must be at least 1"
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    if length - 1 != nbytes:
+        return f"expected {nbytes} edge bytes for n={n}, got {length - 1}"
+    return None
 
 
 def path_graph(n: int) -> Graph:

@@ -11,9 +11,9 @@ at a time, while its first chunks are evaluated.
 
 Every chunk has one format: per order n, a stack of edge bits in graph6
 order, which a worker builds itself (the exhaustive and boundary sources
-ship index ranges, a graph6 stream ships its raw lines, decoded and
-validated in one vectorized pass).  Everything checked derives from the
-stack, through the kernels that also serve the per-graph functions:
+ship index ranges, a graph6 stream ships its raw lines, which the graph6
+decoder of graphs validates and decodes).  Everything checked derives
+from the stack, through the kernels that also serve the per-graph functions:
 Seidel matrices S and graph6 lines from graphs, LAPACK spectra, exact
 S_k(S^2) from the multi-modular characteristic polynomials of S itself
 (spectral), and the odd-pair count N_op from ||S^2||_F and SC-equivalence
@@ -70,11 +70,11 @@ from .graphs import (
     ASCII_WHITESPACE,
     Graph,
     Graph6Error,
+    _decode_graph6,
     _endpoints,
     _graph6_lines,
     _graph_of_bits,
     _seidel,
-    _unpack_graph6,
     parse_graph6,
 )
 # unused here; kept importable as seidelab.search.<name> for bench/tracing.py
@@ -360,46 +360,6 @@ def _mask_bits(n: int, masks: np.ndarray) -> np.ndarray:
     return ((masks[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
 
 
-def _decode_graph6(linenos: np.ndarray, text: bytes, strict: bool):
-    """Decode newline-ended graph6 lines in one pass per line length.
-
-    Applies every check parse_graph6 makes; a rejected line is handed to
-    parse_graph6 for its error, which strict mode raises for the first such
-    line and lenient mode skips.  Returns (n, line indices, edge bits) per
-    order.
-    """
-    buf = np.frombuffer(text, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    starts = np.concatenate(([0], ends[:-1] + 1))[: len(ends)]
-    lengths = ends - starts
-    decoded = []
-    rejected = []
-    for length in np.unique(lengths).tolist():
-        idx = np.flatnonzero(lengths == length)
-        rows = buf[starts[idx, None] + np.arange(length)]
-        n = rows[:, 0].astype(np.int64) - 63
-        ok = ((rows >= 63) & (rows <= 126)).all(axis=1) & (n >= 1) & (n != 63)
-        ok &= (n * (n - 1) // 2 + 5) // 6 == length - 1
-        for order in np.unique(n[ok]).tolist():
-            sel = np.flatnonzero(ok & (n == order))
-            bits, padded = _unpack_graph6(order, rows[sel, 1:])
-            ok[sel[padded]] = False
-            if not padded.all():
-                decoded.append((order, idx[sel[~padded]], bits[~padded]))
-        rejected.extend(idx[~ok].tolist())
-    if rejected:
-        lines = text.split(b"\n")
-        for k in sorted(rejected):
-            try:
-                parse_graph6(lines[k].decode("latin-1"))
-            except Graph6Error as exc:
-                if strict:
-                    raise Graph6StreamError(f"line {linenos[k]}: {exc}") from exc
-            else:
-                raise RuntimeError(f"line {linenos[k]}: decoder rejected a valid line")
-    return decoded
-
-
 def _stacks(spec) -> tuple[int, list[_Stack]]:
     """The labeled graphs a chunk stands for, and its stacks."""
     if spec[0] == "classes":
@@ -431,8 +391,14 @@ def _stacks(spec) -> tuple[int, list[_Stack]]:
         bits = family.edge_bits(table.params[table.reps[start:stop]])
         return count, [_Stack(n, bits, members, name, None)]
     _, linenos, text, strict = spec
+    codes = np.frombuffer(text, dtype=np.uint8)
+    ends = np.flatnonzero(codes == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    decoded, rejected = _decode_graph6(codes, starts, ends - starts)
+    if strict and rejected:  # lenient mode skips rejected lines
+        raise Graph6StreamError(f"line {linenos[rejected[0][0]]}: {rejected[0][1]}")
     stacks = []
-    for n, index, bits in _decode_graph6(linenos, text, strict):
+    for n, index, bits in decoded:
         # a decoded line re-encodes to itself: the decoder rejects any other
         stacks.append(
             _Stack(

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seidelab import cli, graphs, spectral, verify
+from seidelab import cli, graphs, seidel, spectral, verify
 from seidelab.analytic import QuadratureSpec
 from seidelab.cli import (
     EXIT_CHECK_FAILED,
@@ -61,6 +61,20 @@ class TestEnergy:
         code, _, _ = run_cli(capsys, "energy", "--g6", "DUW", "--backend", backend)
         assert code == EXIT_OK
         assert len(built) == 1
+
+    def test_builds_one_stack(self, capsys, monkeypatch):
+        # N_op and the SC flag are read off the one Seidel matrix
+        calls, original = [], graphs._edge_bits
+
+        def counting(g):
+            calls.append(g)
+            return original(g)
+
+        monkeypatch.setattr(graphs, "_edge_bits", counting)
+        monkeypatch.setattr(seidel, "_edge_bits", counting)
+        code, _, _ = run_cli(capsys, "energy", "--g6", "DUW", "--backend", "both")
+        assert code == EXIT_OK
+        assert len(calls) == 1
 
     def test_small_p_integral(self, capsys):
         # the right tail's leading terms are summed in closed form, so the

@@ -1,9 +1,14 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 from itertools import permutations
 
 from seidelab.graphs import (
+    ASCII_WHITESPACE,
     GRAPH6_MAX_N,
     Graph,
     Graph6Error,
@@ -20,6 +25,7 @@ from seidelab.graphs import (
     path_graph,
     seidel_matrix,
 )
+from seidelab.search import Graph6Stream, Graph6StreamError, scan
 
 from conftest import (
     graph_strategy,
@@ -221,6 +227,7 @@ def _short_lines():
             yield header + chr(b)
             yield header + "w" + chr(b)
     yield from ["", " \t", "C\xff", "C~\xa0", "A\u20ac", " Bw\r\n", "~??" + "?" * 10]
+    yield from ["C~\nC~", "C~\rC~", "C\x00~"]  # one argument, never split
 
 
 def test_parse_matches_reference_on_short_lines():
@@ -235,3 +242,57 @@ def test_parse_matches_reference_on_short_lines():
             assert str(got.value) == str(exc), repr(text)
         else:
             assert parse_graph6(text) == want, repr(text)
+
+
+def test_stream_matches_reference_on_short_lines(tmp_path):
+    # the chunk decoder of a scan accepts and rejects what the reference does;
+    # a file holds the short lines that are one nonblank latin-1 line each
+    lines = [
+        text.strip(ASCII_WHITESPACE)
+        for text in _short_lines()
+        if text.strip(ASCII_WHITESPACE)
+        and not {"\r", "\n"} & set(text)
+        and max(map(ord, text)) <= 255
+    ]
+    p = tmp_path / "short.g6"
+    p.write_bytes("".join(line + "\n" for line in lines).encode("latin-1"))
+    accepted, first_error = [], None
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            reference_parse_graph6(line)
+        except Graph6Error as exc:
+            first_error = first_error or f"line {lineno}: {exc}"
+        else:
+            accepted.append(line)
+    rep = scan(Graph6Stream(str(p), strict=False), collect_rows=True)
+    buf = io.StringIO()
+    rep.write_csv(buf)
+    buf.seek(0)
+    assert [row["graph6"] for row in csv.DictReader(buf)] == accepted
+    with pytest.raises(Graph6StreamError) as got:
+        scan(Graph6Stream(str(p)))
+    assert str(got.value) == first_error
+
+
+@st.composite
+def _graph6_like(draw):
+    """A header chr(63 + n), n = 0..64, and a body of about the length the
+    order needs, its codes in 60..128 and mostly in range."""
+    n = draw(st.integers(0, 64))
+    size = max(0, (n * (n - 1) // 2 + 5) // 6 + draw(st.sampled_from([0, 0, -1, 1])))
+    body = draw(st.lists(st.integers(63, 126), min_size=size, max_size=size))
+    if body and draw(st.booleans()):
+        body[draw(st.integers(0, size - 1))] = draw(st.integers(60, 128))
+    return chr(63 + n) + "".join(map(chr, body))
+
+
+@given(st.text(st.characters(min_codepoint=0, max_codepoint=300)) | _graph6_like())
+def test_parse_matches_reference(text):
+    try:
+        want = reference_parse_graph6(text)
+    except Graph6Error as exc:
+        with pytest.raises(Graph6Error) as got:
+            parse_graph6(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert parse_graph6(text) == want

@@ -26,14 +26,13 @@ from seidelab.graphs import (
     parse_graph6,
     seidel_matrix,
 )
-from seidelab.graphs import _graph6_lines, _seidel
+from seidelab.graphs import _decode_graph6, _graph6_lines, _seidel
 from seidelab.search import (
     AllGraphs,
     BoundaryFamily,
     Graph6Stream,
     Graph6StreamError,
     _class_masks,
-    _decode_graph6,
     _orbit_offsets,
     scan,
 )
@@ -408,10 +407,12 @@ def test_decoder_matches_parse_graph6(rng):
     graphs += [complete_graph(n) for n in (1, 2, 3, 17, 62)]
     order = rng.permutation(len(graphs))
     lines = [reference_encode_graph6(graphs[k]) for k in order]
-    linenos = np.arange(10, 10 + len(lines))
     seen = []
-    text = "".join(line + "\n" for line in lines).encode("ascii")
-    for n, index, bits in _decode_graph6(linenos, text, strict=True):
+    lengths = np.array([len(line) for line in lines])
+    codes = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8)
+    decoded, rejected = _decode_graph6(codes, np.cumsum(lengths) - lengths, lengths)
+    assert rejected == []
+    for n, index, bits in decoded:
         assert bits.shape == (len(index), n * (n - 1) // 2)
         for k, row in zip(index.tolist(), bits):
             assert np.array_equal(row, reference_edge_bits(reference_parse_graph6(lines[k])))

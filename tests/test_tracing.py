@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from seidelab import search, spectral, verify
+from seidelab import cli, graphs, search, seidel, spectral, verify
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -34,3 +34,11 @@ def test_span_tables_install_and_uninstall():
         assert all(getattr(o, a) is f for o, a, f in wrapped)
     assert search.np is np
     assert verify.eigenvalues is spectral.eigenvalues
+
+
+def test_names_kept_for_tracing_are_the_defining_functions():
+    # a span on a rebound name would time something else without an error
+    assert search.encode_graph6 is graphs.encode_graph6
+    for module in (search, verify, cli):
+        assert module.count_odd_pairs is seidel.count_odd_pairs
+        assert module.is_sc_equivalent_to_complete is seidel.is_sc_equivalent_to_complete
