@@ -168,8 +168,10 @@ def _edge_bits(g: Graph) -> np.ndarray:
 
 
 def _graph_of_bits(n: int, bits: np.ndarray) -> Graph:
-    """The graph of a stack of one."""
-    adj = (_seidel(n, bits)[0] < 0).astype(np.uint64)
+    """The graph of a stack of one, its rows read straight off the edge bits."""
+    i, j = _endpoints(n)
+    adj = np.zeros((n, n), dtype=np.uint64)
+    adj[i, j] = adj[j, i] = bits[0]
     return Graph(n, tuple((adj << np.arange(n, dtype=np.uint64)).sum(axis=1).tolist()))
 
 

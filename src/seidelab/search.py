@@ -35,7 +35,13 @@ grouped by their exact Seidel characteristic polynomial, of which every
 checked quantity is a function (see _stack_quantities): spectra, S_k,
 N_op, the SC flag and the checks run once per distinct polynomial, on the
 first row that has it, and are scattered back to every row (n = 7 has 53
-distinct polynomials for its 16,384 representatives).  A stream chunk is
+distinct polynomials for its 16,384 representatives).  An exhaustive
+row factors as a parent P, S without one vertex w, and a border
+v = S[w, != w] (see _bordered), and its polynomial is
+x p_P(x) - v^T adj(xI - P) v, its quadratic forms exact because their
+partial sums stay below 2^53 as the kernel's own products do.  So the exact
+kernel runs once per parent: 1,024 of them for the 16,384 rows at n = 7
+and per 2^15-row chunk from n = 8.  A stream chunk is
 grouped the same way when its checks read S_k, and otherwise evaluates
 every row.  Only what a report names (equality graphs, failures, the
 minimum-energy witness) is expanded back to the orbit's members, keyed by
@@ -299,7 +305,14 @@ class Graph6Stream:
 # the graphs each row stands for as (row, position) arrays, and
 # name(rows, positions) their graph6 as a str array.  A stream stack also
 # gives its rows' slots, their line indices within the chunk; an orbit
-# stack has none, its rows standing for many graphs.
+# stack has none, its rows standing for many graphs.  An exhaustive stack
+# also gives its rows as parent times border (see _bordered).
+
+
+class _Bordered(NamedTuple):
+    parents: np.ndarray  # (Bp, n-1, n-1) int8 Seidel matrices without vertex w
+    borders: np.ndarray  # (C, n-1) int8 rows S[w, != w]
+    rows: tuple[np.ndarray, np.ndarray]  # each row's parent and border number
 
 
 class _Stack(NamedTuple):
@@ -308,6 +321,7 @@ class _Stack(NamedTuple):
     members: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     name: Callable[[np.ndarray, np.ndarray], np.ndarray]
     slots: np.ndarray | None
+    bordered: _Bordered | None = None
 
 
 def _free_edges(n: int) -> list[int]:
@@ -354,6 +368,28 @@ def _representatives(n: int, bits: np.ndarray) -> np.ndarray:
     return (rep[:, free].astype(np.int64) << np.arange(len(free))).sum(axis=1)
 
 
+def _bordered(n: int, index: np.ndarray, bits: np.ndarray) -> _Bordered:
+    """The representatives numbered index, with edge bits bits, as parent
+    times border at the vertex w = min(n-1, 6): the parent is S without w,
+    the border v = S[w, != w], and S is [[parent, v], [v^T, 0]] up to moving
+    w last.  A free edge at w is a border bit of the number, any other a
+    parent bit.  w = n-1 gives 2^C(n-2,2) parents times 2^(n-3) borders at
+    4 <= n <= 7 (1,024 times 16 at n = 7); from n = 8 the low 15 bits of a number
+    are the edges among vertices 1..6, so a 2^15-aligned chunk is 1,024
+    parents times 32 borders."""
+    w = min(n - 1, 6)
+    i, j = _endpoints(n)
+    at_w = (i == w) | (j == w)
+    border_mask = sum(1 << b for b, e in enumerate(_free_edges(n)) if at_w[e])
+    _, pfirst, pidx = np.unique(index & ~border_mask, return_index=True, return_inverse=True)
+    _, bfirst, bidx = np.unique(index & border_mask, return_index=True, return_inverse=True)
+    other = np.where(i == w, j, i)[at_w]  # the border's edges by their other endpoint
+    border_edges = np.flatnonzero(at_w)[np.argsort(other)]
+    parents = _seidel(n - 1, bits[pfirst][:, ~at_w])  # relabeling keeps colex order
+    borders = 1 - 2 * bits[bfirst][:, border_edges].astype(np.int8)
+    return _Bordered(parents, borders, (pidx, bidx))
+
+
 def _mask_bits(n: int, masks: np.ndarray) -> np.ndarray:
     """Edge bits of uint64 edge masks: column e is bit e."""
     shifts = np.arange(n * (n - 1) // 2, dtype=np.uint64)
@@ -365,6 +401,7 @@ def _stacks(spec) -> tuple[int, list[_Stack]]:
     if spec[0] == "classes":
         _, n, start, stop = spec
         masks = _class_masks(n, start, stop)
+        bits = _mask_bits(n, masks)
         offsets = _orbit_offsets(n)
 
         def members(rows):
@@ -374,7 +411,8 @@ def _stacks(spec) -> tuple[int, list[_Stack]]:
             return _graph6_lines(n, _mask_bits(n, positions))
 
         count = (stop - start) * len(offsets)
-        return count, [_Stack(n, _mask_bits(n, masks), members, name, None)]
+        index = np.arange(start, stop, dtype=np.int64)
+        return count, [_Stack(n, bits, members, name, None, _bordered(n, index, bits))]
     if spec[0] == "boundary":
         _, n, start, stop = spec
         family = BoundaryFamily(n)
@@ -453,7 +491,7 @@ def _distinct_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[new], inverse
 
 
-def _stack_quantities(n: int, bits: np.ndarray, need: set, orbit: bool):
+def _stack_quantities(stack: _Stack, need: set):
     """(inverse, vals, sk, nop, sc): the spectra and whatever else need
     names of "sk", "nop" and "sc" (see evaluate), for one row per distinct
     Seidel characteristic polynomial p(x) = det(xI - S), and the index
@@ -466,14 +504,29 @@ def _stack_quantities(n: int, bits: np.ndarray, need: set, orbit: bool):
     with each polynomial stands for the others.  Orbit stacks, whose rows
     repeat few polynomials, and stacks whose checks read S_k compute the
     polynomials and group by them; any other stack has one group per row,
-    and inverse is then a slice, which scatters at no cost."""
-    s = _seidel(n, bits)
-    coeffs = charpoly_batch_i64(s) if orbit or "sk" in need else None
+    and inverse is then a slice, which scatters at no cost.
+
+    An exhaustive stack's polynomials come from its parents and borders
+    (see _bordered), by det(xI - [[P, v], [v^T, 0]]) = x p_P(x) -
+    v^T adj(xI - P) v: Faddeev-LeVerrier runs once per parent, 1,024 of
+    them for the 16,384 representatives at n = 7, and each row adds a
+    quadratic form per coefficient, exact while its partial sums stay below
+    2^53 as the recurrence's own products do (charpoly_batch_i64).  S is
+    then built for the distinct rows only."""
+    n, bits, bordered = stack.n, stack.bits, stack.bordered
+    s = None if bordered else _seidel(n, bits)
+    if bordered:
+        coeffs = charpoly_batch_i64(bordered.parents, bordered.borders)[bordered.rows]
+    elif stack.slots is None or "sk" in need:
+        coeffs = charpoly_batch_i64(s)
+    else:
+        coeffs = None
     if coeffs is None:
         inverse = slice(None)
     else:
         first, inverse = _distinct_rows(coeffs)
-        s, coeffs = s[first], coeffs[first]
+        s = _seidel(n, bits[first]) if s is None else s[first]
+        coeffs = coeffs[first]
     vals = np.linalg.eigvalsh(s)
     sk = sk_from_charpoly(coeffs) if "sk" in need else None
     nop = _odd_pairs(s) if "nop" in need else None
@@ -490,12 +543,13 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
     equality: list[tuple[int, str]] = []
     rows = None
     lines = [""] * len(spec[1]) if collect_rows and spec[0] == "graph6" else None
-    for n, bits, members, name, slots in stacks:
+    for stack in stacks:
+        n, bits, members, name, slots = stack[:5]
         # scan throughput path: batched LAPACK spectra, once per distinct
         # char poly and scattered back to every row; flagged graphs are
         # re-verified one by one through run_checks
         need = reads(n, checks) | ({"nop"} if collect_rows else set())
-        inverse, vals, sk, nop, sc = _stack_quantities(n, bits, need, slots is None)
+        inverse, vals, sk, nop, sc = _stack_quantities(stack, need)
         fail = np.zeros(len(vals), dtype=bool)
         margins: dict[str, np.ndarray] = {}
         energy = None  # E_S, theorem2's lhs when theorem2 applies

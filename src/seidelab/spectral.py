@@ -13,9 +13,15 @@ exact whatever the rounding, and the primes come from a 28-bit or a 40-bit
 list, whichever needs fewer at that order: one prime up to n = 17, two up
 to n = 30, six at n = 64.  Run on the Seidel matrix A itself and passed
 through sk_from_charpoly, it yields the exact S_k(A^2) of every scan and
-verify call up to n = 64, int64 up to n = 16.  The object-dtype recurrence
-char_poly_exact and fraction-free Bareiss determinants stay as oracles and
-behind the Cauchy-Binet check.
+verify call up to n = 64, int64 up to n = 16.  Given borders too, the
+kernel returns the polynomials of the bordered matrices [[S, v], [v^T, 0]]
+by Schur's complement, det = x p_S(x) - v^T adj(xI - S) v, reading each
+quadratic form v^T B_k v off the running matrices B_k of adj(xI - S) that
+the recurrence already holds; its partial sums obey the recurrence's own
+2^53 guard.  Exhaustive scans run it so on 1,024 parents for the 16,384
+representatives at n = 7, and on 1,024 parents times 32 borders per chunk
+from n = 8.  The object-dtype recurrence char_poly_exact and fraction-free
+Bareiss determinants stay as oracles and behind the Cauchy-Binet check.
 """
 
 from __future__ import annotations
@@ -217,10 +223,14 @@ def _reduce(m: np.ndarray, p: np.ndarray, spare: np.ndarray) -> None:
     m -= spare
 
 
-def _charpoly_residues(m: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
+def _charpoly_residues(
+    m: np.ndarray, primes: tuple[int, ...], borders: np.ndarray | None = None
+) -> np.ndarray:
     """Faddeev-LeVerrier on a (b, n, n) float64 block of a Seidel stack
     modulo every prime of one list at once; returns (P, b, n+1) ascending
-    coefficients in [0, p).
+    coefficients in [0, p).  With borders, a (C, n) float64 array of +-1
+    rows v, returns instead the (P, b, C, n+2) coefficients of the bordered
+    matrices [[S, v], [v^T, 0]] (see charpoly_batch_i64).
 
     The running product M_k is exact until the next product's trace could
     reach 2^53; then _reduce brings its entries to |r| <= p/2 + 2 in the same
@@ -229,7 +239,12 @@ def _charpoly_residues(m: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
     +-1 entries of m stays below n^2 (p + 2) < 2^53, and so is an exactly
     represented integer.  c_{n-k} = -tr(M_k)/k mod p is c = (r + j p)/k with
     r = -tr(M_k) mod p and j = -r p^-1 mod k, an exact division of integers
-    below k p < 2^47 for p < 2^40 and k <= 64.
+    below k p < 2^47 for p < 2^40 and k <= 64.  Right after its diagonal
+    update M_k holds B_k = M_k + c_{n-k} I, the coefficient of x^(n-1-k) in
+    adj(xI - S), and every border's quadratic form v^T B_k v = <B_k, v v^T>
+    is read off it in one GEMM with the flattened outer products.  Its
+    partial sums stay below n^2 (bound + p/2), the guard that keeps the next
+    product exact, so the forms are exact integers too.
     """
     b, n, _ = m.shape
     ps = np.array(primes, dtype=np.int64)[:, None]  # (P, 1)
@@ -237,6 +252,12 @@ def _charpoly_residues(m: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
     half, pmax = ps // 2, max(primes)
     out = np.empty((len(primes), b, n + 1), dtype=np.int64)
     out[..., n] = 1
+    if borders is not None:  # x p(x) - sum_k (v^T B_k v) x^(n-1-k), ascending
+        outer = (borders[:, :, None] * borders[:, None, :]).reshape(len(borders), n * n)
+        bordered = np.zeros((len(primes), b, len(borders), n + 2), dtype=np.int64)
+        if n:
+            bordered[..., n - 1] = -n  # v^T B_0 v = v^T v
+        bordered[..., n + 1] = 1
     mk = np.repeat(m[None], len(primes), axis=0)  # M_1 = A
     spare = np.empty_like(mk)
     mk_bound = 1
@@ -245,15 +266,20 @@ def _charpoly_residues(m: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
         r = -np.einsum("pbii->pb", mk).astype(np.int64) % ps  # -tr(M_k) mod p
         ck = (r + r * inverse[:, k - 1 : k] % k * ps) // k
         out[:, :, n - k] = ck  # c_{n-k} = -tr(M_k) / k
+        if borders is not None:
+            bordered[..., n + 1 - k] += ck[..., None]
         if k == n:
             break
         if n * n * (mk_bound + pmax // 2) >= _F64_EXACT:
             _reduce(mk, pf, spare)
             mk_bound = pmax // 2 + 2
         np.einsum("pbii->pbi", mk)[...] += np.where(ck > half, ck - ps, ck)[..., None]
+        if borders is not None:  # mk is B_k
+            forms = mk.reshape(-1, n * n) @ outer.T
+            bordered[..., n - 1 - k] = -forms.reshape(bordered.shape[:3])
         mk, spare = np.matmul(m, mk, out=spare), mk
         mk_bound = n * (mk_bound + pmax // 2)
-    return out
+    return out if borders is None else bordered % ps[..., None, None]
 
 
 def _garner(res: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
@@ -279,7 +305,7 @@ def _garner(res: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
     return np.where(x > total // 2, x - total, x)
 
 
-def charpoly_batch_i64(mats: np.ndarray) -> np.ndarray:
+def charpoly_batch_i64(mats: np.ndarray, borders: np.ndarray | None = None) -> np.ndarray:
     """Exact det(xI - S) for a (B, n, n) Seidel stack of order
     n <= MAX_VERTICES; returns (B, n+1) coefficients in ascending power order.
 
@@ -291,19 +317,38 @@ def charpoly_batch_i64(mats: np.ndarray) -> np.ndarray:
     on the rest of its batch.  The primes cover Seidel coefficients only, so
     a stack with |S| != J - I anywhere, or of a larger order, raises
     ValueError.
+
+    With borders, a (C, n) array of +-1 rows v, returns instead the
+    (B, C, n+2) coefficients of every bordered matrix [[S, v], [v^T, 0]], a
+    Seidel matrix of order n + 1 <= MAX_VERTICES, by Schur's complement:
+
+        det(xI - [[S, v], [v^T, 0]]) = x p_S(x) - v^T adj(xI - S) v,
+
+    where adj(xI - S) = sum_k B_k x^(n-1-k) and B_k are Faddeev-LeVerrier's
+    running matrices.  So the recurrence runs once per S, modulo the P
+    primes _crt_primes(n + 1), and each border costs a quadratic form per k;
+    blocks then hold about 2^15 / (P (n^2 + C (n + 2))) matrices S.  Borders
+    other than a (C, n) stack of +-1 raise ValueError.
     """
     m = np.asarray(mats)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise ValueError("expected a (B, n, n) stack of square matrices")
     bsz, n, _ = m.shape
-    if n > MAX_VERTICES or (np.abs(m) != ~np.eye(n, dtype=bool)).any():
+    order = n if borders is None else n + 1
+    if order > MAX_VERTICES or (np.abs(m) != ~np.eye(n, dtype=bool)).any():
         raise ValueError(f"expected Seidel matrices, |S| = J - I, of order at most {MAX_VERTICES}")
-    primes = _crt_primes(n)
-    res = np.empty((len(primes), bsz, n + 1), dtype=np.int64)
-    step = max(1, _BLOCK_ENTRIES // (len(primes) * n * n or 1))
+    v, shape, per_matrix = None, (bsz,), n * n
+    if borders is not None:
+        v = np.asarray(borders)
+        if v.ndim != 2 or v.shape[1] != n or (np.abs(v) != 1).any():
+            raise ValueError(f"expected a (C, {n}) stack of +-1 borders")
+        v, shape, per_matrix = v.astype(np.float64), (bsz, len(v)), n * n + len(v) * (n + 2)
+    primes = _crt_primes(order)
+    res = np.empty((len(primes), *shape, order + 1), dtype=np.int64)
+    step = max(1, _BLOCK_ENTRIES // (len(primes) * per_matrix or 1))
     for lo in range(0, bsz, step):
         block = m[lo : lo + step].astype(np.float64)
-        res[:, lo : lo + step] = _charpoly_residues(block, primes)
+        res[:, lo : lo + step] = _charpoly_residues(block, primes, v)
     return _garner(res, primes)
 
 

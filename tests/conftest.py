@@ -73,6 +73,17 @@ def reference_edge_bits(g: Graph) -> np.ndarray:
     return np.array(bits, dtype=np.uint8)
 
 
+def reference_rows(n: int, bits) -> tuple[int, ...]:
+    """Adjacency rows of the graph whose edge e in graph6 order is bits[e]."""
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]  # colex
+    rows = [0] * n
+    for (i, j), bit in zip(pairs, bits):
+        if bit:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return tuple(rows)
+
+
 def reference_seidel_matrix(g: Graph) -> np.ndarray:
     n = g.n
     s = np.ones((n, n), dtype=np.int64)

@@ -14,6 +14,7 @@ from seidelab.graphs import (
     Graph6Error,
     _edge_bits,
     _graph6_lines,
+    _graph_of_bits,
     _seidel,
     _unpack_graph6,
     complement,
@@ -33,6 +34,7 @@ from conftest import (
     reference_edge_bits,
     reference_encode_graph6,
     reference_parse_graph6,
+    reference_rows,
     reference_seidel_matrix,
 )
 
@@ -216,6 +218,16 @@ def test_codec_and_seidel_match_reference(rng, n):
     body = np.array([[ord(c) for c in line[1:]] for line in lines], dtype=np.uint8)
     unpacked, padded = _unpack_graph6(n, body)
     assert np.array_equal(unpacked, bits) and not padded.any()
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_graph_of_bits_rows_match_reference(rng, n):
+    # the rows come straight from the edge bits, for parse_graph6,
+    # Graph.from_edge_mask and BoundaryFamily.graph_for alike
+    m = n * (n - 1) // 2
+    for bits in [rng.integers(0, 2, m, dtype=np.uint8) for _ in range(3)] + [np.ones(m, np.uint8)]:
+        g = _graph_of_bits(n, bits[None])
+        assert g.n == n and g.rows == reference_rows(n, bits.tolist())
 
 
 def _short_lines():

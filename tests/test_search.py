@@ -500,16 +500,17 @@ def test_boundary_bits_match_edge_lists(n):
 def test_scan_calls_kernel_through_search_namespace(monkeypatch):
     # the benchmark times the exact kernel as seidelab.search.charpoly_batch_i64;
     # a call made from another module would leave that layer reading zero
+    # (8 parents of order 4 for the 32 representatives at n = 5)
     batches = []
 
-    def counting(mats):
+    def counting(mats, *borders):
         batches.append(len(mats))
-        return charpoly_batch_i64(mats)
+        return charpoly_batch_i64(mats, *borders)
 
     monkeypatch.setattr(search, "charpoly_batch_i64", counting)
     rep = scan(AllGraphs(5), checks=("sk-basic",))
     assert rep.total_failures == 0
-    assert sum(batches) == 1 << len(search._free_edges(5))
+    assert sum(batches) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +762,7 @@ def test_grouped_quantities_match_per_row_kernels(source):
     need = {"vals", "sk", "nop", "sc"}
     for spec in source.chunk_specs():
         (st,) = search._stacks(spec)[1]
-        inverse, vals, sk, nop, sc = search._stack_quantities(st.n, st.bits, need, True)
+        inverse, vals, sk, nop, sc = search._stack_quantities(st, need)
         s = _seidel(st.n, st.bits)
         coeffs = charpoly_batch_i64(s)
         groups, first = np.unique(inverse, return_index=True)
@@ -788,17 +789,57 @@ def test_rows_sharing_a_char_poly_carry_identical_floats(source):
 
 
 def test_exhaustive_n7_runs_eigvalsh_once_per_char_poly(monkeypatch):
-    # n = 7 is one chunk of 16,384 representatives with 53 distinct char polys
-    batches, eigvalsh = [], np.linalg.eigvalsh
+    # n = 7 is one chunk of 16,384 representatives with 53 distinct char
+    # polys, which the exact kernel finds from their 1,024 parents
+    polys, batches, kernel, eigvalsh = [], [], charpoly_batch_i64, np.linalg.eigvalsh
 
     def counting(a):
         batches.append(len(a))
         return eigvalsh(a)
 
     monkeypatch.setattr(search.np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(
+        search, "charpoly_batch_i64", lambda m, *v: polys.append(m.shape) or kernel(m, *v)
+    )
     rep = scan(AllGraphs(7), DESK_CHECKS)
     assert (rep.graphs_scanned, rep.total_failures) == (1 << 21, 0)
     assert sum(batches) == 53
+    assert polys == [(1024, 6, 6)]
+
+
+def _sampled(specs, count=48):
+    """About count specs spread evenly over specs, the last included."""
+    return specs[:: -(-len(specs) // count)] + specs[-1:]
+
+
+def _assert_bordered_rows_match(spec):
+    """The chunk's rows from parents and borders equal the kernel's rows on
+    its full stack; returns the number of parents and of borders."""
+    (st,) = search._stacks(spec)[1]
+    parents, borders, rows = st.bordered
+    assert parents.shape[1:] == (st.n - 1, st.n - 1) and borders.shape[1] == st.n - 1
+    got = charpoly_batch_i64(parents, borders)[rows]
+    assert np.array_equal(got, charpoly_batch_i64(_seidel(st.n, st.bits)))
+    return len(parents), len(borders)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("chunk_size", [1, 5, 7, 64, search.CHUNK_SIZE])
+def test_bordered_rows_match_full_stack_kernel(n, chunk_size):
+    # each exhaustive row's polynomial comes from its parent and border,
+    # whatever the chunk boundaries
+    for spec in _sampled(AllGraphs(n).chunk_specs(chunk_size)):
+        _assert_bordered_rows_match(spec)
+
+
+@pytest.mark.parametrize(
+    "start, stop", [(0, 1 << 15), (777 << 15, 778 << 15), ((5 << 15) - 300, (5 << 15) + 200)]
+)
+def test_bordered_rows_match_full_stack_kernel_n9(start, stop):
+    # n = 9 borders at vertex 6: an aligned 2^15 chunk is 1,024 parents
+    # times 32 borders; a chunk across an alignment has more of each
+    counts = _assert_bordered_rows_match(("classes", 9, start, stop))
+    assert start % (1 << 15) or counts == (1024, 32)
 
 
 @pytest.mark.parametrize(

@@ -467,6 +467,71 @@ class TestCharPolyBatch:
             charpoly_batch_i64((1 - np.eye(65, dtype=np.int64))[None])
 
 
+def _assembled(parents: np.ndarray, borders: np.ndarray) -> np.ndarray:
+    """The (B, C, m+1, m+1) matrices [[S, v], [v^T, 0]] of every parent S
+    and border v."""
+    b, m, _ = parents.shape
+    full = np.zeros((b, len(borders), m + 1, m + 1), dtype=np.int64)
+    full[:, :, :m, :m] = parents[:, None]
+    full[:, :, :m, m] = full[:, :, m, :m] = borders
+    return full
+
+
+class TestBorderedCharPoly:
+    """charpoly_batch_i64(parents, borders) against the plain kernel on the
+    assembled matrices, whose own exactness TestCharPolyBatch checks."""
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_matches_assembled_every_order(self, rng, n):
+        # n is the bordered order: one prime and int64 Garner up to n = 17,
+        # several primes with int64 digits above, object digits at n = 64
+        m = n - 1
+        if m:
+            graphs = [complete_graph(m), empty_graph(m), _random_graph_any_n(rng, m)]
+            parents = _seidel_stack(graphs)
+        else:  # the order-0 parent of n = 1
+            parents = np.zeros((1, 0, 0), dtype=np.int64)
+        ones = np.ones((1, m), dtype=np.int64)
+        borders = np.concatenate([ones, -ones, rng.choice([-1, 1], size=(2, m))])
+        got = charpoly_batch_i64(parents.astype(np.int8), borders.astype(np.int8))
+        full = _assembled(parents, borders)
+        want = charpoly_batch_i64(full.reshape(-1, n, n)).reshape(*full.shape[:2], n + 1)
+        assert got.dtype == want.dtype == (np.int64 if n <= 17 else object)
+        assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("n", [7, 10, 18])
+    def test_rows_independent_of_blocks(self, rng, n):
+        # a block holds 2^15 / (P (m^2 + C (m + 2))) parents; these stacks
+        # span several blocks and part of one more
+        m, borders = n - 1, rng.choice([-1, 1], size=(16, n - 1))
+        count = 2 * (2**15 // (len(_crt_primes(n)) * (m * m + 16 * (m + 2)))) + 3
+        parents = _seidel_stack([random_graph(rng, n=m) for _ in range(count)])
+        got = charpoly_batch_i64(parents, borders)
+        for i in [0, 1, count - 1]:
+            assert got[i].tolist() == charpoly_batch_i64(parents[i : i + 1], borders)[0].tolist()
+        picks = rng.integers(0, count, 20), rng.integers(0, 16, 20)
+        full = _assembled(parents, borders)[picks]
+        assert got[picks].tolist() == charpoly_batch_i64(full).tolist()
+
+    def test_rejects_bad_borders_and_parents(self):
+        s = seidel_matrix(cycle_graph(5))[None]
+        ones = np.ones((3, 5), dtype=np.int64)
+        zero, two = ones.copy(), ones.copy()
+        zero[1, 2], two[2, 4] = 0, 2
+        for bad in [zero, two]:
+            with pytest.raises(ValueError, match="borders"):
+                charpoly_batch_i64(s, bad)
+        for bad in [ones[:, :4], ones[0], ones[None]]:
+            with pytest.raises(ValueError, match="borders"):
+                charpoly_batch_i64(s, bad)
+        loop = s.copy()
+        loop[0, 0, 0] = 1
+        with pytest.raises(ValueError, match="Seidel"):
+            charpoly_batch_i64(loop, ones)
+        with pytest.raises(ValueError, match="at most 64"):  # bordered to n = 65
+            charpoly_batch_i64((1 - np.eye(64, dtype=np.int64))[None], np.ones((1, 64)))
+
+
 class TestElementarySymmetric:
     def test_examples(self):
         assert elementary_symmetric_A2(complete_graph(2)) == [1, 2, 1]
