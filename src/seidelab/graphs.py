@@ -1,14 +1,14 @@
 """Simple graphs on labeled vertices, the graph6 codec, and Seidel matrices.
 
 Vertices are the dense integers 0..n-1.  Adjacency is stored as one machine
-word per vertex (n is capped at 64), which makes complements, switching and
-parity counts elsewhere in the package cheap bit operations.
+word per vertex (n is capped at 64).
 
 The edge-bit stack kernels at the end of the module build Seidel matrices S
-(the one matrix kernel; the adjacency is S < 0), encode graph6 lines and
-decode them, the decoder being the one graph6 validator.  Each is the only
-implementation of what it computes: scans run it on whole chunks,
-per-graph functions on a stack of one.
+(the one matrix kernel; the adjacency is S < 0), relabel (_relabel), encode
+graph6 lines and decode them, the decoder being the one graph6 validator;
+a complement is bits ^ 1.  Each is the only implementation of what it
+computes: scans run it on whole chunks, per-graph functions on a stack of
+one.
 """
 
 from __future__ import annotations
@@ -101,24 +101,14 @@ class Graph:
         return self.rows[v] | (1 << v)
 
     def permute(self, perm) -> "Graph":
-        """Relabel: vertex i of the result is vertex perm[i] of self."""
-        rows = [0] * self.n
-        inv = [0] * self.n
-        for i, p in enumerate(perm):
-            inv[p] = i
-        for i in range(self.n):
-            r = self.rows[perm[i]]
-            for j in range(self.n):
-                if r >> perm[j] & 1:
-                    rows[i] |= 1 << j
-        return Graph(self.n, tuple(rows))
+        """Relabel: vertex i of the result is vertex perm[i] of self
+        (_relabel on a stack of one)."""
+        return _graph_of_bits(self.n, _relabel(self.n, _edge_bits(self), np.array([perm])))
 
 
 def complement(g: Graph) -> Graph:
     """Flip every off-diagonal pair; an involution."""
-    full = (1 << g.n) - 1
-    rows = tuple((full & ~r & ~(1 << i)) for i, r in enumerate(g.rows))
-    return Graph(g.n, rows)
+    return _graph_of_bits(g.n, _edge_bits(g) ^ 1)
 
 
 def parse_graph6(text: str) -> Graph:
@@ -158,6 +148,24 @@ def _endpoints(n: int) -> tuple[np.ndarray, np.ndarray]:
     j, i = np.tril_indices(n, -1)  # colex: (0,1), (0,2), (1,2), (0,3), ...
     i.flags.writeable = j.flags.writeable = False
     return i, j
+
+
+@lru_cache(maxsize=None)
+def _edge_numbers(n: int) -> np.ndarray:
+    """Read-only (n, n) table of the number of edge (i, j), i != j."""
+    i, j = _endpoints(n)
+    table = np.zeros((n, n), dtype=np.intp)
+    table[i, j] = table[j, i] = np.arange(len(i))
+    table.flags.writeable = False
+    return table
+
+
+def _relabel(n: int, bits: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """Relabel a stack of edge bits by the rows of a (B, n) array perms:
+    vertex u of result row b is vertex perms[b, u] of row b (a stack of one
+    broadcasts against the perms)."""
+    i, j = _endpoints(n)
+    return np.take_along_axis(bits, _edge_numbers(n)[perms[:, i], perms[:, j]], axis=1)
 
 
 def _edge_bits(g: Graph) -> np.ndarray:

@@ -77,6 +77,7 @@ from .graphs import (
     Graph,
     Graph6Error,
     _decode_graph6,
+    _edge_numbers,
     _endpoints,
     _graph6_lines,
     _graph_of_bits,
@@ -86,7 +87,7 @@ from .graphs import (
 # unused here; kept importable as seidelab.search.<name> for bench/tracing.py
 from .graphs import encode_graph6  # noqa: F401
 from .seidel import count_odd_pairs, is_sc_equivalent_to_complete  # noqa: F401
-from .seidel import _odd_pairs, _sc_to_complete
+from .seidel import _odd_pairs, _sc_to_complete, _switch
 from .spectral import charpoly_batch_i64, p_energy, sk_from_charpoly
 from .verify import evaluate, near_equality, reads, run_checks, validate
 
@@ -135,12 +136,12 @@ class AllGraphs:
         for mask in range(len(self)):
             yield Graph.from_edge_mask(self.n, mask)
 
-    def chunk_specs(self, chunk_size: int = CHUNK_SIZE):
-        """Chunks of representative indices, chunk_size representatives each."""
+    def chunk_specs(self):
+        """Chunks of representative indices, CHUNK_SIZE representatives each."""
         total = 1 << len(_free_edges(self.n))
         return [
-            ("classes", self.n, start, min(start + chunk_size, total))
-            for start in range(0, total, chunk_size)
+            ("classes", self.n, start, min(start + CHUNK_SIZE, total))
+            for start in range(0, total, CHUNK_SIZE)
         ]
 
     def member_block(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -198,12 +199,12 @@ class BoundaryFamily:
         for a, b, c, e in self.params():
             yield self.graph_for(a, b, c, e)
 
-    def chunk_specs(self, chunk_size: int = CHUNK_SIZE):
-        """Chunks of representative numbers, chunk_size representatives each."""
+    def chunk_specs(self):
+        """Chunks of representative numbers, CHUNK_SIZE representatives each."""
         total = len(_boundary_table(self.n).reps)
         return [
-            ("boundary", self.n, start, min(start + chunk_size, total))
-            for start in range(0, total, chunk_size)
+            ("boundary", self.n, start, min(start + CHUNK_SIZE, total))
+            for start in range(0, total, CHUNK_SIZE)
         ]
 
     def member_block(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -280,15 +281,15 @@ class Graph6Stream:
                 if self.strict:
                     raise Graph6StreamError(f"line {lineno}: {exc}") from exc
 
-    def chunk_specs(self, chunk_size: int = CHUNK_SIZE):
-        """Chunks of chunk_size nonblank lines, read from the file only as
+    def chunk_specs(self):
+        """Chunks of CHUNK_SIZE nonblank lines, read from the file only as
         the scan takes each chunk: their line numbers and their stripped
         text, each line ended by a newline, as latin-1 bytes.  Workers
         decode and validate."""
         numbered = self._lines()
         while True:
             linenos, lines = [], []  # flat lists: a list of pairs doubles the peak memory
-            for lineno, line in islice(numbered, chunk_size):
+            for lineno, line in islice(numbered, CHUNK_SIZE):
                 linenos.append(lineno)
                 lines.append(line)
             if not lines:
@@ -344,13 +345,11 @@ def _orbit_offsets(n: int) -> np.ndarray:
     """XOR masks taking a representative to each labeled member of its orbit:
     switching on every subset of vertices 1..n-1, with and without the
     complement for n >= 3 (for n <= 2 the complement is itself a switch)."""
-    w = np.arange(0, 1 << n, 2, dtype=np.uint64)[:, None]  # subsets leaving vertex 0 alone
-    i, j = (v.astype(np.uint64) for v in _endpoints(n))
-    cut = (w >> i ^ w >> j) & np.uint64(1)  # edge e is cut iff one endpoint is in w
-    cuts = (cut << np.arange(len(i), dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+    w = np.arange(0, 1 << n, 2)[:, None] >> np.arange(n) & 1  # subsets leaving vertex 0 alone
+    cuts = _switch(n, np.zeros((1, n * (n - 1) // 2), dtype=np.uint64), w.astype(np.uint64))
     if n >= 3:
-        cuts = np.concatenate([cuts, cuts ^ np.uint64((1 << len(i)) - 1)])
-    return cuts
+        cuts = np.concatenate([cuts, cuts ^ np.uint64(1)])
+    return (cuts << np.arange(cuts.shape[1], dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
 
 
 def _representatives(n: int, bits: np.ndarray) -> np.ndarray:
@@ -359,10 +358,8 @@ def _representatives(n: int, bits: np.ndarray) -> np.ndarray:
     neighbourhood isolates vertex 0, complementing the edges among 1..n-1
     clears the last edge if it is then present, and the free edges' bits
     spell the number."""
-    i, j = _endpoints(n)
-    w = np.zeros((len(bits), n), dtype=np.uint8)  # the switched vertices
-    w[:, j[i == 0]] = bits[:, i == 0]
-    rep = bits ^ w[:, i] ^ w[:, j]
+    i = _endpoints(n)[0]
+    rep = _switch(n, bits, np.pad(bits[:, i == 0], ((0, 0), (1, 0))))  # on N(0)
     rep ^= rep[:, -1:] & (i > 0)
     free = _free_edges(n)
     return (rep[:, free].astype(np.int64) << np.arange(len(free))).sum(axis=1)
@@ -383,8 +380,7 @@ def _bordered(n: int, index: np.ndarray, bits: np.ndarray) -> _Bordered:
     border_mask = sum(1 << b for b, e in enumerate(_free_edges(n)) if at_w[e])
     _, pfirst, pidx = np.unique(index & ~border_mask, return_index=True, return_inverse=True)
     _, bfirst, bidx = np.unique(index & border_mask, return_index=True, return_inverse=True)
-    other = np.where(i == w, j, i)[at_w]  # the border's edges by their other endpoint
-    border_edges = np.flatnonzero(at_w)[np.argsort(other)]
+    border_edges = _edge_numbers(n)[w, np.arange(n) != w]
     parents = _seidel(n - 1, bits[pfirst][:, ~at_w])  # relabeling keeps colex order
     borders = 1 - 2 * bits[bfirst][:, border_edges].astype(np.int8)
     return _Bordered(parents, borders, (pidx, bidx))
@@ -524,7 +520,8 @@ def _stack_quantities(stack: _Stack, need: set):
     if coeffs is None:
         inverse = slice(None)
     else:
-        first, inverse = _distinct_rows(coeffs)
+        # c_n = 1, c_(n-1) = 0 and c_(n-2) = -C(n,2) on every Seidel row
+        first, inverse = _distinct_rows(coeffs[:, : max(1, n - 2)])
         s = _seidel(n, bits[first]) if s is None else s[first]
         coeffs = coeffs[first]
     vals = np.linalg.eigvalsh(s)
@@ -713,7 +710,6 @@ def scan(
     p_grid=(1.0,),
     workers: int = 1,
     collect_rows: bool = False,
-    chunk_size: int = CHUNK_SIZE,
 ) -> ScanReport:
     """Run the selected checkers over every graph of the source.
 
@@ -725,13 +721,11 @@ def scan(
     """
     checks, p_grid = tuple(checks), tuple(p_grid)
     validate(checks, p_grid)
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
     if workers < 1:
         raise ValueError("workers must be at least 1")
     processes = min(workers, os.cpu_count() or 1)  # more than the CPUs only add forks
     t0 = time.monotonic()
-    args = ((spec, checks, p_grid, collect_rows) for spec in source.chunk_specs(chunk_size))
+    args = ((spec, checks, p_grid, collect_rows) for spec in source.chunk_specs())
     head = list(islice(args, 2))  # one chunk runs without a pool
     if processes == 1 or len(head) <= 1:
         results = [_eval_chunk_star(a) for a in chain(head, args)]

@@ -7,10 +7,10 @@ disjoint 2-subsets with an odd number of cross edges; their count is an
 SC-invariant and is zero exactly on the switching class of the complete
 graph.
 
-N_op (from ||S^2||_F) and SC-equivalence to K_n (a sign test on S) are
-computed only by the stack kernels _odd_pairs and _sc_to_complete on Seidel
-matrices S, which scans run on whole chunks and the per-graph functions on
-a stack of one.
+Switching is computed only by the edge-bit stack kernel _switch, N_op
+(from ||S^2||_F) and SC-equivalence to K_n (a sign test on S) only by the
+stack kernels _odd_pairs and _sc_to_complete on Seidel matrices S; scans
+run them on whole chunks and the per-graph functions on a stack of one.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from .graphs import Graph, _edge_bits, _endpoints, _graph6_lines, _seidel
+from .graphs import Graph, _edge_bits, _endpoints, _graph6_lines, _graph_of_bits, _relabel, _seidel
 
 SWITCHING_KEY_MAX_N = 8
 _BLOCK_ENTRIES = 1 << 15  # float32 entries of S^2 per block in _odd_pairs
@@ -37,24 +37,19 @@ class SCWitness:
 
 
 def switch(g: Graph, subset) -> Graph:
-    """Seidel switching on a vertex subset (iterable of vertices or bitmask)."""
-    w = subset if isinstance(subset, int) else _mask_of(subset)
-    full = (1 << g.n) - 1
-    rows = []
-    for i in range(g.n):
-        if w >> i & 1:
-            flip = full & ~w
-        else:
-            flip = w
-        rows.append((g.rows[i] ^ flip) & ~(1 << i) & full)
-    return Graph(g.n, tuple(rows))
+    """Seidel switching on a vertex subset (iterable of vertices or bitmask):
+    _switch on a stack of one."""
+    mask = subset if isinstance(subset, int) else sum(1 << v for v in set(subset))
+    w = np.array([[mask >> v & 1 for v in range(g.n)]], dtype=np.uint8)
+    return _graph_of_bits(g.n, _switch(g.n, _edge_bits(g), w))
 
 
-def _mask_of(subset) -> int:
-    m = 0
-    for v in subset:
-        m |= 1 << v
-    return m
+def _switch(n: int, bits: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Seidel switching of a stack of edge bits, row b on the vertex set
+    w[b] of a (B, n) 0/1 array: edge (i, j) flips iff exactly one of i, j
+    is in w[b].  A stack of one broadcasts."""
+    i, j = _endpoints(n)
+    return bits ^ w[:, i] ^ w[:, j]
 
 
 def is_sc_equivalent_to_complete(g: Graph) -> tuple[bool, SCWitness | None]:
@@ -129,11 +124,9 @@ def switching_class_key(g: Graph) -> bytes:
             f"switching_class_key is exact-canonical only for n <= {SWITCHING_KEY_MAX_N}"
         )
     perms = np.array(list(permutations(range(g.n))), dtype=np.intp)
-    s = _seidel(g.n, _edge_bits(g))[0]
-    h = s[perms[:, :, None], perms[:, None, :]]  # h[p](u, v) = S(p[u], p[v])
-    # switching on N(0) isolates vertex 0: (u, v) is an edge iff h(u,v) h(0,u) h(0,v) < 0
-    i, j = _endpoints(g.n)
-    isolated = h[:, i, j] * h[:, 0, i] * h[:, 0, j] < 0
+    bits = _relabel(g.n, _edge_bits(g), perms)
+    i = _endpoints(g.n)[0]
+    isolated = _switch(g.n, bits, np.pad(bits[:, i == 0], ((0, 0), (1, 0))))  # on N(0)
     # the complement's representative is this one's complement off vertex 0
     stack = np.concatenate([isolated, isolated ^ (i != 0)])
     return min(_graph6_lines(g.n, stack).tolist()).encode("ascii")

@@ -289,7 +289,7 @@ def _garner(res: np.ndarray, primes: tuple[int, ...]) -> np.ndarray:
     int64 while p^2 < 2^63 and Python ints above."""
     if len(primes) == 1:
         x, p = res[0], primes[0]
-        x[x > p // 2] -= p
+        x -= (x > p // 2) * p
         return x
     wide = max(primes) ** 2 >= 1 << 63
     digits = []

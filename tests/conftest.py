@@ -5,6 +5,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from seidelab import search
 from seidelab.graphs import (
     ASCII_WHITESPACE,
     GRAPH6_MAX_N,
@@ -32,6 +33,12 @@ def graph_strategy(min_n=1, max_n=8):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def set_chunk_size(monkeypatch):
+    """A setter of search.CHUNK_SIZE, the scan's chunk size, for one test."""
+    return lambda size: monkeypatch.setattr(search, "CHUNK_SIZE", size)
 
 
 def random_graph(rng, n=None, max_n=10):

@@ -189,13 +189,13 @@ def test_criterion_10_cubic_lemma(rng):
     report(10, "cubic integral lower bound", ok)
 
 
-def test_criterion_11_worker_determinism():
+def test_criterion_11_worker_determinism(set_chunk_size):
+    set_chunk_size(64)  # n = 6 has 512 representatives: eight chunks
     outputs = [
         scan(
             AllGraphs(6),
             checks=("sk-basic", "theorem2"),
             workers=w,
-            chunk_size=64,
         ).to_json(include_timing=False)
         for w in (1, 2, 8)
     ]

@@ -15,6 +15,7 @@ from seidelab.graphs import (
     _edge_bits,
     _graph6_lines,
     _graph_of_bits,
+    _relabel,
     _seidel,
     _unpack_graph6,
     complement,
@@ -119,6 +120,26 @@ class TestComplement:
         assert any(
             co.permute(perm) == c5 for perm in permutations(range(5))
         )
+
+
+class TestRelabel:
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_stack_kernel_permutes_each_row(self, rng, n):
+        bits = rng.integers(0, 2, (20, n * (n - 1) // 2), dtype=np.uint8)
+        perms = np.array([rng.permutation(n) for _ in range(len(bits))])
+        s = _seidel(n, bits)
+        got = _seidel(n, _relabel(n, bits, perms))
+        one = _seidel(n, _relabel(n, bits[:1], perms))  # a stack of one broadcasts
+        for b, p in enumerate(perms):
+            assert np.array_equal(got[b], s[b][np.ix_(p, p)])
+            assert np.array_equal(one[b], s[0][np.ix_(p, p)])
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_permute_every_permutation(self, rng, n):
+        g = random_graph(rng, n=n)
+        s = seidel_matrix(g)
+        for p in permutations(range(n)):
+            assert np.array_equal(seidel_matrix(g.permute(p)), s[np.ix_(p, p)])
 
 
 class TestGraphInvariants:

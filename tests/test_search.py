@@ -90,16 +90,18 @@ class TestAllGraphs:
         with pytest.raises(ValueError, match="graph6 stream"):
             AllGraphs(9)
 
-    def test_chunking_covers_everything(self):
+    def test_chunking_covers_everything(self, set_chunk_size):
         # n = 5 has 2^(C(4,2)-1) = 32 representatives
-        specs = AllGraphs(5).chunk_specs(chunk_size=10)
+        set_chunk_size(10)
+        specs = AllGraphs(5).chunk_specs()
         assert [s[2] for s in specs] == [0, 10, 20, 30]
         assert specs[-1][3] == 32
         # the orbits of the representatives partition every labeled mask
+        set_chunk_size(7)
         for n in range(1, 7):
             members = [
                 _class_masks(n, start, stop)[:, None] ^ _orbit_offsets(n)[None, :]
-                for _, _, start, stop in AllGraphs(n).chunk_specs(chunk_size=7)
+                for _, _, start, stop in AllGraphs(n).chunk_specs()
             ]
             labeled = np.sort(np.concatenate(members).ravel())
             assert np.array_equal(labeled, np.arange(len(AllGraphs(n)), dtype=np.uint64))
@@ -250,34 +252,32 @@ class TestScan:
             scan(AllGraphs(3), checks=())
         with pytest.raises(ValueError):
             scan(AllGraphs(3), checks=("bogus",))
-        with pytest.raises(ValueError, match="chunk_size"):
-            scan(AllGraphs(3), chunk_size=0)
         # a theorem1 grid must be nonempty and inside (0, 2), checked before
         # any chunk runs, even at n = 1, where theorem1 does not apply
         for p_grid in [(2.0,), (), (0.5, 0.0)]:
             with pytest.raises(ValueError, match="theorem1"):
                 scan(AllGraphs(1), checks=("theorem1",), p_grid=p_grid)
 
-    def test_worker_determinism(self):
+    def test_worker_determinism(self, set_chunk_size):
         # n = 6 has 512 representatives: eight chunks
+        set_chunk_size(64)
         reports = [
             scan(
                 AllGraphs(6),
                 checks=("theorem2",),
                 workers=w,
-                chunk_size=64,
             ).to_json(include_timing=False)
             for w in (1, 2, 5)
         ]
         assert reports[0] == reports[1] == reports[2]
 
-    def test_chunk_size_independence(self):
+    def test_chunk_size_independence(self, set_chunk_size):
         # n = 5 has 32 representatives: eleven, three and one chunks
-        a, b, c = (
-            scan(AllGraphs(5), chunk_size=size).to_json(include_timing=False)
-            for size in (3, 16, 1024)
-        )
-        assert a == b == c
+        reports = []
+        for size in (3, 16, 1024):
+            set_chunk_size(size)
+            reports.append(scan(AllGraphs(5)).to_json(include_timing=False))
+        assert reports[0] == reports[1] == reports[2]
 
     def test_csv_output(self):
         rep = scan(AllGraphs(4), checks=("theorem2",), collect_rows=True)
@@ -435,7 +435,7 @@ MALFORMED = {
 
 @pytest.mark.parametrize("kind", sorted(MALFORMED))
 @pytest.mark.parametrize("workers", [1, 2])
-def test_decoder_rejects_like_parse_graph6(tmp_path, kind, workers):
+def test_decoder_rejects_like_parse_graph6(tmp_path, kind, workers, set_chunk_size):
     bad = MALFORMED[kind]
     with pytest.raises(Graph6Error) as parsed:
         parse_graph6(bad)
@@ -443,15 +443,17 @@ def test_decoder_rejects_like_parse_graph6(tmp_path, kind, workers):
     lines = good[:7] + [bad] + good[7:] + ["", bad]  # the blank line still counts
     p = tmp_path / "bad.g6"
     p.write_text("\n".join(lines) + "\n")
+    set_chunk_size(4)
     with pytest.raises(Graph6StreamError) as streamed:
-        scan(Graph6Stream(str(p)), workers=workers, chunk_size=4)
+        scan(Graph6Stream(str(p)), workers=workers)
     assert str(streamed.value) == f"line 8: {parsed.value}"
     with pytest.raises(Graph6StreamError) as iterated:
         list(Graph6Stream(str(p)))
     assert str(iterated.value) == str(streamed.value)
     # lenient: chunks of one line leave some chunks empty
     for size in (1, 4):
-        rep = scan(Graph6Stream(str(p), strict=False), workers=workers, chunk_size=size)
+        set_chunk_size(size)
+        rep = scan(Graph6Stream(str(p), strict=False), workers=workers)
         assert rep.graphs_scanned == len(good) == len(list(Graph6Stream(str(p), strict=False)))
 
 
@@ -583,7 +585,7 @@ SMALL = [Graph.from_edge_mask(n, m) for n in (1, 2, 3) for m in range(1 << (n * 
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_csv_lenient_small_orders_match_csv_writer(tmp_path, workers):
+def test_csv_lenient_small_orders_match_csv_writer(tmp_path, workers, set_chunk_size):
     # no row fills an sk-oddpairs or oddpair-lower margin: both columns stay, blank
     lines = [encode_graph6(g) for g in SMALL]
     bad = sorted(MALFORMED.values())
@@ -591,9 +593,9 @@ def test_csv_lenient_small_orders_match_csv_writer(tmp_path, workers):
     p = tmp_path / "small.g6"
     p.write_text("\n".join(text) + "\n")
     p_grid = (0.25, 1.0)
+    set_chunk_size(4)
     rep = scan(
-        Graph6Stream(str(p), strict=False), ALL_CHECKS, p_grid,
-        workers=workers, collect_rows=True, chunk_size=4,
+        Graph6Stream(str(p), strict=False), ALL_CHECKS, p_grid, workers=workers, collect_rows=True
     )
     assert rep.graphs_scanned == len(SMALL)
     reference = _reference_rows(SMALL, ALL_CHECKS, p_grid)
@@ -647,31 +649,32 @@ def all_graphs_reference():
     "workers, block", [(1, None), (2, None), (1, 7), (2, 7)], ids=["1", "2", "1-block7", "2-block7"]
 )
 def test_csv_all_graphs_interleaved_chunks_match_csv_writer(
-    all_graphs_reference, monkeypatch, workers, block
+    all_graphs_reference, monkeypatch, set_chunk_size, workers, block
 ):
     # orbit members of one chunk spread over the whole mask range; blocks of
     # 7 rendered lines end mid-orbit
     if block is not None:
         monkeypatch.setattr(search, "_ROW_BLOCK", block)
     checks, want = all_graphs_reference
+    set_chunk_size(5)
     reports = [
-        scan(AllGraphs(n), checks, workers=workers, collect_rows=True, chunk_size=5)
-        for n in range(1, 7)
+        scan(AllGraphs(n), checks, workers=workers, collect_rows=True) for n in range(1, 7)
     ]
     _assert_csv_close(_written(*reports), want)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_csv_reports_with_different_margin_columns(tmp_path, workers):
+def test_csv_reports_with_different_margin_columns(tmp_path, set_chunk_size, workers):
     # one header serves reports with the same checks only; a stream report
     # and an exhaustive one share it
     checks = ("theorem2", "oddpair-lower")  # oddpair-lower is blank below n = 4
     big_checks = ("sk-oddpairs", "oddpair-lower", "theorem1")
     p = tmp_path / "small.g6"
     p.write_text("".join(encode_graph6(g) + "\n" for g in SMALL))
-    small = scan(Graph6Stream(str(p)), checks, workers=workers, collect_rows=True, chunk_size=3)
-    mid = scan(AllGraphs(4), checks, workers=workers, collect_rows=True, chunk_size=3)
-    big = scan(AllGraphs(4), big_checks, workers=workers, collect_rows=True, chunk_size=3)
+    set_chunk_size(3)
+    small = scan(Graph6Stream(str(p)), checks, workers=workers, collect_rows=True)
+    mid = scan(AllGraphs(4), checks, workers=workers, collect_rows=True)
+    big = scan(AllGraphs(4), big_checks, workers=workers, collect_rows=True)
     small_rows = _reference_rows(SMALL, checks)
     mid_rows = _exhaustive_reference(4, checks)
     _assert_csv_close(_written(small, mid), _reference_csv(checks, small_rows + mid_rows))
@@ -776,9 +779,10 @@ def test_grouped_quantities_match_per_row_kernels(source):
 
 
 @pytest.mark.parametrize("source", [AllGraphs(7), BoundaryFamily(16)], ids=lambda s: s.descriptor)
-def test_rows_sharing_a_char_poly_carry_identical_floats(source):
+def test_rows_sharing_a_char_poly_carry_identical_floats(set_chunk_size, source):
     p_grid = (0.5, 1.0, 1.5)
-    for spec in source.chunk_specs(chunk_size=50):
+    set_chunk_size(50)
+    for spec in source.chunk_specs():
         result = search._eval_chunk(spec, ALL_CHECKS, p_grid, collect_rows=True)
         (st,) = search._stacks(spec)[1]
         coeffs = charpoly_batch_i64(_seidel(st.n, st.bits))
@@ -825,10 +829,11 @@ def _assert_bordered_rows_match(spec):
 
 @pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("chunk_size", [1, 5, 7, 64, search.CHUNK_SIZE])
-def test_bordered_rows_match_full_stack_kernel(n, chunk_size):
+def test_bordered_rows_match_full_stack_kernel(set_chunk_size, n, chunk_size):
     # each exhaustive row's polynomial comes from its parent and border,
     # whatever the chunk boundaries
-    for spec in _sampled(AllGraphs(n).chunk_specs(chunk_size)):
+    set_chunk_size(chunk_size)
+    for spec in _sampled(AllGraphs(n).chunk_specs()):
         _assert_bordered_rows_match(spec)
 
 
@@ -896,7 +901,7 @@ def _boundary_orbits(n: int) -> list[np.ndarray]:
 
 
 @pytest.mark.parametrize("n", BOUNDARY_ORDERS)
-def test_boundary_orbits_partition_params(n):
+def test_boundary_orbits_partition_params(set_chunk_size, n):
     fam = BoundaryFamily(n)
     table = search._boundary_table(n)
     params = fam.params()
@@ -905,7 +910,8 @@ def test_boundary_orbits_partition_params(n):
     assert np.array_equal(np.sort(np.concatenate(orbits)), np.arange(len(params)))
     assert [int(orbit[0]) for orbit in orbits] == table.reps.tolist()
     assert np.all(np.diff(table.reps) > 0)
-    assert len(fam) == len(params) and len(fam.chunk_specs(1)) == len(orbits)
+    set_chunk_size(1)
+    assert len(fam) == len(params) and len(fam.chunk_specs()) == len(orbits)
     for k, p in enumerate(params):
         for image in _apex_switchings(n, *p):
             assert table.rep[index[image]] == table.rep[k]
@@ -935,15 +941,19 @@ def test_boundary_checked_quantities_constant_on_orbits(n):
 
 
 @pytest.mark.parametrize("workers, chunk_size", [(1, 1), (1, 7), (2, 7), (2, None)])
-def test_boundary_report_independent_of_chunks(workers, chunk_size):
-    assert _boundary_reports(workers, chunk_size) == _boundary_reports(1, None)
+def test_boundary_report_independent_of_chunks(set_chunk_size, workers, chunk_size):
+    want = _boundary_reports(1, None)
+    if chunk_size is not None:
+        set_chunk_size(chunk_size)
+    assert _boundary_reports(workers, chunk_size) == want
 
 
 @lru_cache(maxsize=None)
 def _boundary_reports(workers, chunk_size):
-    size = {} if chunk_size is None else {"chunk_size": chunk_size}
+    """Reports of a scan at search.CHUNK_SIZE, which the caller has set to
+    chunk_size (None: the default); cached by both."""
     return [
-        scan(BoundaryFamily(n), ("sk-oddpairs", "oddpair-lower", "theorem2"), workers=workers, **size)
+        scan(BoundaryFamily(n), ("sk-oddpairs", "oddpair-lower", "theorem2"), workers=workers)
         .to_json(include_timing=False)
         for n in BOUNDARY_ORDERS
     ]
@@ -981,14 +991,15 @@ def boundary_reference():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_csv_boundary_matches_representative_reference(
-    boundary_reference, monkeypatch, workers
+    boundary_reference, monkeypatch, set_chunk_size, workers
 ):
     # a chunk of 5 representatives holds members spread over the family;
     # blocks of 7 rendered lines end mid-orbit
     monkeypatch.setattr(search, "_ROW_BLOCK", 7)
     checks, want = boundary_reference
+    set_chunk_size(5)
     reports = [
-        scan(BoundaryFamily(n), checks, workers=workers, collect_rows=True, chunk_size=5)
+        scan(BoundaryFamily(n), checks, workers=workers, collect_rows=True)
         for n in BOUNDARY_ORDERS
     ]
     _assert_csv_close(_written(*reports), want)
@@ -1029,7 +1040,7 @@ def test_pooled_draws_chunks_as_slots_free(monkeypatch):
     assert len(drawn) == 20
 
 
-def test_pool_size_capped_at_cpu_count(monkeypatch):
+def test_pool_size_capped_at_cpu_count(monkeypatch, set_chunk_size):
     # a stand-in pool on at most two threads records the size it is asked
     # for; no process pool is started
     from concurrent.futures import ThreadPoolExecutor
@@ -1049,28 +1060,30 @@ def test_pool_size_capped_at_cpu_count(monkeypatch):
 
     monkeypatch.setattr(search, "ProcessPoolExecutor", Recording)
     monkeypatch.setattr(search, "_pooled", recording_pooled)
-    want = scan(AllGraphs(6), chunk_size=64).to_json(include_timing=False)
+    set_chunk_size(64)
+    want = scan(AllGraphs(6)).to_json(include_timing=False)
     for cpus, pool in [(3, [3]), (None, [])]:  # no CPU count: one process, serially
         sizes.clear(), in_flight.clear()
         monkeypatch.setattr(search.os, "cpu_count", lambda: cpus)
-        rep = scan(AllGraphs(6), workers=100_000, chunk_size=64)
+        rep = scan(AllGraphs(6), workers=100_000)
         assert sizes == pool
         assert in_flight == [2 * k for k in pool]
         assert rep.to_json(include_timing=False) == want
 
 
-def test_workers_rejected_before_any_chunk(monkeypatch):
+def test_workers_rejected_before_any_chunk(monkeypatch, set_chunk_size):
     def refuse(args):
         raise AssertionError("a chunk ran")
 
     monkeypatch.setattr(search, "_eval_chunk_star", refuse)
+    set_chunk_size(64)
     for workers in (0, -2):
         with pytest.raises(ValueError, match="workers must be at least 1"):
-            scan(AllGraphs(6), workers=workers, chunk_size=64)
+            scan(AllGraphs(6), workers=workers)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_lazy_stream_strict_error_and_determinism(tmp_path, workers):
+def test_lazy_stream_strict_error_and_determinism(tmp_path, workers, set_chunk_size):
     # 30 lines in chunks of 3: ten chunks, more than 2 * workers in flight
     lines = ["D~{", "Bw", "@", "Ch", "E?Bw", "C~"] * 5
     lines[7] = "Cw!"  # line 8, the third chunk
@@ -1079,21 +1092,22 @@ def test_lazy_stream_strict_error_and_determinism(tmp_path, workers):
     p.write_text("\n".join(lines) + "\n")
     with pytest.raises(Graph6Error) as parsed:
         parse_graph6("Cw!")
+    set_chunk_size(3)
     with pytest.raises(Graph6StreamError) as streamed:
-        scan(Graph6Stream(str(p)), workers=workers, chunk_size=3)
+        scan(Graph6Stream(str(p)), workers=workers)
     assert str(streamed.value) == f"line 8: {parsed.value}"
     with pytest.raises(Graph6StreamError) as iterated:
         list(Graph6Stream(str(p)))
     assert str(iterated.value) == str(streamed.value)
     reports = [
-        scan(Graph6Stream(str(p), strict=False), DESK_CHECKS, workers=w, chunk_size=3)
+        scan(Graph6Stream(str(p), strict=False), DESK_CHECKS, workers=w)
         for w in (1, workers)
     ]
     assert reports[0].graphs_scanned == 28
     assert reports[0].to_json(include_timing=False) == reports[1].to_json(include_timing=False)
 
 
-def test_stream_reader_matches_text_mode(tmp_path):
+def test_stream_reader_matches_text_mode(tmp_path, set_chunk_size):
     # \r\n, lone \r, blank, padded and non-ASCII lines, and no final newline
     data = (
         b"C~\r\n\r\n  Bw \t\n\x0c\n@\rD~{\r\r\nE?Bw\n\xff\nC\xa0~\n"
@@ -1107,7 +1121,8 @@ def test_stream_reader_matches_text_mode(tmp_path):
             for k, line in enumerate(fh, start=1)
             if line.strip(ASCII_WHITESPACE)
         ]
-    specs = list(Graph6Stream(str(p)).chunk_specs(chunk_size=4))
+    set_chunk_size(4)
+    specs = list(Graph6Stream(str(p)).chunk_specs())
     assert [s[1].tolist() for s in specs] == [
         [k for k, _ in kept[i : i + 4]] for i in range(0, len(kept), 4)
     ]
@@ -1122,7 +1137,7 @@ def test_stream_reader_matches_text_mode(tmp_path):
         list(Graph6Stream(str(p)))
 
 
-def test_stream_is_read_lazily(tmp_path, monkeypatch):
+def test_stream_is_read_lazily(tmp_path, monkeypatch, set_chunk_size):
     # the first chunk arrives long before the file is read through, and
     # closing the chunk generator closes the file
     p = tmp_path / "long.g6"
@@ -1135,7 +1150,8 @@ def test_stream_is_read_lazily(tmp_path, monkeypatch):
         return fh
 
     monkeypatch.setattr(search, "open", recording_open, raising=False)
-    specs = Graph6Stream(str(p)).chunk_specs(chunk_size=2)
+    set_chunk_size(2)
+    specs = Graph6Stream(str(p)).chunk_specs()
     assert next(specs)[1].tolist() == [1, 2]
     (fh,) = opened
     assert fh.buffer.raw.tell() < p.stat().st_size / 4

@@ -17,6 +17,7 @@ from seidelab.graphs import (
 from seidelab.seidel import (
     _odd_pairs,
     _sc_to_complete,
+    _switch,
     count_odd_pairs,
     is_sc_equivalent_to_complete,
     switch,
@@ -79,6 +80,26 @@ class TestSwitch:
         assert char_poly_exact(seidel_matrix(switch(g, w))) == char_poly_exact(
             seidel_matrix(g)
         )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 33, 64])
+    def test_stack_kernel_conjugates_each_row(self, rng, n):
+        bits = rng.integers(0, 2, (20, n * (n - 1) // 2), dtype=np.uint8)
+        w = rng.integers(0, 2, (20, n), dtype=np.uint8)
+        got = _switch(n, bits, w)
+        s = _seidel(n, bits).astype(np.int64)
+        for b in range(len(bits)):
+            assert np.array_equal(got[b], _switch(n, bits[b : b + 1], w[b : b + 1])[0])
+            d = np.diag(1 - 2 * w[b].astype(np.int64))
+            assert np.array_equal(_seidel(n, got[b : b + 1])[0], d @ s[b] @ d)
+
+    def test_int_masks_at_64(self, rng):
+        # masks of 2^63 and above; bits past vertex 63 are ignored
+        g = random_graph(rng, n=64)
+        for mask in (1 << 63, (1 << 63) | 0b1011, (1 << 64) - 1, (1 << 70) | (1 << 63)):
+            w = {v for v in range(64) if mask >> v & 1}
+            d = np.diag([-1 if v in w else 1 for v in range(64)])
+            assert switch(g, mask) == switch(g, w)
+            assert np.array_equal(seidel_matrix(switch(g, mask)), d @ seidel_matrix(g) @ d)
 
 
 class TestScEquivalence:
