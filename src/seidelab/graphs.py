@@ -102,8 +102,16 @@ class Graph:
 
     def permute(self, perm) -> "Graph":
         """Relabel: vertex i of the result is vertex perm[i] of self
-        (_relabel on a stack of one)."""
-        return _graph_of_bits(self.n, _relabel(self.n, _edge_bits(self), np.array([perm])))
+        (_relabel on a stack of one).  perm must be a permutation of
+        range(n); anything else raises ValueError."""
+        p = np.asarray(perm)
+        if (
+            p.shape != (self.n,)
+            or p.dtype.kind not in "iu"
+            or not np.array_equal(np.sort(p), np.arange(self.n))
+        ):
+            raise ValueError(f"perm must be a permutation of range({self.n}), got {perm!r}")
+        return _graph_of_bits(self.n, _relabel(self.n, _edge_bits(self), p[None]))
 
 
 def complement(g: Graph) -> Graph:

@@ -41,7 +41,10 @@ v = S[w, != w] (see _bordered), and its polynomial is
 x p_P(x) - v^T adj(xI - P) v, its quadratic forms exact because their
 partial sums stay below 2^53 as the kernel's own products do.  So the exact
 kernel runs once per parent: 1,024 of them for the 16,384 rows at n = 7
-and per 2^15-row chunk from n = 8.  A stream chunk is
+and per 2^15-row chunk from n = 8.  A boundary member has an equitable
+partition, the clique split into four cells by the apexes, so its
+polynomial is (x - 1)^(n-6) times that of a 6x6 integer quotient (see
+_boundary_polys), and the exact kernel never runs on it.  A stream chunk is
 grouped the same way when its checks read S_k, and otherwise evaluates
 every row.  Only what a report names (equality graphs, failures, the
 minimum-energy witness) is expanded back to the orbit's members, keyed by
@@ -67,6 +70,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import chain, islice, repeat
+from math import comb
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
@@ -190,6 +194,11 @@ class BoundaryFamily:
         return bits.astype(np.uint8)
 
     def graph_for(self, a: int, b: int, c: int, e: int) -> Graph:
+        if not (0 <= c <= b <= a and a + b - c <= self.n - 2 and e in (0, 1)):
+            raise ValueError(
+                f"(a, b, c, e) = {(a, b, c, e)} is not a member: need 0 <= c <= b <= a, "
+                f"a + b - c <= {self.n - 2} and e in {{0, 1}}"
+            )
         return _graph_of_bits(self.n, self.edge_bits([(a, b, c, e)]))
 
     def __len__(self) -> int:
@@ -252,6 +261,58 @@ def _boundary_table(n: int) -> _BoundaryTable:
     return _BoundaryTable(params, rep, reps)
 
 
+# Seidel signs between the boundary quotient's parts: the clique's cells
+# "both apexes", "v1 only", "v2 only" and "neither", then the apexes v1
+# and v2; the v1-v2 sign is each member's own, 1 - 2e
+_QUOTIENT_SIGNS = np.array(
+    [
+        [-1, -1, -1, -1, -1, -1],
+        [-1, -1, -1, -1, -1, 1],
+        [-1, -1, -1, -1, 1, -1],
+        [-1, -1, -1, -1, 1, 1],
+        [-1, -1, 1, 1, 0, 0],
+        [-1, 1, -1, 1, 0, 0],
+    ],
+    dtype=np.int64,
+)
+
+
+def _boundary_polys(n: int, params: np.ndarray) -> np.ndarray:
+    """Exact det(xI - S), (B, n+1) int64 ascending, of the boundary members
+    with the given (a, b, c, e) rows, from their equitable partition.
+
+    The apexes split the clique into four cells, of sizes s = (c, a-c, b-c,
+    m-a-b+c), m = n-2, and every vertex outside a cell sees the whole cell
+    alike, so e_u - e_v for u, v in one cell is an eigenvector of S with
+    eigenvalue 1.  Hence det(xI - S) = (x - 1)^(n-6) det(xI - Q), where Q
+    is the 6x6 quotient over the cells and the two apexes: Q_ij = sigma_ij
+    s_j off the diagonal, 1 - s_i on a cell's diagonal and 0 on an apex's.
+    An empty cell's column is e_i and gives its factor x - 1 back, so the
+    identity holds for every member.  Faddeev-LeVerrier runs on Q in
+    int64, its running entries below 7,600 and the coefficients below
+    1.6e8 for every member at n <= 22."""
+    m = n - 2
+    a, b, c, e = np.asarray(params, dtype=np.int64).reshape(-1, 4).T
+    one = np.ones_like(a)
+    sizes = np.stack([c, a - c, b - c, m - a - b + c, one, one], axis=1)
+    q = _QUOTIENT_SIGNS * sizes[:, None, :] + np.diag([1, 1, 1, 1, 0, 0])
+    q[:, 4, 5] = q[:, 5, 4] = 1 - 2 * e
+    # Faddeev-LeVerrier: M_k = Q M_(k-1) + c_(7-k) I, c_(6-k) = -tr(Q M_k) / k,
+    # qm holding Q M_k
+    pq = np.zeros((len(a), 7), dtype=np.int64)
+    pq[:, 6] = 1
+    qm, eye = np.zeros_like(q), np.eye(6, dtype=np.int64)
+    for k in range(1, 7):
+        qm = q @ (qm + pq[:, 7 - k, None, None] * eye)
+        pq[:, 6 - k] = -np.einsum("bii->b", qm) // k
+    d = n - 6
+    binomial = np.array([comb(d, i) * (-1) ** (d - i) for i in range(d + 1)], dtype=np.int64)
+    coeffs = np.zeros((len(a), n + 1), dtype=np.int64)
+    for k in range(7):  # times (x - 1)^(n-6)
+        coeffs[:, k : k + d + 1] += pq[:, k, None] * binomial
+    return coeffs
+
+
 @dataclass(frozen=True)
 class Graph6Stream:
     """Newline-separated graph6 file; strict mode aborts on malformed lines
@@ -306,8 +367,10 @@ class Graph6Stream:
 # the graphs each row stands for as (row, position) arrays, and
 # name(rows, positions) their graph6 as a str array.  A stream stack also
 # gives its rows' slots, their line indices within the chunk; an orbit
-# stack has none, its rows standing for many graphs.  An exhaustive stack
-# also gives its rows as parent times border (see _bordered).
+# stack has none, its rows standing for many graphs, and gives instead its
+# rows' exact characteristic polynomials: an exhaustive stack's from parent
+# times border (see _bordered), a boundary stack's from the family's
+# equitable quotient (see _boundary_polys).
 
 
 class _Bordered(NamedTuple):
@@ -322,7 +385,7 @@ class _Stack(NamedTuple):
     members: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     name: Callable[[np.ndarray, np.ndarray], np.ndarray]
     slots: np.ndarray | None
-    bordered: _Bordered | None = None
+    coeffs: np.ndarray | None = None  # an orbit stack's exact char polys
 
 
 def _free_edges(n: int) -> list[int]:
@@ -407,8 +470,9 @@ def _stacks(spec) -> tuple[int, list[_Stack]]:
             return _graph6_lines(n, _mask_bits(n, positions))
 
         count = (stop - start) * len(offsets)
-        index = np.arange(start, stop, dtype=np.int64)
-        return count, [_Stack(n, bits, members, name, None, _bordered(n, index, bits))]
+        parents, borders, rows = _bordered(n, np.arange(start, stop, dtype=np.int64), bits)
+        coeffs = charpoly_batch_i64(parents, borders)[rows]
+        return count, [_Stack(n, bits, members, name, None, coeffs)]
     if spec[0] == "boundary":
         _, n, start, stop = spec
         family = BoundaryFamily(n)
@@ -422,8 +486,9 @@ def _stacks(spec) -> tuple[int, list[_Stack]]:
             return _graph6_lines(n, family.edge_bits(table.params[positions]))
 
         count = int(np.count_nonzero((table.rep >= start) & (table.rep < stop)))
-        bits = family.edge_bits(table.params[table.reps[start:stop]])
-        return count, [_Stack(n, bits, members, name, None)]
+        params = table.params[table.reps[start:stop]]
+        bits = family.edge_bits(params)
+        return count, [_Stack(n, bits, members, name, None, _boundary_polys(n, params))]
     _, linenos, text, strict = spec
     codes = np.frombuffer(text, dtype=np.uint8)
     ends = np.flatnonzero(codes == ord("\n"))
@@ -498,25 +563,16 @@ def _stack_quantities(stack: _Stack, need: set):
     the fourth powers of the roots, and S is SC-equivalent to K_n iff p is
     (x + n - 1)(x - 1)^(n-1) or (x - n + 1)(x + 1)^(n-1).  So the first row
     with each polynomial stands for the others.  Orbit stacks, whose rows
-    repeat few polynomials, and stacks whose checks read S_k compute the
-    polynomials and group by them; any other stack has one group per row,
-    and inverse is then a slice, which scatters at no cost.
-
-    An exhaustive stack's polynomials come from its parents and borders
-    (see _bordered), by det(xI - [[P, v], [v^T, 0]]) = x p_P(x) -
-    v^T adj(xI - P) v: Faddeev-LeVerrier runs once per parent, 1,024 of
-    them for the 16,384 representatives at n = 7, and each row adds a
-    quadratic form per coefficient, exact while its partial sums stay below
-    2^53 as the recurrence's own products do (charpoly_batch_i64).  S is
-    then built for the distinct rows only."""
-    n, bits, bordered = stack.n, stack.bits, stack.bordered
-    s = None if bordered else _seidel(n, bits)
-    if bordered:
-        coeffs = charpoly_batch_i64(bordered.parents, bordered.borders)[bordered.rows]
-    elif stack.slots is None or "sk" in need:
+    repeat few polynomials, carry their polynomials (from parents and
+    borders, or from the boundary quotient; see _stacks), and S is built
+    for their distinct rows only.  A stream stack whose checks read S_k
+    computes its polynomials from S and is grouped the same way; any other
+    has one group per row, and inverse is then a slice, which scatters at
+    no cost."""
+    n, bits, coeffs = stack.n, stack.bits, stack.coeffs
+    s = None if coeffs is not None else _seidel(n, bits)
+    if coeffs is None and "sk" in need:
         coeffs = charpoly_batch_i64(s)
-    else:
-        coeffs = None
     if coeffs is None:
         inverse = slice(None)
     else:

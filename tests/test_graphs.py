@@ -141,6 +141,22 @@ class TestRelabel:
         for p in permutations(range(n)):
             assert np.array_equal(seidel_matrix(g.permute(p)), s[np.ix_(p, p)])
 
+    @pytest.mark.parametrize(
+        "perm",
+        [
+            [0, 0, 1],  # a repeat
+            [0, 1],  # too short
+            [0, 1, 2, 3],  # too long
+            [0, 1, 5],  # out of range
+            [-1, 0, 1],  # negative, which would wrap
+            [[0, 1, 2]],  # not one row
+            [0.0, 1.0, 2.0],  # not integers
+        ],
+    )
+    def test_permute_rejects_non_permutations(self, perm):
+        with pytest.raises(ValueError, match="permutation of range"):
+            Graph.from_edges(3, [(0, 1), (1, 2)]).permute(perm)
+
 
 class TestGraphInvariants:
     def test_loop_rejected(self):

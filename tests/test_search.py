@@ -26,7 +26,7 @@ from seidelab.graphs import (
     parse_graph6,
     seidel_matrix,
 )
-from seidelab.graphs import _decode_graph6, _graph6_lines, _seidel
+from seidelab.graphs import _decode_graph6, _graph6_lines, _graph_of_bits, _seidel
 from seidelab.search import (
     AllGraphs,
     BoundaryFamily,
@@ -820,10 +820,10 @@ def _assert_bordered_rows_match(spec):
     """The chunk's rows from parents and borders equal the kernel's rows on
     its full stack; returns the number of parents and of borders."""
     (st,) = search._stacks(spec)[1]
-    parents, borders, rows = st.bordered
+    _, n, start, stop = spec
+    parents, borders, _ = search._bordered(n, np.arange(start, stop, dtype=np.int64), st.bits)
     assert parents.shape[1:] == (st.n - 1, st.n - 1) and borders.shape[1] == st.n - 1
-    got = charpoly_batch_i64(parents, borders)[rows]
-    assert np.array_equal(got, charpoly_batch_i64(_seidel(st.n, st.bits)))
+    assert np.array_equal(st.coeffs, charpoly_batch_i64(_seidel(st.n, st.bits)))
     return len(parents), len(borders)
 
 
@@ -922,6 +922,68 @@ def test_boundary_orbit_counts():
     assert sum(orbits) == 2971
     assert sum(orbits[:6]) == 785  # n = 11..16
     assert sum(len(BoundaryFamily(n)) for n in BOUNDARY_ORDERS) == 10982
+
+
+@pytest.mark.parametrize("n", BOUNDARY_ORDERS)
+def test_boundary_polys_match_kernel(n):
+    # the equitable quotient gives every member's exact polynomial, members
+    # with empty cells included
+    params = np.array(BoundaryFamily(n).params())
+    a, b, c, _ = params.T
+    sizes = np.stack([c, a - c, b - c, n - 2 - a - b + c])
+    assert (sizes == 0).any(axis=1).all()  # each cell is empty in some member
+    got = search._boundary_polys(n, params)
+    want = charpoly_batch_i64(_seidel(n, BoundaryFamily(n).edge_bits(params)))
+    assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+
+def test_boundary_scan_runs_no_exact_kernel(monkeypatch):
+    # the boundary polynomials come from the quotient: n = 11..16 call the
+    # exact kernel never and eigvalsh once per distinct polynomial
+    polys, batches, kernel, eigvalsh = [], [], charpoly_batch_i64, np.linalg.eigvalsh
+
+    def counting(a):
+        batches.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(search.np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(
+        search, "charpoly_batch_i64", lambda m, *v: polys.append(m.shape) or kernel(m, *v)
+    )
+    for n in range(11, 17):
+        assert scan(BoundaryFamily(n), DESK_CHECKS).total_failures == 0
+    assert polys == []
+    assert sum(batches) == 715
+
+
+@pytest.mark.parametrize(
+    "params",
+    [(0, 0, 0, 0), (0, 0, 0, 1), (2, 2, 2, 0), (3, 3, 1, 1), (5, 4, 0, 0), (9, 9, 9, 1), (9, 0, 0, 0)],
+)
+def test_boundary_graph_for_accepts_members(params):
+    # each inequality of the family at equality: c = 0, c = b, b = a,
+    # a + b - c = n - 2 (n = 11)
+    fam = BoundaryFamily(11)
+    assert params in fam.params()
+    assert fam.graph_for(*params) == _graph_of_bits(11, fam.edge_bits([params]))
+
+
+@pytest.mark.parametrize(
+    "n, params",
+    [
+        (11, (3, 2, -1, 0)),  # c < 0
+        (11, (3, 2, 7, 0)),  # c > b
+        (11, (2, 3, 1, 0)),  # b > a
+        (11, (9, 1, 0, 0)),  # a + b - c = n - 1
+        (11, (10, 0, 0, 0)),  # a > n - 2
+        (12, (12, 0, 0, 3)),
+        (11, (3, 2, 1, 2)),  # e not 0 or 1
+        (11, (3, 2, 1, -1)),
+    ],
+)
+def test_boundary_graph_for_rejects_non_members(n, params):
+    with pytest.raises(ValueError, match="not a member"):
+        BoundaryFamily(n).graph_for(*params)
 
 
 @pytest.mark.parametrize("n", BOUNDARY_ORDERS)
