@@ -58,12 +58,16 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
+        """Graph on n vertices with the given (i, j) edges; an endpoint that is
+        not an integer in range(n), or a loop, raises ValueError."""
         rows = [0] * n
         for i, j in edges:
+            if not all(isinstance(v, (int, np.integer)) and 0 <= v < n for v in (i, j)):
+                raise ValueError(f"edge {(i, j)!r} has an endpoint outside range({n})")
             if i == j:
                 raise ValueError("loops not allowed")
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
+            rows[i] |= 1 << int(j)
+            rows[j] |= 1 << int(i)
         return Graph(n, tuple(rows))
 
     @staticmethod
@@ -72,8 +76,10 @@ class Graph:
 
         Edge e runs over pairs (i, j), i < j, ordered colexicographically:
         (0,1), (0,2), (1,2), (0,3), (1,3), (2,3), ...  Bits past the last
-        edge are ignored.
+        edge are ignored; a negative mask raises ValueError.
         """
+        if mask < 0:
+            raise ValueError(f"edge mask {mask} is negative")
         m = n * (n - 1) // 2
         raw = np.frombuffer((mask & ((1 << m) - 1)).to_bytes(m // 8 + 1, "little"), np.uint8)
         return _graph_of_bits(n, np.unpackbits(raw, bitorder="little")[None, :m])

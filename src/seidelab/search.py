@@ -53,11 +53,14 @@ the exhaustive source, the parameter index for the boundary family, the
 line number for a stream) and merged in that order.
 
 CSV rows, when collected, come from every chunk in source order, so the
-scan only joins them: a stream chunk returns its lines as text rendered in
-the worker, and an orbit chunk its representatives' columns, from which
-write_csv renders each graph's line as it is written, mapping the graph to
-its representative.  Chunk boundaries do not depend on the worker count,
-so aggregate reports and CSV output are reproducible byte for byte.
+scan only joins them.  A row's cells but graph6 are functions of its char
+poly, so a worker renders that tail of the line once per distinct poly
+(see _render_tails).  A stream chunk returns its lines as text, graph6 put
+in front of each tail; an orbit chunk returns its representatives' tails,
+and write_csv puts each graph's graph6 in front of its representative's
+tail as the line is written, formatting no number.  Chunk boundaries do
+not depend on the worker count, so aggregate reports and CSV output are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -522,19 +525,20 @@ class _ChunkResult:
     failure_reports: list  # report dicts
     equality_graph6: list  # graphs with |E_S - (2n-2)| <= tolerance
     # with collect_rows: a stream chunk's CSV lines in source order, or for an
-    # orbit chunk its representatives' columns (see _render_rows and _OrbitRows)
-    rows: str | dict | None
+    # orbit chunk its representatives' tails (see _render_tails, _OrbitRows)
+    rows: str | np.ndarray | None
 
 
-def _render_rows(n: int, graph6: np.ndarray, columns: dict, checks):
-    """csv.writer's line for each graph of one order, lazily: graph6, n,
-    E_S, N_op and one min-margin cell per check, floats by repr.  columns
-    maps "E_S", "N_op" and each check with a margin at order n to one value
-    per graph; a check without one gets a blank cell."""
-    line = ",".join(["{}"] * (4 + len(checks))) + _EOL
-    cells = [graph6.tolist(), repeat(n)]
+def _render_tails(n: int, columns: dict, checks) -> np.ndarray:
+    """csv.writer's line of each row of one order but its graph6 cell, as a
+    str object array: ",n,E_S,N_op", one min-margin cell per check and the
+    line end, floats by repr.  columns maps "E_S", "N_op" and each check
+    with a margin at order n to one value per row; a check without one gets
+    a blank cell."""
+    line = ",{}" * (3 + len(checks)) + _EOL
+    cells = [repeat(n)]
     cells += [columns[k].tolist() if k in columns else repeat("") for k in ("E_S", "N_op", *checks)]
-    return map(line.format, *cells)
+    return np.array(list(map(line.format, *cells)), dtype=object)
 
 
 def _distinct_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -594,8 +598,10 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
     min_g6 = None
     failures: list[tuple[int, dict]] = []
     equality: list[tuple[int, str]] = []
-    rows = None
-    lines = [""] * len(spec[1]) if collect_rows and spec[0] == "graph6" else None
+    rows = lines = None
+    if collect_rows and spec[0] == "graph6":
+        # orders interleave: each line goes to its slot, a skipped one stays ""
+        lines = np.full(len(spec[1]), "", dtype=object)
     for stack in stacks:
         n, bits, members, name, slots = stack[:5]
         # scan throughput path: batched LAPACK spectra, once per distinct
@@ -616,8 +622,12 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
             del lhs, rhs, margin, passed  # before the next check's arrays are built
         if energy is None:
             energy = p_energy(vals, 1.0)
-        if collect_rows:
-            columns = {k: v[inverse] for k, v in {"E_S": energy, "N_op": nop, **margins}.items()}
+        if collect_rows:  # one tail per distinct char poly, scattered to its rows
+            tails = _render_tails(n, {"E_S": energy, "N_op": nop, **margins}, checks)[inverse]
+            if slots is None:  # orbit representatives: see _OrbitRows
+                rows = tails
+            else:
+                lines[slots] = _graph6_lines(n, bits) + tails
         fail, energy = fail[inverse], energy[inverse]
         # minimum-energy record: the first attaining graph by position
         e = float(energy.min())
@@ -633,16 +643,8 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
             for rep in run_checks(parse_graph6(g6), checks, p_grid):
                 if not rep.passed:
                     failures.append((position, rep.as_dict()))
-        if collect_rows:
-            if slots is None:  # orbit representatives: write_csv renders their graphs
-                rows = columns
-            else:  # a stream chunk's orders interleave: each line goes to its
-                # slot, and a line lenient mode skipped stays "" in the join
-                graph6 = _graph6_lines(n, bits)
-                for k, line in zip(slots.tolist(), _render_rows(n, graph6, columns, checks)):
-                    lines[k] = line
     if lines is not None:
-        rows = "".join(lines)
+        rows = "".join(lines.tolist())
     return _ChunkResult(count, min_e, min_pos, min_g6, failures, equality, rows)
 
 
@@ -657,14 +659,14 @@ class ScanReport:
     N_op and one min-margin cell per check of checks, blank where the
     graph's order has no such margin.  A stream scan keeps each chunk's
     lines as its worker rendered them; an exhaustive or boundary scan keeps
-    its representatives' columns and renders its graphs' lines from them as
-    they are written (see _OrbitRows).  A row's float cells (E_S and the
-    energy margins) come from the first row in its chunk with the same
-    Seidel characteristic polynomial, for an orbit source the first such
-    orbit representative: equal to the graph's own in exact arithmetic,
-    they may differ in the last digits (by at most 1.6e-14 over every graph
-    at n <= 7), which no verdict depends on.  N_op and the exact margins are
-    the graph's own."""
+    its representatives' lines without graph6 and puts each graph's graph6
+    in front as they are written (see _OrbitRows).  A row's float cells
+    (E_S and the energy margins) come from the first row in its chunk with
+    the same Seidel characteristic polynomial, for an orbit source the
+    first such orbit representative: equal to the graph's own in exact
+    arithmetic, they may differ in the last digits (by at most 1.6e-14 over
+    every graph at n <= 7), which no verdict depends on.  N_op and the
+    exact margins are the graph's own."""
 
     source: str
     checks: tuple
@@ -720,23 +722,21 @@ class ScanReport:
 
 @dataclass(frozen=True, eq=False)
 class _OrbitRows:
-    """An orbit source's CSV lines, rendered as they are iterated, _ROW_BLOCK
-    graphs at a time in source order: each graph's cells but graph6 come from
-    its orbit representative's columns, whose floats are those of the first
-    representative in its chunk with the same characteristic polynomial.
-    The source's member_block gives a block's edge bits and representative
+    """An orbit source's CSV lines, joined as they are iterated, _ROW_BLOCK
+    graphs at a time in source order: each graph's graph6 in front of its
+    orbit representative's tail, the rest of its line as the worker rendered
+    it once per distinct characteristic polynomial (see _render_tails).  The
+    source's member_block gives a block's edge bits and representative
     numbers."""
 
     source: AllGraphs | BoundaryFamily
-    checks: tuple
-    columns: dict  # "E_S", "N_op" and margins, indexed by representative number
+    tails: np.ndarray  # str objects, indexed by representative number
 
     def __iter__(self):
         n, total = self.source.n, len(self.source)
         for lo in range(0, total, _ROW_BLOCK):
             bits, rep = self.source.member_block(lo, min(lo + _ROW_BLOCK, total))
-            columns = {k: v[rep] for k, v in self.columns.items()}
-            yield "".join(_render_rows(n, _graph6_lines(n, bits), columns, self.checks))
+            yield "".join((_graph6_lines(n, bits) + self.tails[rep]).tolist())
 
 
 def _eval_chunk_star(args):
@@ -803,8 +803,7 @@ def scan(
     )
     csv_rows = [r.rows for r in results] if collect_rows else None
     if collect_rows and hasattr(source, "member_block"):  # an orbit source
-        columns = {k: np.concatenate([t[k] for t in csv_rows]) for k in csv_rows[0]}
-        csv_rows = _OrbitRows(source, checks, columns)
+        csv_rows = _OrbitRows(source, np.concatenate(csv_rows))
     return ScanReport(
         source=source.descriptor,
         checks=checks,

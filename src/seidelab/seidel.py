@@ -38,10 +38,19 @@ class SCWitness:
 
 def switch(g: Graph, subset) -> Graph:
     """Seidel switching on a vertex subset (iterable of vertices or bitmask):
-    _switch on a stack of one."""
-    mask = subset if isinstance(subset, int) else sum(1 << v for v in set(subset))
-    w = np.array([[mask >> v & 1 for v in range(g.n)]], dtype=np.uint8)
-    return _graph_of_bits(g.n, _switch(g.n, _edge_bits(g), w))
+    _switch on a stack of one.  A vertex that is not an integer in range(n),
+    or a mask bit past n-1, raises ValueError."""
+    n = g.n
+    if isinstance(subset, (int, np.integer)):
+        if not 0 <= subset < 1 << n:
+            raise ValueError(f"switching mask {subset} is not a subset of range({n})")
+        subset = [v for v in range(n) if subset >> v & 1]
+    w = np.zeros((1, n), dtype=np.uint8)
+    for v in subset:
+        if not (isinstance(v, (int, np.integer)) and 0 <= v < n):
+            raise ValueError(f"switching vertex {v!r} is not in range({n})")
+        w[0, int(v)] = 1
+    return _graph_of_bits(n, _switch(n, _edge_bits(g), w))
 
 
 def _switch(n: int, bits: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -357,16 +357,16 @@ class TestVerify:
         # `verify ... | head -1`: the reader leaves after one line
         src = Path(cli.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "seidelab.cli", "verify", "--all-n", "1..6", "--format", "csv"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=env,
-        )
-        assert proc.stdout.readline().startswith(b"graph6,n,E_S,N_op,")
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=120) == EXIT_INPUT_ERROR
+        ) as proc:
+            assert proc.stdout.readline().startswith(b"graph6,n,E_S,N_op,")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == EXIT_INPUT_ERROR
         assert err == b""
 
     def test_workers_match_serial(self, capsys):

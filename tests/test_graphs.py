@@ -187,6 +187,31 @@ class TestGraphInvariants:
                 Graph(n, tuple(rows))
             assert str(info.value) == "adjacency not symmetric at ({},{})".format(*pairs[0])
 
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 3)],  # past the last vertex
+            [(3, 0)],
+            [(-1, 0)],  # negative, which would be a negative shift
+            [(0, -1)],
+            [(0, 1), (1, 5)],  # a later edge
+            [(0.0, 1)],  # not integers
+            [(0, 1.5)],
+        ],
+    )
+    def test_from_edges_rejects_endpoints_outside_range(self, edges):
+        with pytest.raises(ValueError, match=r"endpoint outside range\(3\)"):
+            Graph.from_edges(3, edges)
+
+    @pytest.mark.parametrize("mask", [-1, -2, -(1 << 70)])
+    def test_from_edge_mask_rejects_negative_masks(self, mask):
+        with pytest.raises(ValueError, match="negative"):
+            Graph.from_edge_mask(3, mask)
+
+    def test_from_edge_mask_ignores_bits_past_last_edge(self):
+        for mask in range(8):
+            assert Graph.from_edge_mask(3, mask | 1 << 3 | 1 << 70) == Graph.from_edge_mask(3, mask)
+
     def test_order_bounds(self):
         with pytest.raises(ValueError):
             Graph(0, ())

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import tempfile
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 
 import numpy as np
@@ -733,11 +733,25 @@ def test_chunk_rows_ascend_by_position(tmp_path):
         (spec,) = Graph6Stream(str(p), strict=False).chunk_specs()
         result = search._eval_chunk(spec, ("theorem2",), (1.0,), collect_rows=True)
         assert [line.split(",")[0] for line in result.rows.splitlines()] == lines
-    # an exhaustive chunk returns its representatives' columns instead
+    # an exhaustive chunk returns its representatives' lines without graph6
+    # instead: n, E_S, N_op and the two margins
     (spec,) = AllGraphs(5).chunk_specs()
     result = search._eval_chunk(spec, ("theorem2", "oddpair-lower"), (1.0,), collect_rows=True)
-    assert sorted(result.rows) == ["E_S", "N_op", "oddpair-lower", "theorem2"]
-    assert {len(column) for column in result.rows.values()} == {32}
+    assert result.rows.dtype == object and len(result.rows) == 32
+    for tail in result.rows.tolist():
+        assert tail.startswith(",5,") and tail.endswith("\r\n") and tail.count(",") == 5
+
+
+def test_n8_csv_head_matches_csv_writer(monkeypatch):
+    # the first two blocks of 512 lines at n = 8: masks 0..1,023, whose
+    # representatives lie in many chunks
+    monkeypatch.setattr(search, "_ROW_BLOCK", 512)
+    checks = ("oddpair-lower", "theorem2")
+    rep = scan(AllGraphs(8), checks, collect_rows=True)
+    header = "graph6,n,E_S,N_op,oddpair-lower_min_margin,theorem2_min_margin\r\n"
+    got = header + "".join(islice(rep.csv_rows, 2))
+    graphs = [Graph.from_edge_mask(8, mask) for mask in range(1024)]
+    _assert_csv_close(got, _reference_csv(checks, _reference_rows(graphs, checks)))
 
 
 # ---------------------------------------------------------------------------
@@ -780,6 +794,8 @@ def test_grouped_quantities_match_per_row_kernels(source):
 
 @pytest.mark.parametrize("source", [AllGraphs(7), BoundaryFamily(16)], ids=lambda s: s.descriptor)
 def test_rows_sharing_a_char_poly_carry_identical_floats(set_chunk_size, source):
+    # every cell of a representative's tail, floats included, is its first
+    # row's with the same char poly
     p_grid = (0.5, 1.0, 1.5)
     set_chunk_size(50)
     for spec in source.chunk_specs():
@@ -787,9 +803,22 @@ def test_rows_sharing_a_char_poly_carry_identical_floats(set_chunk_size, source)
         (st,) = search._stacks(spec)[1]
         coeffs = charpoly_batch_i64(_seidel(st.n, st.bits))
         _, first, group = np.unique(coeffs, axis=0, return_index=True, return_inverse=True)
-        for column in ("E_S", "theorem1", "theorem2"):
-            bits = result.rows[column].view(np.int64)
-            assert np.array_equal(bits, bits[first][group.ravel()])
+        assert result.rows.tolist() == result.rows[first][group.ravel()].tolist()
+
+
+def test_exhaustive_n7_renders_one_tail_per_char_poly(monkeypatch):
+    # the 53 distinct char polys of test_exhaustive_n7_runs_eigvalsh_once_per_char_poly
+    rendered, render = [], search._render_tails
+
+    def counting(n, columns, checks):
+        tails = render(n, columns, checks)
+        rendered.append(len(tails))
+        return tails
+
+    monkeypatch.setattr(search, "_render_tails", counting)
+    rep = scan(AllGraphs(7), DESK_CHECKS, collect_rows=True)
+    assert rendered == [53]
+    assert len(rep.csv_rows.tails) == 1 << 14
 
 
 def test_exhaustive_n7_runs_eigvalsh_once_per_char_poly(monkeypatch):

@@ -93,13 +93,40 @@ class TestSwitch:
             assert np.array_equal(_seidel(n, got[b : b + 1])[0], d @ s[b] @ d)
 
     def test_int_masks_at_64(self, rng):
-        # masks of 2^63 and above; bits past vertex 63 are ignored
+        # masks of 2^63 and above; a bit past vertex 63 is no vertex
         g = random_graph(rng, n=64)
-        for mask in (1 << 63, (1 << 63) | 0b1011, (1 << 64) - 1, (1 << 70) | (1 << 63)):
+        for mask in (1 << 63, (1 << 63) | 0b1011, (1 << 64) - 1):
             w = {v for v in range(64) if mask >> v & 1}
             d = np.diag([-1 if v in w else 1 for v in range(64)])
             assert switch(g, mask) == switch(g, w)
             assert np.array_equal(seidel_matrix(switch(g, mask)), d @ seidel_matrix(g) @ d)
+        with pytest.raises(ValueError, match="not a subset of range"):
+            switch(g, (1 << 70) | (1 << 63))
+
+    @pytest.mark.parametrize(
+        "subset",
+        [
+            [5],  # out of range
+            [0, 3],  # one past the last vertex
+            [-1],  # negative
+            [0.5],  # not an integer
+            [1.0],  # a float, even if integral
+            1 << 7,  # a mask bit past the last vertex
+            0b1001,  # a mask bit one past the last vertex
+            -1,  # a negative mask
+        ],
+    )
+    def test_rejects_vertices_outside_range(self, subset):
+        with pytest.raises(ValueError, match=r"range\(3\)"):
+            switch(path_graph(3), subset)
+
+    def test_vertex_kinds(self):
+        # numpy integers, repeats and every mask in range are fine
+        g = path_graph(3)
+        assert switch(g, [np.int64(1), 1]) == switch(g, {1}) == switch(g, np.uint8(2))
+        assert [switch(g, mask) for mask in range(8)] == [
+            switch(g, {v for v in range(3) if mask >> v & 1}) for mask in range(8)
+        ]
 
 
 class TestScEquivalence:
