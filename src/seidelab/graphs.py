@@ -1,7 +1,8 @@
 """Simple graphs on labeled vertices, the graph6 codec, and Seidel matrices.
 
-Vertices are the dense integers 0..n-1.  Adjacency is stored as one machine
-word per vertex (n is capped at 64).
+Vertices are the dense integers 0..n-1, and a graph is its edge mask: bit e
+is edge number e in graph6 order.  n is capped at 62, the largest order a
+single-byte graph6 header names, so every graph has a graph6 line.
 
 The edge-bit stack kernels at the end of the module build Seidel matrices S
 (the one matrix kernel; the adjacency is S < 0), relabel (_relabel), encode
@@ -16,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
-MAX_VERTICES = 64
-GRAPH6_MAX_N = 62  # single-byte header only
+MAX_VERTICES = 62  # graph6's single-byte header
 ASCII_WHITESPACE = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "  # what str.strip() drops of ASCII
 
 
@@ -30,81 +31,69 @@ class Graph6Error(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph: vertex count plus one adjacency bitmask per vertex.
+    """Simple undirected graph: vertex count n and edge mask, whose bit e is
+    edge number e in graph6 order.
 
-    Bit j of rows[i] is set iff {i, j} is an edge.  Instances are immutable
-    and hashable, so they are safe to share across scan workers.
+    Edge e runs over pairs (i, j), i < j, ordered colexicographically:
+    (0,1), (0,2), (1,2), (0,3), (1,3), (2,3), ..., so (i, j) is edge
+    C(j,2) + i.  n is an integer in 1..MAX_VERTICES and mask a Python or
+    numpy integer in 0..2^C(n,2) - 1, stored as an int; anything else
+    raises ValueError.  Instances are immutable and hashable, so they are
+    safe to share across scan workers.
     """
 
     n: int
-    rows: tuple[int, ...]
+    mask: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside 1..{MAX_VERTICES}")
-        if len(self.rows) != self.n:
-            raise ValueError("rows length does not match vertex count")
-        full = (1 << self.n) - 1
-        for i, r in enumerate(self.rows):
-            if r & ~full:
-                raise ValueError(f"row {i} has bits beyond vertex range")
-            if r >> i & 1:
-                raise ValueError(f"vertex {i} has a loop")
-        bit = np.arange(self.n, dtype=np.uint64)
-        adj = np.array(self.rows, dtype=np.uint64)[:, None] >> bit & np.uint64(1)
-        if not np.array_equal(adj, adj.T):  # name the first pair i < j, row by row
-            i, j = divmod(int(np.flatnonzero(np.triu(adj != adj.T))[0]), self.n)
-            raise ValueError(f"adjacency not symmetric at ({i},{j})")
+        if not (isinstance(self.n, (int, np.integer)) and 1 <= self.n <= MAX_VERTICES):
+            raise ValueError(f"vertex count {self.n!r} outside 1..{MAX_VERTICES}")
+        if not isinstance(self.mask, (int, np.integer)):
+            raise ValueError(f"edge mask {self.mask!r} is not an integer")
+        n, mask = int(self.n), int(self.mask)
+        if not 0 <= mask < 1 << comb(n, 2):
+            raise ValueError(f"edge mask {mask} outside 0..2^{comb(n, 2)} - 1 for n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mask", mask)
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
         """Graph on n vertices with the given (i, j) edges; an endpoint that is
         not an integer in range(n), or a loop, raises ValueError."""
-        rows = [0] * n
+        mask = 0
         for i, j in edges:
-            if not all(isinstance(v, (int, np.integer)) and 0 <= v < n for v in (i, j)):
-                raise ValueError(f"edge {(i, j)!r} has an endpoint outside range({n})")
+            e = _edge_number(n, i, j)
             if i == j:
                 raise ValueError("loops not allowed")
-            rows[i] |= 1 << int(j)
-            rows[j] |= 1 << int(i)
-        return Graph(n, tuple(rows))
+            mask |= 1 << e
+        return Graph(n, mask)
 
     @staticmethod
-    def from_edge_mask(n: int, mask: int) -> "Graph":
-        """Graph from an integer whose bit e is edge number e in graph6 order.
-
-        Edge e runs over pairs (i, j), i < j, ordered colexicographically:
-        (0,1), (0,2), (1,2), (0,3), (1,3), (2,3), ...  Bits past the last
-        edge are ignored; a negative mask raises ValueError.
-        """
+    def from_edge_mask(n: int, mask) -> "Graph":
+        """Graph from a Python or numpy integer whose bit e is edge number e
+        in graph6 order (see Graph).  Bits past the last edge are ignored; a
+        negative mask, or one that is not an integer, raises ValueError."""
+        if not isinstance(mask, (int, np.integer)):
+            raise ValueError(f"edge mask {mask!r} is not an integer")
         if mask < 0:
             raise ValueError(f"edge mask {mask} is negative")
-        m = n * (n - 1) // 2
-        raw = np.frombuffer((mask & ((1 << m) - 1)).to_bytes(m // 8 + 1, "little"), np.uint8)
-        return _graph_of_bits(n, np.unpackbits(raw, bitorder="little")[None, :m])
+        Graph(n, 0)  # checks the order before 2^C(n,2) is built
+        return Graph(n, int(mask) & ((1 << comb(n, 2)) - 1))
 
     def edge_mask(self) -> int:
-        return _mask_of_bits(_edge_bits(self)[0])
+        return self.mask
 
     def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.rows[i] >> j & 1)
-
-    def degree(self, i: int) -> int:
-        return bin(self.rows[i]).count("1")
+        """Whether {i, j} is an edge; a vertex that is not an integer in
+        range(n) raises ValueError."""
+        e = _edge_number(self.n, i, j)
+        return i != j and bool(self.mask >> e & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i, j in combinations(range(self.n), 2) if self.has_edge(i, j)]
 
     def edge_count(self) -> int:
-        return sum(self.degree(i) for i in range(self.n)) // 2
-
-    def neighborhood(self, v: int) -> int:
-        """Open neighborhood of v as a bitmask."""
-        return self.rows[v]
-
-    def closed_neighborhood(self, v: int) -> int:
-        return self.rows[v] | (1 << v)
+        return self.mask.bit_count()
 
     def permute(self, perm) -> "Graph":
         """Relabel: vertex i of the result is vertex perm[i] of self
@@ -121,8 +110,8 @@ class Graph:
 
 
 def complement(g: Graph) -> Graph:
-    """Flip every off-diagonal pair; an involution."""
-    return _graph_of_bits(g.n, _edge_bits(g) ^ 1)
+    """Flip every off-diagonal pair, every bit of the mask; an involution."""
+    return Graph(g.n, g.mask ^ ((1 << comb(g.n, 2)) - 1))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -140,9 +129,7 @@ def parse_graph6(text: str) -> Graph:
 
 
 def encode_graph6(g: Graph) -> str:
-    """Canonical graph6 line for a graph with n <= 62."""
-    if g.n > GRAPH6_MAX_N:
-        raise Graph6Error(f"n={g.n} exceeds single-byte graph6 range (<= {GRAPH6_MAX_N})")
+    """Canonical graph6 line of g."""
     return str(_graph6_lines(g.n, _edge_bits(g))[0])
 
 
@@ -153,7 +140,7 @@ def seidel_matrix(g: Graph) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # edge-bit stacks: B graphs on n vertices as a (B, C(n,2)) uint8 array whose
-# column e is edge e in graph6 order, as in Graph.from_edge_mask
+# column e is edge e in graph6 order, as in Graph
 
 
 @lru_cache(maxsize=None)
@@ -182,24 +169,25 @@ def _relabel(n: int, bits: np.ndarray, perms: np.ndarray) -> np.ndarray:
     return np.take_along_axis(bits, _edge_numbers(n)[perms[:, i], perms[:, j]], axis=1)
 
 
+def _edge_number(n: int, i, j) -> int:
+    """The number of edge (i, j), i != j, in graph6 order; an endpoint that
+    is not an integer in range(n) raises ValueError."""
+    if not all(isinstance(v, (int, np.integer)) and 0 <= v < n for v in (i, j)):
+        raise ValueError(f"edge {(i, j)!r} has an endpoint outside range({n})")
+    i, j = sorted((int(i), int(j)))
+    return j * (j - 1) // 2 + i
+
+
 def _edge_bits(g: Graph) -> np.ndarray:
-    """g as a stack of one: bit i of rows[j] for each edge (i, j)."""
-    i, j = _endpoints(g.n)
-    rows = np.array(g.rows, dtype=np.uint64)
-    return ((rows[None, j] >> i.astype(np.uint64)) & np.uint64(1)).astype(np.uint8)
+    """g as a stack of one: its mask unpacked, bit e in column e."""
+    m = comb(g.n, 2)
+    raw = np.frombuffer(g.mask.to_bytes(m // 8 + 1, "little"), np.uint8)
+    return np.unpackbits(raw, count=m, bitorder="little")[None]
 
 
 def _graph_of_bits(n: int, bits: np.ndarray) -> Graph:
-    """The graph of a stack of one, its rows read straight off the edge bits."""
-    i, j = _endpoints(n)
-    adj = np.zeros((n, n), dtype=np.uint64)
-    adj[i, j] = adj[j, i] = bits[0]
-    return Graph(n, tuple((adj << np.arange(n, dtype=np.uint64)).sum(axis=1).tolist()))
-
-
-def _mask_of_bits(bits: np.ndarray) -> int:
-    """The edge mask of one row of edge bits: bit e is edge e."""
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+    """The graph of a stack of one, its mask packed from the edge bits."""
+    return Graph(n, int.from_bytes(np.packbits(bits[0], bitorder="little").tobytes(), "little"))
 
 
 def _seidel(n: int, bits: np.ndarray) -> np.ndarray:
@@ -282,8 +270,8 @@ def cycle_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph.from_edges(n, combinations(range(n), 2))
+    return complement(empty_graph(n))
 
 
 def empty_graph(n: int) -> Graph:
-    return Graph(n, (0,) * n)
+    return Graph(n, 0)

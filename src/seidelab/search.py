@@ -141,7 +141,7 @@ class AllGraphs:
 
     def __iter__(self):
         for mask in range(len(self)):
-            yield Graph.from_edge_mask(self.n, mask)
+            yield Graph(self.n, mask)
 
     def chunk_specs(self):
         """Chunks of representative indices, CHUNK_SIZE representatives each."""
@@ -368,12 +368,13 @@ class Graph6Stream:
 # Every chunk becomes, per order n, a (B, C(n,2)) uint8 stack of edge bits
 # in graph6 order plus two functions naming its rows: members(rows) gives
 # the graphs each row stands for as (row, position) arrays, and
-# name(rows, positions) their graph6 as a str array.  A stream stack also
-# gives its rows' slots, their line indices within the chunk; an orbit
-# stack has none, its rows standing for many graphs, and gives instead its
-# rows' exact characteristic polynomials: an exhaustive stack's from parent
-# times border (see _bordered), a boundary stack's from the family's
-# equitable quotient (see _boundary_polys).
+# name(rows, positions) their graph6 as an array of str, for a stream stack
+# its rows' own lines.  A stream stack also gives its rows' slots, their
+# line indices within the chunk; an orbit stack has none, its rows standing
+# for many graphs, and gives instead its rows' exact characteristic
+# polynomials: an exhaustive stack's from parent times border (see
+# _bordered), a boundary stack's from the family's equitable quotient (see
+# _boundary_polys).
 
 
 class _Bordered(NamedTuple):
@@ -501,15 +502,16 @@ def _stacks(spec) -> tuple[int, list[_Stack]]:
         raise Graph6StreamError(f"line {linenos[rejected[0][0]]}: {rejected[0][1]}")
     stacks = []
     for n, index, bits in decoded:
-        # a decoded line re-encodes to itself: the decoder rejects any other
+        # a decoded line is its graph's graph6 (the decoder rejects any line
+        # that does not re-encode to itself), and n fixes its length
+        width = int(ends[index[0]] - starts[index[0]])
+
+        def name(rows, positions, index=index, width=width):
+            lines = codes[starts[index[rows], None] + np.arange(width)]
+            return lines.view(f"S{width}").ravel().astype(str)
+
         stacks.append(
-            _Stack(
-                n,
-                bits,
-                lambda rows, index=index: (rows, linenos[index[rows]]),
-                lambda rows, positions, n=n, bits=bits: _graph6_lines(n, bits[rows]),
-                index,
-            )
+            _Stack(n, bits, lambda rows, index=index: (rows, linenos[index[rows]]), name, index)
         )
     return sum(len(st.bits) for st in stacks), stacks
 
@@ -627,7 +629,7 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
             if slots is None:  # orbit representatives: see _OrbitRows
                 rows = tails
             else:
-                lines[slots] = _graph6_lines(n, bits) + tails
+                lines[slots] = name(*members(np.arange(len(slots)))) + tails
         fail, energy = fail[inverse], energy[inverse]
         # minimum-energy record: the first attaining graph by position
         e = float(energy.min())

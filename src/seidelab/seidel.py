@@ -75,7 +75,7 @@ def is_sc_equivalent_to_complete(g: Graph) -> tuple[bool, SCWitness | None]:
     s = _seidel(g.n, _edge_bits(g))
     if not _sc_to_complete(s)[0]:
         return False, None
-    mask = ((1 << g.n) - 1) & ~g.closed_neighborhood(0)
+    mask = sum(1 << v for v in np.flatnonzero(s[0, 0] > 0).tolist())  # S = +1 off N[v0]
     if g.n >= 3 and s[0, 1, 2] * s[0, 0, 1] * s[0, 0, 2] > 0:
         # one further switch on {v0} empties the graph; its complement is K_n
         return True, SCWitness(mask ^ 1, complemented=True)
@@ -99,7 +99,7 @@ def _odd_pairs(s: np.ndarray) -> np.ndarray:
 
     S^2 comes from float32 BLAS products, about 2^15 / n^2 matrices at a
     time; they are exact, since every partial sum is an integer of magnitude
-    at most n - 1 <= 63."""
+    at most n - 1 <= 61."""
     bsz, n, _ = s.shape
     frobenius = np.empty(bsz, dtype=np.int64)
     step = max(1, _BLOCK_ENTRIES // (n * n))

@@ -11,10 +11,10 @@ asks for, with the integers rebuilt by Garner's CRT.  The products are
 reduced in place by the rounded quotient, M - p rint(M (1/p)), which is
 exact whatever the rounding, and the primes come from a 28-bit or a 40-bit
 list, whichever needs fewer at that order: one prime up to n = 17, two up
-to n = 30, six at n = 64.  Run on the Seidel matrix A itself and passed
-through sk_from_charpoly, it yields the exact S_k(A^2) of every scan and
-verify call up to n = 64, int64 up to n = 16.  Given borders too, the
-kernel returns the polynomials of the bordered matrices [[S, v], [v^T, 0]]
+to n = 30, five from n = 54 to 62.  Run on the Seidel matrix A itself
+and passed through sk_from_charpoly, it yields the exact S_k(A^2) of every
+scan and verify call up to n = 62, int64 up to n = 16.  Given borders too,
+the kernel returns the polynomials of the bordered matrices [[S, v], [v^T, 0]]
 by Schur's complement, det = x p_S(x) - v^T adj(xI - S) v, reading each
 quadratic form v^T B_k v off the running matrices B_k of adj(xI - S) that
 the recurrence already holds; its partial sums obey the recurrence's own
@@ -170,11 +170,11 @@ def char_poly_exact(a) -> ExactCharPoly:
 
 
 # Two lists of primes, descending, listed rather than searched for at import:
-# just below 2^28 and just below 2^40.  Being prime and > 64, each is
+# just below 2^28 and just below 2^40.  Being prime and > 62, each is
 # invertible modulo every k <= n.  _crt_primes picks the list and the prime
 # count by order.  A Seidel matrix times a matrix reduced modulo a prime p has trace at most
 # n^2 (p + 2) (_charpoly_residues), which must stay below 2^53, where float64
-# arithmetic on integers is exact: both lists fit every n <= MAX_VERTICES = 64.
+# arithmetic on integers is exact: both lists fit every n <= MAX_VERTICES = 62.
 CRT_PRIMES = (
     268435399, 268435367, 268435361, 268435337, 268435331, 268435313, 268435291,
     268435273, 268435243, 268435183, 268435171, 268435157, 268435147, 268435133,
@@ -191,13 +191,13 @@ _SK_INT64_MAX_N = 16  # C(n,k) (n-1)^k < 2^63 up to here
 @lru_cache(maxsize=None)
 def _crt_primes(n: int) -> tuple[int, ...]:
     """The fewest leading primes of one list with product > 2 max_k C(n,k)
-    (n-1)^(k/2), for Seidel stacks of order n <= 64; CRT_PRIMES on a tie.
+    (n-1)^(k/2), for Seidel stacks of order n <= 62; CRT_PRIMES on a tie.
 
     Every row of a Seidel matrix has squared norm n - 1, so Hadamard's
     inequality bounds each k x k principal minor by (n-1)^(k/2), hence
     |c_{n-k}| <= C(n,k) (n-1)^(k/2), and symmetric residues recover c
     exactly.  That is one prime up to n = 17 (the wide one from n = 14),
-    two up to n = 30 and six at n = 64.
+    two up to n = 30 and five from n = 54 to 62.
     """
     bound_sq = max(comb(n, k) ** 2 * (n - 1) ** k for k in range(n + 1))
 
@@ -239,7 +239,7 @@ def _charpoly_residues(
     +-1 entries of m stays below n^2 (p + 2) < 2^53, and so is an exactly
     represented integer.  c_{n-k} = -tr(M_k)/k mod p is c = (r + j p)/k with
     r = -tr(M_k) mod p and j = -r p^-1 mod k, an exact division of integers
-    below k p < 2^47 for p < 2^40 and k <= 64.  Right after its diagonal
+    below k p < 2^47 for p < 2^40 and k <= 62.  Right after its diagonal
     update M_k holds B_k = M_k + c_{n-k} I, the coefficient of x^(n-1-k) in
     adj(xI - S), and every border's quadratic form v^T B_k v = <B_k, v v^T>
     is read off it in one GEMM with the flattened outer products.  Its

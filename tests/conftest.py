@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from seidelab import search
 from seidelab.graphs import (
     ASCII_WHITESPACE,
-    GRAPH6_MAX_N,
     Graph,
     Graph6Error,
     complement,
@@ -68,16 +67,17 @@ def sc_members(rng, n):
 # ---------------------------------------------------------------------------
 # reference implementations
 #
-# Per-graph loops over the adjacency bitmasks, written independently of the
-# edge-bit stack kernels that compute these quantities in the package, so
-# the kernels and the per-graph functions built on them can be tested
-# against them.
+# Per-graph loops over adjacency bitmasks, one per vertex, built here from
+# the edge bits of g.edge_mask() and written independently of the edge-bit
+# stack kernels that compute these quantities in the package, so the
+# kernels and the per-graph functions built on them can be tested against
+# them.
 
 
 def reference_edge_bits(g: Graph) -> np.ndarray:
     """Edge bits of g in graph6 order: (0,1), (0,2), (1,2), (0,3), ..."""
-    bits = [g.rows[i] >> j & 1 for j in range(1, g.n) for i in range(j)]
-    return np.array(bits, dtype=np.uint8)
+    mask = g.edge_mask()
+    return np.array([mask >> e & 1 for e in range(g.n * (g.n - 1) // 2)], dtype=np.uint8)
 
 
 def reference_rows(n: int, bits) -> tuple[int, ...]:
@@ -91,12 +91,16 @@ def reference_rows(n: int, bits) -> tuple[int, ...]:
     return tuple(rows)
 
 
+def _rows(g: Graph) -> tuple[int, ...]:
+    return reference_rows(g.n, reference_edge_bits(g).tolist())
+
+
 def reference_seidel_matrix(g: Graph) -> np.ndarray:
-    n = g.n
+    n, rows = g.n, _rows(g)
     s = np.ones((n, n), dtype=np.int64)
     np.fill_diagonal(s, 0)
     for i in range(n):
-        r = g.rows[i]
+        r = rows[i]
         for j in range(n):
             if r >> j & 1:
                 s[i, j] = -1
@@ -104,14 +108,14 @@ def reference_seidel_matrix(g: Graph) -> np.ndarray:
 
 
 def reference_count_odd_pairs(g: Graph) -> int:
-    n = g.n
+    n, rows = g.n, _rows(g)
     if n < 4:
         return 0
     count = 0
     for x1, x2 in combinations(range(n), 2):
         # (X, {y1, y2}) is odd iff bits y1, y2 of rows[x1] ^ rows[x2] differ,
         # so the odd second elements for this X number ones * zeros
-        rx = (g.rows[x1] ^ g.rows[x2]) & ~(1 << x1) & ~(1 << x2)
+        rx = (rows[x1] ^ rows[x2]) & ~(1 << x1) & ~(1 << x2)
         ones = bin(rx).count("1")
         count += ones * (n - 2 - ones)
     return count
@@ -121,18 +125,16 @@ def reference_is_sc_equivalent_to_complete(g: Graph):
     """Switch on the complement of N[v0], then test the induced graph on the
     other vertices for complete (no complement needed) or empty."""
     full = (1 << g.n) - 1
-    mask = full & ~g.closed_neighborhood(0)
-    h = switch(g, mask)
-    if all((h.rows[i] | 1 | (1 << i)) == full for i in range(1, g.n)):
+    mask = full & ~(_rows(g)[0] | 1)
+    rows = _rows(switch(g, mask))
+    if all((rows[i] | 1 | (1 << i)) == full for i in range(1, g.n)):
         return True, SCWitness(mask, complemented=False)
-    if all(h.rows[i] == 1 for i in range(1, g.n)):
+    if all(rows[i] == 1 for i in range(1, g.n)):
         return True, SCWitness(mask ^ 1, complemented=True)
     return False, None
 
 
 def reference_encode_graph6(g: Graph) -> str:
-    if g.n > GRAPH6_MAX_N:
-        raise Graph6Error(f"n={g.n} exceeds single-byte graph6 range (<= {GRAPH6_MAX_N})")
     bits = "".join(map(str, reference_edge_bits(g).tolist()))
     bits = bits.ljust(-(-len(bits) // 6) * 6, "0")
     groups = (bits[i : i + 6] for i in range(0, len(bits), 6))
@@ -157,9 +159,7 @@ def reference_parse_graph6(text: str) -> Graph:
     nbytes = (nbits + 5) // 6
     if len(data) - 1 != nbytes:
         raise Graph6Error(f"expected {nbytes} edge bytes for n={n}, got {len(data) - 1}")
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]  # colex
-    rows = [0] * n
-    bit = 0
+    mask = bit = 0
     for off, b in enumerate(data[1:], start=1):
         v = b - 63
         for k in range(5, -1, -1):
@@ -167,9 +167,6 @@ def reference_parse_graph6(text: str) -> Graph:
                 if v >> k & 1:
                     raise Graph6Error(f"nonzero padding bit at offset {off}")
                 continue
-            if v >> k & 1:
-                i, j = pairs[bit]
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+            mask |= (v >> k & 1) << bit
             bit += 1
-    return Graph(n, tuple(rows))
+    return Graph(n, mask)

@@ -341,30 +341,30 @@ class TestCharPolyBatch:
 
     def test_crt_primes(self):
         for p in CRT_PRIMES:
-            assert p > 64
+            assert p > 62
             assert all(p % q for q in range(2, math.isqrt(p) + 1))
         # Hadamard: |c_{n-k}| <= C(n,k) (n-1)^(k/2) for a Seidel matrix
-        bound_sq = max(math.comb(64, k) ** 2 * 63**k for k in range(65))
-        assert math.prod(CRT_PRIMES[:8]) ** 2 > 4 * bound_sq
-        assert math.prod(CRT_PRIMES_WIDE[:6]) ** 2 > 4 * bound_sq
+        bound_sq = max(math.comb(62, k) ** 2 * 61**k for k in range(63))
+        assert math.prod(CRT_PRIMES[:7]) ** 2 > 4 * bound_sq
+        assert math.prod(CRT_PRIMES_WIDE[:5]) ** 2 > 4 * bound_sq
         # the prime count by order: (last n, count, list), each from the n
         # after the previous last n on
         steps = [
             (13, 1, CRT_PRIMES), (17, 1, CRT_PRIMES_WIDE),
             (22, 2, CRT_PRIMES), (30, 2, CRT_PRIMES_WIDE),
             (31, 3, CRT_PRIMES), (42, 3, CRT_PRIMES_WIDE),
-            (53, 4, CRT_PRIMES_WIDE), (63, 5, CRT_PRIMES_WIDE), (64, 6, CRT_PRIMES_WIDE),
+            (53, 4, CRT_PRIMES_WIDE), (62, 5, CRT_PRIMES_WIDE),
         ]
         expect, first = [], 1
         for last, count, primes in steps:
             expect += [primes[:count]] * (last + 1 - first)
             first = last + 1
-        assert [_crt_primes(n) for n in range(1, 65)] == expect
+        assert [_crt_primes(n) for n in range(1, 63)] == expect
         # lazy reduction: after reducing, every partial sum of the next
         # product with +-1 entries stays below 2^53, where float64 holds
         # every integer
         for primes in (CRT_PRIMES, CRT_PRIMES_WIDE):
-            assert 64 * 64 * (max(primes) + 2) < 2**53
+            assert 62 * 62 * (max(primes) + 2) < 2**53
 
     def test_wide_primes_are_prime(self):
         # Miller-Rabin with the first twelve prime bases is deterministic
@@ -422,21 +422,6 @@ class TestCharPolyBatch:
         expect = [c for c, _ in _closed_forms(n)] + [char_poly_exact(m).coeffs for m in s[2:]]
         assert [tuple(int(c) for c in row) for row in coeffs] == expect
 
-    @pytest.mark.parametrize("n", [63, 64])
-    def test_orders_beyond_graph6(self, rng, n):
-        # Graph allows n = 63 and 64, which graph6 cannot encode; n = 64 is
-        # the only order that takes six primes
-        graphs = [complete_graph(n), empty_graph(n), _random_graph_any_n(rng, n)]
-        s = _seidel_stack(graphs)
-        coeffs = charpoly_batch_i64(s)
-        sk = [[int(v) for v in row] for row in sk_from_charpoly(coeffs)]
-        assert len(_crt_primes(n)) == {63: 5, 64: 6}[n]
-        assert [tuple(int(c) for c in row) for row in coeffs] == (
-            [c for c, _ in _closed_forms(n)] + [char_poly_exact(s[2]).coeffs]
-        )
-        assert sk[:2] == [k for _, k in _closed_forms(n)]
-        assert [elementary_symmetric_A2(g) for g in graphs] == sk
-
     @pytest.mark.parametrize("n", [13, 14, 16, 17])
     def test_switch_points_match_oracle(self, n):
         # one prime and int64 coefficients through n = 17, int64 S_k through
@@ -453,7 +438,7 @@ class TestCharPolyBatch:
 
     def test_rejects_out_of_range(self):
         # the prime count comes from the order alone, so anything but a
-        # Seidel stack of order at most 64 would come back wrong
+        # Seidel stack of order at most 62 would come back wrong
         s = seidel_matrix(cycle_graph(5))
         two = s.copy()
         two[0, 2] = two[2, 0] = 2
@@ -463,8 +448,8 @@ class TestCharPolyBatch:
         for bad in [s @ s, s + np.eye(5, dtype=np.int64), two]:
             with pytest.raises(ValueError, match="Seidel"):
                 charpoly_batch_i64(np.stack([s, bad]))
-        with pytest.raises(ValueError, match="at most 64"):  # J - I at n = 65
-            charpoly_batch_i64((1 - np.eye(65, dtype=np.int64))[None])
+        with pytest.raises(ValueError, match="at most 62"):  # J - I at n = 63
+            charpoly_batch_i64((1 - np.eye(63, dtype=np.int64))[None])
 
 
 def _assembled(parents: np.ndarray, borders: np.ndarray) -> np.ndarray:
@@ -481,10 +466,11 @@ class TestBorderedCharPoly:
     """charpoly_batch_i64(parents, borders) against the plain kernel on the
     assembled matrices, whose own exactness TestCharPolyBatch checks."""
 
-    @pytest.mark.parametrize("n", range(1, 65))
+    @pytest.mark.parametrize("n", range(1, 63))
     def test_matches_assembled_every_order(self, rng, n):
         # n is the bordered order: one prime and int64 Garner up to n = 17,
-        # several primes with int64 digits above, object digits at n = 64
+        # several primes above, their Garner digits int64 or objects by the
+        # primes' width
         m = n - 1
         if m:
             graphs = [complete_graph(m), empty_graph(m), _random_graph_any_n(rng, m)]
@@ -528,8 +514,8 @@ class TestBorderedCharPoly:
         loop[0, 0, 0] = 1
         with pytest.raises(ValueError, match="Seidel"):
             charpoly_batch_i64(loop, ones)
-        with pytest.raises(ValueError, match="at most 64"):  # bordered to n = 65
-            charpoly_batch_i64((1 - np.eye(64, dtype=np.int64))[None], np.ones((1, 64)))
+        with pytest.raises(ValueError, match="at most 62"):  # bordered to n = 63
+            charpoly_batch_i64((1 - np.eye(62, dtype=np.int64))[None], np.ones((1, 62)))
 
 
 class TestElementarySymmetric:

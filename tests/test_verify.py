@@ -116,7 +116,7 @@ class TestTheorem2:
         assert r.margin == pytest.approx(4 * math.sqrt(5) - 8, abs=1e-9)
 
     def test_single_vertex(self):
-        assert verify_theorem2(Graph(1, (0,))).passed
+        assert verify_theorem2(Graph(1, 0)).passed
 
     @given(graph_strategy(max_n=7))
     @settings(max_examples=60, deadline=None)
