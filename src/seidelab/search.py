@@ -14,10 +14,11 @@ order, which a worker builds itself (the exhaustive and boundary sources
 ship index ranges, a graph6 stream ships its raw lines, which the graph6
 decoder of graphs validates and decodes).  Everything checked derives
 from the stack, through the kernels that also serve the per-graph functions:
-Seidel matrices S and graph6 lines from graphs, LAPACK spectra, exact
-S_k(S^2) from the multi-modular characteristic polynomials of S itself
-(spectral), and the odd-pair count N_op from ||S^2||_F and SC-equivalence
-to K_n from a sign test on S (seidel).  S is the one matrix stack.
+Seidel matrices S and graph6 lines from graphs, LAPACK spectra (for the
+boundary family of a 6x6 quotient, see below), exact S_k(S^2) from the
+multi-modular characteristic polynomials of S itself (spectral), and the
+odd-pair count N_op from ||S^2||_F and SC-equivalence to K_n from a sign
+test on S (seidel).  S is the one n x n matrix stack.
 This module keeps only the sources, the driver and CSV rendering.  Graph
 objects appear only for the flagged graphs run_checks re-verifies.
 
@@ -44,7 +45,10 @@ kernel runs once per parent: 1,024 of them for the 16,384 rows at n = 7
 and per 2^15-row chunk from n = 8.  A boundary member has an equitable
 partition, the clique split into four cells by the apexes, so its
 polynomial is (x - 1)^(n-6) times that of a 6x6 integer quotient (see
-_boundary_polys), and the exact kernel never runs on it.  A stream chunk is
+_boundary_polys), and its spectrum is that of the quotient's symmetrized
+form joined with n - 6 ones (see _boundary_quotients).  So the exact kernel
+never runs on it, eigvalsh runs on 6x6 matrices, and S is built only for
+N_op and the SC flag.  A stream chunk is
 grouped the same way when its checks read S_k, and otherwise evaluates
 every row.  Only what a report names (equality graphs, failures, the
 minimum-energy witness) is expanded back to the orbit's members, keyed by
@@ -276,44 +280,71 @@ _QUOTIENT_SIGNS = np.array(
         [-1, -1, 1, 1, 0, 0],
         [-1, 1, -1, 1, 0, 0],
     ],
-    dtype=np.int64,
+    dtype=np.float64,
 )
+_CELL_DIAGONAL = np.diag([1.0, 1, 1, 1, 0, 0])
+
+
+def _cell_sizes(n: int, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sizes (B, 6) of the boundary quotient's parts, the four cells
+    (c, a-c, b-c, m-a-b+c), m = n-2, then 1 and 1 for the apexes, and the
+    v1-v2 Seidel sign 1 - 2e, of the members with the given (a, b, c, e),
+    as float64 integers."""
+    a, b, c, e = np.asarray(params, dtype=np.float64).reshape(-1, 4).T
+    one = np.ones_like(a)
+    return np.stack([c, a - c, b - c, n - 2 - a - b + c, one, one], axis=1), 1 - 2 * e
 
 
 def _boundary_polys(n: int, params: np.ndarray) -> np.ndarray:
     """Exact det(xI - S), (B, n+1) int64 ascending, of the boundary members
     with the given (a, b, c, e) rows, from their equitable partition.
 
-    The apexes split the clique into four cells, of sizes s = (c, a-c, b-c,
-    m-a-b+c), m = n-2, and every vertex outside a cell sees the whole cell
+    The apexes split the clique into four cells of sizes s (see
+    _cell_sizes), and every vertex outside a cell sees the whole cell
     alike, so e_u - e_v for u, v in one cell is an eigenvector of S with
     eigenvalue 1.  Hence det(xI - S) = (x - 1)^(n-6) det(xI - Q), where Q
     is the 6x6 quotient over the cells and the two apexes: Q_ij = sigma_ij
     s_j off the diagonal, 1 - s_i on a cell's diagonal and 0 on an apex's.
     An empty cell's column is e_i and gives its factor x - 1 back, so the
-    identity holds for every member.  Faddeev-LeVerrier runs on Q in
-    int64, its running entries below 7,600 and the coefficients below
-    1.6e8 for every member at n <= 22."""
-    m = n - 2
-    a, b, c, e = np.asarray(params, dtype=np.int64).reshape(-1, 4).T
-    one = np.ones_like(a)
-    sizes = np.stack([c, a - c, b - c, m - a - b + c, one, one], axis=1)
-    q = _QUOTIENT_SIGNS * sizes[:, None, :] + np.diag([1, 1, 1, 1, 0, 0])
-    q[:, 4, 5] = q[:, 5, 4] = 1 - 2 * e
+    identity holds for every member.  Faddeev-LeVerrier on Q and the
+    product by (x - 1)^(n-6) run in float64, through BLAS, and are exact:
+    every operand is an integer, and for every member at n <= 22 the
+    partial sums stay below 10^5 in Faddeev-LeVerrier and 2e8 in the
+    product, far under 2^53.  det(xI - Q)'s coefficients stay below 7,600
+    and det(xI - S)'s below 1.6e8."""
+    sizes, apexes = _cell_sizes(n, params)
+    q = _QUOTIENT_SIGNS * sizes[:, None, :] + _CELL_DIAGONAL
+    q[:, 4, 5] = q[:, 5, 4] = apexes
     # Faddeev-LeVerrier: M_k = Q M_(k-1) + c_(7-k) I, c_(6-k) = -tr(Q M_k) / k,
-    # qm holding Q M_k
-    pq = np.zeros((len(a), 7), dtype=np.int64)
+    # qm holding Q M_k; tr(Q M_k) is a multiple of k, so the division is exact
+    pq = np.zeros((len(q), 7))
     pq[:, 6] = 1
-    qm, eye = np.zeros_like(q), np.eye(6, dtype=np.int64)
+    qm, diagonal = np.zeros_like(q), np.arange(6)
     for k in range(1, 7):
-        qm = q @ (qm + pq[:, 7 - k, None, None] * eye)
-        pq[:, 6 - k] = -np.einsum("bii->b", qm) // k
+        qm[:, diagonal, diagonal] += pq[:, 7 - k, None]  # qm is now M_k
+        qm = q @ qm
+        pq[:, 6 - k] = -np.einsum("bii->b", qm) / k
     d = n - 6
-    binomial = np.array([comb(d, i) * (-1) ** (d - i) for i in range(d + 1)], dtype=np.int64)
-    coeffs = np.zeros((len(a), n + 1), dtype=np.int64)
-    for k in range(7):  # times (x - 1)^(n-6)
-        coeffs[:, k : k + d + 1] += pq[:, k, None] * binomial
-    return coeffs
+    shifts = np.zeros((7, n + 1))  # row k: x^k (x - 1)^(n-6)
+    for k in range(7):
+        shifts[k, k : k + d + 1] = [comb(d, i) * (-1) ** (d - i) for i in range(d + 1)]
+    return (pq @ shifts).astype(np.int64)
+
+
+def _boundary_quotients(n: int, params: np.ndarray) -> np.ndarray:
+    """The symmetrized quotients, (B, 6, 6) float64, of the boundary members
+    with the given (a, b, c, e) rows: sigma_ij sqrt(s_i s_j) off the
+    diagonal and, as in Q (see _boundary_polys), 1 - s_i on a cell's
+    diagonal and 0 on an apex's.  With no cell empty this is D^(1/2) Q
+    D^(-1/2), D = diag(s), so it has Q's eigenvalues; an empty cell gives
+    a zero row and column with 1 on the diagonal, the eigenvalue 1 of its
+    factor x - 1.  So for every member S's spectrum is this matrix's joined
+    with n - 6 ones.  The root is taken of the product s_i s_j, so the
+    diagonal is exact."""
+    sizes, apexes = _cell_sizes(n, params)
+    q = _QUOTIENT_SIGNS * np.sqrt(sizes[:, :, None] * sizes[:, None, :]) + _CELL_DIAGONAL
+    q[:, 4, 5] = q[:, 5, 4] = apexes
+    return q
 
 
 @dataclass(frozen=True)
@@ -374,7 +405,8 @@ class Graph6Stream:
 # for many graphs, and gives instead its rows' exact characteristic
 # polynomials: an exhaustive stack's from parent times border (see
 # _bordered), a boundary stack's from the family's equitable quotient (see
-# _boundary_polys).
+# _boundary_polys).  A boundary stack also gives that quotient's symmetrized
+# form, from which its spectra come (see _boundary_quotients).
 
 
 class _Bordered(NamedTuple):
@@ -390,6 +422,7 @@ class _Stack(NamedTuple):
     name: Callable[[np.ndarray, np.ndarray], np.ndarray]
     slots: np.ndarray | None
     coeffs: np.ndarray | None = None  # an orbit stack's exact char polys
+    quotient: np.ndarray | None = None  # a boundary stack's symmetrized 6x6 quotients
 
 
 def _free_edges(n: int) -> list[int]:
@@ -492,7 +525,8 @@ def _stacks(spec) -> tuple[int, list[_Stack]]:
         count = int(np.count_nonzero((table.rep >= start) & (table.rep < stop)))
         params = table.params[table.reps[start:stop]]
         bits = family.edge_bits(params)
-        return count, [_Stack(n, bits, members, name, None, _boundary_polys(n, params))]
+        coeffs, quotient = _boundary_polys(n, params), _boundary_quotients(n, params)
+        return count, [_Stack(n, bits, members, name, None, coeffs, quotient)]
     _, linenos, text, strict = spec
     codes = np.frombuffer(text, dtype=np.uint8)
     ends = np.flatnonzero(codes == ord("\n"))
@@ -571,22 +605,32 @@ def _stack_quantities(stack: _Stack, need: set):
     with each polynomial stands for the others.  Orbit stacks, whose rows
     repeat few polynomials, carry their polynomials (from parents and
     borders, or from the boundary quotient; see _stacks), and S is built
-    for their distinct rows only.  A stream stack whose checks read S_k
+    for their distinct rows only.  A boundary stack also carries its
+    symmetrized quotients: its spectra are theirs joined with n - 6 ones,
+    sorted, and S is built only when need names "nop" or "sc", whose
+    kernels read it.  A stream stack whose checks read S_k
     computes its polynomials from S and is grouped the same way; any other
     has one group per row, and inverse is then a slice, which scatters at
     no cost."""
-    n, bits, coeffs = stack.n, stack.bits, stack.coeffs
+    n, bits, coeffs, quotient = stack.n, stack.bits, stack.coeffs, stack.quotient
     s = None if coeffs is not None else _seidel(n, bits)
     if coeffs is None and "sk" in need:
         coeffs = charpoly_batch_i64(s)
     if coeffs is None:
-        inverse = slice(None)
+        first = inverse = slice(None)
     else:
         # c_n = 1, c_(n-1) = 0 and c_(n-2) = -C(n,2) on every Seidel row
         first, inverse = _distinct_rows(coeffs[:, : max(1, n - 2)])
-        s = _seidel(n, bits[first]) if s is None else s[first]
         coeffs = coeffs[first]
-    vals = np.linalg.eigvalsh(s)
+    if s is not None:
+        s = s[first]
+    elif quotient is None or need & {"nop", "sc"}:
+        s = _seidel(n, bits[first])
+    if quotient is None:
+        vals = np.linalg.eigvalsh(s)
+    else:  # S's spectrum is the quotient's joined with n - 6 ones
+        vals = np.linalg.eigvalsh(quotient[first])
+        vals = np.sort(np.concatenate([vals, np.ones((len(vals), n - 6))], axis=1), axis=1)
     sk = sk_from_charpoly(coeffs) if "sk" in need else None
     nop = _odd_pairs(s) if "nop" in need else None
     sc = _sc_to_complete(s) if "sc" in need else None
@@ -667,8 +711,9 @@ class ScanReport:
     the same Seidel characteristic polynomial, for an orbit source the
     first such orbit representative: equal to the graph's own in exact
     arithmetic, they may differ in the last digits (by at most 1.6e-14 over
-    every graph at n <= 7), which no verdict depends on.  N_op and the
-    exact margins are the graph's own."""
+    every graph at n <= 7, and 5.0e-14 over the boundary family, whose
+    spectra come from its 6x6 quotients), which no verdict depends on.
+    N_op and the exact margins are the graph's own."""
 
     source: str
     checks: tuple

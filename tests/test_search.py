@@ -795,7 +795,8 @@ def test_distinct_rows_is_exact_on_object_rows():
 @pytest.mark.parametrize("source", GROUPED_SOURCES, ids=lambda s: s.descriptor)
 def test_grouped_quantities_match_per_row_kernels(source):
     # the groups are exactly the distinct char polys, each evaluated on its
-    # first row, and the exact quantities scatter back to the per-row values
+    # first row, and the exact quantities scatter back to the per-row values;
+    # boundary spectra come from the 6x6 quotient, not from eigvalsh of S
     need = {"vals", "sk", "nop", "sc"}
     for spec in source.chunk_specs():
         (st,) = search._stacks(spec)[1]
@@ -806,7 +807,10 @@ def test_grouped_quantities_match_per_row_kernels(source):
         assert np.array_equal(groups, np.arange(len(vals)))
         assert np.array_equal(coeffs[first][inverse], coeffs)
         assert len(first) == len(np.unique(coeffs, axis=0))
-        assert np.array_equal(vals.view(np.int64), np.linalg.eigvalsh(s[first]).view(np.int64))
+        if isinstance(source, BoundaryFamily):
+            assert np.abs(vals - np.linalg.eigvalsh(s[first])).max() <= 1e-12
+        else:
+            assert np.array_equal(vals.view(np.int64), np.linalg.eigvalsh(s[first]).view(np.int64))
         assert np.array_equal(nop[inverse], _odd_pairs(s))
         assert np.array_equal(sc[inverse], _sc_to_complete(s))
         assert np.array_equal(sk[inverse], sk_from_charpoly(coeffs))
@@ -987,12 +991,17 @@ def test_boundary_polys_match_kernel(n):
 
 
 def test_boundary_scan_runs_no_exact_kernel(monkeypatch):
-    # the boundary polynomials come from the quotient: n = 11..16 call the
-    # exact kernel never and eigvalsh once per distinct polynomial
+    # the boundary polynomials and spectra come from the quotient: n = 11..16
+    # call the exact kernel never and eigvalsh once per distinct polynomial,
+    # on its 6x6 quotient; S is built for those polynomials' first rows only
     polys, batches, kernel, eigvalsh = [], [], charpoly_batch_i64, np.linalg.eigvalsh
+    built = []
+    monkeypatch.setattr(
+        search, "_seidel", lambda n, bits: built.append(len(bits)) or _seidel(n, bits)
+    )
 
     def counting(a):
-        batches.append(len(a))
+        batches.append(a.shape)
         return eigvalsh(a)
 
     monkeypatch.setattr(search.np.linalg, "eigvalsh", counting)
@@ -1002,7 +1011,26 @@ def test_boundary_scan_runs_no_exact_kernel(monkeypatch):
     for n in range(11, 17):
         assert scan(BoundaryFamily(n), DESK_CHECKS).total_failures == 0
     assert polys == []
-    assert sum(batches) == 715
+    assert {shape[1:] for shape in batches} == {(6, 6)}
+    assert sum(shape[0] for shape in batches) == sum(built) == 715
+
+
+@pytest.mark.parametrize("n", BOUNDARY_ORDERS)
+def test_boundary_quotient_spectra_match_eigvalsh(n):
+    # every member's spectrum, the symmetrized quotient's joined with n - 6
+    # ones, is its own Seidel matrix's, members with empty cells included
+    params = np.array(BoundaryFamily(n).params())
+    q = search._boundary_quotients(n, params)
+    assert q.shape == (len(params), 6, 6) and np.array_equal(q, q.swapaxes(1, 2))
+    vals = np.sort(np.concatenate([np.linalg.eigvalsh(q), np.ones((len(q), n - 6))], axis=1))
+    want = np.linalg.eigvalsh(_seidel(n, BoundaryFamily(n).edge_bits(params)))
+    assert np.abs(vals - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", BOUNDARY_ORDERS)
+def test_boundary_min_energy_is_exact(n):
+    # the equality class's quotient spectrum sums to 2n - 2 in float
+    assert scan(BoundaryFamily(n)).min_energy == 2 * n - 2
 
 
 @pytest.mark.parametrize(
