@@ -17,8 +17,8 @@ from the stack, through the kernels that also serve the per-graph functions:
 Seidel matrices S and graph6 lines from graphs, LAPACK spectra (for the
 boundary family of a 6x6 quotient, see below), exact S_k(S^2) from the
 multi-modular characteristic polynomials of S itself (spectral), and the
-odd-pair count N_op from ||S^2||_F and SC-equivalence to K_n from a sign
-test on S (seidel).  S is the one n x n matrix stack.
+odd-pair count N_op and SC-equivalence to K_n, off those polynomials where
+a stack has them and otherwise off S (seidel).  S is the one n x n stack.
 This module keeps only the sources, the driver and CSV rendering.  Graph
 objects appear only for the flagged graphs run_checks re-verifies.
 
@@ -46,9 +46,9 @@ and per 2^15-row chunk from n = 8.  A boundary member has an equitable
 partition, the clique split into four cells by the apexes, so its
 polynomial is (x - 1)^(n-6) times that of a 6x6 integer quotient (see
 _boundary_polys), and its spectrum is that of the quotient's symmetrized
-form joined with n - 6 ones (see _boundary_quotients).  So the exact kernel
-never runs on it, eigvalsh runs on 6x6 matrices, and S is built only for
-N_op and the SC flag.  A stream chunk is
+form joined with n - 6 ones (see _boundary_quotients).  So a boundary
+scan runs no exact kernel, eigvalsh on 6x6 matrices only, and builds no S:
+N_op and the SC flag are read off the polynomials.  A stream chunk is
 grouped the same way when its checks read S_k, and otherwise evaluates
 every row.  Only what a report names (equality graphs, failures, the
 minimum-energy witness) is expanded back to the orbit's members, keyed by
@@ -98,7 +98,7 @@ from .graphs import (
 # unused here; kept importable as seidelab.search.<name> for bench/tracing.py
 from .graphs import encode_graph6  # noqa: F401
 from .seidel import count_odd_pairs, is_sc_equivalent_to_complete  # noqa: F401
-from .seidel import _odd_pairs, _sc_to_complete, _switch
+from .seidel import _odd_pairs, _odd_pairs_of_charpoly, _sc_of_charpoly, _sc_to_complete, _switch
 from .spectral import charpoly_batch_i64, p_energy, sk_from_charpoly
 from .verify import evaluate, near_equality, reads, run_checks, validate
 
@@ -233,6 +233,8 @@ class _BoundaryTable(NamedTuple):
     params: np.ndarray  # (a, b, c, e) of every member, in source order
     rep: np.ndarray  # each member's representative number
     reps: np.ndarray  # parameter index of each representative, ascending
+    members: np.ndarray  # rep's inverse: member indices by representative, then ascending
+    bounds: np.ndarray  # representative k's members are members[bounds[k]:bounds[k+1]]
 
 
 @lru_cache(maxsize=None)
@@ -265,7 +267,8 @@ def _boundary_table(n: int) -> _BoundaryTable:
     high, low = images[:, :2].max(axis=1), images[:, :2].min(axis=1)  # a >= b
     first = index[high, low, images[:, 2], images[:, 3]].min(axis=0)
     reps, rep = np.unique(first, return_inverse=True)
-    return _BoundaryTable(params, rep, reps)
+    bounds = np.concatenate([[0], np.bincount(rep).cumsum()])
+    return _BoundaryTable(params, rep, reps, np.argsort(rep, kind="stable"), bounds)
 
 
 # Seidel signs between the boundary quotient's parts: the clique's cells
@@ -295,9 +298,9 @@ def _cell_sizes(n: int, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([c, a - c, b - c, n - 2 - a - b + c, one, one], axis=1), 1 - 2 * e
 
 
-def _boundary_polys(n: int, params: np.ndarray) -> np.ndarray:
-    """Exact det(xI - S), (B, n+1) int64 ascending, of the boundary members
-    with the given (a, b, c, e) rows, from their equitable partition.
+def _boundary_polys(n: int, sizes: np.ndarray, apexes: np.ndarray) -> np.ndarray:
+    """Exact det(xI - S), (B, n+1) int64 ascending, of the order-n boundary
+    members with the cells of _cell_sizes, from their equitable partition.
 
     The apexes split the clique into four cells of sizes s (see
     _cell_sizes), and every vertex outside a cell sees the whole cell
@@ -312,7 +315,6 @@ def _boundary_polys(n: int, params: np.ndarray) -> np.ndarray:
     partial sums stay below 10^5 in Faddeev-LeVerrier and 2e8 in the
     product, far under 2^53.  det(xI - Q)'s coefficients stay below 7,600
     and det(xI - S)'s below 1.6e8."""
-    sizes, apexes = _cell_sizes(n, params)
     q = _QUOTIENT_SIGNS * sizes[:, None, :] + _CELL_DIAGONAL
     q[:, 4, 5] = q[:, 5, 4] = apexes
     # Faddeev-LeVerrier: M_k = Q M_(k-1) + c_(7-k) I, c_(6-k) = -tr(Q M_k) / k,
@@ -331,9 +333,9 @@ def _boundary_polys(n: int, params: np.ndarray) -> np.ndarray:
     return (pq @ shifts).astype(np.int64)
 
 
-def _boundary_quotients(n: int, params: np.ndarray) -> np.ndarray:
+def _boundary_quotients(sizes: np.ndarray, apexes: np.ndarray) -> np.ndarray:
     """The symmetrized quotients, (B, 6, 6) float64, of the boundary members
-    with the given (a, b, c, e) rows: sigma_ij sqrt(s_i s_j) off the
+    with the given cells (see _cell_sizes): sigma_ij sqrt(s_i s_j) off the
     diagonal and, as in Q (see _boundary_polys), 1 - s_i on a cell's
     diagonal and 0 on an apex's.  With no cell empty this is D^(1/2) Q
     D^(-1/2), D = diag(s), so it has Q's eigenvalues; an empty cell gives
@@ -341,7 +343,6 @@ def _boundary_quotients(n: int, params: np.ndarray) -> np.ndarray:
     factor x - 1.  So for every member S's spectrum is this matrix's joined
     with n - 6 ones.  The root is taken of the product s_i s_j, so the
     diagonal is exact."""
-    sizes, apexes = _cell_sizes(n, params)
     q = _QUOTIENT_SIGNS * np.sqrt(sizes[:, :, None] * sizes[:, None, :]) + _CELL_DIAGONAL
     q[:, 4, 5] = q[:, 5, 4] = apexes
     return q
@@ -396,17 +397,17 @@ class Graph6Stream:
 # ---------------------------------------------------------------------------
 # chunks as edge-bit stacks
 #
-# Every chunk becomes, per order n, a (B, C(n,2)) uint8 stack of edge bits
-# in graph6 order plus two functions naming its rows: members(rows) gives
-# the graphs each row stands for as (row, position) arrays, and
-# name(rows, positions) their graph6 as an array of str, for a stream stack
-# its rows' own lines.  A stream stack also gives its rows' slots, their
-# line indices within the chunk; an orbit stack has none, its rows standing
-# for many graphs, and gives instead its rows' exact characteristic
-# polynomials: an exhaustive stack's from parent times border (see
-# _bordered), a boundary stack's from the family's equitable quotient (see
-# _boundary_polys).  A boundary stack also gives that quotient's symmetrized
-# form, from which its spectra come (see _boundary_quotients).
+# Every chunk becomes, per order n, a stack of rows plus two functions
+# naming them: members(rows) gives the graphs each row stands for as (row,
+# position) arrays, and name(rows, positions) their graph6 as an array of
+# str, for a stream stack its rows' own lines.  A stream stack carries its
+# rows' (B, C(n,2)) uint8 edge bits in graph6 order and their slots, their
+# line indices within the chunk.  An orbit stack's rows stand for many
+# graphs; it carries their exact char polys, off which N_op and the SC flag
+# are read: an exhaustive stack's from parent times border (see _bordered),
+# with the edge bits of the S that eigvalsh reads, a boundary stack's from
+# the family's equitable quotient (see _boundary_polys), with no edge bits
+# but the quotient's symmetrized form for its spectra (_boundary_quotients).
 
 
 class _Bordered(NamedTuple):
@@ -417,7 +418,7 @@ class _Bordered(NamedTuple):
 
 class _Stack(NamedTuple):
     n: int
-    bits: np.ndarray
+    bits: np.ndarray | None  # edge bits; a boundary stack has none
     members: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     name: Callable[[np.ndarray, np.ndarray], np.ndarray]
     slots: np.ndarray | None
@@ -516,17 +517,18 @@ def _stacks(spec) -> tuple[int, list[_Stack]]:
         table = _boundary_table(n)
 
         def members(rows):
-            positions = np.flatnonzero(np.isin(table.rep, rows + start))
-            return table.rep[positions] - start, positions
+            lo = table.bounds[rows + start]
+            sizes = table.bounds[rows + start + 1] - lo
+            runs = np.repeat(lo - (sizes.cumsum() - sizes), sizes) + np.arange(sizes.sum())
+            return np.repeat(rows, sizes), table.members[runs]
 
         def name(rows, positions):
             return _graph6_lines(n, family.edge_bits(table.params[positions]))
 
-        count = int(np.count_nonzero((table.rep >= start) & (table.rep < stop)))
-        params = table.params[table.reps[start:stop]]
-        bits = family.edge_bits(params)
-        coeffs, quotient = _boundary_polys(n, params), _boundary_quotients(n, params)
-        return count, [_Stack(n, bits, members, name, None, coeffs, quotient)]
+        count = int(table.bounds[stop] - table.bounds[start])
+        cells = _cell_sizes(n, table.params[table.reps[start:stop]])
+        coeffs, quotient = _boundary_polys(n, *cells), _boundary_quotients(*cells)
+        return count, [_Stack(n, None, members, name, None, coeffs, quotient)]
     _, linenos, text, strict = spec
     codes = np.frombuffer(text, dtype=np.uint8)
     ends = np.flatnonzero(codes == ord("\n"))
@@ -602,46 +604,42 @@ def _stack_quantities(stack: _Stack, need: set):
     S_k(S^2) comes from its coefficients, N_op from ||S^2||_F^2, the sum of
     the fourth powers of the roots, and S is SC-equivalent to K_n iff p is
     (x + n - 1)(x - 1)^(n-1) or (x - n + 1)(x + 1)^(n-1).  So the first row
-    with each polynomial stands for the others.  Orbit stacks, whose rows
-    repeat few polynomials, carry their polynomials (from parents and
-    borders, or from the boundary quotient; see _stacks), and S is built
-    for their distinct rows only.  A boundary stack also carries its
-    symmetrized quotients: its spectra are theirs joined with n - 6 ones,
-    sorted, and S is built only when need names "nop" or "sc", whose
-    kernels read it.  A stream stack whose checks read S_k
-    computes its polynomials from S and is grouped the same way; any other
-    has one group per row, and inverse is then a slice, which scatters at
-    no cost."""
+    with each polynomial stands for the others, and N_op and the SC flag
+    are read off p wherever it is known.  Orbit stacks, whose rows repeat
+    few polynomials, carry theirs (from parents and borders, or from the
+    boundary quotient; see _stacks), and S is built only for eigvalsh, on
+    an exhaustive stack's distinct rows.  A boundary stack carries its
+    symmetrized quotients instead: its spectra are theirs joined with n - 6
+    ones, sorted.  A stream stack whose checks read S_k computes its
+    polynomials from S and is grouped the same way; any other has one
+    group per row, reads N_op and the SC flag off S, and inverse is then a
+    slice, which scatters at no cost."""
     n, bits, coeffs, quotient = stack.n, stack.bits, stack.coeffs, stack.quotient
     s = None if coeffs is not None else _seidel(n, bits)
     if coeffs is None and "sk" in need:
         coeffs = charpoly_batch_i64(s)
     if coeffs is None:
         first = inverse = slice(None)
+        odd_pairs, sc_flag, of = _odd_pairs, _sc_to_complete, s
     else:
         # c_n = 1, c_(n-1) = 0 and c_(n-2) = -C(n,2) on every Seidel row
         first, inverse = _distinct_rows(coeffs[:, : max(1, n - 2)])
         coeffs = coeffs[first]
-    if s is not None:
-        s = s[first]
-    elif quotient is None or need & {"nop", "sc"}:
-        s = _seidel(n, bits[first])
+        odd_pairs, sc_flag, of = _odd_pairs_of_charpoly, _sc_of_charpoly, coeffs
     if quotient is None:
-        vals = np.linalg.eigvalsh(s)
+        vals = np.linalg.eigvalsh(_seidel(n, bits[first]) if s is None else s[first])
     else:  # S's spectrum is the quotient's joined with n - 6 ones
         vals = np.linalg.eigvalsh(quotient[first])
         vals = np.sort(np.concatenate([vals, np.ones((len(vals), n - 6))], axis=1), axis=1)
     sk = sk_from_charpoly(coeffs) if "sk" in need else None
-    nop = _odd_pairs(s) if "nop" in need else None
-    sc = _sc_to_complete(s) if "sc" in need else None
+    nop = odd_pairs(of) if "nop" in need else None
+    sc = sc_flag(of) if "sc" in need else None
     return inverse, vals, sk, nop, sc
 
 
 def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
     count, stacks = _stacks(spec)
-    min_e = np.inf
-    min_pos = None
-    min_g6 = None
+    min_e, min_pos, min_g6 = np.inf, None, None
     failures: list[tuple[int, dict]] = []
     equality: list[tuple[int, str]] = []
     rows = lines = None
@@ -682,13 +680,15 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
         if (e, int(pos[k])) < (min_e, min_pos):
             min_e, min_pos = e, int(pos[k])
             min_g6 = str(name(row[k : k + 1], pos[k : k + 1])[0])
-        row, pos = members(np.flatnonzero(near_equality(n, energy)))
-        equality.extend(zip(pos.tolist(), name(row, pos).tolist()))
-        row, pos = members(np.flatnonzero(fail))
-        for position, g6 in zip(pos.tolist(), name(row, pos).tolist()):
-            for rep in run_checks(parse_graph6(g6), checks, p_grid):
-                if not rep.passed:
-                    failures.append((position, rep.as_dict()))
+        if (equal := np.flatnonzero(near_equality(n, energy))).size:
+            row, pos = members(equal)
+            equality.extend(zip(pos.tolist(), name(row, pos).tolist()))
+        if (failed := np.flatnonzero(fail)).size:
+            row, pos = members(failed)
+            for position, g6 in zip(pos.tolist(), name(row, pos).tolist()):
+                for rep in run_checks(parse_graph6(g6), checks, p_grid):
+                    if not rep.passed:
+                        failures.append((position, rep.as_dict()))
     if lines is not None:
         rows = "".join(lines.tolist())
     return _ChunkResult(count, min_e, min_pos, min_g6, failures, equality, rows)

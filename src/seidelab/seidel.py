@@ -7,10 +7,12 @@ disjoint 2-subsets with an odd number of cross edges; their count is an
 SC-invariant and is zero exactly on the switching class of the complete
 graph.
 
-Switching is computed only by the edge-bit stack kernel _switch, N_op
-(from ||S^2||_F) and SC-equivalence to K_n (a sign test on S) only by the
-stack kernels _odd_pairs and _sc_to_complete on Seidel matrices S; scans
-run them on whole chunks and the per-graph functions on a stack of one.
+Switching is computed only by the edge-bit stack kernel _switch.  N_op has
+one formula, on the fourth moment ||S^2||_F^2 (_odd_pairs_of_moment).  The
+stack kernels read N_op and SC-equivalence to K_n off Seidel matrices S
+(_odd_pairs, and a sign test in _sc_to_complete) or off exact char polys
+(_odd_pairs_of_charpoly, _sc_of_charpoly); scans run them on whole chunks
+and the per-graph functions on a stack of one.
 """
 
 from __future__ import annotations
@@ -93,9 +95,8 @@ def _odd_pairs(s: np.ndarray) -> np.ndarray:
     """N_op of a stack of Seidel matrices S, from S^2.  For a pair X = {u, v}
     the n-2 products S_uw S_vw sum to d = (S^2)_uv, and Y = {y, z} has an odd
     number of cross edges iff its two products differ, so X has
-    ((n-2)^2 - d^2)/4 odd partners; the sum over X needs only ||S^2||_F:
-
-        N_op = [C(n,2)(n-2)^2 - (||S^2||_F^2 - n(n-1)^2)/2] / 4.
+    ((n-2)^2 - d^2)/4 odd partners; the sum over X needs only the fourth
+    moment ||S^2||_F^2 (see _odd_pairs_of_moment).
 
     S^2 comes from float32 BLAS products, about 2^15 / n^2 matrices at a
     time; they are exact, since every partial sum is an integer of magnitude
@@ -107,8 +108,22 @@ def _odd_pairs(s: np.ndarray) -> np.ndarray:
         block = s[lo : lo + step].astype(np.float32)
         a2 = np.matmul(block, block)
         frobenius[lo : lo + step] = np.einsum("bij,bij->b", a2, a2, dtype=np.float64)
-    off_diagonal = (frobenius - n * (n - 1) ** 2) // 2
-    return (comb(n, 2) * (n - 2) ** 2 - off_diagonal) // 4
+    return _odd_pairs_of_moment(n, frobenius)
+
+
+def _odd_pairs_of_moment(n: int, moment: np.ndarray) -> np.ndarray:
+    """The one N_op formula, on the int64 fourth moments ||S^2||_F^2 of
+    order-n Seidel matrices: [C(n,2)(n-2)^2 - (||S^2||_F^2 - n(n-1)^2)/2] / 4."""
+    return (comb(n, 2) * (n - 2) ** 2 - (moment - n * (n - 1) ** 2) // 2) // 4
+
+
+def _odd_pairs_of_charpoly(coeffs: np.ndarray) -> np.ndarray:
+    """N_op off exact char polys p, (B, n+1) ascending, int64 or object.  As
+    tr S = 0, e_2 = -C(n,2) and e_4 = c_(n-4) (zero for n < 4), so
+    ||S^2||_F^2 = 2 e_2^2 - 4 e_4 = n^2(n-1)^2/2 - 4 c_(n-4)."""
+    n = coeffs.shape[1] - 1
+    e4 = coeffs[:, n - 4].astype(np.int64) if n >= 4 else np.zeros(len(coeffs), dtype=np.int64)
+    return _odd_pairs_of_moment(n, n * n * (n - 1) ** 2 // 2 - 4 * e4)
 
 
 def _sc_to_complete(s: np.ndarray) -> np.ndarray:
@@ -118,6 +133,16 @@ def _sc_to_complete(s: np.ndarray) -> np.ndarray:
     n, first = s.shape[-1], s[:, 0, 1:]
     x = s[:, 1:, 1:] * first[:, :, None] * first[:, None, :]  # zero diagonal
     return np.abs(x.sum(axis=(1, 2), dtype=np.int64)) == (n - 1) * (n - 2)
+
+
+def _sc_of_charpoly(coeffs: np.ndarray) -> np.ndarray:
+    """SC-equivalence to K_n off exact char polys p, (B, n+1) ascending: p
+    equals (x - n + 1)(x + 1)^(n-1), or (-1)^n times it at -x, which is
+    (x + n - 1)(x - 1)^(n-1); both are built in Python ints, by math.comb."""
+    n = coeffs.shape[1] - 1
+    row = [(k and comb(n - 1, k - 1)) - (n - 1) * comb(n - 1, k) for k in range(n + 1)]
+    rows = np.array([row, [(-1) ** (n - k) * c for k, c in enumerate(row)]], dtype=object)
+    return (coeffs[:, None, :] == rows.astype(coeffs.dtype)).all(axis=2).any(axis=1)
 
 
 def switching_class_key(g: Graph) -> bytes:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -403,6 +404,25 @@ def test_scan_reports_match_golden_json(capsys, report, argv):
     code, out, _ = run_cli(capsys, "verify", *argv, "--format", "json", "--no-timing")
     assert code == EXIT_OK
     assert out.encode() == (GOLDEN / report).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--all-n", "1..6"], "55d1e49bfcd09c881c39f2bfe64213f947c85db182e3f3f1f33f580425e8f49f"),
+        (
+            ["--boundary-family", "11..22"],
+            "6f3ccf2151d048dbaf8c8fecb33f5aa914f010fbe2820ac2d7ba898e3b43ab01",
+        ),
+    ],
+)
+def test_orbit_scan_csv_matches_pinned_sha256(capsys, argv, digest):
+    # the orbit sources' CSV rows, which the golden JSON does not cover,
+    # pinned by the sha256 of their bytes: every cell must not move
+    checks = "sk-basic,sk-oddpairs,oddpair-lower,theorem2"
+    code, out, _ = run_cli(capsys, "verify", *argv, "--checks", checks, "--format", "csv")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestNumericError:

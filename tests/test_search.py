@@ -48,6 +48,8 @@ from seidelab.spectral import (
 from seidelab.verify import evaluate, run_checks
 from seidelab.seidel import (
     _odd_pairs,
+    _odd_pairs_of_charpoly,
+    _sc_of_charpoly,
     _sc_to_complete,
     count_odd_pairs,
     is_sc_equivalent_to_complete,
@@ -780,6 +782,16 @@ def test_n8_csv_head_matches_csv_writer(monkeypatch):
 GROUPED_SOURCES = [AllGraphs(n) for n in range(1, 8)] + [BoundaryFamily(n) for n in range(11, 17)]
 
 
+def _stack_bits(spec, st) -> np.ndarray:
+    """A chunk stack's edge bits: a boundary stack carries none, so its
+    representatives' are rebuilt through BoundaryFamily.edge_bits."""
+    if st.bits is not None:
+        return st.bits
+    _, n, start, stop = spec
+    table = search._boundary_table(n)
+    return BoundaryFamily(n).edge_bits(table.params[table.reps[start:stop]])
+
+
 def test_distinct_rows_is_exact_on_object_rows():
     # rows equal but for a digit past int64, and repeats out of order
     big = 1 << 70
@@ -795,13 +807,16 @@ def test_distinct_rows_is_exact_on_object_rows():
 @pytest.mark.parametrize("source", GROUPED_SOURCES, ids=lambda s: s.descriptor)
 def test_grouped_quantities_match_per_row_kernels(source):
     # the groups are exactly the distinct char polys, each evaluated on its
-    # first row, and the exact quantities scatter back to the per-row values;
-    # boundary spectra come from the 6x6 quotient, not from eigvalsh of S
+    # first row, and the exact quantities scatter back to the per-row values:
+    # N_op and the SC flag, read off the polynomials, equal the S kernels' on
+    # every representative; boundary spectra come from the 6x6 quotient, not
+    # from eigvalsh of S
     need = {"vals", "sk", "nop", "sc"}
     for spec in source.chunk_specs():
         (st,) = search._stacks(spec)[1]
         inverse, vals, sk, nop, sc = search._stack_quantities(st, need)
-        s = _seidel(st.n, st.bits)
+        assert (st.bits is None) == isinstance(source, BoundaryFamily)
+        s = _seidel(st.n, _stack_bits(spec, st))
         coeffs = charpoly_batch_i64(s)
         groups, first = np.unique(inverse, return_index=True)
         assert np.array_equal(groups, np.arange(len(vals)))
@@ -825,7 +840,7 @@ def test_rows_sharing_a_char_poly_carry_identical_floats(set_chunk_size, source)
     for spec in source.chunk_specs():
         result = search._eval_chunk(spec, ALL_CHECKS, p_grid, collect_rows=True)
         (st,) = search._stacks(spec)[1]
-        coeffs = charpoly_batch_i64(_seidel(st.n, st.bits))
+        coeffs = charpoly_batch_i64(_seidel(st.n, _stack_bits(spec, st)))
         _, first, group = np.unique(coeffs, axis=0, return_index=True, return_inverse=True)
         assert result.rows.tolist() == result.rows[first][group.ravel()].tolist()
 
@@ -985,7 +1000,7 @@ def test_boundary_polys_match_kernel(n):
     a, b, c, _ = params.T
     sizes = np.stack([c, a - c, b - c, n - 2 - a - b + c])
     assert (sizes == 0).any(axis=1).all()  # each cell is empty in some member
-    got = search._boundary_polys(n, params)
+    got = search._boundary_polys(n, *search._cell_sizes(n, params))
     want = charpoly_batch_i64(_seidel(n, BoundaryFamily(n).edge_bits(params)))
     assert got.dtype == np.int64 and got.tolist() == want.tolist()
 
@@ -993,12 +1008,13 @@ def test_boundary_polys_match_kernel(n):
 def test_boundary_scan_runs_no_exact_kernel(monkeypatch):
     # the boundary polynomials and spectra come from the quotient: n = 11..16
     # call the exact kernel never and eigvalsh once per distinct polynomial,
-    # on its 6x6 quotient; S is built for those polynomials' first rows only
+    # on its 6x6 quotient; N_op and the SC flag are read off the polynomials,
+    # so no Seidel matrix is built, and members are looked up, not searched
     polys, batches, kernel, eigvalsh = [], [], charpoly_batch_i64, np.linalg.eigvalsh
-    built = []
-    monkeypatch.setattr(
-        search, "_seidel", lambda n, bits: built.append(len(bits)) or _seidel(n, bits)
-    )
+    called = []
+    for name in ("_seidel", "_odd_pairs", "_sc_to_complete"):
+        monkeypatch.setattr(search, name, lambda *a, name=name: called.append(name))
+    monkeypatch.setattr(search.np, "isin", lambda *a, **k: called.append("isin"))
 
     def counting(a):
         batches.append(a.shape)
@@ -1010,9 +1026,20 @@ def test_boundary_scan_runs_no_exact_kernel(monkeypatch):
     )
     for n in range(11, 17):
         assert scan(BoundaryFamily(n), DESK_CHECKS).total_failures == 0
-    assert polys == []
+    assert polys == [] and called == []
     assert {shape[1:] for shape in batches} == {(6, 6)}
-    assert sum(shape[0] for shape in batches) == sum(built) == 715
+    assert sum(shape[0] for shape in batches) == 715
+
+
+@pytest.mark.parametrize("n", BOUNDARY_ORDERS)
+def test_charpoly_reads_match_s_kernels_on_every_boundary_member(n):
+    # N_op and the SC flag read off the quotient's polynomials equal the S
+    # kernels' on every member, not only on the representatives a scan reads
+    params = np.array(BoundaryFamily(n).params())
+    coeffs = search._boundary_polys(n, *search._cell_sizes(n, params))
+    s = _seidel(n, BoundaryFamily(n).edge_bits(params))
+    assert np.array_equal(_odd_pairs_of_charpoly(coeffs), _odd_pairs(s))
+    assert np.array_equal(_sc_of_charpoly(coeffs), _sc_to_complete(s))
 
 
 @pytest.mark.parametrize("n", BOUNDARY_ORDERS)
@@ -1020,7 +1047,7 @@ def test_boundary_quotient_spectra_match_eigvalsh(n):
     # every member's spectrum, the symmetrized quotient's joined with n - 6
     # ones, is its own Seidel matrix's, members with empty cells included
     params = np.array(BoundaryFamily(n).params())
-    q = search._boundary_quotients(n, params)
+    q = search._boundary_quotients(*search._cell_sizes(n, params))
     assert q.shape == (len(params), 6, 6) and np.array_equal(q, q.swapaxes(1, 2))
     vals = np.sort(np.concatenate([np.linalg.eigvalsh(q), np.ones((len(q), n - 6))], axis=1))
     want = np.linalg.eigvalsh(_seidel(n, BoundaryFamily(n).edge_bits(params)))

@@ -16,6 +16,8 @@ from seidelab.graphs import (
 )
 from seidelab.seidel import (
     _odd_pairs,
+    _odd_pairs_of_charpoly,
+    _sc_of_charpoly,
     _sc_to_complete,
     _switch,
     count_odd_pairs,
@@ -23,7 +25,7 @@ from seidelab.seidel import (
     switch,
     switching_class_key,
 )
-from seidelab.spectral import char_poly_exact, submatrix_det_parity
+from seidelab.spectral import char_poly_exact, charpoly_batch_i64, submatrix_det_parity
 
 from conftest import (
     graph_strategy,
@@ -265,6 +267,22 @@ def test_nop_and_sc_match_reference(rng, n):
         assert type(count_odd_pairs(g)) is int and count_odd_pairs(g) == nop
         ok, witness = is_sc_equivalent_to_complete(g)
         assert type(ok) is bool and (ok, witness) == sc
+
+
+@pytest.mark.parametrize("n", [*range(1, 21), 40, 62])
+def test_charpoly_reads_match_s_kernels(rng, n):
+    # N_op and the SC flag read off exact char polys equal the S kernels' on
+    # seeded random stacks and on switchings of K_n and of its complement;
+    # charpoly_batch_i64 gives int64 rows up to n = 17 and object rows beyond
+    members = sc_members(rng, n)
+    bits = rng.integers(0, 2, (40, n * (n - 1) // 2), dtype=np.uint8)
+    s = _seidel(n, np.concatenate([bits, [reference_edge_bits(g) for g in members]]))
+    coeffs = charpoly_batch_i64(s)
+    assert coeffs.dtype == (np.int64 if n <= 17 else object)
+    nop, sc = _odd_pairs_of_charpoly(coeffs), _sc_of_charpoly(coeffs)
+    assert nop.dtype == np.int64 and np.array_equal(nop, _odd_pairs(s))
+    assert sc.dtype == bool and np.array_equal(sc, _sc_to_complete(s))
+    assert sc[-len(members) :][:2].all()  # K_n switched, and its complement
 
 
 def test_sc_witness_matches_reference_every_small_graph():

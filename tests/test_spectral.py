@@ -40,6 +40,14 @@ from seidelab.spectral import (
 from conftest import graph_strategy, random_graph
 
 
+@pytest.mark.parametrize("n", range(4, 63))
+def test_second_smallest_energy_closed_form(n):
+    # the class of K_2 + (n-2)K_1 has E_S = n - 2 + sqrt((n+6)(n-2)), the
+    # smallest Seidel energy off the class of K_n wherever the scans reach
+    energy = p_energy(eigenvalues(Graph.from_edges(n, [(0, 1)])), 1.0)
+    assert energy == pytest.approx(n - 2 + math.sqrt((n + 6) * (n - 2)), rel=1e-9, abs=0)
+
+
 class TestEigenvalues:
     def test_k3(self):
         s = eigenvalues(complete_graph(3))
