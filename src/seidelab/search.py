@@ -9,18 +9,19 @@ Chunks are drawn from the source only as the pool has room, at most two
 per worker in flight, so a graph6 stream is read line by line, one chunk
 at a time, while its first chunks are evaluated.
 
-Every chunk has one format: per order n, a stack of edge bits in graph6
-order, which a worker builds itself (the exhaustive and boundary sources
-ship index ranges, a graph6 stream ships its raw lines, which the graph6
-decoder of graphs validates and decodes).  Everything checked derives
-from the stack, through the kernels that also serve the per-graph functions:
+A source speaks one protocol, and the driver knows nothing else of it:
+chunk_specs gives chunks (source, *part), a range of representative
+numbers for an orbit source, line numbers and raw lines for a graph6
+stream; a worker's source.stacks(*part) turns one into stacks (see
+_Stack), and source.csv_rows gives the scan's CSV rows.  Everything
+checked derives from the kernels that also serve the per-graph functions:
 Seidel matrices S and graph6 lines from graphs, LAPACK spectra (for the
-boundary family of a 6x6 quotient, see below), exact S_k(S^2) from the
-multi-modular characteristic polynomials of S itself (spectral), and the
-odd-pair count N_op and SC-equivalence to K_n, off those polynomials where
-a stack has them and otherwise off S (seidel).  S is the one n x n stack.
-This module keeps only the sources, the driver and CSV rendering.  Graph
-objects appear only for the flagged graphs run_checks re-verifies.
+boundary family of a 6x6 quotient, see below), exact S_k(S^2) from
+multi-modular characteristic polynomials (spectral), and N_op and
+SC-equivalence to K_n, off those polynomials where a stack has them and
+otherwise off S (seidel).  This module keeps only the sources, the driver
+and CSV rendering.  Graph objects appear only for the flagged graphs
+run_checks re-verifies.
 
 The exhaustive and boundary sources are scanned one orbit at a time.
 Every checked quantity (|spectrum|, S_k(A^2), N_op, SC-equivalence to K_n)
@@ -33,7 +34,7 @@ switching on its apexes once, on the orbit's first member (see
 _boundary_table), and counts its members; isomorphic members outside that
 group are still evaluated apart.  Within a chunk, the representatives are
 grouped by their exact Seidel characteristic polynomial, of which every
-checked quantity is a function (see _stack_quantities): spectra, S_k,
+checked quantity is a function (see _by_charpoly): spectra, S_k,
 N_op, the SC flag and the checks run once per distinct polynomial, on the
 first row that has it, and are scattered back to every row (n = 7 has 53
 distinct polynomials for its 16,384 representatives).  An exhaustive
@@ -51,10 +52,11 @@ scan runs no exact kernel, eigvalsh on 6x6 matrices only, and builds no S:
 N_op and the SC flag are read off the polynomials.  A stream chunk is
 grouped the same way when its checks read S_k, and otherwise evaluates
 every row.  Only what a report names (equality graphs, failures, the
-minimum-energy witness) is expanded back to the orbit's members, keyed by
-its position in the source's enumeration order (the labeled edge mask for
-the exhaustive source, the parameter index for the boundary family, the
-line number for a stream) and merged in that order.
+minimum-energy witness) is expanded back to the orbit's members and
+named, in one pass per stack, keyed by its position in the source's
+enumeration order (the labeled edge mask for the exhaustive source, the
+parameter index for the boundary family, the line number for a stream)
+and merged in that order.
 
 CSV rows, when collected, come from every chunk in source order, so the
 scan only joins them.  A row's cells but graph6 are functions of its char
@@ -119,8 +121,22 @@ class Graph6StreamError(ValueError):
 # sources
 
 
+class _OrbitSource:
+    """A source scanned one orbit at a time (see the module docstring), with
+    _orbit_count() representatives; its CSV rows are an _OrbitRows."""
+
+    def chunk_specs(self):
+        """Chunks of representative numbers, CHUNK_SIZE representatives each."""
+        total = self._orbit_count()
+        return [(self, lo, min(lo + CHUNK_SIZE, total)) for lo in range(0, total, CHUNK_SIZE)]
+
+    def csv_rows(self, tails: list) -> _OrbitRows:
+        """The scan's CSV lines from its chunks' representative tails."""
+        return _OrbitRows(self, np.concatenate(tails))
+
+
 @dataclass(frozen=True)
-class AllGraphs:
+class AllGraphs(_OrbitSource):
     """Every labeled graph on n vertices, in edge-mask order.
 
     Its chunks hold switching-plus-complement orbit representatives (see the
@@ -130,9 +146,9 @@ class AllGraphs:
     n: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= ENUM_MAX_N:
+        if not (isinstance(self.n, (int, np.integer)) and 1 <= self.n <= ENUM_MAX_N):
             raise ValueError(
-                f"exhaustive enumeration supports n <= {ENUM_MAX_N}; "
+                f"exhaustive enumeration supports integers n in 1..{ENUM_MAX_N}, not {self.n!r}; "
                 "use a graph6 stream for larger orders"
             )
 
@@ -147,22 +163,37 @@ class AllGraphs:
         for mask in range(len(self)):
             yield Graph(self.n, mask)
 
-    def chunk_specs(self):
-        """Chunks of representative indices, CHUNK_SIZE representatives each."""
-        total = 1 << len(_free_edges(self.n))
-        return [
-            ("classes", self.n, start, min(start + CHUNK_SIZE, total))
-            for start in range(0, total, CHUNK_SIZE)
-        ]
+    def _orbit_count(self) -> int:
+        return 1 << len(_free_edges(self.n))
 
     def member_block(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """Edge bits and representative numbers of edge masks start..stop-1."""
         bits = _mask_bits(self.n, np.arange(start, stop, dtype=np.uint64))
         return bits, _representatives(self.n, bits)
 
+    def stacks(self, start: int, stop: int) -> tuple[int, list[_Stack]]:
+        """The labeled graphs representatives start..stop-1 stand for, and their stack."""
+        n = self.n
+        masks = _class_masks(n, start, stop)
+        bits = _mask_bits(n, masks)
+        offsets = _orbit_offsets(n)
+
+        def members(rows):
+            return np.repeat(rows, len(offsets)), (masks[rows, None] ^ offsets).ravel()
+
+        def name(rows, positions):
+            return _graph6_lines(n, _mask_bits(n, positions))
+
+        def quantities(need):
+            parents, borders, rows = _bordered(n, np.arange(start, stop, dtype=np.int64), bits)
+            coeffs = charpoly_batch_i64(parents, borders)[rows]
+            return _by_charpoly(n, coeffs, lambda r: np.linalg.eigvalsh(_seidel(n, bits[r])), need)
+
+        return (stop - start) * len(offsets), [_Stack(n, members, name, None, quantities)]
+
 
 @dataclass(frozen=True)
-class BoundaryFamily:
+class BoundaryFamily(_OrbitSource):
     """Graphs that are a clique on n-2 vertices plus two apex vertices.
 
     Parameterized by (a, b, c, e): the apex clique-neighborhood sizes a >= b,
@@ -176,10 +207,9 @@ class BoundaryFamily:
     n: int
 
     def __post_init__(self):
-        if not BOUNDARY_MIN_N <= self.n <= BOUNDARY_MAX_N:
-            raise ValueError(
-                f"boundary family covers n in {BOUNDARY_MIN_N}..{BOUNDARY_MAX_N}"
-            )
+        lo, hi = BOUNDARY_MIN_N, BOUNDARY_MAX_N
+        if not (isinstance(self.n, (int, np.integer)) and lo <= self.n <= hi):
+            raise ValueError(f"boundary family covers integers n in {lo}..{hi}, not {self.n!r}")
 
     @property
     def descriptor(self) -> str:
@@ -201,10 +231,11 @@ class BoundaryFamily:
         return bits.astype(np.uint8)
 
     def graph_for(self, a: int, b: int, c: int, e: int) -> Graph:
-        if not (0 <= c <= b <= a and a + b - c <= self.n - 2 and e in (0, 1)):
+        integers = all(isinstance(v, (int, np.integer)) for v in (a, b, c, e))
+        if not (integers and 0 <= c <= b <= a and a + b - c <= self.n - 2 and e in (0, 1)):
             raise ValueError(
-                f"(a, b, c, e) = {(a, b, c, e)} is not a member: need 0 <= c <= b <= a, "
-                f"a + b - c <= {self.n - 2} and e in {{0, 1}}"
+                f"(a, b, c, e) = {(a, b, c, e)} is not a member: need integers with "
+                f"0 <= c <= b <= a, a + b - c <= {self.n - 2} and e in {{0, 1}}"
             )
         return _graph_of_bits(self.n, self.edge_bits([(a, b, c, e)]))
 
@@ -215,18 +246,38 @@ class BoundaryFamily:
         for a, b, c, e in self.params():
             yield self.graph_for(a, b, c, e)
 
-    def chunk_specs(self):
-        """Chunks of representative numbers, CHUNK_SIZE representatives each."""
-        total = len(_boundary_table(self.n).reps)
-        return [
-            ("boundary", self.n, start, min(start + CHUNK_SIZE, total))
-            for start in range(0, total, CHUNK_SIZE)
-        ]
+    def _orbit_count(self) -> int:
+        return len(_boundary_table(self.n).reps)
 
     def member_block(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """Edge bits and representative numbers of members start..stop-1."""
         table = _boundary_table(self.n)
         return self.edge_bits(table.params[start:stop]), table.rep[start:stop]
+
+    def stacks(self, start: int, stop: int) -> tuple[int, list[_Stack]]:
+        """The members representatives start..stop-1 stand for, and their stack."""
+        n, table = self.n, _boundary_table(self.n)
+
+        def members(rows):
+            lo = table.bounds[rows + start]
+            sizes = table.bounds[rows + start + 1] - lo
+            runs = np.repeat(lo - (sizes.cumsum() - sizes), sizes) + np.arange(sizes.sum())
+            return np.repeat(rows, sizes), table.members[runs]
+
+        def name(rows, positions):
+            return _graph6_lines(n, self.edge_bits(table.params[positions]))
+
+        def quantities(need):
+            sizes, apexes = _cell_sizes(n, table.params[table.reps[start:stop]])
+
+            def spectra(rows):  # S's spectrum is the quotient's joined with n - 6 ones
+                vals = np.linalg.eigvalsh(_boundary_quotients(sizes[rows], apexes[rows]))
+                return np.sort(np.concatenate([vals, np.ones((len(vals), n - 6))], axis=1), axis=1)
+
+            return _by_charpoly(n, _boundary_polys(n, sizes, apexes), spectra, need)
+
+        count = int(table.bounds[stop] - table.bounds[start])
+        return count, [_Stack(n, members, name, None, quantities)]
 
 
 class _BoundaryTable(NamedTuple):
@@ -391,23 +442,59 @@ class Graph6Stream:
             if not lines:
                 return
             text = "\n".join(lines) + "\n"
-            yield ("graph6", np.array(linenos, dtype=np.int64), text.encode("latin-1"), self.strict)
+            yield (self, np.array(linenos, dtype=np.int64), text.encode("latin-1"))
+
+    def stacks(self, linenos: np.ndarray, text: bytes) -> tuple[int, list[_Stack]]:
+        """The graphs of a chunk's lines, and a stack per order; strict mode raises."""
+        codes = np.frombuffer(text, dtype=np.uint8)
+        ends = np.flatnonzero(codes == ord("\n"))
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        decoded, rejected = _decode_graph6(codes, starts, ends - starts)
+        if self.strict and rejected:  # lenient mode skips rejected lines
+            raise Graph6StreamError(f"line {linenos[rejected[0][0]]}: {rejected[0][1]}")
+        stacks = []
+        for n, index, bits in decoded:
+            # a decoded line is its graph's graph6 (the decoder rejects any line
+            # that does not re-encode to itself), and n fixes its length
+            width = int(ends[index[0]] - starts[index[0]])
+
+            def name(rows, positions, index=index, width=width):
+                lines = codes[starts[index[rows], None] + np.arange(width)]
+                return lines.view(f"S{width}").ravel().astype(str)
+
+            def quantities(need, n=n, bits=bits):
+                s = _seidel(n, bits)  # one order's S at a time
+                if "sk" in need:  # grouped, as an orbit stack is
+                    coeffs = charpoly_batch_i64(s)
+                    return _by_charpoly(n, coeffs, lambda r: np.linalg.eigvalsh(s[r]), need)
+                nop = _odd_pairs(s) if "nop" in need else None
+                sc = _sc_to_complete(s) if "sc" in need else None
+                return slice(None), np.linalg.eigvalsh(s), None, nop, sc
+
+            def members(rows, index=index):
+                return rows, linenos[index[rows]]
+
+            stacks.append(_Stack(n, members, name, index, quantities))
+        return sum(len(index) for _, index, _ in decoded), stacks
+
+    def csv_rows(self, lines: list) -> list:
+        """The scan's CSV lines: its chunks' text, as the workers wrote it."""
+        return lines
 
 
 # ---------------------------------------------------------------------------
-# chunks as edge-bit stacks
+# chunks as stacks
 #
-# Every chunk becomes, per order n, a stack of rows plus two functions
-# naming them: members(rows) gives the graphs each row stands for as (row,
-# position) arrays, and name(rows, positions) their graph6 as an array of
-# str, for a stream stack its rows' own lines.  A stream stack carries its
-# rows' (B, C(n,2)) uint8 edge bits in graph6 order and their slots, their
-# line indices within the chunk.  An orbit stack's rows stand for many
-# graphs; it carries their exact char polys, off which N_op and the SC flag
-# are read: an exhaustive stack's from parent times border (see _bordered),
-# with the edge bits of the S that eigvalsh reads, a boundary stack's from
-# the family's equitable quotient (see _boundary_polys), with no edge bits
-# but the quotient's symmetrized form for its spectra (_boundary_quotients).
+# A source's stacks(*part) turns its chunk into, per order n, a stack of
+# rows with three functions: members(rows) gives the graphs each row
+# stands for as (row, position) arrays, name(rows, positions) their graph6
+# as an array of str, and quantities(need) the checked quantities, of one
+# row per distinct char poly where the polynomials are known (see
+# _by_charpoly).  An orbit stack's rows stand for many graphs and have
+# exact char polys: an exhaustive stack's from parent times border (see
+# _bordered), a boundary stack's from the family's equitable quotient (see
+# _boundary_polys).  A stream stack's rows are its graphs, named by their
+# own lines, and its slots are their line indices within the chunk.
 
 
 class _Bordered(NamedTuple):
@@ -418,12 +505,10 @@ class _Bordered(NamedTuple):
 
 class _Stack(NamedTuple):
     n: int
-    bits: np.ndarray | None  # edge bits; a boundary stack has none
     members: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     name: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    slots: np.ndarray | None
-    coeffs: np.ndarray | None = None  # an orbit stack's exact char polys
-    quotient: np.ndarray | None = None  # a boundary stack's symmetrized 6x6 quotients
+    slots: np.ndarray | None  # a stream stack's line indices within its chunk
+    quantities: Callable[[set], tuple]  # need -> (inverse, vals, sk, nop, sc)
 
 
 def _free_edges(n: int) -> list[int]:
@@ -493,65 +578,6 @@ def _mask_bits(n: int, masks: np.ndarray) -> np.ndarray:
     return ((masks[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
 
 
-def _stacks(spec) -> tuple[int, list[_Stack]]:
-    """The labeled graphs a chunk stands for, and its stacks."""
-    if spec[0] == "classes":
-        _, n, start, stop = spec
-        masks = _class_masks(n, start, stop)
-        bits = _mask_bits(n, masks)
-        offsets = _orbit_offsets(n)
-
-        def members(rows):
-            return np.repeat(rows, len(offsets)), (masks[rows, None] ^ offsets).ravel()
-
-        def name(rows, positions):
-            return _graph6_lines(n, _mask_bits(n, positions))
-
-        count = (stop - start) * len(offsets)
-        parents, borders, rows = _bordered(n, np.arange(start, stop, dtype=np.int64), bits)
-        coeffs = charpoly_batch_i64(parents, borders)[rows]
-        return count, [_Stack(n, bits, members, name, None, coeffs)]
-    if spec[0] == "boundary":
-        _, n, start, stop = spec
-        family = BoundaryFamily(n)
-        table = _boundary_table(n)
-
-        def members(rows):
-            lo = table.bounds[rows + start]
-            sizes = table.bounds[rows + start + 1] - lo
-            runs = np.repeat(lo - (sizes.cumsum() - sizes), sizes) + np.arange(sizes.sum())
-            return np.repeat(rows, sizes), table.members[runs]
-
-        def name(rows, positions):
-            return _graph6_lines(n, family.edge_bits(table.params[positions]))
-
-        count = int(table.bounds[stop] - table.bounds[start])
-        cells = _cell_sizes(n, table.params[table.reps[start:stop]])
-        coeffs, quotient = _boundary_polys(n, *cells), _boundary_quotients(*cells)
-        return count, [_Stack(n, None, members, name, None, coeffs, quotient)]
-    _, linenos, text, strict = spec
-    codes = np.frombuffer(text, dtype=np.uint8)
-    ends = np.flatnonzero(codes == ord("\n"))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    decoded, rejected = _decode_graph6(codes, starts, ends - starts)
-    if strict and rejected:  # lenient mode skips rejected lines
-        raise Graph6StreamError(f"line {linenos[rejected[0][0]]}: {rejected[0][1]}")
-    stacks = []
-    for n, index, bits in decoded:
-        # a decoded line is its graph's graph6 (the decoder rejects any line
-        # that does not re-encode to itself), and n fixes its length
-        width = int(ends[index[0]] - starts[index[0]])
-
-        def name(rows, positions, index=index, width=width):
-            lines = codes[starts[index[rows], None] + np.arange(width)]
-            return lines.view(f"S{width}").ravel().astype(str)
-
-        stacks.append(
-            _Stack(n, bits, lambda rows, index=index: (rows, linenos[index[rows]]), name, index)
-        )
-    return sum(len(st.bits) for st in stacks), stacks
-
-
 @dataclass
 class _ChunkResult:
     # items are (position, value) pairs; the position is the graph's place in
@@ -594,65 +620,41 @@ def _distinct_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[new], inverse
 
 
-def _stack_quantities(stack: _Stack, need: set):
-    """(inverse, vals, sk, nop, sc): the spectra and whatever else need
-    names of "sk", "nop" and "sc" (see evaluate), for one row per distinct
-    Seidel characteristic polynomial p(x) = det(xI - S), and the index
-    taking each row of the stack to its distinct row.
+def _by_charpoly(n: int, coeffs: np.ndarray, spectra: Callable, need: set):
+    """(inverse, vals, sk, nop, sc) of a stack with exact Seidel char polys
+    p(x) = det(xI - S) coeffs: spectra(rows) and whatever else need names of
+    "sk", "nop" and "sc" (see evaluate) for the first row with each distinct
+    p, and the index taking each row of the stack to its distinct row.
 
     Every checked quantity is a function of p: the spectrum is its roots,
     S_k(S^2) comes from its coefficients, N_op from ||S^2||_F^2, the sum of
     the fourth powers of the roots, and S is SC-equivalent to K_n iff p is
     (x + n - 1)(x - 1)^(n-1) or (x - n + 1)(x + 1)^(n-1).  So the first row
     with each polynomial stands for the others, and N_op and the SC flag
-    are read off p wherever it is known.  Orbit stacks, whose rows repeat
-    few polynomials, carry theirs (from parents and borders, or from the
-    boundary quotient; see _stacks), and S is built only for eigvalsh, on
-    an exhaustive stack's distinct rows.  A boundary stack carries its
-    symmetrized quotients instead: its spectra are theirs joined with n - 6
-    ones, sorted.  A stream stack whose checks read S_k computes its
-    polynomials from S and is grouped the same way; any other has one
-    group per row, reads N_op and the SC flag off S, and inverse is then a
-    slice, which scatters at no cost."""
-    n, bits, coeffs, quotient = stack.n, stack.bits, stack.coeffs, stack.quotient
-    s = None if coeffs is not None else _seidel(n, bits)
-    if coeffs is None and "sk" in need:
-        coeffs = charpoly_batch_i64(s)
-    if coeffs is None:
-        first = inverse = slice(None)
-        odd_pairs, sc_flag, of = _odd_pairs, _sc_to_complete, s
-    else:
-        # c_n = 1, c_(n-1) = 0 and c_(n-2) = -C(n,2) on every Seidel row
-        first, inverse = _distinct_rows(coeffs[:, : max(1, n - 2)])
-        coeffs = coeffs[first]
-        odd_pairs, sc_flag, of = _odd_pairs_of_charpoly, _sc_of_charpoly, coeffs
-    if quotient is None:
-        vals = np.linalg.eigvalsh(_seidel(n, bits[first]) if s is None else s[first])
-    else:  # S's spectrum is the quotient's joined with n - 6 ones
-        vals = np.linalg.eigvalsh(quotient[first])
-        vals = np.sort(np.concatenate([vals, np.ones((len(vals), n - 6))], axis=1), axis=1)
+    are read off p, not off S."""
+    # c_n = 1, c_(n-1) = 0 and c_(n-2) = -C(n,2) on every Seidel row
+    first, inverse = _distinct_rows(coeffs[:, : max(1, n - 2)])
+    coeffs = coeffs[first]
     sk = sk_from_charpoly(coeffs) if "sk" in need else None
-    nop = odd_pairs(of) if "nop" in need else None
-    sc = sc_flag(of) if "sc" in need else None
-    return inverse, vals, sk, nop, sc
+    nop = _odd_pairs_of_charpoly(coeffs) if "nop" in need else None
+    sc = _sc_of_charpoly(coeffs) if "sc" in need else None
+    return inverse, spectra(first), sk, nop, sc
 
 
 def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
-    count, stacks = _stacks(spec)
+    source, *part = spec
+    count, stacks = source.stacks(*part)
     min_e, min_pos, min_g6 = np.inf, None, None
     failures: list[tuple[int, dict]] = []
     equality: list[tuple[int, str]] = []
-    rows = lines = None
-    if collect_rows and spec[0] == "graph6":
-        # orders interleave: each line goes to its slot, a skipped one stays ""
-        lines = np.full(len(spec[1]), "", dtype=object)
-    for stack in stacks:
-        n, bits, members, name, slots = stack[:5]
+    rows = "" if collect_rows else None  # a stream chunk's, if no line decodes
+    streamed = []  # a stream's (slots, lines) per order
+    for n, members, name, slots, quantities in stacks:
         # scan throughput path: batched LAPACK spectra, once per distinct
         # char poly and scattered back to every row; flagged graphs are
         # re-verified one by one through run_checks
         need = reads(n, checks) | ({"nop"} if collect_rows else set())
-        inverse, vals, sk, nop, sc = _stack_quantities(stack, need)
+        inverse, vals, sk, nop, sc = quantities(need)
         fail = np.zeros(len(vals), dtype=bool)
         margins: dict[str, np.ndarray] = {}
         energy = None  # E_S, theorem2's lhs when theorem2 applies
@@ -671,26 +673,25 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
             if slots is None:  # orbit representatives: see _OrbitRows
                 rows = tails
             else:
-                lines[slots] = name(*members(np.arange(len(slots)))) + tails
+                streamed.append((slots, name(*members(np.arange(len(slots)))) + tails))
         fail, energy = fail[inverse], energy[inverse]
-        # minimum-energy record: the first attaining graph by position
+        # the graphs a report names, expanded and named once: the minimum-energy
+        # record (the first attaining graph by position), equality and failures
         e = float(energy.min())
-        row, pos = members(np.flatnonzero(energy == e))
-        k = int(np.argmin(pos))
+        least, equal = energy == e, near_equality(n, energy)
+        row, pos = members(np.flatnonzero(least | equal | fail))
+        g6 = name(row, pos)
+        k = np.flatnonzero(least[row])[np.argmin(pos[least[row]])]
         if (e, int(pos[k])) < (min_e, min_pos):
-            min_e, min_pos = e, int(pos[k])
-            min_g6 = str(name(row[k : k + 1], pos[k : k + 1])[0])
-        if (equal := np.flatnonzero(near_equality(n, energy))).size:
-            row, pos = members(equal)
-            equality.extend(zip(pos.tolist(), name(row, pos).tolist()))
-        if (failed := np.flatnonzero(fail)).size:
-            row, pos = members(failed)
-            for position, g6 in zip(pos.tolist(), name(row, pos).tolist()):
-                for rep in run_checks(parse_graph6(g6), checks, p_grid):
-                    if not rep.passed:
-                        failures.append((position, rep.as_dict()))
-    if lines is not None:
-        rows = "".join(lines.tolist())
+            min_e, min_pos, min_g6 = e, int(pos[k]), str(g6[k])
+        equality.extend(zip(pos[equal[row]].tolist(), g6[equal[row]].tolist()))
+        for position, text in zip(pos[fail[row]].tolist(), g6[fail[row]].tolist()):
+            for rep in run_checks(parse_graph6(text), checks, p_grid):
+                if not rep.passed:
+                    failures.append((position, rep.as_dict()))
+    if streamed:  # orders interleave: put the lines back in input order
+        slots, lines = map(np.concatenate, zip(*streamed))
+        rows = "".join(lines[np.argsort(slots)].tolist())
     return _ChunkResult(count, min_e, min_pos, min_g6, failures, equality, rows)
 
 
@@ -776,7 +777,7 @@ class _OrbitRows:
     source's member_block gives a block's edge bits and representative
     numbers."""
 
-    source: AllGraphs | BoundaryFamily
+    source: _OrbitSource
     tails: np.ndarray  # str objects, indexed by representative number
 
     def __iter__(self):
@@ -848,9 +849,7 @@ def scan(
         default=(np.inf, None, None),
         key=lambda t: t[:2],
     )
-    csv_rows = [r.rows for r in results] if collect_rows else None
-    if collect_rows and hasattr(source, "member_block"):  # an orbit source
-        csv_rows = _OrbitRows(source, np.concatenate(csv_rows))
+    csv_rows = source.csv_rows([r.rows for r in results]) if collect_rows else None
     return ScanReport(
         source=source.descriptor,
         checks=checks,

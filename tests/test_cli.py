@@ -21,6 +21,8 @@ from seidelab.cli import (
     main,
 )
 
+from conftest import random_graph, reference_encode_graph6
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -421,6 +423,38 @@ def test_orbit_scan_csv_matches_pinned_sha256(capsys, argv, digest):
     # pinned by the sha256 of their bytes: every cell must not move
     checks = "sk-basic,sk-oddpairs,oddpair-lower,theorem2"
     code, out, _ = run_cli(capsys, "verify", *argv, "--checks", checks, "--format", "csv")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _mixed_stream(path: Path) -> None:
+    """A seeded graph6 file of orders 1..20, shuffled: from n = 18 the exact
+    char polys are object dtype; some graphs repeat, and blank and malformed
+    lines lie between them."""
+    rng = np.random.default_rng(27)
+    lines = [reference_encode_graph6(random_graph(rng, int(n))) for n in rng.integers(1, 21, 150)]
+    lines += lines[:12] + ["", "   ", "Bww", "C", "~~~", "Dw", "Cw!"]
+    path.write_text("\n".join(lines[k] for k in rng.permutation(len(lines))) + "\n")
+
+
+@pytest.mark.parametrize(
+    "checks, digest",
+    [
+        # reads S_k: rows are grouped by their exact char poly
+        ("sk-basic,theorem2", "a526dbdcada2c1493139543ff6a1345ba00f492ee4411bd97fa4b30817eb203a"),
+        # reads no S_k: every row is evaluated on its own
+        ("theorem2,oddpair-lower", "c8b27c4cbae471a934ff975388f1fba3ca34820e148bc1bd49635c2ad82c826d"),
+    ],
+)
+def test_stream_csv_matches_pinned_sha256(capsys, tmp_path, checks, digest):
+    # a stream's CSV rows pinned by the sha256 of their bytes, as the orbit
+    # sources' are above
+    p = tmp_path / "mixed.g6"
+    _mixed_stream(p)
+    code, out, _ = run_cli(
+        capsys, "verify", "--g6-file", str(p), "--skip-bad-lines", "--checks", checks,
+        "--format", "csv",
+    )
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -9,6 +9,7 @@ import tracemalloc
 from functools import lru_cache
 from itertools import combinations, islice
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -93,18 +94,29 @@ class TestAllGraphs:
         with pytest.raises(ValueError, match="graph6 stream"):
             AllGraphs(9)
 
+    @pytest.mark.parametrize("n", [5.0, 5.5, np.float64(5), "5", None, Graph(5, 0)])
+    def test_order_must_be_an_integer(self, n):
+        # as Graph checks its order: refused at construction, not when scanned
+        with pytest.raises(ValueError, match="integers n in 1..8"):
+            AllGraphs(n)
+
+    def test_numpy_integer_order(self):
+        assert scan(AllGraphs(np.int64(4))).to_json(False) == scan(AllGraphs(4)).to_json(False)
+
     def test_chunking_covers_everything(self, set_chunk_size):
         # n = 5 has 2^(C(4,2)-1) = 32 representatives
         set_chunk_size(10)
-        specs = AllGraphs(5).chunk_specs()
-        assert [s[2] for s in specs] == [0, 10, 20, 30]
-        assert specs[-1][3] == 32
+        source = AllGraphs(5)
+        specs = source.chunk_specs()
+        assert all(s[0] is source for s in specs)
+        assert [s[1] for s in specs] == [0, 10, 20, 30]
+        assert specs[-1][2] == 32
         # the orbits of the representatives partition every labeled mask
         set_chunk_size(7)
         for n in range(1, 7):
             members = [
                 _class_masks(n, start, stop)[:, None] ^ _orbit_offsets(n)[None, :]
-                for _, _, start, stop in AllGraphs(n).chunk_specs()
+                for _, start, stop in AllGraphs(n).chunk_specs()
             ]
             labeled = np.sort(np.concatenate(members).ravel())
             assert np.array_equal(labeled, np.arange(len(AllGraphs(n)), dtype=np.uint64))
@@ -116,6 +128,25 @@ class TestBoundaryFamily:
             BoundaryFamily(10)
         with pytest.raises(ValueError):
             BoundaryFamily(23)
+
+    @pytest.mark.parametrize("n", [12.0, 12.5, np.float64(12), "12", None])
+    def test_order_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="integers n in 11..22"):
+            BoundaryFamily(n)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            (2.5, 1, 0, 0), (2.0, 1, 0, 0), (2, 1.0, 0, 0), (2, 1, 0.0, 0), (2, 1, 0, 1.0),
+            ("2", 1, 0, 0),
+        ],
+    )
+    def test_graph_for_needs_integers(self, params):
+        # (2, 1, 0, 0) is a member; a float or str that compares like it is not
+        fam = BoundaryFamily(12)
+        assert fam.graph_for(2, 1, 0, 0) == fam.graph_for(*np.int64([2, 1, 0, 0]))
+        with pytest.raises(ValueError, match="not a member: need integers"):
+            fam.graph_for(*params)
 
     def test_contains_extremes(self):
         fam = BoundaryFamily(11)
@@ -755,13 +786,64 @@ def test_lenient_chunk_names_rows_without_copying_long_bad_lines(tmp_path, rng):
     (spec,) = Graph6Stream(str(p), strict=False).chunk_specs()
     tracemalloc.start()
     try:
-        count, (st,) = search._stacks(spec)
+        count, (st,) = spec[0].stacks(*spec[1:])
         names = st.name(*st.members(np.arange(count)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert names.tolist() == lines
     assert peak < 1 << 20
+
+
+def _count_naming(monkeypatch, cls) -> list:
+    """Per stack that cls.stacks builds from now on, the calls of its
+    members and of its name, as they are made."""
+    calls, stacks = [], cls.stacks
+
+    def counted(tally, key, fn):
+        def wrapper(*args):
+            tally[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    def counting(self, *part):
+        count, built = stacks(self, *part)
+        wrapped = []
+        for st in built:
+            calls.append(tally := {"members": 0, "name": 0})
+            members, name = (counted(tally, k, getattr(st, k)) for k in ("members", "name"))
+            wrapped.append(st._replace(members=members, name=name))
+        return count, wrapped
+
+    monkeypatch.setattr(cls, "stacks", counting)
+    return calls
+
+
+def test_reports_expand_and_name_each_stack_once(monkeypatch, tmp_path, rng):
+    # the rows a report names (minimum energy, equality, failures) are
+    # expanded to their graphs by one members call and named by one name
+    # call per stack; an orbit source names its CSV rows in _OrbitRows
+    calls = _count_naming(monkeypatch, AllGraphs)
+    rep = scan(AllGraphs(7), DESK_CHECKS, collect_rows=True)
+    assert len(rep.equality_graph6) == 1 << 7
+    assert calls == [{"members": 1, "name": 1}]
+    # a stream chunk in which checks fail (see
+    # test_orbit_scan_failures_match_labeled_scan); a stream stack names its
+    # CSV lines once more
+    monkeypatch.setattr("seidelab.verify.STRICT_MARGIN", 0.8)
+    calls = _count_naming(monkeypatch, Graph6Stream)
+    lines = [encode_graph6(Graph(4, mask)) for mask in range(64)]
+    lines += [encode_graph6(random_graph(rng, 6)) for _ in range(10)]
+    p = tmp_path / "failing.g6"
+    p.write_text("\n".join(lines) + "\n")
+    (spec,) = Graph6Stream(str(p)).chunk_specs()
+    checks = ("sk-basic", "sk-oddpairs", "oddpair-lower", "theorem1", "theorem2")
+    for collect_rows, per_stack in [(False, 1), (True, 2)]:
+        calls.clear()
+        result = search._eval_chunk(spec, checks, (0.5, 1.0), collect_rows)
+        assert result.failure_reports and result.equality_graph6
+        assert calls == [{"members": per_stack, "name": per_stack}] * 2
 
 
 def test_n8_csv_head_matches_csv_writer(monkeypatch):
@@ -782,14 +864,25 @@ def test_n8_csv_head_matches_csv_writer(monkeypatch):
 GROUPED_SOURCES = [AllGraphs(n) for n in range(1, 8)] + [BoundaryFamily(n) for n in range(11, 17)]
 
 
-def _stack_bits(spec, st) -> np.ndarray:
-    """A chunk stack's edge bits: a boundary stack carries none, so its
-    representatives' are rebuilt through BoundaryFamily.edge_bits."""
-    if st.bits is not None:
-        return st.bits
-    _, n, start, stop = spec
-    table = search._boundary_table(n)
-    return BoundaryFamily(n).edge_bits(table.params[table.reps[start:stop]])
+def _stack_bits(st, rows: int) -> np.ndarray:
+    """The edge bits of a stack's rows 0..rows-1, decoded from the graph6
+    lines the stack names each row's first member by: an orbit's first
+    member in source order is its representative."""
+    row, pos = st.members(np.arange(rows))
+    first = np.flatnonzero(np.diff(row, prepend=-1))
+    lines = st.name(row[first], pos[first])
+    width = len(lines[0])
+    codes = np.frombuffer("".join(lines.tolist()).encode(), dtype=np.uint8)
+    ((_, _, bits),), rejected = _decode_graph6(codes, np.arange(rows) * width, np.full(rows, width))
+    assert not rejected
+    return bits
+
+
+def _catch(mp, name) -> list:
+    """Arguments of each call of search.<name> while mp is in effect."""
+    calls, fn = [], getattr(search, name)
+    mp.setattr(search, name, lambda *a: calls.append(a) or fn(*a))
+    return calls
 
 
 def test_distinct_rows_is_exact_on_object_rows():
@@ -813,10 +906,10 @@ def test_grouped_quantities_match_per_row_kernels(source):
     # from eigvalsh of S
     need = {"vals", "sk", "nop", "sc"}
     for spec in source.chunk_specs():
-        (st,) = search._stacks(spec)[1]
-        inverse, vals, sk, nop, sc = search._stack_quantities(st, need)
-        assert (st.bits is None) == isinstance(source, BoundaryFamily)
-        s = _seidel(st.n, _stack_bits(spec, st))
+        (st,) = source.stacks(*spec[1:])[1]
+        inverse, vals, sk, nop, sc = st.quantities(need)
+        assert st._fields == ("n", "members", "name", "slots", "quantities")  # no edge bits
+        s = _seidel(st.n, _stack_bits(st, len(inverse)))
         coeffs = charpoly_batch_i64(s)
         groups, first = np.unique(inverse, return_index=True)
         assert np.array_equal(groups, np.arange(len(vals)))
@@ -839,8 +932,8 @@ def test_rows_sharing_a_char_poly_carry_identical_floats(set_chunk_size, source)
     set_chunk_size(50)
     for spec in source.chunk_specs():
         result = search._eval_chunk(spec, ALL_CHECKS, p_grid, collect_rows=True)
-        (st,) = search._stacks(spec)[1]
-        coeffs = charpoly_batch_i64(_seidel(st.n, _stack_bits(spec, st)))
+        (st,) = source.stacks(*spec[1:])[1]
+        coeffs = charpoly_batch_i64(_seidel(st.n, _stack_bits(st, len(result.rows))))
         _, first, group = np.unique(coeffs, axis=0, return_index=True, return_inverse=True)
         assert result.rows.tolist() == result.rows[first][group.ravel()].tolist()
 
@@ -884,14 +977,21 @@ def _sampled(specs, count=48):
     return specs[:: -(-len(specs) // count)] + specs[-1:]
 
 
-def _assert_bordered_rows_match(spec):
-    """The chunk's rows from parents and borders equal the kernel's rows on
-    its full stack; returns the number of parents and of borders."""
-    (st,) = search._stacks(spec)[1]
-    _, n, start, stop = spec
-    parents, borders, _ = search._bordered(n, np.arange(start, stop, dtype=np.int64), st.bits)
-    assert parents.shape[1:] == (st.n - 1, st.n - 1) and borders.shape[1] == st.n - 1
-    assert np.array_equal(st.coeffs, charpoly_batch_i64(_seidel(st.n, st.bits)))
+def _assert_bordered_rows_match(source, start, stop):
+    """The polynomials an exhaustive stack of representatives start..stop-1
+    groups its rows by, from parents and borders, equal the kernel's rows on
+    its full stack; returns the number of parents and of borders.  source
+    needs only its order n, so it may stand in for an order AllGraphs
+    refuses."""
+    (st,) = AllGraphs.stacks(source, start, stop)[1]
+    with pytest.MonkeyPatch.context() as mp:
+        polys, kernel = _catch(mp, "_by_charpoly"), _catch(mp, "charpoly_batch_i64")
+        st.quantities(set())
+    ((_, coeffs, _, _),), ((parents, borders),) = polys, kernel
+    n = source.n
+    assert parents.shape[1:] == (n - 1, n - 1) and borders.shape[1] == n - 1
+    bits = search._mask_bits(n, _class_masks(n, start, stop))
+    assert np.array_equal(coeffs, charpoly_batch_i64(_seidel(n, bits)))
     return len(parents), len(borders)
 
 
@@ -902,7 +1002,7 @@ def test_bordered_rows_match_full_stack_kernel(set_chunk_size, n, chunk_size):
     # whatever the chunk boundaries
     set_chunk_size(chunk_size)
     for spec in _sampled(AllGraphs(n).chunk_specs()):
-        _assert_bordered_rows_match(spec)
+        _assert_bordered_rows_match(*spec)
 
 
 @pytest.mark.parametrize(
@@ -911,7 +1011,7 @@ def test_bordered_rows_match_full_stack_kernel(set_chunk_size, n, chunk_size):
 def test_bordered_rows_match_full_stack_kernel_n9(start, stop):
     # n = 9 borders at vertex 6: an aligned 2^15 chunk is 1,024 parents
     # times 32 borders; a chunk across an alignment has more of each
-    counts = _assert_bordered_rows_match(("classes", 9, start, stop))
+    counts = _assert_bordered_rows_match(SimpleNamespace(n=9), start, stop)
     assert start % (1 << 15) or counts == (1024, 32)
 
 
