@@ -47,16 +47,18 @@ and per 2^15-row chunk from n = 8.  A boundary member has an equitable
 partition, the clique split into four cells by the apexes, so its
 polynomial is (x - 1)^(n-6) times that of a 6x6 integer quotient (see
 _boundary_polys), and its spectrum is that of the quotient's symmetrized
-form joined with n - 6 ones (see _boundary_quotients).  So a boundary
-scan runs no exact kernel, eigvalsh on 6x6 matrices only, and builds no S:
-N_op and the SC flag are read off the polynomials.  A stream chunk is
-grouped the same way when its checks read S_k, and otherwise evaluates
-every row.  Only what a report names (equality graphs, failures, the
-minimum-energy witness) is expanded back to the orbit's members and
-named, in one pass per stack, keyed by its position in the source's
-enumeration order (the labeled edge mask for the exhaustive source, the
-parameter index for the boundary family, the line number for a stream)
-and merged in that order.
+form joined with n - 6 ones (see _boundary_quotients).  The product
+stays factored: a boundary stack is grouped by the quotient's degree-6
+polynomial, and S_k, N_op and the SC flag are read off it and the count
+n - 6 of ones.  So a boundary scan runs no exact kernel, eigvalsh on 6x6
+matrices only, and builds no S and no polynomial of degree n.  A stream
+chunk is grouped the same way when its checks read S_k, and otherwise
+evaluates every row.  Only what a report names (equality graphs,
+failures, the minimum-energy witness) is expanded back to the orbit's
+members and named, in one pass per stack, keyed by its position in the
+source's enumeration order (the labeled edge mask for the exhaustive
+source, the parameter index for the boundary family, the line number for
+a stream) and merged in that order.
 
 CSV rows, when collected, come from every chunk in source order, so the
 scan only joins them.  A row's cells but graph6 are functions of its char
@@ -79,7 +81,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import chain, islice, repeat
-from math import comb
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
@@ -187,7 +188,7 @@ class AllGraphs(_OrbitSource):
         def quantities(need):
             parents, borders, rows = _bordered(n, np.arange(start, stop, dtype=np.int64), bits)
             coeffs = charpoly_batch_i64(parents, borders)[rows]
-            return _by_charpoly(n, coeffs, lambda r: np.linalg.eigvalsh(_seidel(n, bits[r])), need)
+            return _by_charpoly(coeffs, 0, lambda r: np.linalg.eigvalsh(_seidel(n, bits[r])), need)
 
         return (stop - start) * len(offsets), [_Stack(n, members, name, None, quantities)]
 
@@ -274,7 +275,7 @@ class BoundaryFamily(_OrbitSource):
                 vals = np.linalg.eigvalsh(_boundary_quotients(sizes[rows], apexes[rows]))
                 return np.sort(np.concatenate([vals, np.ones((len(vals), n - 6))], axis=1), axis=1)
 
-            return _by_charpoly(n, _boundary_polys(n, sizes, apexes), spectra, need)
+            return _by_charpoly(_boundary_polys(sizes, apexes), n - 6, spectra, need)
 
         count = int(table.bounds[stop] - table.bounds[start])
         return count, [_Stack(n, members, name, None, quantities)]
@@ -349,23 +350,22 @@ def _cell_sizes(n: int, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([c, a - c, b - c, n - 2 - a - b + c, one, one], axis=1), 1 - 2 * e
 
 
-def _boundary_polys(n: int, sizes: np.ndarray, apexes: np.ndarray) -> np.ndarray:
-    """Exact det(xI - S), (B, n+1) int64 ascending, of the order-n boundary
-    members with the cells of _cell_sizes, from their equitable partition.
+def _boundary_polys(sizes: np.ndarray, apexes: np.ndarray) -> np.ndarray:
+    """Exact det(xI - Q), (B, 7) int64 ascending, of the 6x6 quotients of
+    the boundary members with the cells of _cell_sizes: each member's
+    det(xI - S) is (x - 1)^(n-6) times it, by their equitable partition.
 
     The apexes split the clique into four cells of sizes s (see
     _cell_sizes), and every vertex outside a cell sees the whole cell
     alike, so e_u - e_v for u, v in one cell is an eigenvector of S with
     eigenvalue 1.  Hence det(xI - S) = (x - 1)^(n-6) det(xI - Q), where Q
-    is the 6x6 quotient over the cells and the two apexes: Q_ij = sigma_ij
-    s_j off the diagonal, 1 - s_i on a cell's diagonal and 0 on an apex's.
-    An empty cell's column is e_i and gives its factor x - 1 back, so the
-    identity holds for every member.  Faddeev-LeVerrier on Q and the
-    product by (x - 1)^(n-6) run in float64, through BLAS, and are exact:
-    every operand is an integer, and for every member at n <= 22 the
-    partial sums stay below 10^5 in Faddeev-LeVerrier and 2e8 in the
-    product, far under 2^53.  det(xI - Q)'s coefficients stay below 7,600
-    and det(xI - S)'s below 1.6e8."""
+    is the quotient over the cells and the two apexes: Q_ij = sigma_ij s_j
+    off the diagonal, 1 - s_i on a cell's diagonal and 0 on an apex's.  An
+    empty cell's column is e_i and gives its factor x - 1 back, so the
+    identity holds for every member.  Faddeev-LeVerrier on Q runs in
+    float64, through BLAS, and is exact: every operand is an integer, and
+    for every member at n <= 22 the partial sums stay below 10^5, far under
+    2^53, and det(xI - Q)'s coefficients below 7,600."""
     q = _QUOTIENT_SIGNS * sizes[:, None, :] + _CELL_DIAGONAL
     q[:, 4, 5] = q[:, 5, 4] = apexes
     # Faddeev-LeVerrier: M_k = Q M_(k-1) + c_(7-k) I, c_(6-k) = -tr(Q M_k) / k,
@@ -377,11 +377,7 @@ def _boundary_polys(n: int, sizes: np.ndarray, apexes: np.ndarray) -> np.ndarray
         qm[:, diagonal, diagonal] += pq[:, 7 - k, None]  # qm is now M_k
         qm = q @ qm
         pq[:, 6 - k] = -np.einsum("bii->b", qm) / k
-    d = n - 6
-    shifts = np.zeros((7, n + 1))  # row k: x^k (x - 1)^(n-6)
-    for k in range(7):
-        shifts[k, k : k + d + 1] = [comb(d, i) * (-1) ** (d - i) for i in range(d + 1)]
-    return (pq @ shifts).astype(np.int64)
+    return pq.astype(np.int64)
 
 
 def _boundary_quotients(sizes: np.ndarray, apexes: np.ndarray) -> np.ndarray:
@@ -466,7 +462,7 @@ class Graph6Stream:
                 s = _seidel(n, bits)  # one order's S at a time
                 if "sk" in need:  # grouped, as an orbit stack is
                     coeffs = charpoly_batch_i64(s)
-                    return _by_charpoly(n, coeffs, lambda r: np.linalg.eigvalsh(s[r]), need)
+                    return _by_charpoly(coeffs, 0, lambda r: np.linalg.eigvalsh(s[r]), need)
                 nop = _odd_pairs(s) if "nop" in need else None
                 sc = _sc_to_complete(s) if "sc" in need else None
                 return slice(None), np.linalg.eigvalsh(s), None, nop, sc
@@ -492,9 +488,10 @@ class Graph6Stream:
 # row per distinct char poly where the polynomials are known (see
 # _by_charpoly).  An orbit stack's rows stand for many graphs and have
 # exact char polys: an exhaustive stack's from parent times border (see
-# _bordered), a boundary stack's from the family's equitable quotient (see
-# _boundary_polys).  A stream stack's rows are its graphs, named by their
-# own lines, and its slots are their line indices within the chunk.
+# _bordered), a boundary stack's from the family's equitable quotient, kept
+# as the quotient's polynomial and n - 6 ones (see _boundary_polys).  A
+# stream stack's rows are its graphs, named by their own lines, and its
+# slots are their line indices within the chunk.
 
 
 class _Bordered(NamedTuple):
@@ -620,24 +617,27 @@ def _distinct_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[new], inverse
 
 
-def _by_charpoly(n: int, coeffs: np.ndarray, spectra: Callable, need: set):
+def _by_charpoly(coeffs: np.ndarray, ones: int, spectra: Callable, need: set):
     """(inverse, vals, sk, nop, sc) of a stack with exact Seidel char polys
-    p(x) = det(xI - S) coeffs: spectra(rows) and whatever else need names of
-    "sk", "nop" and "sc" (see evaluate) for the first row with each distinct
-    p, and the index taking each row of the stack to its distinct row.
+    p(x) = det(xI - S) = (x - 1)^ones q(x), q given by its coefficients
+    coeffs: spectra(rows) and whatever else need names of "sk", "nop" and
+    "sc" (see evaluate) for the first row with each distinct p, and the
+    index taking each row of the stack to its distinct row.
 
     Every checked quantity is a function of p: the spectrum is its roots,
     S_k(S^2) comes from its coefficients, N_op from ||S^2||_F^2, the sum of
     the fourth powers of the roots, and S is SC-equivalent to K_n iff p is
     (x + n - 1)(x - 1)^(n-1) or (x - n + 1)(x + 1)^(n-1).  So the first row
     with each polynomial stands for the others, and N_op and the SC flag
-    are read off p, not off S."""
-    # c_n = 1, c_(n-1) = 0 and c_(n-2) = -C(n,2) on every Seidel row
-    first, inverse = _distinct_rows(coeffs[:, : max(1, n - 2)])
+    are read off p, not off S.  With ones fixed over the stack q determines
+    p, so the rows are grouped by q and every read takes q and ones: p is
+    never multiplied out."""
+    # p's c_n = 1, c_(n-1) = 0 and c_(n-2) = -C(n,2) fix q's top three
+    first, inverse = _distinct_rows(coeffs[:, : max(1, coeffs.shape[1] - 3)])
     coeffs = coeffs[first]
-    sk = sk_from_charpoly(coeffs) if "sk" in need else None
-    nop = _odd_pairs_of_charpoly(coeffs) if "nop" in need else None
-    sc = _sc_of_charpoly(coeffs) if "sc" in need else None
+    sk = sk_from_charpoly(coeffs, ones) if "sk" in need else None
+    nop = _odd_pairs_of_charpoly(coeffs, ones) if "nop" in need else None
+    sc = _sc_of_charpoly(coeffs, ones) if "sc" in need else None
     return inverse, spectra(first), sk, nop, sc
 
 

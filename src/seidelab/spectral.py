@@ -352,31 +352,49 @@ def charpoly_batch_i64(mats: np.ndarray, borders: np.ndarray | None = None) -> n
     return _garner(res, primes)
 
 
-def sk_from_charpoly(coeffs: np.ndarray) -> np.ndarray:
-    """S_0..S_n of A^2, ascending, from the (B, n+1) ascending coefficients c
-    of det(xI - A) of Seidel matrices.  From det(x^2 I - A^2) =
-    (-1)^n det(xI - A) det(-xI - A), with f_i = c_{n-i}, S_k is
-    (-1)^k sum_{i+j=2k} (-1)^i f_i f_j, whose terms pair up around i = k.
+def sk_from_charpoly(coeffs: np.ndarray, ones: int = 0) -> np.ndarray:
+    """S_0..S_n of A^2, ascending, for Seidel matrices A of order n with
+    det(xI - A) = (x - 1)^ones q(x), from the (B, d+1) ascending
+    coefficients c of q, n = d + ones.  With f_i = c_{d-i},
+    (-1)^d q(x) q(-x) is the product of x^2 - mu^2 over q's roots mu, so
+    T_j, the j-th elementary symmetric function of the mu^2, is
+    (-1)^j sum_{i+l=2j} (-1)^i f_i f_l, whose terms pair up around i = j.
+    The other ones squared eigenvalues are 1, so
+    S_k = sum_j C(ones, k-j) T_j, one product with a binomial band.
 
     int64 coefficients give int64 S_k up to n = 16, computed in uint64,
-    where wraparound is arithmetic mod 2^64: the sum is exact once the true
-    S_k is known to lie in [0, 2^63).  It does, because by Maclaurin's
-    inequality S_k <= C(n,k) (sum lambda^2 / n)^k = C(n,k) (n-1)^k, at most
-    7.0e18 for n <= 16.  From n = 17, and for object coefficients, S_k are
-    Python ints in an object array.
+    where wraparound is arithmetic mod 2^64: each sum is exact once its true
+    value is known to lie in [0, 2^63).  By Maclaurin's inequality
+    S_k <= C(n,k) (sum lambda^2 / n)^k = C(n,k) (n-1)^k, at most 7.0e18 for
+    n <= 16, and T_j <= S_j, since S_j is T_j plus C(ones, j-i) T_i over
+    i < j and every T_i >= 0.  From n = 17, and for object coefficients,
+    S_k are Python ints in an object array.
     """
-    n = coeffs.shape[-1] - 1
-    if coeffs.dtype != object and n <= _SK_INT64_MAX_N:
+    d = coeffs.shape[-1] - 1
+    if coeffs.dtype != object and d + ones <= _SK_INT64_MAX_N:
         f = coeffs.astype(np.int64, copy=False).view(np.uint64)[:, ::-1]
     else:
         f = coeffs.astype(object, copy=False)[:, ::-1]
-    sign = ((-1) ** np.arange(2 * n + 1)).astype(f.dtype)
+    sign = ((-1) ** np.arange(2 * d + 1)).astype(f.dtype)
     sk = np.empty_like(f, order="F")  # filled a column at a time
-    for k in range(n + 1):
-        lo = max(0, 2 * k - n)  # f_i f_(2k-i) for i = lo..k-1
+    for k in range(d + 1):
+        lo = max(0, 2 * k - d)  # f_i f_(2k-i) for i = lo..k-1
         cross = (f[:, lo:k] * f[:, 2 * k - lo : k : -1]) @ sign[lo + k : 2 * k]
         sk[:, k] = f[:, k] * f[:, k] + 2 * cross
+    if ones:
+        sk = sk @ _ones_band(d, ones, sk.dtype)
     return sk if sk.dtype == object else sk.view(np.int64)
+
+
+@lru_cache(maxsize=None)
+def _ones_band(d: int, ones: int, dtype: np.dtype) -> np.ndarray:
+    """The (d+1, d+ones+1) band C(ones, k-j), j down and k across, in dtype:
+    T @ band joins ones squared eigenvalues 1 to the sums T_0..T_d."""
+    band = np.array(
+        [[binomial(ones, k - j) for k in range(d + ones + 1)] for j in range(d + 1)], dtype
+    )
+    band.flags.writeable = False
+    return band
 
 
 def elementary_symmetric_A2(a: np.ndarray | Graph) -> list[int]:

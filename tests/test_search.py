@@ -987,8 +987,9 @@ def _assert_bordered_rows_match(source, start, stop):
     with pytest.MonkeyPatch.context() as mp:
         polys, kernel = _catch(mp, "_by_charpoly"), _catch(mp, "charpoly_batch_i64")
         st.quantities(set())
-    ((_, coeffs, _, _),), ((parents, borders),) = polys, kernel
+    ((coeffs, ones, _, _),), ((parents, borders),) = polys, kernel
     n = source.n
+    assert ones == 0
     assert parents.shape[1:] == (n - 1, n - 1) and borders.shape[1] == n - 1
     bits = search._mask_bits(n, _class_masks(n, start, stop))
     assert np.array_equal(coeffs, charpoly_batch_i64(_seidel(n, bits)))
@@ -1062,6 +1063,14 @@ def _apex_switchings(n: int, a: int, b: int, c: int, e: int) -> list[tuple]:
     return images
 
 
+def _times_x_minus_1(q: np.ndarray, ones: int) -> np.ndarray:
+    """Ascending polynomial rows q times (x - 1)^ones, in Python ints."""
+    p = q.astype(object)
+    for _ in range(ones):
+        p = np.pad(p, ((0, 0), (1, 0))) - np.pad(p, ((0, 0), (0, 1)))
+    return p
+
+
 def _boundary_orbits(n: int) -> list[np.ndarray]:
     """Each orbit's parameter indices, in representative-number order."""
     rep = search._boundary_table(n).rep
@@ -1095,22 +1104,26 @@ def test_boundary_orbit_counts():
 @pytest.mark.parametrize("n", BOUNDARY_ORDERS)
 def test_boundary_polys_match_kernel(n):
     # the equitable quotient gives every member's exact polynomial, members
-    # with empty cells included
+    # with empty cells included: (x - 1)^(n-6) times the 6x6 quotient's
     params = np.array(BoundaryFamily(n).params())
     a, b, c, _ = params.T
     sizes = np.stack([c, a - c, b - c, n - 2 - a - b + c])
     assert (sizes == 0).any(axis=1).all()  # each cell is empty in some member
-    got = search._boundary_polys(n, *search._cell_sizes(n, params))
+    got = search._boundary_polys(*search._cell_sizes(n, params))
     want = charpoly_batch_i64(_seidel(n, BoundaryFamily(n).edge_bits(params)))
-    assert got.dtype == np.int64 and got.tolist() == want.tolist()
+    assert got.dtype == np.int64 and got.shape == (len(params), 7)
+    assert _times_x_minus_1(got, n - 6).tolist() == want.tolist()
 
 
 def test_boundary_scan_runs_no_exact_kernel(monkeypatch):
     # the boundary polynomials and spectra come from the quotient: n = 11..16
     # call the exact kernel never and eigvalsh once per distinct polynomial,
     # on its 6x6 quotient; N_op and the SC flag are read off the polynomials,
-    # so no Seidel matrix is built, and members are looked up, not searched
+    # so no Seidel matrix is built, and members are looked up, not searched;
+    # the polynomials stay factored, the quotient's times (x - 1)^(n-6), so
+    # none of degree n is built
     polys, batches, kernel, eigvalsh = [], [], charpoly_batch_i64, np.linalg.eigvalsh
+    grouped = _catch(monkeypatch, "_by_charpoly")
     called = []
     for name in ("_seidel", "_odd_pairs", "_sc_to_complete"):
         monkeypatch.setattr(search, name, lambda *a, name=name: called.append(name))
@@ -1127,6 +1140,8 @@ def test_boundary_scan_runs_no_exact_kernel(monkeypatch):
     for n in range(11, 17):
         assert scan(BoundaryFamily(n), DESK_CHECKS).total_failures == 0
     assert polys == [] and called == []
+    shapes = [(coeffs.shape[1], ones) for coeffs, ones, *_ in grouped]
+    assert shapes == [(7, n - 6) for n in range(11, 17)]
     assert {shape[1:] for shape in batches} == {(6, 6)}
     assert sum(shape[0] for shape in batches) == 715
 
@@ -1136,10 +1151,46 @@ def test_charpoly_reads_match_s_kernels_on_every_boundary_member(n):
     # N_op and the SC flag read off the quotient's polynomials equal the S
     # kernels' on every member, not only on the representatives a scan reads
     params = np.array(BoundaryFamily(n).params())
-    coeffs = search._boundary_polys(n, *search._cell_sizes(n, params))
+    coeffs = search._boundary_polys(*search._cell_sizes(n, params))
     s = _seidel(n, BoundaryFamily(n).edge_bits(params))
-    assert np.array_equal(_odd_pairs_of_charpoly(coeffs), _odd_pairs(s))
-    assert np.array_equal(_sc_of_charpoly(coeffs), _sc_to_complete(s))
+    assert np.array_equal(_odd_pairs_of_charpoly(coeffs, n - 6), _odd_pairs(s))
+    assert np.array_equal(_sc_of_charpoly(coeffs, n - 6), _sc_to_complete(s))
+
+
+def _assert_factored_reads_match_expanded(q, ones, sk_dtype):
+    # S_k, N_op and the SC flag of (x - 1)^ones q, read off q and ones,
+    # equal the reads off the polynomial multiplied out, as int64 rows
+    p = _times_x_minus_1(q, ones).astype(np.int64)
+    sk = sk_from_charpoly(q, ones)
+    assert sk.dtype == sk_dtype and sk.shape == p.shape
+    assert sk.tolist() == sk_from_charpoly(p).tolist()
+    assert np.array_equal(_odd_pairs_of_charpoly(q, ones), _odd_pairs_of_charpoly(p))
+    sc = _sc_of_charpoly(q, ones)
+    assert sc.dtype == bool and np.array_equal(sc, _sc_of_charpoly(p))
+    return sc
+
+
+@pytest.mark.parametrize("n", BOUNDARY_ORDERS)
+def test_factored_reads_match_expanded_on_every_boundary_member(n):
+    # S_k is int64 up to n = 16 and Python ints from n = 17, and the
+    # equality members match the SC target divided by (x - 1)^(n-6)
+    params = np.array(BoundaryFamily(n).params())
+    q = search._boundary_polys(*search._cell_sizes(n, params))
+    sc = _assert_factored_reads_match_expanded(q, n - 6, np.int64 if n <= 16 else object)
+    assert sc.any() and not sc.all()
+
+
+@pytest.mark.parametrize("n", [*range(1, 17), 20])
+@pytest.mark.parametrize("ones", [0, 1, 3])
+def test_factored_reads_match_expanded_on_random_stacks(rng, n, ones):
+    # the reads are identities in the coefficients, so they hold for any
+    # Seidel polynomial times (x - 1)^ones; ones = 0 reads q itself
+    members = sc_members(rng, n)
+    bits = rng.integers(0, 2, (40, n * (n - 1) // 2), dtype=np.uint8)
+    s = _seidel(n, np.concatenate([bits, [reference_edge_bits(g) for g in members]]))
+    q = charpoly_batch_i64(s)
+    sc = _assert_factored_reads_match_expanded(q, ones, np.int64 if n + ones <= 16 else object)
+    assert sc[-len(members) :][:2].all() == (ones == 0)  # K_n switched, and its complement
 
 
 @pytest.mark.parametrize("n", BOUNDARY_ORDERS)
