@@ -41,19 +41,22 @@ distinct polynomials for its 16,384 representatives).  An exhaustive
 row factors as a parent P, S without one vertex w, and a border
 v = S[w, != w] (see _bordered), and its polynomial is
 x p_P(x) - v^T adj(xI - P) v, its quadratic forms exact because their
-partial sums stay below 2^53 as the kernel's own products do.  So the exact
-kernel runs once per parent: 1,024 of them for the 16,384 rows at n = 7
-and per 2^15-row chunk from n = 8.  A boundary member has an equitable
-partition, the clique split into four cells by the apexes, so its
-polynomial is (x - 1)^(n-6) times that of a 6x6 integer quotient (see
-_boundary_polys), and its spectrum is that of the quotient's symmetrized
-form joined with n - 6 ones (see _boundary_quotients).  The product
-stays factored: a boundary stack is grouped by the quotient's degree-6
-polynomial, and S_k, N_op and the SC flag are read off it and the count
-n - 6 of ones.  So a boundary scan runs no exact kernel, eigvalsh on 6x6
-matrices only, and builds no S and no polynomial of degree n.  A stream
-chunk is grouped the same way when its checks read S_k, and otherwise
-evaluates every row.  Only what a report names (equality graphs,
+partial sums stay below 2^53 as the kernel's own products do.  Relabeling
+P and v together keeps the polynomial, so the exact kernel runs once per
+parent class up to relabeling, times each relabeled border: 90 classes of
+the 1,024 parents for the 16,384 rows at n = 7, 34 to 148 per 2^15-row
+chunk at n = 8.  Those candidate polynomials, not the rows, are grouped,
+and each row reaches its group through its (class, border) number.  A
+boundary member has an equitable partition, the clique split into four
+cells by the apexes, so its polynomial is (x - 1)^(n-6) times that of a
+6x6 integer quotient (see _boundary_polys), and its spectrum is that of
+the quotient's symmetrized form joined with n - 6 ones (see
+_boundary_quotients).  The product stays factored: a boundary stack is
+grouped by the quotient's degree-6 polynomial, and S_k, N_op and the SC
+flag are read off it and the count n - 6 of ones.  So a boundary scan
+runs no exact kernel, eigvalsh on 6x6 matrices only, and builds no S and
+no polynomial of degree n.  A stream chunk is grouped the same way when
+its checks read S_k, and otherwise evaluates every row.  Only what a report names (equality graphs,
 failures, the minimum-energy witness) is expanded back to the orbit's
 members and named, in one pass per stack, keyed by its position in the
 source's enumeration order (the labeled edge mask for the exhaustive
@@ -80,7 +83,8 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import chain, islice, repeat
+from itertools import chain, islice, permutations, repeat
+from math import factorial
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple
 
@@ -176,7 +180,6 @@ class AllGraphs(_OrbitSource):
         """The labeled graphs representatives start..stop-1 stand for, and their stack."""
         n = self.n
         masks = _class_masks(n, start, stop)
-        bits = _mask_bits(n, masks)
         offsets = _orbit_offsets(n)
 
         def members(rows):
@@ -186,9 +189,13 @@ class AllGraphs(_OrbitSource):
             return _graph6_lines(n, _mask_bits(n, positions))
 
         def quantities(need):
-            parents, borders, rows = _bordered(n, np.arange(start, stop, dtype=np.int64), bits)
-            coeffs = charpoly_batch_i64(parents, borders)[rows]
-            return _by_charpoly(coeffs, 0, lambda r: np.linalg.eigvalsh(_seidel(n, bits[r])), need)
+            parents, borders, candidate = _bordered(n, masks)
+            coeffs = charpoly_batch_i64(parents, borders).reshape(-1, n + 1)
+
+            def spectra(rows):  # edge bits only for the rows read
+                return np.linalg.eigvalsh(_seidel(n, _mask_bits(n, masks[rows])))
+
+            return _by_charpoly(coeffs, candidate, 0, spectra, need)
 
         return (stop - start) * len(offsets), [_Stack(n, members, name, None, quantities)]
 
@@ -275,7 +282,8 @@ class BoundaryFamily(_OrbitSource):
                 vals = np.linalg.eigvalsh(_boundary_quotients(sizes[rows], apexes[rows]))
                 return np.sort(np.concatenate([vals, np.ones((len(vals), n - 6))], axis=1), axis=1)
 
-            return _by_charpoly(_boundary_polys(sizes, apexes), n - 6, spectra, need)
+            polys = _boundary_polys(sizes, apexes)
+            return _by_charpoly(polys, np.arange(len(polys)), n - 6, spectra, need)
 
         count = int(table.bounds[stop] - table.bounds[start])
         return count, [_Stack(n, members, name, None, quantities)]
@@ -462,7 +470,8 @@ class Graph6Stream:
                 s = _seidel(n, bits)  # one order's S at a time
                 if "sk" in need:  # grouped, as an orbit stack is
                     coeffs = charpoly_batch_i64(s)
-                    return _by_charpoly(coeffs, 0, lambda r: np.linalg.eigvalsh(s[r]), need)
+                    rows = np.arange(len(s))
+                    return _by_charpoly(coeffs, rows, 0, lambda r: np.linalg.eigvalsh(s[r]), need)
                 nop = _odd_pairs(s) if "nop" in need else None
                 sc = _sc_to_complete(s) if "sc" in need else None
                 return slice(None), np.linalg.eigvalsh(s), None, nop, sc
@@ -495,9 +504,9 @@ class Graph6Stream:
 
 
 class _Bordered(NamedTuple):
-    parents: np.ndarray  # (Bp, n-1, n-1) int8 Seidel matrices without vertex w
-    borders: np.ndarray  # (C, n-1) int8 rows S[w, != w]
-    rows: tuple[np.ndarray, np.ndarray]  # each row's parent and border number
+    parents: np.ndarray  # (K, n-1, n-1) int8 canonical Seidel matrices without vertex w
+    borders: np.ndarray  # (C, n-1) int8 relabeled rows S[w, != w]
+    rows: np.ndarray  # each row's (class, border) number, class * C + border
 
 
 class _Stack(NamedTuple):
@@ -548,25 +557,74 @@ def _representatives(n: int, bits: np.ndarray) -> np.ndarray:
     return (rep[:, free].astype(np.int64) << np.arange(len(free))).sum(axis=1)
 
 
-def _bordered(n: int, index: np.ndarray, bits: np.ndarray) -> _Bordered:
-    """The representatives numbered index, with edge bits bits, as parent
-    times border at the vertex w = min(n-1, 6): the parent is S without w,
-    the border v = S[w, != w], and S is [[parent, v], [v^T, 0]] up to moving
-    w last.  A free edge at w is a border bit of the number, any other a
-    parent bit.  w = n-1 gives 2^C(n-2,2) parents times 2^(n-3) borders at
-    4 <= n <= 7 (1,024 times 16 at n = 7); from n = 8 the low 15 bits of a number
-    are the edges among vertices 1..6, so a 2^15-aligned chunk is 1,024
-    parents times 32 borders."""
+@lru_cache(maxsize=None)
+def _parent_relabelings(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The group G under which _bordered merges the parents at order n:
+    every permutation of the parent's vertices 1..k, k = min(n-3, 5), the
+    vertices below w whose edge to w is free (vertices keep their numbers
+    below w), fixing the others.  Returns G as a read-only (|G|, n-1) array
+    perms, vertex u of a relabeled parent being vertex perms[g, u] as in
+    graphs._relabel, and the read-only (C(n-1,2), |G|) float64 table of
+    2^e' at row e, column g, where relabeling by perms[g] moves edge e to
+    edge e'; so a stack of parent edge bits times the table gives the edge
+    mask of every relabeling, exactly, as C(n-1,2) <= 28 < 53."""
+    m, k = n - 1, max(0, min(n - 3, 5))
+    perms = np.tile(np.arange(m), (factorial(k), 1))
+    perms[:, 1 : k + 1] = list(permutations(range(1, k + 1)))
+    i, j = _endpoints(m)
+    moved = _edge_numbers(m)[perms[:, i], perms[:, j]]  # [g, e']: the edge e moved to e'
+    table = np.zeros((len(i), len(perms)))
+    table[moved, np.arange(len(perms))[:, None]] = 2.0 ** np.arange(len(i))
+    perms.flags.writeable = table.flags.writeable = False
+    return perms, table
+
+
+def _canonical_parents(n: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each parent's canonical key, the least edge mask over its relabelings
+    by G (see _parent_relabelings), as int64, and the number in G of the
+    first relabeling attaining it, for a stack of parent edge bits."""
+    table = _parent_relabelings(n)[1]
+    masks = bits @ table
+    g = masks.argmin(axis=1)
+    return masks[np.arange(len(g)), g].astype(np.int64), g
+
+
+def _bordered(n: int, masks: np.ndarray) -> _Bordered:
+    """The representatives with edge masks masks as parent times border at
+    the vertex w = min(n-1, 6), merged up to relabeling: the parent is S
+    without w, the border v = S[w, != w], and S is [[parent, v], [v^T, 0]]
+    up to moving w last.  A free edge at w is a border bit, any other a
+    parent bit.
+
+    Relabeling a parent P and its border v by one permutation gives a matrix
+    similar to [[P, v], [v^T, 0]], so each parent is taken to its class's
+    canonical form under G (see _parent_relabelings) and each row's border
+    is relabeled by its parent's permutation.  The parents returned are the
+    canonical forms, the borders every relabeled border that occurs, and a
+    row's number is class * len(borders) + border, a position in the
+    kernel's (class, border) grid.  G keeps the free border bits among
+    themselves, so a whole order's borders stay 2^(n-3) at 4 <= n <= 7
+    (16 at n = 7, for 90 classes of its 1,024 parents), and a 2^15-aligned
+    chunk from n = 8, whose low 15 bits are the edges among vertices 1..6,
+    keeps its 32 borders (for 34 to 148 classes of its 1,024 parents at
+    n = 8)."""
     w = min(n - 1, 6)
     i, j = _endpoints(n)
     at_w = (i == w) | (j == w)
-    border_mask = sum(1 << b for b, e in enumerate(_free_edges(n)) if at_w[e])
-    _, pfirst, pidx = np.unique(index & ~border_mask, return_index=True, return_inverse=True)
-    _, bfirst, bidx = np.unique(index & border_mask, return_index=True, return_inverse=True)
-    border_edges = _edge_numbers(n)[w, np.arange(n) != w]
-    parents = _seidel(n - 1, bits[pfirst][:, ~at_w])  # relabeling keeps colex order
-    borders = 1 - 2 * bits[bfirst][:, border_edges].astype(np.int8)
-    return _Bordered(parents, borders, (pidx, bidx))
+    w_mask = np.uint64(sum(1 << int(e) for e in np.flatnonzero(at_w)))
+    # _distinct_rows's stable sort runs fast on a chunk's sorted runs, unlike np.unique's
+    parents, pidx = _distinct_rows((masks & ~w_mask)[:, None])
+    borders, bidx = _distinct_rows((masks & w_mask)[:, None])
+    keys, g = _canonical_parents(n, _mask_bits(n, masks[parents])[:, ~at_w])  # colex order kept
+    keys, cls = np.unique(keys, return_inverse=True)
+    used, gidx = np.unique(g, return_inverse=True)
+    border_bits = _mask_bits(n, masks[borders])[:, _edge_numbers(n)[w, np.arange(n) != w]]
+    relabeled = border_bits[:, _parent_relabelings(n)[0][used]]  # (border, used g, n-1)
+    codes, bpos = np.unique(relabeled @ (1 << np.arange(n - 1)), return_inverse=True)
+    rows = cls[pidx] * len(codes) + bpos.reshape(relabeled.shape[:2])[bidx, gidx[pidx]]
+    parent_bits = keys[:, None] >> np.arange((n - 1) * (n - 2) // 2) & 1
+    border_signs = 1 - 2 * (codes[:, None] >> np.arange(n - 1) & 1)
+    return _Bordered(_seidel(n - 1, parent_bits), border_signs.astype(np.int8), rows)
 
 
 def _mask_bits(n: int, masks: np.ndarray) -> np.ndarray:
@@ -617,12 +675,14 @@ def _distinct_rows(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[new], inverse
 
 
-def _by_charpoly(coeffs: np.ndarray, ones: int, spectra: Callable, need: set):
+def _by_charpoly(coeffs: np.ndarray, rows: np.ndarray, ones: int, spectra: Callable, need: set):
     """(inverse, vals, sk, nop, sc) of a stack with exact Seidel char polys
-    p(x) = det(xI - S) = (x - 1)^ones q(x), q given by its coefficients
-    coeffs: spectra(rows) and whatever else need names of "sk", "nop" and
-    "sc" (see evaluate) for the first row with each distinct p, and the
-    index taking each row of the stack to its distinct row.
+    p(x) = det(xI - S) = (x - 1)^ones q(x): q is given by the coefficients
+    of candidate polynomials coeffs and, for each row of the stack, the
+    index rows of its candidate (the identity where each row has its own).
+    Returns spectra(first rows) and whatever else need names of "sk", "nop"
+    and "sc" (see evaluate) for the first row with each distinct p, and
+    the index taking each row of the stack to its distinct p.
 
     Every checked quantity is a function of p: the spectrum is its roots,
     S_k(S^2) comes from its coefficients, N_op from ||S^2||_F^2, the sum of
@@ -630,15 +690,20 @@ def _by_charpoly(coeffs: np.ndarray, ones: int, spectra: Callable, need: set):
     (x + n - 1)(x - 1)^(n-1) or (x - n + 1)(x + 1)^(n-1).  So the first row
     with each polynomial stands for the others, and N_op and the SC flag
     are read off p, not off S.  With ones fixed over the stack q determines
-    p, so the rows are grouped by q and every read takes q and ones: p is
-    never multiplied out."""
+    p, so the candidates, not the rows, are grouped by q, and every read
+    takes q and ones: p is never multiplied out.  A polynomial no row
+    reaches is dropped."""
     # p's c_n = 1, c_(n-1) = 0 and c_(n-2) = -C(n,2) fix q's top three
-    first, inverse = _distinct_rows(coeffs[:, : max(1, coeffs.shape[1] - 3)])
-    coeffs = coeffs[first]
+    first, group = _distinct_rows(coeffs[:, : max(1, coeffs.shape[1] - 3)])
+    group = group[rows]
+    lead = np.full(len(first), len(rows))  # each group's first row
+    np.minimum.at(lead, group, np.arange(len(rows)))
+    reached = lead < len(rows)
+    coeffs = coeffs[first[reached]]
     sk = sk_from_charpoly(coeffs, ones) if "sk" in need else None
     nop = _odd_pairs_of_charpoly(coeffs, ones) if "nop" in need else None
     sc = _sc_of_charpoly(coeffs, ones) if "sc" in need else None
-    return inverse, spectra(first), sk, nop, sc
+    return (np.cumsum(reached) - 1)[group], spectra(lead[reached]), sk, nop, sc
 
 
 def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:

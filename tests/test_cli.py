@@ -398,6 +398,10 @@ GOLDEN = Path(__file__).parent / "data"
             ["--boundary-family", "11..16",
              "--checks", "sk-basic,sk-oddpairs,oddpair-lower,theorem2"],
         ),
+        (
+            "all-n-8.json",
+            ["--all-n", "8", "--checks", "sk-basic,sk-oddpairs,oddpair-lower,theorem2"],
+        ),
     ],
 )
 def test_scan_reports_match_golden_json(capsys, report, argv):

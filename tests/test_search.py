@@ -8,6 +8,7 @@ import tempfile
 import tracemalloc
 from functools import lru_cache
 from itertools import combinations, islice
+from math import factorial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -28,7 +29,7 @@ from seidelab.graphs import (
     parse_graph6,
     seidel_matrix,
 )
-from seidelab.graphs import _decode_graph6, _graph6_lines, _graph_of_bits, _seidel
+from seidelab.graphs import _decode_graph6, _graph6_lines, _graph_of_bits, _relabel, _seidel
 from seidelab.search import (
     AllGraphs,
     BoundaryFamily,
@@ -536,7 +537,7 @@ def test_boundary_bits_match_edge_lists(n):
 def test_scan_calls_kernel_through_search_namespace(monkeypatch):
     # the benchmark times the exact kernel as seidelab.search.charpoly_batch_i64;
     # a call made from another module would leave that layer reading zero
-    # (8 parents of order 4 for the 32 representatives at n = 5)
+    # (6 parent classes of order 4 for the 32 representatives at n = 5)
     batches = []
 
     def counting(mats, *borders):
@@ -546,7 +547,7 @@ def test_scan_calls_kernel_through_search_namespace(monkeypatch):
     monkeypatch.setattr(search, "charpoly_batch_i64", counting)
     rep = scan(AllGraphs(5), checks=("sk-basic",))
     assert rep.total_failures == 0
-    assert sum(batches) == 8
+    assert sum(batches) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -955,7 +956,8 @@ def test_exhaustive_n7_renders_one_tail_per_char_poly(monkeypatch):
 
 def test_exhaustive_n7_runs_eigvalsh_once_per_char_poly(monkeypatch):
     # n = 7 is one chunk of 16,384 representatives with 53 distinct char
-    # polys, which the exact kernel finds from their 1,024 parents
+    # polys, which the exact kernel finds from the 90 classes of their 1,024
+    # parents
     polys, batches, kernel, eigvalsh = [], [], charpoly_batch_i64, np.linalg.eigvalsh
 
     def counting(a):
@@ -969,7 +971,7 @@ def test_exhaustive_n7_runs_eigvalsh_once_per_char_poly(monkeypatch):
     rep = scan(AllGraphs(7), DESK_CHECKS)
     assert (rep.graphs_scanned, rep.total_failures) == (1 << 21, 0)
     assert sum(batches) == 53
-    assert polys == [(1024, 6, 6)]
+    assert polys == [(90, 6, 6)]
 
 
 def _sampled(specs, count=48):
@@ -979,20 +981,22 @@ def _sampled(specs, count=48):
 
 def _assert_bordered_rows_match(source, start, stop):
     """The polynomials an exhaustive stack of representatives start..stop-1
-    groups its rows by, from parents and borders, equal the kernel's rows on
-    its full stack; returns the number of parents and of borders.  source
+    groups its rows by, from parent classes and relabeled borders and read
+    through each row's candidate index, equal the kernel's rows on its full
+    stack; returns the number of parent classes and of borders.  source
     needs only its order n, so it may stand in for an order AllGraphs
     refuses."""
     (st,) = AllGraphs.stacks(source, start, stop)[1]
     with pytest.MonkeyPatch.context() as mp:
         polys, kernel = _catch(mp, "_by_charpoly"), _catch(mp, "charpoly_batch_i64")
         st.quantities(set())
-    ((coeffs, ones, _, _),), ((parents, borders),) = polys, kernel
+    ((coeffs, rows, ones, _, _),), ((parents, borders),) = polys, kernel
     n = source.n
     assert ones == 0
     assert parents.shape[1:] == (n - 1, n - 1) and borders.shape[1] == n - 1
+    assert coeffs.shape == (len(parents) * len(borders), n + 1)
     bits = search._mask_bits(n, _class_masks(n, start, stop))
-    assert np.array_equal(coeffs, charpoly_batch_i64(_seidel(n, bits)))
+    assert np.array_equal(coeffs[rows], charpoly_batch_i64(_seidel(n, bits)))
     return len(parents), len(borders)
 
 
@@ -1010,10 +1014,48 @@ def test_bordered_rows_match_full_stack_kernel(set_chunk_size, n, chunk_size):
     "start, stop", [(0, 1 << 15), (777 << 15, 778 << 15), ((5 << 15) - 300, (5 << 15) + 200)]
 )
 def test_bordered_rows_match_full_stack_kernel_n9(start, stop):
-    # n = 9 borders at vertex 6: an aligned 2^15 chunk is 1,024 parents
-    # times 32 borders; a chunk across an alignment has more of each
+    # n = 9 borders at vertex 6: an aligned 2^15 chunk is the classes of
+    # its 1,024 parents times 32 borders (chunk 0's parents are the graphs
+    # on vertices 1..5, 34 up to isomorphism, OEIS A000088); a chunk across
+    # an alignment has more parents and fewer borders
     counts = _assert_bordered_rows_match(SimpleNamespace(n=9), start, stop)
-    assert start % (1 << 15) or counts == (1024, 32)
+    assert start % (1 << 15) or counts == ({0: 34, 777 << 15: 576}[start], 32)
+
+
+@pytest.mark.parametrize("n, classes", [(4, 2), (5, 6), (6, 20), (7, 90)])
+def test_exhaustive_parent_classes(n, classes):
+    # a whole order's parents are graphs on vertices 1..n-3 plus vertex
+    # n-2, whose edges to them act as loops, so their classes are the
+    # graphs with loops on n - 3 vertices, OEIS A000666
+    parents, borders, _ = search._bordered(n, _class_masks(n, 0, AllGraphs(n)._orbit_count()))
+    assert (len(parents), len(borders)) == (classes, 1 << (n - 3))
+
+
+def test_exhaustive_n8_parent_classes_per_chunk():
+    # each of the 32 chunks at n = 8 fixes the edges from vertex 7 to
+    # vertices 1..5, so its 1,024 parents fall into 34 to 148 classes
+    counts = []
+    for _, start, stop in AllGraphs(8).chunk_specs():
+        parents, borders, _ = search._bordered(8, _class_masks(8, start, stop))
+        assert len(borders) == 32
+        counts.append(len(parents))
+    assert (len(counts), min(counts), max(counts), sum(counts)) == (32, 34, 148, 3928)
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_canonical_parent_key_is_invariant_under_relabeling(rng, n):
+    # every relabeling by G of a parent has the parent's canonical key, and
+    # the key is the edge mask of the parent relabeled by the permutation
+    # returned with it
+    m = n - 1
+    perms = search._parent_relabelings(n)[0]
+    assert len(perms) == factorial(min(n - 3, 5))
+    bits = rng.integers(0, 2, size=(40, m * (m - 1) // 2), dtype=np.uint8)
+    keys, g = search._canonical_parents(n, bits)
+    weights = 1 << np.arange(bits.shape[1])
+    assert np.array_equal(keys, _relabel(m, bits, perms[g]) @ weights)
+    for perm in perms:
+        assert np.array_equal(search._canonical_parents(n, _relabel(m, bits, perm[None]))[0], keys)
 
 
 @pytest.mark.parametrize(
@@ -1140,8 +1182,10 @@ def test_boundary_scan_runs_no_exact_kernel(monkeypatch):
     for n in range(11, 17):
         assert scan(BoundaryFamily(n), DESK_CHECKS).total_failures == 0
     assert polys == [] and called == []
-    shapes = [(coeffs.shape[1], ones) for coeffs, ones, *_ in grouped]
+    shapes = [(coeffs.shape[1], ones) for coeffs, _, ones, *_ in grouped]
     assert shapes == [(7, n - 6) for n in range(11, 17)]
+    # each member its own candidate: no per-row regrouping
+    assert all(np.array_equal(rows, np.arange(len(coeffs))) for coeffs, rows, *_ in grouped)
     assert {shape[1:] for shape in batches} == {(6, 6)}
     assert sum(shape[0] for shape in batches) == 715
 
