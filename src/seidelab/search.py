@@ -39,14 +39,15 @@ N_op, the SC flag and the checks run once per distinct polynomial, on the
 first row that has it, and are scattered back to every row (n = 7 has 53
 distinct polynomials for its 16,384 representatives).  An exhaustive
 row factors as a parent P, S without one vertex w, and a border
-v = S[w, != w] (see _bordered), and its polynomial is
-x p_P(x) - v^T adj(xI - P) v, its quadratic forms exact because their
-partial sums stay below 2^53 as the kernel's own products do.  Relabeling
-P and v together keeps the polynomial, so the exact kernel runs once per
-parent class up to relabeling, times each relabeled border: 90 classes of
-the 1,024 parents for the 16,384 rows at n = 7, 34 to 148 per 2^15-row
-chunk at n = 8.  Those candidate polynomials, not the rows, are grouped,
-and each row reaches its group through its (class, border) number.  A
+v = S[w, != w], both read off bit fields of its representative number
+with no sort over rows (see _bordered).  Its polynomial is
+x p_P(x) - v^T adj(xI - P) v, exact as the kernel's own products are.
+Relabeling P and v together keeps the polynomial, so the exact kernel
+runs once per parent class up to relabeling, times each relabeled border:
+90 classes of the 1,024 parents for the 16,384 rows at n = 7, 34 to 148
+per 2^15-row chunk at n = 8.  Those candidate polynomials, not the rows,
+are grouped, and each row reaches its group through its (class, border)
+number.  A
 boundary member has an equitable partition, the clique split into four
 cells by the apexes, so its polynomial is (x - 1)^(n-6) times that of a
 6x6 integer quotient (see _boundary_polys), and its spectrum is that of
@@ -178,22 +179,21 @@ class AllGraphs(_OrbitSource):
 
     def stacks(self, start: int, stop: int) -> tuple[int, list[_Stack]]:
         """The labeled graphs representatives start..stop-1 stand for, and their stack."""
-        n = self.n
-        masks = _class_masks(n, start, stop)
-        offsets = _orbit_offsets(n)
+        n, offsets = self.n, _orbit_offsets(self.n)
 
-        def members(rows):
-            return np.repeat(rows, len(offsets)), (masks[rows, None] ^ offsets).ravel()
+        def members(rows):  # edge masks, as edge bits below, only for the rows read
+            masks = _class_masks(n, rows + start)
+            return np.repeat(rows, len(offsets)), (masks[:, None] ^ offsets).ravel()
 
         def name(rows, positions):
             return _graph6_lines(n, _mask_bits(n, positions))
 
         def quantities(need):
-            parents, borders, candidate = _bordered(n, masks)
+            parents, borders, candidate = _bordered(n, start, stop)
             coeffs = charpoly_batch_i64(parents, borders).reshape(-1, n + 1)
 
-            def spectra(rows):  # edge bits only for the rows read
-                return np.linalg.eigvalsh(_seidel(n, _mask_bits(n, masks[rows])))
+            def spectra(rows):
+                return np.linalg.eigvalsh(_seidel(n, _mask_bits(n, _class_masks(n, rows + start))))
 
             return _by_charpoly(coeffs, candidate, 0, spectra, need)
 
@@ -517,31 +517,33 @@ class _Stack(NamedTuple):
     quantities: Callable[[set], tuple]  # need -> (inverse, vals, sk, nop, sc)
 
 
-def _free_edges(n: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _free_edges(n: int) -> tuple[int, ...]:
     """Edge numbers a representative may set: not at vertex 0, and not the
     last edge (n-2, n-1), which complementation normalizes to absent."""
-    return np.flatnonzero(_endpoints(n)[0])[:-1].tolist()
+    return tuple(np.flatnonzero(_endpoints(n)[0])[:-1].tolist())
 
 
-def _class_masks(n: int, start: int, stop: int) -> np.ndarray:
-    """Edge masks of the representatives numbered start..stop-1, ascending:
-    bit b of the number becomes free edge b."""
-    index = np.arange(start, stop, dtype=np.uint64)
-    masks = np.zeros_like(index)
-    for b, e in enumerate(_free_edges(n)):
-        masks |= ((index >> np.uint64(b)) & np.uint64(1)) << np.uint64(e)
-    return masks
+def _class_masks(n: int, numbers: np.ndarray) -> np.ndarray:
+    """Edge masks of the representatives with the given numbers: bit b of
+    the number becomes free edge b."""
+    free = np.array(_free_edges(n), dtype=np.uint64)
+    bits = np.asarray(numbers, dtype=np.uint64)[:, None] >> np.arange(len(free), dtype=np.uint64)
+    return ((bits & np.uint64(1)) << free).sum(axis=1, dtype=np.uint64)
 
 
+@lru_cache(maxsize=None)
 def _orbit_offsets(n: int) -> np.ndarray:
-    """XOR masks taking a representative to each labeled member of its orbit:
-    switching on every subset of vertices 1..n-1, with and without the
+    """Read-only XOR masks taking a representative to each member of its
+    orbit: switching on every subset of vertices 1..n-1, with and without the
     complement for n >= 3 (for n <= 2 the complement is itself a switch)."""
     w = np.arange(0, 1 << n, 2)[:, None] >> np.arange(n) & 1  # subsets leaving vertex 0 alone
     cuts = _switch(n, np.zeros((1, n * (n - 1) // 2), dtype=np.uint64), w.astype(np.uint64))
     if n >= 3:
         cuts = np.concatenate([cuts, cuts ^ np.uint64(1)])
-    return (cuts << np.arange(cuts.shape[1], dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+    offsets = (cuts << np.arange(cuts.shape[1], dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+    offsets.flags.writeable = False
+    return offsets
 
 
 def _representatives(n: int, bits: np.ndarray) -> np.ndarray:
@@ -558,7 +560,7 @@ def _representatives(n: int, bits: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _parent_relabelings(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _parent_relabelings(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The group G under which _bordered merges the parents at order n:
     every permutation of the parent's vertices 1..k, k = min(n-3, 5), the
     vertices below w whose edge to w is free (vertices keep their numbers
@@ -567,7 +569,9 @@ def _parent_relabelings(n: int) -> tuple[np.ndarray, np.ndarray]:
     graphs._relabel, and the read-only (C(n-1,2), |G|) float64 table of
     2^e' at row e, column g, where relabeling by perms[g] moves edge e to
     edge e'; so a stack of parent edge bits times the table gives the edge
-    mask of every relabeling, exactly, as C(n-1,2) <= 28 < 53."""
+    mask of every relabeling, exactly, as C(n-1,2) <= 28 < 53.  Last, the
+    read-only (|G|, 2^k) table of each border number (bit u-1 is vertex u;
+    see _bordered) relabeled by perms[g]."""
     m, k = n - 1, max(0, min(n - 3, 5))
     perms = np.tile(np.arange(m), (factorial(k), 1))
     perms[:, 1 : k + 1] = list(permutations(range(1, k + 1)))
@@ -575,8 +579,10 @@ def _parent_relabelings(n: int) -> tuple[np.ndarray, np.ndarray]:
     moved = _edge_numbers(m)[perms[:, i], perms[:, j]]  # [g, e']: the edge e moved to e'
     table = np.zeros((len(i), len(perms)))
     table[moved, np.arange(len(perms))[:, None]] = 2.0 ** np.arange(len(i))
-    perms.flags.writeable = table.flags.writeable = False
-    return perms, table
+    bits = np.arange(1 << k)[None, :, None] >> perms[:, None, 1 : k + 1] - 1 & 1
+    borders = (bits << np.arange(k)).sum(axis=2)
+    perms.flags.writeable = table.flags.writeable = borders.flags.writeable = False
+    return perms, table, borders
 
 
 def _canonical_parents(n: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -589,42 +595,46 @@ def _canonical_parents(n: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return masks[np.arange(len(g)), g].astype(np.int64), g
 
 
-def _bordered(n: int, masks: np.ndarray) -> _Bordered:
-    """The representatives with edge masks masks as parent times border at
+def _bordered(n: int, start: int, stop: int) -> _Bordered:
+    """The representatives numbered start..stop-1 as parent times border at
     the vertex w = min(n-1, 6), merged up to relabeling: the parent is S
     without w, the border v = S[w, != w], and S is [[parent, v], [v^T, 0]]
-    up to moving w last.  A free edge at w is a border bit, any other a
-    parent bit.
+    up to moving w last.
 
-    Relabeling a parent P and its border v by one permutation gives a matrix
-    similar to [[P, v], [v^T, 0]], so each parent is taken to its class's
-    canonical form under G (see _parent_relabelings) and each row's border
-    is relabeled by its parent's permutation.  The parents returned are the
-    canonical forms, the borders every relabeled border that occurs, and a
+    Both are bit fields of the representative number, so no sort runs over
+    the rows: its free edges (u, w), u = 1..k, k = min(n-3, 5), are bits
+    low..low+k-1, the border number, and the rest, moved down to close the
+    gap, is the parent number.  Relabeling P and v by one permutation gives
+    a matrix similar to [[P, v], [v^T, 0]], so each parent of the dense
+    range of parent numbers the rows span is taken to its class's canonical
+    form under G (see _parent_relabelings), and each row reads its number
+    off a (parent, border) table, its border relabeled by its parent's
+    permutation.  The parents returned are the canonical forms (a class no
+    row reaches is dropped by _by_charpoly), the borders the 2^k border
+    numbers times each value, up to the largest, of the edges (w, v), v > w,
+    that G fixes and the parent number keeps (none below n = 9), and a
     row's number is class * len(borders) + border, a position in the
-    kernel's (class, border) grid.  G keeps the free border bits among
-    themselves, so a whole order's borders stay 2^(n-3) at 4 <= n <= 7
-    (16 at n = 7, for 90 classes of its 1,024 parents), and a 2^15-aligned
-    chunk from n = 8, whose low 15 bits are the edges among vertices 1..6,
-    keeps its 32 borders (for 34 to 148 classes of its 1,024 parents at
-    n = 8)."""
-    w = min(n - 1, 6)
-    i, j = _endpoints(n)
-    at_w = (i == w) | (j == w)
-    w_mask = np.uint64(sum(1 << int(e) for e in np.flatnonzero(at_w)))
-    # _distinct_rows's stable sort runs fast on a chunk's sorted runs, unlike np.unique's
-    parents, pidx = _distinct_rows((masks & ~w_mask)[:, None])
-    borders, bidx = _distinct_rows((masks & w_mask)[:, None])
-    keys, g = _canonical_parents(n, _mask_bits(n, masks[parents])[:, ~at_w])  # colex order kept
+    kernel's (class, border) grid: 90 classes of 1,024 parents times 16
+    borders for a whole order at n = 7, and 34 to 148 classes times 32
+    borders for a 2^15-aligned chunk at n = 8."""
+    w, k = min(n - 1, 6), max(0, min(n - 3, 5))
+    low, relabeled = (w - 1) * (w - 2) // 2, _parent_relabelings(n)[2]  # C(w-1, 2) in 1..w-1
+    number = np.arange(start, stop)
+    # parent number << k | border number, then the parent numbers spanned
+    index = (number >> low + k << low | number & (1 << low) - 1) << k | number >> low & (1 << k) - 1
+    spanned = np.arange(index.min() >> k, (index.max() >> k) + 1)
+    index -= spanned[0] << k  # each row's place in the (parent, border) table
+    # the parents spanned, as the representatives with border number 0
+    bits = _mask_bits(n, _class_masks(n, spanned >> low << low + k | spanned & (1 << low) - 1))
+    at_w = _edge_numbers(n)[w, np.arange(n) != w]  # edges (w, u) in the order of u
+    keys, g = _canonical_parents(n, np.delete(bits, at_w, axis=1))  # colex order kept
     keys, cls = np.unique(keys, return_inverse=True)
-    used, gidx = np.unique(g, return_inverse=True)
-    border_bits = _mask_bits(n, masks[borders])[:, _edge_numbers(n)[w, np.arange(n) != w]]
-    relabeled = border_bits[:, _parent_relabelings(n)[0][used]]  # (border, used g, n-1)
-    codes, bpos = np.unique(relabeled @ (1 << np.arange(n - 1)), return_inverse=True)
-    rows = cls[pidx] * len(codes) + bpos.reshape(relabeled.shape[:2])[bidx, gidx[pidx]]
+    extra = bits[:, at_w[w:]] @ (1 << np.arange(n - 1 - w))  # edges (w, v), v > w: none below n = 9
+    grid = (cls * (extra.max() + 1) + extra)[:, None] << k | relabeled[g]  # [parent, border]
+    codes = (np.arange(extra.max() + 1)[:, None] << w | np.arange(1 << k) << 1).ravel()
     parent_bits = keys[:, None] >> np.arange((n - 1) * (n - 2) // 2) & 1
     border_signs = 1 - 2 * (codes[:, None] >> np.arange(n - 1) & 1)
-    return _Bordered(_seidel(n - 1, parent_bits), border_signs.astype(np.int8), rows)
+    return _Bordered(_seidel(n - 1, parent_bits), border_signs.astype(np.int8), grid.ravel()[index])
 
 
 def _mask_bits(n: int, masks: np.ndarray) -> np.ndarray:
@@ -888,10 +898,10 @@ def scan(
     is identical for any worker count; wall time is the only field that
     varies.
     """
-    checks, p_grid = tuple(checks), tuple(p_grid)
+    checks, p_grid = (checks if isinstance(checks, str) else tuple(checks)), tuple(p_grid)
     validate(checks, p_grid)
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    if not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValueError(f"workers must be at least 1, as an integer, not {workers!r}")
     processes = min(workers, os.cpu_count() or 1)  # more than the CPUs only add forks
     t0 = time.monotonic()
     args = ((spec, checks, p_grid, collect_rows) for spec in source.chunk_specs())

@@ -18,12 +18,12 @@ the kernel returns the polynomials of the bordered matrices [[S, v], [v^T, 0]]
 by Schur's complement, det = x p_S(x) - v^T adj(xI - S) v, reading each
 quadratic form v^T B_k v off the running matrices B_k of adj(xI - S) that
 the recurrence already holds; its partial sums obey the recurrence's own
-2^53 guard.  Exhaustive scans run it so on parent classes up to
-relabeling: 90 classes of the 1,024 parents times 16 borders for the
-16,384 representatives at n = 7, and 34 to 148 classes times 32 borders
-per 2^15-row chunk at n = 8.  The object-dtype recurrence char_poly_exact
-and fraction-free Bareiss determinants stay as oracles and behind the
-Cauchy-Binet check.
+2^53 guard.  Exhaustive scans run it so on parent classes up to relabeling,
+parents and borders read off bit fields of the representative numbers with
+no sort over rows: 90 classes of the 1,024 parents times 16 borders for the
+16,384 representatives at n = 7, and 34 to 148 classes times 32 borders per
+2^15-row chunk at n = 8.  The object-dtype recurrence char_poly_exact and
+the Bareiss determinants stay as oracles and behind the Cauchy-Binet check.
 """
 
 from __future__ import annotations

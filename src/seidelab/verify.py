@@ -57,13 +57,17 @@ class VerificationReport:
 
 
 def validate(checks, p_grid) -> None:
-    """Raise ValueError unless checks is a nonempty subset of CHECK_NAMES
-    and, when it holds theorem1, p_grid is a nonempty grid inside (0, 2)."""
+    """Raise ValueError unless checks is a nonempty collection, not a string,
+    of distinct CHECK_NAMES and, with theorem1, p_grid a nonempty grid in (0, 2)."""
+    if isinstance(checks, str):
+        raise ValueError(f"checks must be a collection of names, not the string {checks!r}")
     unknown = set(checks) - set(CHECK_NAMES)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     if not checks:
         raise ValueError(f"checks must be a nonempty subset of {CHECK_NAMES}")
+    if len(set(checks)) < len(checks):
+        raise ValueError(f"checks must name each check once, not {list(checks)}")
     if "theorem1" in checks and not (p_grid and all(0.0 < p < 2.0 for p in p_grid)):
         raise ValueError(f"theorem1 needs p in the open interval (0, 2), got {list(p_grid)}")
 

@@ -138,7 +138,7 @@ def test_criterion_06_exact_sk_bounds(desk_scan):
         # as the orbits do (test_search.py: test_chunking_covers_everything
         # and test_representatives_invert_orbit_expansion)
         if n >= 2:
-            masks = _class_masks(n, 0, 1 << len(_free_edges(n)))
+            masks = _class_masks(n, np.arange(1 << len(_free_edges(n))))
             s = _seidel(n, _mask_bits(n, masks))
             s1 = sk_from_charpoly(charpoly_batch_i64(s))[:, 1]
             ok &= bool(np.all(s1 == n * (n - 1)))

@@ -164,6 +164,16 @@ class TestVerify:
         assert code == EXIT_INPUT_ERROR
         assert err == "error: unknown checks: ['nope']\n"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_repeated_check(self, capsys, fmt):
+        # one margin column, one report entry per check: a repeat is refused
+        code, out, err = run_cli(
+            capsys, "verify", "--all-n", "3", "--checks", "theorem2,theorem2", "--format", fmt
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err == "error: checks must name each check once, not ['theorem2', 'theorem2']\n"
+
     @pytest.mark.parametrize("fmt", ["plain", "json"])
     def test_named_check_below_its_order(self, capsys, fmt):
         # a check named with --checks must apply; the default set skips

@@ -116,7 +116,7 @@ class TestAllGraphs:
         set_chunk_size(7)
         for n in range(1, 7):
             members = [
-                _class_masks(n, start, stop)[:, None] ^ _orbit_offsets(n)[None, :]
+                _class_masks(n, np.arange(start, stop))[:, None] ^ _orbit_offsets(n)[None, :]
                 for _, start, stop in AllGraphs(n).chunk_specs()
             ]
             labeled = np.sort(np.concatenate(members).ravel())
@@ -738,15 +738,16 @@ def test_csv_header_names_every_requested_check():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_representatives_invert_orbit_expansion(n):
     offsets = _orbit_offsets(n)
-    classes = _class_masks(n, 0, 1 << len(search._free_edges(n)))
+    count = 1 << len(search._free_edges(n))
     if n == 8:  # sampled: each member of a sampled orbit maps to its representative
-        sample = np.random.default_rng(8).choice(len(classes), 64, replace=False)
-        masks = (classes[sample, None] ^ offsets).ravel()
+        sample = np.random.default_rng(8).choice(count, 64, replace=False)
+        masks = (_class_masks(n, sample)[:, None] ^ offsets).ravel()
         got = search._representatives(n, search._mask_bits(n, masks))
         assert np.array_equal(got, np.repeat(sample, len(offsets)))
         return
     # every labeled mask maps to the representative whose orbit holds it,
     # and each representative is hit once per orbit member
+    classes = _class_masks(n, np.arange(count))
     hits = np.zeros(len(classes), dtype=np.int64)
     for lo in range(0, len(AllGraphs(n)), 1 << 16):
         masks = np.arange(lo, min(lo + (1 << 16), len(AllGraphs(n))), dtype=np.uint64)
@@ -995,7 +996,7 @@ def _assert_bordered_rows_match(source, start, stop):
     assert ones == 0
     assert parents.shape[1:] == (n - 1, n - 1) and borders.shape[1] == n - 1
     assert coeffs.shape == (len(parents) * len(borders), n + 1)
-    bits = search._mask_bits(n, _class_masks(n, start, stop))
+    bits = search._mask_bits(n, _class_masks(n, np.arange(start, stop)))
     assert np.array_equal(coeffs[rows], charpoly_batch_i64(_seidel(n, bits)))
     return len(parents), len(borders)
 
@@ -1017,9 +1018,42 @@ def test_bordered_rows_match_full_stack_kernel_n9(start, stop):
     # n = 9 borders at vertex 6: an aligned 2^15 chunk is the classes of
     # its 1,024 parents times 32 borders (chunk 0's parents are the graphs
     # on vertices 1..5, 34 up to isomorphism, OEIS A000088); a chunk across
-    # an alignment has more parents and fewer borders
+    # an alignment spans parents of two values of its higher bits
     counts = _assert_bordered_rows_match(SimpleNamespace(n=9), start, stop)
     assert start % (1 << 15) or counts == ({0: 34, 777 << 15: 576}[start], 32)
+
+
+def test_bordered_rows_match_full_stack_kernel_across_an_alignment():
+    # AllGraphs(8)'s own numbers: the last 300 rows of chunk 4 (border 31)
+    # and the first 200 of chunk 5 (border 0) span 500 parent numbers
+    _assert_bordered_rows_match(AllGraphs(8), (5 << 15) - 300, (5 << 15) + 200)
+
+
+def test_bordered_rows_match_with_edges_past_w_n9():
+    # from n = 9 the border at w = 6 also holds the free edges (6, 7) and
+    # (6, 8), bits 20 and 26 of the number, which G fixes: these rows hold
+    # one or the other, and each value of the two bits up to the largest
+    # adds 2^5 borders
+    start = (1 << 26) - 3000
+    assert _assert_bordered_rows_match(SimpleNamespace(n=9), start, start + 6000)[1] == 3 * 32
+
+
+def test_exhaustive_scan_sorts_no_chunk_rows(monkeypatch):
+    # parents and borders are bit fields of the representative numbers, so
+    # the polynomials are grouped once per stack, on the candidates only
+    # (90 classes times 16 borders at n = 7, against 16,384 rows), and edge
+    # masks are built only for the 1,024 parents spanned and the rows read,
+    # never for a whole chunk
+    sorted_rows = _catch(monkeypatch, "_distinct_rows")
+    masked = _catch(monkeypatch, "_class_masks")
+    assert scan(AllGraphs(7), DESK_CHECKS).total_failures == 0
+    assert [len(rows) for (rows,) in sorted_rows] == [90 * 16]
+    assert sorted(len(numbers) for _, numbers in masked)[-2:] == [53, 1024]
+    _, start, stop = AllGraphs(8).chunk_specs()[5]
+    sorted_rows.clear(), masked.clear()
+    assert not search._eval_chunk((AllGraphs(8), start, stop), DESK_CHECKS, (1.0,)).failure_reports
+    assert [len(rows) for (rows,) in sorted_rows] == [148 * 32]
+    assert masked and all(len(numbers) < stop - start for _, numbers in masked)
 
 
 @pytest.mark.parametrize("n, classes", [(4, 2), (5, 6), (6, 20), (7, 90)])
@@ -1027,7 +1061,7 @@ def test_exhaustive_parent_classes(n, classes):
     # a whole order's parents are graphs on vertices 1..n-3 plus vertex
     # n-2, whose edges to them act as loops, so their classes are the
     # graphs with loops on n - 3 vertices, OEIS A000666
-    parents, borders, _ = search._bordered(n, _class_masks(n, 0, AllGraphs(n)._orbit_count()))
+    parents, borders, _ = search._bordered(n, 0, AllGraphs(n)._orbit_count())
     assert (len(parents), len(borders)) == (classes, 1 << (n - 3))
 
 
@@ -1036,7 +1070,7 @@ def test_exhaustive_n8_parent_classes_per_chunk():
     # vertices 1..5, so its 1,024 parents fall into 34 to 148 classes
     counts = []
     for _, start, stop in AllGraphs(8).chunk_specs():
-        parents, borders, _ = search._bordered(8, _class_masks(8, start, stop))
+        parents, borders, _ = search._bordered(8, start, stop)
         assert len(borders) == 32
         counts.append(len(parents))
     assert (len(counts), min(counts), max(counts), sum(counts)) == (32, 34, 148, 3928)
@@ -1438,9 +1472,31 @@ def test_workers_rejected_before_any_chunk(monkeypatch, set_chunk_size):
 
     monkeypatch.setattr(search, "_eval_chunk_star", refuse)
     set_chunk_size(64)
-    for workers in (0, -2):
+    for workers in (0, -2, 1.5, 2.0, "2", None):
         with pytest.raises(ValueError, match="workers must be at least 1"):
             scan(AllGraphs(6), workers=workers)
+    # a source of many chunks would reach the pool with it: refused alike
+    with pytest.raises(ValueError, match="as an integer, not 1.5"):
+        scan(AllGraphs(8), workers=1.5)
+
+
+@pytest.mark.parametrize("workers", [1, np.int64(2), np.uint8(1)])
+def test_integer_workers_accepted(workers):
+    assert scan(AllGraphs(4), workers=workers).graphs_scanned == 64
+
+
+@pytest.mark.parametrize(
+    "checks, message",
+    [
+        ("theorem2", "not the string 'theorem2'"),
+        (("theorem2", "sk-basic", "theorem2"), "name each check once"),
+    ],
+)
+def test_checks_must_be_distinct_names(checks, message):
+    # a bare string would be split into letters, and a repeated name would
+    # give its margin column twice
+    with pytest.raises(ValueError, match=message):
+        scan(AllGraphs(4), checks)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

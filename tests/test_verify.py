@@ -129,6 +129,12 @@ class TestRunChecks:
         with pytest.raises(ValueError, match="unknown"):
             run_checks(path_graph(3), checks=("nonsense",))
 
+    def test_checks_are_distinct_names_not_a_string(self):
+        with pytest.raises(ValueError, match="name each check once"):
+            run_checks(path_graph(3), checks=("theorem2", "theorem2"))
+        with pytest.raises(ValueError, match="not the string 'theorem2'"):
+            run_checks(path_graph(3), checks="theorem2")
+
     def test_all_checks_on_c5(self):
         reports = run_checks(cycle_graph(5), CHECK_NAMES, p_grid=(0.5, 1.0))
         names = [r.check for r in reports]
