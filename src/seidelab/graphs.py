@@ -5,11 +5,11 @@ is edge number e in graph6 order.  n is capped at 62, the largest order a
 single-byte graph6 header names, so every graph has a graph6 line.
 
 The edge-bit stack kernels at the end of the module build Seidel matrices S
-(the one matrix kernel; the adjacency is S < 0), relabel (_relabel), encode
-graph6 lines and decode them, the decoder being the one graph6 validator;
-a complement is bits ^ 1.  Each is the only implementation of what it
-computes: scans run it on whole chunks, per-graph functions on a stack of
-one.
+(the one matrix kernel; the adjacency is S < 0), relabel (_relabel), build
+a signed cell type's graphs (_blow_up_bits), encode graph6 lines and decode
+them, the decoder being the one graph6 validator; a complement is bits ^ 1.
+Each is the only implementation of what it computes: scans run it on whole
+chunks, per-graph functions on a stack of one.
 """
 
 from __future__ import annotations
@@ -197,6 +197,20 @@ def _seidel(n: int, bits: np.ndarray) -> np.ndarray:
     s[:, i, j] = s[:, j, i] = 1 - 2 * bits.astype(np.int8)
     s[:, np.arange(n), np.arange(n)] = 0
     return s
+
+
+def _blow_up_bits(n: int, signs: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Edge bits of the graphs of a signed cell type, (B, k, k) Seidel signs
+    sigma and (B, k) integer sizes s, each row of s summing to n.  Cells
+    fill the vertices in order, and u ~ v iff their cells' sign is -1: cell
+    i is a clique where sigma_ii = -1, a coclique where it is +1.  Each
+    cell's signs, repeated s_i times down and across, give the adjacency."""
+    b, k = sizes.shape
+    counts = sizes.ravel()
+    rows = np.repeat((signs < 0).reshape(b * k, k), counts, axis=0)  # a row per vertex
+    adjacent = np.repeat(rows.reshape(b, n, k).swapaxes(1, 2).reshape(b * k, n), counts, axis=0)
+    i, j = _endpoints(n)
+    return adjacent.reshape(b, n, n)[:, j, i].view(np.uint8)
 
 
 def _graph6_lines(n: int, bits: np.ndarray) -> np.ndarray:

@@ -15,13 +15,12 @@ numbers for an orbit source, line numbers and raw lines for a graph6
 stream; a worker's source.stacks(*part) turns one into stacks (see
 _Stack), and source.csv_rows gives the scan's CSV rows.  Everything
 checked derives from the kernels that also serve the per-graph functions:
-Seidel matrices S and graph6 lines from graphs, LAPACK spectra (for the
-boundary family of a 6x6 quotient, see below), exact S_k(S^2) from
-multi-modular characteristic polynomials (spectral), and N_op and
-SC-equivalence to K_n, off those polynomials where a stack has them and
-otherwise off S (seidel).  This module keeps only the sources, the driver
-and CSV rendering.  Graph objects appear only for the flagged graphs
-run_checks re-verifies.
+Seidel matrices S, graph6 lines and edge bits from graphs, LAPACK
+spectra, exact S_k(S^2) from exact characteristic polynomials
+(spectral), and N_op and SC-equivalence to K_n, off those polynomials
+where a stack has them and otherwise off S (seidel).  This module keeps
+only the sources, the driver and CSV rendering.  Graph objects appear
+only for the flagged graphs run_checks re-verifies.
 
 The exhaustive and boundary sources are scanned one orbit at a time.
 Every checked quantity (|spectrum|, S_k(A^2), N_op, SC-equivalence to K_n)
@@ -47,22 +46,21 @@ runs once per parent class up to relabeling, times each relabeled border:
 90 classes of the 1,024 parents for the 16,384 rows at n = 7, 34 to 148
 per 2^15-row chunk at n = 8.  Those candidate polynomials, not the rows,
 are grouped, and each row reaches its group through its (class, border)
-number.  A
-boundary member has an equitable partition, the clique split into four
-cells by the apexes, so its polynomial is (x - 1)^(n-6) times that of a
-6x6 integer quotient (see _boundary_polys), and its spectrum is that of
-the quotient's symmetrized form joined with n - 6 ones (see
-_boundary_quotients).  The product stays factored: a boundary stack is
-grouped by the quotient's degree-6 polynomial, and S_k, N_op and the SC
-flag are read off it and the count n - 6 of ones.  So a boundary scan
-runs no exact kernel, eigvalsh on 6x6 matrices only, and builds no S and
-no polynomial of degree n.  A stream chunk is grouped the same way when
-its checks read S_k, and otherwise evaluates every row.  Only what a report names (equality graphs,
-failures, the minimum-energy witness) is expanded back to the orbit's
-members and named, in one pass per stack, keyed by its position in the
-source's enumeration order (the labeled edge mask for the exhaustive
-source, the parameter index for the boundary family, the line number for
-a stream) and merged in that order.
+number.  A stream chunk is grouped so only when its checks read S_k.
+
+The boundary family is one 6-cell signed type (see _boundary_type), its
+edge bits, quotient Q and symmetrized Q built by shared kernels
+(graphs._blow_up_bits, spectral._quotients).  det(xI - S) = (x - 1)^(n-6)
+det(xI - Q) stays factored: a stack is grouped by det(xI - Q), S_k, N_op
+and the SC flag are read off it and the n - 6 ones, and the spectrum is
+the symmetrized Q's and those ones.  So no exact kernel runs, eigvalsh
+sees 6x6 matrices only, and no S is built.
+
+Only what a report names (equality graphs, failures, the minimum-energy
+witness) is expanded back to the orbit's members and named, in one pass
+per stack, keyed by its position in the source's enumeration order (the
+labeled edge mask for the exhaustive source, the parameter index for the
+boundary family, the line number for a stream) and merged in that order.
 
 CSV rows, when collected, come from every chunk in source order, so the
 scan only joins them.  A row's cells but graph6 are functions of its char
@@ -95,6 +93,7 @@ from .graphs import (
     ASCII_WHITESPACE,
     Graph,
     Graph6Error,
+    _blow_up_bits,
     _decode_graph6,
     _edge_numbers,
     _endpoints,
@@ -107,7 +106,7 @@ from .graphs import (
 from .graphs import encode_graph6  # noqa: F401
 from .seidel import count_odd_pairs, is_sc_equivalent_to_complete  # noqa: F401
 from .seidel import _odd_pairs, _odd_pairs_of_charpoly, _sc_of_charpoly, _sc_to_complete, _switch
-from .spectral import charpoly_batch_i64, p_energy, sk_from_charpoly
+from .spectral import _charpoly_f64, _quotients, charpoly_batch_i64, p_energy, sk_from_charpoly
 from .verify import evaluate, near_equality, reads, run_checks, validate
 
 ENUM_MAX_N = 8
@@ -205,11 +204,11 @@ class BoundaryFamily(_OrbitSource):
     """Graphs that are a clique on n-2 vertices plus two apex vertices.
 
     Parameterized by (a, b, c, e): the apex clique-neighborhood sizes a >= b,
-    their overlap c, and the apex-apex edge flag, with the shared block laid
-    out first.  Its chunks hold switching orbit representatives (see
-    _boundary_table); a scan counts and reports every member all the same.
-    Members related by switching are evaluated once, isomorphic members
-    outside that group are not merged.
+    their overlap c, and the apex-apex edge flag: one 6-cell signed type,
+    the clique's cells laid out first (see _boundary_type).  Its chunks hold
+    switching orbit representatives (see _boundary_table); a scan counts and
+    reports every member all the same.  Members related by switching are
+    evaluated once, isomorphic members outside that group are not merged.
     """
 
     n: int
@@ -228,15 +227,8 @@ class BoundaryFamily(_OrbitSource):
 
     def edge_bits(self, params) -> np.ndarray:
         """Edge bits, graph6 order, of the members with the given (a, b, c, e)
-        rows: apex v1 = n-2 sees [0, a), apex v2 = n-1 sees [0, c) and
-        [a, a+b-c), and e joins the apexes."""
-        m = self.n - 2
-        i, j = _endpoints(self.n)
-        a, b, c, e = np.asarray(params, dtype=np.int64).reshape(-1, 4).T[:, :, None]
-        to_v2 = (i < c) | ((i >= a) & (i < a + b - c))
-        v2_column = np.where(i < m, to_v2, e == 1)  # j = n-1; i = n-2 is the apex edge
-        bits = np.where(j < m, True, np.where(j == m, i < a, v2_column))
-        return bits.astype(np.uint8)
+        rows: apex v1 = n-2 sees [0, a), v2 = n-1 sees [0, c) and [a, a+b-c)."""
+        return _blow_up_bits(self.n, *_boundary_type(self.n, params))
 
     def graph_for(self, a: int, b: int, c: int, e: int) -> Graph:
         integers = all(isinstance(v, (int, np.integer)) for v in (a, b, c, e))
@@ -276,13 +268,13 @@ class BoundaryFamily(_OrbitSource):
             return _graph6_lines(n, self.edge_bits(table.params[positions]))
 
         def quantities(need):
-            sizes, apexes = _cell_sizes(n, table.params[table.reps[start:stop]])
+            signs, sizes = _boundary_type(n, table.params[table.reps[start:stop]])
 
             def spectra(rows):  # S's spectrum is the quotient's joined with n - 6 ones
-                vals = np.linalg.eigvalsh(_boundary_quotients(sizes[rows], apexes[rows]))
+                vals = np.linalg.eigvalsh(_quotients(signs[rows], sizes[rows], symmetrized=True))
                 return np.sort(np.concatenate([vals, np.ones((len(vals), n - 6))], axis=1), axis=1)
 
-            polys = _boundary_polys(sizes, apexes)
+            polys = _charpoly_f64(_quotients(signs, sizes))  # q, det(xI - S) = (x - 1)^(n-6) q
             return _by_charpoly(polys, np.arange(len(polys)), n - 6, spectra, need)
 
         count = int(table.bounds[stop] - table.bounds[start])
@@ -331,76 +323,28 @@ def _boundary_table(n: int) -> _BoundaryTable:
     return _BoundaryTable(params, rep, reps, np.argsort(rep, kind="stable"), bounds)
 
 
-# Seidel signs between the boundary quotient's parts: the clique's cells
-# "both apexes", "v1 only", "v2 only" and "neither", then the apexes v1
-# and v2; the v1-v2 sign is each member's own, 1 - 2e
-_QUOTIENT_SIGNS = np.array(
-    [
-        [-1, -1, -1, -1, -1, -1],
-        [-1, -1, -1, -1, -1, 1],
-        [-1, -1, -1, -1, 1, -1],
-        [-1, -1, -1, -1, 1, 1],
-        [-1, -1, 1, 1, 0, 0],
-        [-1, 1, -1, 1, 0, 0],
-    ],
-    dtype=np.float64,
-)
-_CELL_DIAGONAL = np.diag([1.0, 1, 1, 1, 0, 0])
+# Seidel signs between the boundary type's cells, one 6x6 table per e: the
+# clique's cells seen by both apexes, by v1 = n-2 only, by v2 = n-1 only and
+# by neither, then v1 and v2.  Every cell is a clique and every pair joined,
+# sigma = -1, but a clique cell and an apex that misses it, and the apexes
+# when e = 0: sigma_45 = 1 - 2e
+_BOUNDARY_SIGNS = np.full((2, 6, 6), -1.0)
+# (cell, apex) = (1, 5), (2, 4), (3, 4) and (3, 5), and their transposes
+_BOUNDARY_SIGNS[:, [1, 2, 3, 3, 5, 4, 4, 5], [5, 4, 4, 5, 1, 2, 3, 3]] = 1
+_BOUNDARY_SIGNS[0, [4, 5], [5, 4]] = 1
 
 
-def _cell_sizes(n: int, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sizes (B, 6) of the boundary quotient's parts, the four cells
-    (c, a-c, b-c, m-a-b+c), m = n-2, then 1 and 1 for the apexes, and the
-    v1-v2 Seidel sign 1 - 2e, of the members with the given (a, b, c, e),
-    as float64 integers."""
-    a, b, c, e = np.asarray(params, dtype=np.float64).reshape(-1, 4).T
-    one = np.ones_like(a)
-    return np.stack([c, a - c, b - c, n - 2 - a - b + c, one, one], axis=1), 1 - 2 * e
+# the cells' sizes (c, a-c, b-c, m-a-b+c, 1, 1), m = n-2, are (a, b, c, e)
+# times this plus (0, 0, 0, m, 1, 1)
+_BOUNDARY_SIZES = np.array([[0, 1, 0, -1, 0, 0], [0, 0, 1, -1, 0, 0], [1, -1, -1, 1, 0, 0], [0] * 6])
 
 
-def _boundary_polys(sizes: np.ndarray, apexes: np.ndarray) -> np.ndarray:
-    """Exact det(xI - Q), (B, 7) int64 ascending, of the 6x6 quotients of
-    the boundary members with the cells of _cell_sizes: each member's
-    det(xI - S) is (x - 1)^(n-6) times it, by their equitable partition.
-
-    The apexes split the clique into four cells of sizes s (see
-    _cell_sizes), and every vertex outside a cell sees the whole cell
-    alike, so e_u - e_v for u, v in one cell is an eigenvector of S with
-    eigenvalue 1.  Hence det(xI - S) = (x - 1)^(n-6) det(xI - Q), where Q
-    is the quotient over the cells and the two apexes: Q_ij = sigma_ij s_j
-    off the diagonal, 1 - s_i on a cell's diagonal and 0 on an apex's.  An
-    empty cell's column is e_i and gives its factor x - 1 back, so the
-    identity holds for every member.  Faddeev-LeVerrier on Q runs in
-    float64, through BLAS, and is exact: every operand is an integer, and
-    for every member at n <= 22 the partial sums stay below 10^5, far under
-    2^53, and det(xI - Q)'s coefficients below 7,600."""
-    q = _QUOTIENT_SIGNS * sizes[:, None, :] + _CELL_DIAGONAL
-    q[:, 4, 5] = q[:, 5, 4] = apexes
-    # Faddeev-LeVerrier: M_k = Q M_(k-1) + c_(7-k) I, c_(6-k) = -tr(Q M_k) / k,
-    # qm holding Q M_k; tr(Q M_k) is a multiple of k, so the division is exact
-    pq = np.zeros((len(q), 7))
-    pq[:, 6] = 1
-    qm, diagonal = np.zeros_like(q), np.arange(6)
-    for k in range(1, 7):
-        qm[:, diagonal, diagonal] += pq[:, 7 - k, None]  # qm is now M_k
-        qm = q @ qm
-        pq[:, 6 - k] = -np.einsum("bii->b", qm) / k
-    return pq.astype(np.int64)
-
-
-def _boundary_quotients(sizes: np.ndarray, apexes: np.ndarray) -> np.ndarray:
-    """The symmetrized quotients, (B, 6, 6) float64, of the boundary members
-    with the given cells (see _cell_sizes): sigma_ij sqrt(s_i s_j) off the
-    diagonal and, as in Q (see _boundary_polys), 1 - s_i on a cell's
-    diagonal and 0 on an apex's.  With no cell empty this is D^(1/2) Q
-    D^(-1/2), D = diag(s), so it has Q's eigenvalues; an empty cell gives
-    a zero row and column with 1 on the diagonal, the eigenvalue 1 of its
-    factor x - 1.  So for every member S's spectrum is this matrix's joined
-    with n - 6 ones.  The root is taken of the product s_i s_j, so the
-    diagonal is exact."""
-    q = _QUOTIENT_SIGNS * np.sqrt(sizes[:, :, None] * sizes[:, None, :]) + _CELL_DIAGONAL
-    q[:, 4, 5] = q[:, 5, 4] = apexes
-    return q
+def _boundary_type(n: int, params) -> tuple[np.ndarray, np.ndarray]:
+    """The signed cell type, (B, 6, 6) signs and (B, 6) sizes, of the members
+    with the given (a, b, c, e) rows: the clique's four cells, then one cell
+    per apex, with the signs _BOUNDARY_SIGNS[e]."""
+    params = np.asarray(params, dtype=np.int64).reshape(-1, 4)
+    return _BOUNDARY_SIGNS[params[:, 3]], params @ _BOUNDARY_SIZES + (0, 0, 0, n - 2, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -498,7 +442,7 @@ class Graph6Stream:
 # _by_charpoly).  An orbit stack's rows stand for many graphs and have
 # exact char polys: an exhaustive stack's from parent times border (see
 # _bordered), a boundary stack's from the family's equitable quotient, kept
-# as the quotient's polynomial and n - 6 ones (see _boundary_polys).  A
+# as the quotient's polynomial and n - 6 ones (see _boundary_type).  A
 # stream stack's rows are its graphs, named by their own lines, and its
 # slots are their line indices within the chunk.
 
@@ -898,8 +842,7 @@ def scan(
     is identical for any worker count; wall time is the only field that
     varies.
     """
-    checks, p_grid = (checks if isinstance(checks, str) else tuple(checks)), tuple(p_grid)
-    validate(checks, p_grid)
+    checks, p_grid = validate(checks, p_grid)
     if not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ValueError(f"workers must be at least 1, as an integer, not {workers!r}")
     processes = min(workers, os.cpu_count() or 1)  # more than the CPUs only add forks

@@ -22,8 +22,11 @@ the recurrence already holds; its partial sums obey the recurrence's own
 parents and borders read off bit fields of the representative numbers with
 no sort over rows: 90 classes of the 1,024 parents times 16 borders for the
 16,384 representatives at n = 7, and 34 to 148 classes times 32 borders per
-2^15-row chunk at n = 8.  The object-dtype recurrence char_poly_exact and
-the Bareiss determinants stay as oracles and behind the Cauchy-Binet check.
+2^15-row chunk at n = 8.  A signed cell type's equitable quotient needs no
+primes (_quotients, _charpoly_f64): one float64 Faddeev-LeVerrier loop,
+exact under a bound it checks.  The object-dtype recurrence char_poly_exact
+and the Bareiss determinants stay as oracles and behind the Cauchy-Binet
+check.
 """
 
 from __future__ import annotations
@@ -352,6 +355,42 @@ def charpoly_batch_i64(mats: np.ndarray, borders: np.ndarray | None = None) -> n
         block = m[lo : lo + step].astype(np.float64)
         res[:, lo : lo + step] = _charpoly_residues(block, primes, v)
     return _garner(res, primes)
+
+
+def _quotients(signs: np.ndarray, sizes: np.ndarray, symmetrized: bool = False) -> np.ndarray:
+    """The (B, k, k) float64 quotients of a signed cell type (see
+    graphs._blow_up_bits): Q = sigma * (w - I), w_ij = s_j, or symmetrized,
+    w_ij = sqrt(s_i s_j).  The cells are an equitable partition (Brouwer and
+    Haemers, Spectra of Graphs, ch. 2), so det(xI - S) prod_(s_i = 0)
+    (x + sigma_ii) = det(xI - Q) prod_(s_i > 0) (x + sigma_ii)^(s_i - 1),
+    and the symmetrized form's spectrum is the roots of det(xI - Q).  The
+    root of s_i s_j is exact on the diagonal, and + 0.0 makes -0.0 +0.0,
+    whose sign LAPACK's last digits see."""
+    s = np.asarray(sizes, dtype=np.float64)[:, None, :]
+    w = np.sqrt(s.swapaxes(1, 2) * s) if symmetrized else s
+    return signs * (w - np.eye(s.shape[-1])) + 0.0
+
+
+def _charpoly_f64(q: np.ndarray) -> np.ndarray:
+    """Exact det(xI - Q), (B, k+1) int64 ascending, of a (B, k, k) integer
+    stack, by Faddeev-LeVerrier in float64 BLAS products.  With rho >= 1
+    above every absolute row sum of Q, |c_(k-j)| <= C(k,j) rho^j, the loop's
+    matrices M_j have entries up to 2^k rho^(j-1), and every partial sum is
+    within k 2^k rho^k; unless that is below 2^53 it raises ValueError.  A
+    quotient of _quotients has rho <= n + 1, so k <= 7 passes at n <= 62."""
+    b, k, _ = q.shape
+    rho = float((np.abs(q).reshape(-1, k) @ np.ones(k)).max(initial=1.0))  # GEMV beats sum(axis=2)
+    if k * 2.0**k * rho**k >= _F64_EXACT:
+        raise ValueError(f"k 2^k rho^k >= 2^53 for k = {k}, rho = {rho:g}: float64 is not exact")
+    # M_j = Q M_(j-1) + c_(k+1-j) I and c_(k-j) = -tr(Q M_j) / j, which j divides
+    coeffs = np.zeros((b, k + 1))
+    coeffs[:, k] = 1
+    qm, diagonal = np.zeros_like(q, dtype=np.float64), np.arange(k)
+    for j in range(1, k + 1):
+        qm[:, diagonal, diagonal] += coeffs[:, k + 1 - j, None]  # qm is now M_j
+        qm = q @ qm
+        coeffs[:, k - j] = -np.einsum("bii->b", qm) / j
+    return coeffs.astype(np.int64)
 
 
 def sk_from_charpoly(coeffs: np.ndarray, ones: int = 0) -> np.ndarray:

@@ -56,11 +56,13 @@ class VerificationReport:
         }
 
 
-def validate(checks, p_grid) -> None:
-    """Raise ValueError unless checks is a nonempty collection, not a string,
-    of distinct CHECK_NAMES and, with theorem1, p_grid a nonempty grid in (0, 2)."""
+def validate(checks, p_grid) -> tuple[tuple, tuple]:
+    """checks and p_grid as tuples, each read once; ValueError unless checks is
+    a nonempty collection, not a string, of distinct CHECK_NAMES and, with
+    theorem1, p_grid a nonempty grid in (0, 2)."""
     if isinstance(checks, str):
         raise ValueError(f"checks must be a collection of names, not the string {checks!r}")
+    checks, p_grid = tuple(checks), tuple(p_grid)
     unknown = set(checks) - set(CHECK_NAMES)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
@@ -70,6 +72,7 @@ def validate(checks, p_grid) -> None:
         raise ValueError(f"checks must name each check once, not {list(checks)}")
     if "theorem1" in checks and not (p_grid and all(0.0 < p < 2.0 for p in p_grid)):
         raise ValueError(f"theorem1 needs p in the open interval (0, 2), got {list(p_grid)}")
+    return checks, p_grid
 
 
 def applicable(n: int, checks) -> list[str]:
@@ -157,7 +160,7 @@ def run_checks(
     """Run the selected checks that apply at g's order on one Seidel matrix
     S, reading S_k and the spectrum off it through the checked single-graph
     backends, and N_op and the SC flag through the stack kernels."""
-    validate(checks, p_grid)
+    checks, p_grid = validate(checks, p_grid)
     n, need = g.n, reads(g.n, checks)
     g6 = encode_graph6(g)
     # looked up on the module, so a wrapper installed there sees the call

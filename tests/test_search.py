@@ -41,6 +41,8 @@ from seidelab.search import (
 )
 from seidelab import search
 from seidelab.spectral import (
+    _charpoly_f64,
+    _quotients,
     binomial,
     char_poly_exact,
     charpoly_batch_i64,
@@ -532,6 +534,7 @@ def test_boundary_bits_match_edge_lists(n):
         edges += [(i, m + 1) for i in range(a, a + b - c)]
         edges += [(m, m + 1)] * e
         assert np.array_equal(bits, reference_edge_bits(Graph.from_edges(n, edges)))
+    assert fam.edge_bits(np.zeros((0, 4), dtype=np.int64)).shape == (0, n * (n - 1) // 2)
 
 
 def test_scan_calls_kernel_through_search_namespace(monkeypatch):
@@ -1185,7 +1188,7 @@ def test_boundary_polys_match_kernel(n):
     a, b, c, _ = params.T
     sizes = np.stack([c, a - c, b - c, n - 2 - a - b + c])
     assert (sizes == 0).any(axis=1).all()  # each cell is empty in some member
-    got = search._boundary_polys(*search._cell_sizes(n, params))
+    got = _charpoly_f64(_quotients(*search._boundary_type(n, params)))
     want = charpoly_batch_i64(_seidel(n, BoundaryFamily(n).edge_bits(params)))
     assert got.dtype == np.int64 and got.shape == (len(params), 7)
     assert _times_x_minus_1(got, n - 6).tolist() == want.tolist()
@@ -1229,7 +1232,7 @@ def test_charpoly_reads_match_s_kernels_on_every_boundary_member(n):
     # N_op and the SC flag read off the quotient's polynomials equal the S
     # kernels' on every member, not only on the representatives a scan reads
     params = np.array(BoundaryFamily(n).params())
-    coeffs = search._boundary_polys(*search._cell_sizes(n, params))
+    coeffs = _charpoly_f64(_quotients(*search._boundary_type(n, params)))
     s = _seidel(n, BoundaryFamily(n).edge_bits(params))
     assert np.array_equal(_odd_pairs_of_charpoly(coeffs, n - 6), _odd_pairs(s))
     assert np.array_equal(_sc_of_charpoly(coeffs, n - 6), _sc_to_complete(s))
@@ -1253,7 +1256,7 @@ def test_factored_reads_match_expanded_on_every_boundary_member(n):
     # S_k is int64 up to n = 16 and Python ints from n = 17, and the
     # equality members match the SC target divided by (x - 1)^(n-6)
     params = np.array(BoundaryFamily(n).params())
-    q = search._boundary_polys(*search._cell_sizes(n, params))
+    q = _charpoly_f64(_quotients(*search._boundary_type(n, params)))
     sc = _assert_factored_reads_match_expanded(q, n - 6, np.int64 if n <= 16 else object)
     assert sc.any() and not sc.all()
 
@@ -1276,7 +1279,7 @@ def test_boundary_quotient_spectra_match_eigvalsh(n):
     # every member's spectrum, the symmetrized quotient's joined with n - 6
     # ones, is its own Seidel matrix's, members with empty cells included
     params = np.array(BoundaryFamily(n).params())
-    q = search._boundary_quotients(*search._cell_sizes(n, params))
+    q = _quotients(*search._boundary_type(n, params), symmetrized=True)
     assert q.shape == (len(params), 6, 6) and np.array_equal(q, q.swapaxes(1, 2))
     vals = np.sort(np.concatenate([np.linalg.eigvalsh(q), np.ones((len(q), n - 6))], axis=1))
     want = np.linalg.eigvalsh(_seidel(n, BoundaryFamily(n).edge_bits(params)))

@@ -14,15 +14,18 @@ from seidelab.graphs import (
     path_graph,
     seidel_matrix,
 )
+from seidelab.graphs import _blow_up_bits, _seidel
 from seidelab.search import BoundaryFamily
 from seidelab.spectral import (
     CRT_PRIMES,
     CRT_PRIMES_WIDE,
     ExactCharPoly,
     SpectrumError,
+    _charpoly_f64,
     _charpoly_residues,
     _crt_primes,
     _garner,
+    _quotients,
     _reduce,
     binomial,
     bareiss_det,
@@ -524,6 +527,73 @@ class TestBorderedCharPoly:
             charpoly_batch_i64(loop, ones)
         with pytest.raises(ValueError, match="at most 62"):  # bordered to n = 63
             charpoly_batch_i64((1 - np.eye(62, dtype=np.int64))[None], np.ones((1, 62)))
+
+
+def _random_types(rng, n, k, count=24):
+    """count random signed cell types of k cells and order n: symmetric +-1
+    signs, so clique and coclique cells alike, and a random number of
+    nonempty cells, from 1 to min(k, n); the others are empty."""
+    upper = np.triu(rng.choice([-1.0, 1.0], (count, k, k)))
+    signs = upper + np.triu(upper, 1).swapaxes(1, 2)
+    sizes = np.zeros((count, k), dtype=np.int64)
+    for row in sizes:
+        full = rng.permutation(k)[: rng.integers(1, min(k, n) + 1)]
+        row[full] = 1 + rng.multinomial(n - len(full), np.full(len(full), 1 / len(full)))
+    return signs, sizes
+
+
+def _times_linear(poly: list, a: int, power: int) -> list:
+    """Ascending Python-int coefficients of poly times (x + a)^power."""
+    for _ in range(power):
+        poly = [a * c + lower for c, lower in zip(poly + [0], [0] + poly)]
+    return poly
+
+
+class TestSignedTypeQuotients:
+    """The equitable quotient of a signed cell type against the type's own
+    Seidel matrices: p_S prod_empty (x + s_ii) = q prod_nonempty (x + s_ii)^(s_i - 1)."""
+
+    @pytest.mark.parametrize(
+        "k, n",
+        [(1, 1), (1, 9), (2, 2), (2, 13), (3, 4), (3, 30), (4, 17), (5, 22), (6, 6), (6, 40), (6, 62), (7, 62)],
+    )
+    def test_polynomials_and_spectra_match_the_seidel_matrices(self, rng, k, n):
+        signs, sizes = _random_types(rng, n, k)
+        s = _seidel(n, _blow_up_bits(n, signs, sizes))
+        assert s.shape == (len(sizes), n, n)
+        q = _charpoly_f64(_quotients(signs, sizes))
+        assert q.dtype == np.int64 and q.shape == (len(sizes), k + 1)
+        cells = np.diagonal(signs, axis1=1, axis2=2).astype(np.int64)
+        vals, want_vals = np.linalg.eigvalsh(s), np.linalg.eigvalsh(_quotients(signs, sizes, True))
+        for row, p_s in enumerate(charpoly_batch_i64(s).tolist()):
+            lhs, rhs = p_s, q[row].tolist()
+            joined, own = [want_vals[row]], [vals[row]]
+            for size, sigma in zip(sizes[row].tolist(), cells[row].tolist()):
+                if size:
+                    rhs = _times_linear(rhs, sigma, size - 1)
+                    joined.append(np.full(size - 1, -sigma))
+                else:
+                    lhs = _times_linear(lhs, sigma, 1)
+                    own.append([-sigma])
+            assert lhs == rhs
+            spectra = np.sort(np.concatenate(joined)), np.sort(np.concatenate(own))
+            assert np.abs(spectra[0] - spectra[1]).max() <= 1e-12 * n
+
+    def test_types_cover_every_kind_of_cell(self, rng):
+        signs, sizes = _random_types(rng, 30, 6)
+        cells = np.diagonal(signs, axis1=1, axis2=2)
+        assert (sizes == 0).any() and (cells[sizes > 0] < 0).any() and (cells[sizes > 0] > 0).any()
+
+    def test_past_the_float64_bound_raises(self, rng):
+        # k 2^k rho^k < 2^53 holds for k = 7 at n = 62 even with an empty
+        # cell (rho = n + 1), and fails for k = 8
+        signs, sizes = _random_types(rng, 62, 8)
+        sizes[:, 0] = 0
+        with pytest.raises(ValueError, match="2\\^53"):
+            _charpoly_f64(_quotients(signs, sizes))
+        sizes = np.zeros((1, 7), dtype=np.int64)
+        sizes[0, 1] = 62
+        assert _charpoly_f64(_quotients(signs[:1, :7, :7], sizes)).shape == (1, 8)
 
 
 class TestElementarySymmetric:

@@ -135,6 +135,18 @@ class TestRunChecks:
         with pytest.raises(ValueError, match="not the string 'theorem2'"):
             run_checks(path_graph(3), checks="theorem2")
 
+    def test_checks_may_be_an_iterator(self):
+        # taken whole before validation, which would otherwise use it up
+        g = complete_graph(4)
+        got = run_checks(g, (c for c in ["theorem2", "sk-basic"]))
+        assert [r.as_dict() for r in got] == [r.as_dict() for r in run_checks(g, ("theorem2", "sk-basic"))]
+
+    def test_p_grid_may_be_an_iterator(self):
+        got = run_checks(cycle_graph(5), ("theorem1",), (p for p in [0.5, 1.0]))
+        want = run_checks(cycle_graph(5), ("theorem1",), (0.5, 1.0))
+        assert [r.as_dict() for r in got] == [r.as_dict() for r in want]
+        assert [r.metadata["p"] for r in got] == [0.5, 1.0]
+
     def test_all_checks_on_c5(self):
         reports = run_checks(cycle_graph(5), CHECK_NAMES, p_grid=(0.5, 1.0))
         names = [r.check for r in reports]
