@@ -71,14 +71,9 @@ class Graph:
     @staticmethod
     def from_edge_mask(n: int, mask) -> "Graph":
         """Graph from a Python or numpy integer whose bit e is edge number e
-        in graph6 order (see Graph).  Bits past the last edge are ignored; a
-        negative mask, or one that is not an integer, raises ValueError."""
-        if not isinstance(mask, (int, np.integer)):
-            raise ValueError(f"edge mask {mask!r} is not an integer")
-        if mask < 0:
-            raise ValueError(f"edge mask {mask} is negative")
-        Graph(n, 0)  # checks the order before 2^C(n,2) is built
-        return Graph(n, int(mask) & ((1 << comb(n, 2)) - 1))
+        in graph6 order, validated as Graph validates it: a mask that is not
+        an integer in 0..2^C(n,2) - 1 raises ValueError."""
+        return Graph(n, mask)
 
     def edge_mask(self) -> int:
         return self.mask

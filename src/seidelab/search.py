@@ -12,8 +12,10 @@ at a time, while its first chunks are evaluated.
 A source speaks one protocol, and the driver knows nothing else of it:
 chunk_specs gives chunks (source, *part), a range of representative
 numbers for an orbit source, line numbers and raw lines for a graph6
-stream; a worker's source.stacks(*part) turns one into stacks (see
-_Stack), and source.csv_rows gives the scan's CSV rows.  Everything
+stream; a worker's source.stacks(*part) turns one into stacks, each of
+which expands rows to the graphs they stand for, with their positions
+and graph6, and gives its checked quantities (see _Stack); and
+source.csv_rows gives the scan's CSV rows.  Everything
 checked derives from the kernels that also serve the per-graph functions:
 Seidel matrices S, graph6 lines and edge bits from graphs, LAPACK
 spectra, exact S_k(S^2) from exact characteristic polynomials
@@ -57,10 +59,12 @@ the symmetrized Q's and those ones.  So no exact kernel runs, eigvalsh
 sees 6x6 matrices only, and no S is built.
 
 Only what a report names (equality graphs, failures, the minimum-energy
-witness) is expanded back to the orbit's members and named, in one pass
-per stack, keyed by its position in the source's enumeration order (the
-labeled edge mask for the exhaustive source, the parameter index for the
-boundary family, the line number for a stream) and merged in that order.
+witness) is expanded back to the orbit's members and named, in one
+members call per stack, keyed by its position in the source's
+enumeration order (the labeled edge mask for the exhaustive source, the
+parameter index for the boundary family, the line number for a stream)
+and merged in that order; each stack's least-energy graph is merged by
+the scan alone.
 
 CSV rows, when collected, come from every chunk in source order, so the
 scan only joins them.  A row's cells but graph6 are functions of its char
@@ -180,12 +184,9 @@ class AllGraphs(_OrbitSource):
         """The labeled graphs representatives start..stop-1 stand for, and their stack."""
         n, offsets = self.n, _orbit_offsets(self.n)
 
-        def members(rows):  # edge masks, as edge bits below, only for the rows read
-            masks = _class_masks(n, rows + start)
-            return np.repeat(rows, len(offsets)), (masks[:, None] ^ offsets).ravel()
-
-        def name(rows, positions):
-            return _graph6_lines(n, _mask_bits(n, positions))
+        def members(rows):  # positions are edge masks
+            masks = (_class_masks(n, rows + start)[:, None] ^ offsets).ravel()
+            return np.repeat(rows, len(offsets)), masks, _graph6_lines(n, _mask_bits(n, masks))
 
         def quantities(need):
             parents, borders, candidate = _bordered(n, start, stop)
@@ -196,7 +197,7 @@ class AllGraphs(_OrbitSource):
 
             return _by_charpoly(coeffs, candidate, 0, spectra, need)
 
-        return (stop - start) * len(offsets), [_Stack(n, members, name, None, quantities)]
+        return (stop - start) * len(offsets), [_Stack(n, members, None, quantities)]
 
 
 @dataclass(frozen=True)
@@ -262,10 +263,9 @@ class BoundaryFamily(_OrbitSource):
             lo = table.bounds[rows + start]
             sizes = table.bounds[rows + start + 1] - lo
             runs = np.repeat(lo - (sizes.cumsum() - sizes), sizes) + np.arange(sizes.sum())
-            return np.repeat(rows, sizes), table.members[runs]
-
-        def name(rows, positions):
-            return _graph6_lines(n, self.edge_bits(table.params[positions]))
+            positions = table.members[runs]
+            bits = self.edge_bits(table.params[positions])
+            return np.repeat(rows, sizes), positions, _graph6_lines(n, bits)
 
         def quantities(need):
             signs, sizes = _boundary_type(n, table.params[table.reps[start:stop]])
@@ -278,7 +278,7 @@ class BoundaryFamily(_OrbitSource):
             return _by_charpoly(polys, np.arange(len(polys)), n - 6, spectra, need)
 
         count = int(table.bounds[stop] - table.bounds[start])
-        return count, [_Stack(n, members, name, None, quantities)]
+        return count, [_Stack(n, members, None, quantities)]
 
 
 class _BoundaryTable(NamedTuple):
@@ -406,9 +406,9 @@ class Graph6Stream:
             # that does not re-encode to itself), and n fixes its length
             width = int(ends[index[0]] - starts[index[0]])
 
-            def name(rows, positions, index=index, width=width):
+            def members(rows, index=index, width=width):  # positions are line numbers
                 lines = codes[starts[index[rows], None] + np.arange(width)]
-                return lines.view(f"S{width}").ravel().astype(str)
+                return rows, linenos[index[rows]], lines.view(f"S{width}").ravel().astype(str)
 
             def quantities(need, n=n, bits=bits):
                 s = _seidel(n, bits)  # one order's S at a time
@@ -420,10 +420,7 @@ class Graph6Stream:
                 sc = _sc_to_complete(s) if "sc" in need else None
                 return slice(None), np.linalg.eigvalsh(s), None, nop, sc
 
-            def members(rows, index=index):
-                return rows, linenos[index[rows]]
-
-            stacks.append(_Stack(n, members, name, index, quantities))
+            stacks.append(_Stack(n, members, index, quantities))
         return sum(len(index) for _, index, _ in decoded), stacks
 
     def csv_rows(self, lines: list) -> list:
@@ -435,16 +432,16 @@ class Graph6Stream:
 # chunks as stacks
 #
 # A source's stacks(*part) turns its chunk into, per order n, a stack of
-# rows with three functions: members(rows) gives the graphs each row
-# stands for as (row, position) arrays, name(rows, positions) their graph6
-# as an array of str, and quantities(need) the checked quantities, of one
-# row per distinct char poly where the polynomials are known (see
-# _by_charpoly).  An orbit stack's rows stand for many graphs and have
-# exact char polys: an exhaustive stack's from parent times border (see
-# _bordered), a boundary stack's from the family's equitable quotient, kept
-# as the quotient's polynomial and n - 6 ones (see _boundary_type).  A
-# stream stack's rows are its graphs, named by their own lines, and its
-# slots are their line indices within the chunk.
+# rows with two functions: members(rows) gives the graphs the given rows
+# stand for as (row, position, graph6) arrays, graph6 as str, and
+# quantities(need) the checked quantities, of one row per distinct char
+# poly where the polynomials are known (see _by_charpoly).  An orbit
+# stack's rows stand for many graphs and have exact char polys: an
+# exhaustive stack's from parent times border (see _bordered), a boundary
+# stack's from the family's equitable quotient, kept as the quotient's
+# polynomial and n - 6 ones (see _boundary_type).  A stream stack's rows
+# are its graphs, named by their own lines, and its slots are their line
+# indices within the chunk.
 
 
 class _Bordered(NamedTuple):
@@ -455,8 +452,7 @@ class _Bordered(NamedTuple):
 
 class _Stack(NamedTuple):
     n: int
-    members: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-    name: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    members: Callable[[np.ndarray], tuple]  # rows -> (row, position, graph6)
     slots: np.ndarray | None  # a stream stack's line indices within its chunk
     quantities: Callable[[set], tuple]  # need -> (inverse, vals, sk, nop, sc)
 
@@ -589,12 +585,11 @@ def _mask_bits(n: int, masks: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _ChunkResult:
-    # items are (position, value) pairs; the position is the graph's place in
-    # the source's enumeration order, so the scan merges chunks by sorting
+    # items are (position, value) pairs, and minima (E_S, position, graph6)
+    # triples; the position is the graph's place in the source's enumeration
+    # order, so the scan merges chunks by sorting, and takes the least minimum
     count: int  # labeled graphs the chunk stands for
-    min_energy: float
-    min_position: int | None  # first graph attaining min_energy
-    min_energy_graph6: str | None
+    minima: list  # per stack, its least E_S at the first graph attaining it
     failure_reports: list  # report dicts
     equality_graph6: list  # graphs with |E_S - (2n-2)| <= tolerance
     # with collect_rows: a stream chunk's CSV lines in source order, or for an
@@ -663,12 +658,12 @@ def _by_charpoly(coeffs: np.ndarray, rows: np.ndarray, ones: int, spectra: Calla
 def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
     source, *part = spec
     count, stacks = source.stacks(*part)
-    min_e, min_pos, min_g6 = np.inf, None, None
+    minima: list[tuple[float, int, str]] = []
     failures: list[tuple[int, dict]] = []
     equality: list[tuple[int, str]] = []
     rows = "" if collect_rows else None  # a stream chunk's, if no line decodes
     streamed = []  # a stream's (slots, lines) per order
-    for n, members, name, slots, quantities in stacks:
+    for n, members, slots, quantities in stacks:
         # scan throughput path: batched LAPACK spectra, once per distinct
         # char poly and scattered back to every row; flagged graphs are
         # re-verified one by one through run_checks
@@ -692,17 +687,15 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
             if slots is None:  # orbit representatives: see _OrbitRows
                 rows = tails
             else:
-                streamed.append((slots, name(*members(np.arange(len(slots)))) + tails))
+                streamed.append((slots, members(np.arange(len(slots)))[2] + tails))
         fail, energy = fail[inverse], energy[inverse]
         # the graphs a report names, expanded and named once: the minimum-energy
         # record (the first attaining graph by position), equality and failures
         e = float(energy.min())
         least, equal = energy == e, near_equality(n, energy)
-        row, pos = members(np.flatnonzero(least | equal | fail))
-        g6 = name(row, pos)
+        row, pos, g6 = members(np.flatnonzero(least | equal | fail))
         k = np.flatnonzero(least[row])[np.argmin(pos[least[row]])]
-        if (e, int(pos[k])) < (min_e, min_pos):
-            min_e, min_pos, min_g6 = e, int(pos[k]), str(g6[k])
+        minima.append((e, int(pos[k]), str(g6[k])))
         equality.extend(zip(pos[equal[row]].tolist(), g6[equal[row]].tolist()))
         for position, text in zip(pos[fail[row]].tolist(), g6[fail[row]].tolist()):
             for rep in run_checks(parse_graph6(text), checks, p_grid):
@@ -711,7 +704,7 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
     if streamed:  # orders interleave: put the lines back in input order
         slots, lines = map(np.concatenate, zip(*streamed))
         rows = "".join(lines[np.argsort(slots)].tolist())
-    return _ChunkResult(count, min_e, min_pos, min_g6, failures, equality, rows)
+    return _ChunkResult(count, minima, failures, equality, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -858,15 +851,8 @@ def scan(
     by_position = itemgetter(0)  # stable: one graph's reports keep their order
     failures = sorted((f for r in results for f in r.failure_reports), key=by_position)
     equality = sorted((g for r in results for g in r.equality_graph6), key=by_position)
-    min_e, _, min_g6 = min(
-        (
-            (r.min_energy, r.min_position, r.min_energy_graph6)
-            for r in results
-            if r.min_position is not None  # a lenient stream chunk may decode nothing
-        ),
-        default=(np.inf, None, None),
-        key=lambda t: t[:2],
-    )
+    # positions are distinct, so the least (E_S, position) decides
+    min_e, _, min_g6 = min((m for r in results for m in r.minima), default=(np.inf, None, None))
     csv_rows = source.csv_rows([r.rows for r in results]) if collect_rows else None
     return ScanReport(
         source=source.descriptor,

@@ -147,6 +147,23 @@ class TestVerify:
         assert code == EXIT_OK
         assert "all(n=4): 64 graphs, 0 failures" in out
 
+    def test_all_n_plain_failure_lines(self, capsys, monkeypatch):
+        # at a strict margin of 0.8, theorem2 fails on the 48 graphs at n = 4
+        # off K_4's switching class (margin 0.472...): the summary line, then
+        # one FAIL line per failure, as the JSON report lists them
+        monkeypatch.setattr(verify, "STRICT_MARGIN", 0.8)
+        code, out, _ = run_cli(capsys, "verify", "--all-n", "4")
+        (doc,) = json.loads(run_cli(capsys, "verify", "--all-n", "4", "--format", "json")[1])
+        summary, *fails = out.splitlines()
+        assert code == EXIT_CHECK_FAILED
+        assert summary == "all(n=4): 64 graphs, 48 failures, min E_S = 6 at C?"
+        assert len(fails) == len(doc["failures"]) == 48
+        assert fails == [
+            f"  FAIL {f['graph6']} theorem2 lhs={f['lhs']} rhs=6 margin={f['margin']}"
+            for f in doc["failures"]
+        ]
+        assert all(f["check"] == "theorem2" and 0 < f["margin"] < 0.8 for f in doc["failures"])
+
     def test_all_n_too_large(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--all-n", "9")
         assert code == EXIT_INPUT_ERROR

@@ -190,25 +190,28 @@ class TestGraphInvariants:
 
     @pytest.mark.parametrize("n", [0, -3, 63, 5.0, 10**12])
     def test_from_edge_mask_checks_order_first(self, n):
-        # the order is checked before the mask is cut to C(n,2) bits
+        # the order is checked before the mask is compared with 2^C(n,2)
         with pytest.raises(ValueError, match="vertex count"):
             Graph.from_edge_mask(n, 1)
 
     @pytest.mark.parametrize("mask", [-1, -2, -(1 << 70)])
     def test_from_edge_mask_rejects_negative_masks(self, mask):
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(ValueError, match=r"outside 0\.\.2\^"):
             Graph.from_edge_mask(3, mask)
 
     @pytest.mark.parametrize("n", [5, 12, 62])
     @pytest.mark.parametrize("mask", [np.int64(5), np.uint64(5), np.int8(5), np.uint64(2**63 + 5)])
     def test_numpy_integer_masks(self, n, mask):
         # numpy integers are masks like Python ints, past int64 too, and are
-        # stored as Python ints
-        want = Graph.from_edge_mask(n, int(mask))
-        got = [Graph.from_edge_mask(n, mask)]
-        if mask < 1 << n * (n - 1) // 2:
-            got.append(Graph(n, mask))
-        assert all(type(g.mask) is int and g == want for g in got)
+        # stored as Python ints; both builders refuse one past the last edge
+        builders = (Graph, Graph.from_edge_mask)
+        if int(mask) >= 1 << n * (n - 1) // 2:
+            for build in builders:
+                with pytest.raises(ValueError, match=r"outside 0\.\.2\^"):
+                    build(n, mask)
+            return
+        want = Graph(n, int(mask))
+        assert all(type(g.mask) is int and g == want for g in (b(n, mask) for b in builders))
 
     @pytest.mark.parametrize("mask", [5.0, np.float64(5), "5", None, (5,), np.array([5])])
     def test_non_integer_masks_rejected(self, mask):
@@ -230,13 +233,18 @@ class TestGraphInvariants:
         ],
     )
     def test_masks_outside_edge_range_rejected(self, n, mask):
-        # Graph takes no negative mask and no bit past the last edge
-        with pytest.raises(ValueError, match=r"outside 0\.\.2\^"):
-            Graph(n, mask)
+        # neither builder takes a negative mask or a bit past the last edge
+        for build in (Graph, Graph.from_edge_mask):
+            with pytest.raises(ValueError, match=r"outside 0\.\.2\^"):
+                build(n, mask)
 
-    def test_from_edge_mask_ignores_bits_past_last_edge(self):
+    def test_from_edge_mask_rejects_bits_past_last_edge(self):
+        # the bits past the last edge are refused, not dropped
         for mask in range(8):
-            assert Graph.from_edge_mask(3, mask | 1 << 3 | 1 << 70) == Graph.from_edge_mask(3, mask)
+            assert Graph.from_edge_mask(3, mask) == Graph(3, mask)
+            for extra in (1 << 3, 1 << 70):
+                with pytest.raises(ValueError, match=r"outside 0\.\.2\^"):
+                    Graph.from_edge_mask(3, mask | extra)
 
     def test_order_bounds(self):
         for n in (0, MAX_VERTICES + 1, 5.0):

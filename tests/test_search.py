@@ -308,13 +308,21 @@ class TestScan:
         ]
         assert reports[0] == reports[1] == reports[2]
 
-    def test_chunk_size_independence(self, set_chunk_size):
-        # n = 5 has 32 representatives: eleven, three and one chunks
-        reports = []
-        for size in (3, 16, 1024):
-            set_chunk_size(size)
-            reports.append(scan(AllGraphs(5)).to_json(include_timing=False))
-        assert reports[0] == reports[1] == reports[2]
+    def test_chunk_size_independence(self, set_chunk_size, tmp_path, rng):
+        # n = 5 has 32 representatives: eleven, three and one chunks; the
+        # boundary family at n = 11 has 70: 24, five and one.  The stream
+        # mixes orders 3..8 and repeats its 33 lines, so least-energy and
+        # equality graphs (B?, Bw) recur in many chunks: 33, seven and one
+        lines = [encode_graph6(random_graph(rng, int(n))) for n in rng.integers(3, 9, 30)]
+        lines += ["C~", "Bw", "B?"]
+        p = tmp_path / "mixed-repeated.g6"
+        p.write_text("\n".join(lines + lines[::-1] + lines) + "\n")
+        for source in (AllGraphs(5), BoundaryFamily(11), Graph6Stream(str(p))):
+            reports = []
+            for size in (3, 16, 1024):
+                set_chunk_size(size)
+                reports.append(scan(source).to_json(include_timing=False))
+            assert reports[0] == reports[1] == reports[2]
 
     def test_csv_output(self):
         rep = scan(AllGraphs(4), checks=("theorem2",), collect_rows=True)
@@ -792,7 +800,7 @@ def test_lenient_chunk_names_rows_without_copying_long_bad_lines(tmp_path, rng):
     tracemalloc.start()
     try:
         count, (st,) = spec[0].stacks(*spec[1:])
-        names = st.name(*st.members(np.arange(count)))
+        names = st.members(np.arange(count))[2]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -802,12 +810,12 @@ def test_lenient_chunk_names_rows_without_copying_long_bad_lines(tmp_path, rng):
 
 def _count_naming(monkeypatch, cls) -> list:
     """Per stack that cls.stacks builds from now on, the calls of its
-    members and of its name, as they are made."""
+    members, which expands and names rows, as they are made."""
     calls, stacks = [], cls.stacks
 
-    def counted(tally, key, fn):
+    def counted(tally, fn):
         def wrapper(*args):
-            tally[key] += 1
+            tally["members"] += 1
             return fn(*args)
 
         return wrapper
@@ -816,9 +824,8 @@ def _count_naming(monkeypatch, cls) -> list:
         count, built = stacks(self, *part)
         wrapped = []
         for st in built:
-            calls.append(tally := {"members": 0, "name": 0})
-            members, name = (counted(tally, k, getattr(st, k)) for k in ("members", "name"))
-            wrapped.append(st._replace(members=members, name=name))
+            calls.append(tally := {"members": 0})
+            wrapped.append(st._replace(members=counted(tally, st.members)))
         return count, wrapped
 
     monkeypatch.setattr(cls, "stacks", counting)
@@ -827,12 +834,12 @@ def _count_naming(monkeypatch, cls) -> list:
 
 def test_reports_expand_and_name_each_stack_once(monkeypatch, tmp_path, rng):
     # the rows a report names (minimum energy, equality, failures) are
-    # expanded to their graphs by one members call and named by one name
-    # call per stack; an orbit source names its CSV rows in _OrbitRows
+    # expanded to their graphs and named by one members call per stack; an
+    # orbit source names its CSV rows in _OrbitRows
     calls = _count_naming(monkeypatch, AllGraphs)
     rep = scan(AllGraphs(7), DESK_CHECKS, collect_rows=True)
     assert len(rep.equality_graph6) == 1 << 7
-    assert calls == [{"members": 1, "name": 1}]
+    assert calls == [{"members": 1}]
     # a stream chunk in which checks fail (see
     # test_orbit_scan_failures_match_labeled_scan); a stream stack names its
     # CSV lines once more
@@ -848,7 +855,7 @@ def test_reports_expand_and_name_each_stack_once(monkeypatch, tmp_path, rng):
         calls.clear()
         result = search._eval_chunk(spec, checks, (0.5, 1.0), collect_rows)
         assert result.failure_reports and result.equality_graph6
-        assert calls == [{"members": per_stack, "name": per_stack}] * 2
+        assert calls == [{"members": per_stack}] * 2
 
 
 def test_n8_csv_head_matches_csv_writer(monkeypatch):
@@ -871,11 +878,14 @@ GROUPED_SOURCES = [AllGraphs(n) for n in range(1, 8)] + [BoundaryFamily(n) for n
 
 def _stack_bits(st, rows: int) -> np.ndarray:
     """The edge bits of a stack's rows 0..rows-1, decoded from the graph6
-    lines the stack names each row's first member by: an orbit's first
-    member in source order is its representative."""
-    row, pos = st.members(np.arange(rows))
-    first = np.flatnonzero(np.diff(row, prepend=-1))
-    lines = st.name(row[first], pos[first])
+    line members gives each row's first member, expanded 256 rows at a
+    time, so a whole n = 7 chunk's 2^21 graphs are never named at once: an
+    orbit's first member in source order is its representative."""
+    blocks = []
+    for lo in range(0, rows, 256):
+        row, _, g6 = st.members(np.arange(lo, min(lo + 256, rows)))
+        blocks.append(g6[np.flatnonzero(np.diff(row, prepend=-1))])
+    lines = np.concatenate(blocks)
     width = len(lines[0])
     codes = np.frombuffer("".join(lines.tolist()).encode(), dtype=np.uint8)
     ((_, _, bits),), rejected = _decode_graph6(codes, np.arange(rows) * width, np.full(rows, width))
@@ -913,7 +923,7 @@ def test_grouped_quantities_match_per_row_kernels(source):
     for spec in source.chunk_specs():
         (st,) = source.stacks(*spec[1:])[1]
         inverse, vals, sk, nop, sc = st.quantities(need)
-        assert st._fields == ("n", "members", "name", "slots", "quantities")  # no edge bits
+        assert st._fields == ("n", "members", "slots", "quantities")  # no edge bits
         s = _seidel(st.n, _stack_bits(st, len(inverse)))
         coeffs = charpoly_batch_i64(s)
         groups, first = np.unique(inverse, return_index=True)
