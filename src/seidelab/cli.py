@@ -122,7 +122,7 @@ def _parse_range(spec: str, lo: int, hi: int) -> list[int]:
 
 
 def cmd_verify(args) -> int:
-    checks = tuple(args.checks.split(",")) if args.checks else CHECK_NAMES
+    checks = CHECK_NAMES if args.checks is None else tuple(args.checks.split(","))
     p_grid = tuple(args.p)
     validate(checks, p_grid)
     if args.workers < 1:
@@ -181,7 +181,7 @@ def cmd_verify(args) -> int:
 
 def _verify_single(args, checks, p_grid, out) -> int:
     g = parse_graph6(args.g6)
-    require_applicable(g.n, checks if args.checks else ())  # named checks must apply
+    require_applicable(g.n, () if args.checks is None else checks)  # named checks must apply
     reports = run_checks(g, checks, p_grid)
     if args.format == "json":
         print(json.dumps([r.as_dict() for r in reports], indent=2, sort_keys=True), file=out)

@@ -10,11 +10,12 @@ per worker in flight, so a graph6 stream is read line by line, one chunk
 at a time, while its first chunks are evaluated.
 
 A source speaks one protocol, and the driver knows nothing else of it:
-chunk_specs gives chunks (source, *part), a range of representative
-numbers for an orbit source, line numbers and raw lines for a graph6
-stream; a worker's source.stacks(*part) turns one into stacks, each of
-which expands rows to the graphs they stand for, with their positions
-and graph6, and gives its checked quantities (see _Stack); and
+chunk_specs gives chunks (source, *part): a range of orbit
+representative numbers for the exhaustive source, of member indices for
+the boundary family, line numbers and raw lines for a graph6 stream; a
+worker's source.stacks(*part) turns one into stacks, each of which
+expands rows to the graphs they stand for, with their positions and
+graph6, and gives its checked quantities (see _Stack); and
 source.csv_rows gives the scan's CSV rows.  Everything
 checked derives from the kernels that also serve the per-graph functions:
 Seidel matrices S, graph6 lines and edge bits from graphs, LAPACK
@@ -24,21 +25,22 @@ where a stack has them and otherwise off S (seidel).  This module keeps
 only the sources, the driver and CSV rendering.  Graph objects appear
 only for the flagged graphs run_checks re-verifies.
 
-The exhaustive and boundary sources are scanned one orbit at a time.
 Every checked quantity (|spectrum|, S_k(A^2), N_op, SC-equivalence to K_n)
 is invariant under Seidel switching, relabeling and complementation
-(A -> -A).  The exhaustive source evaluates each switching-plus-complement
-orbit once, on the representative with vertex 0 isolated and the last edge
-(n-2, n-1) absent, and counts it with the orbit's size: 2^n labeled graphs
-for n >= 3, 2^(n-1) below.  The boundary family evaluates each orbit of
-switching on its apexes once, on the orbit's first member (see
-_boundary_table), and counts its members; isomorphic members outside that
-group are still evaluated apart.  Within a chunk, the representatives are
-grouped by their exact Seidel characteristic polynomial, of which every
-checked quantity is a function (see _by_charpoly): spectra, S_k,
-N_op, the SC flag and the checks run once per distinct polynomial, on the
-first row that has it, and are scattered back to every row (n = 7 has 53
-distinct polynomials for its 16,384 representatives).  An exhaustive
+(A -> -A).  The exhaustive source is scanned one orbit at a time: it
+evaluates each switching-plus-complement orbit once, on the
+representative with vertex 0 isolated and the last edge (n-2, n-1)
+absent, and counts it with the orbit's size: 2^n labeled graphs for
+n >= 3, 2^(n-1) below.  The boundary family's rows are its members, and
+each reaches its polynomial through its orbit's representative under
+switching on the apexes, the orbit's least member (see _boundary_table),
+so only the quotients of the representatives a chunk meets are expanded.
+Within a chunk, the rows are grouped by their exact Seidel characteristic
+polynomial, of which every checked quantity is a function (see
+_by_charpoly): spectra, S_k, N_op, the SC flag and the checks run once
+per distinct polynomial, on the first row that has it, and are scattered
+back to every row (n = 7 has 53 distinct polynomials for its 16,384
+representatives).  An exhaustive
 row factors as a parent P, S without one vertex w, and a border
 v = S[w, != w], both read off bit fields of its representative number
 with no sort over rows (see _bordered).  Its polynomial is
@@ -53,26 +55,29 @@ number.  A stream chunk is grouped so only when its checks read S_k.
 The boundary family is one 6-cell signed type (see _boundary_type), its
 edge bits, quotient Q and symmetrized Q built by shared kernels
 (graphs._blow_up_bits, spectral._quotients).  det(xI - S) = (x - 1)^(n-6)
-det(xI - Q) stays factored: a stack is grouped by det(xI - Q), S_k, N_op
-and the SC flag are read off it and the n - 6 ones, and the spectrum is
-the symmetrized Q's and those ones.  So no exact kernel runs, eigvalsh
-sees 6x6 matrices only, and no S is built.
+det(xI - Q) stays factored: a stack is grouped by det(xI - Q), taken once
+per representative and reached by each member through its representative
+as an exhaustive row reaches its (class, border) candidate; S_k, N_op and
+the SC flag are read off it and the n - 6 ones, and the spectrum is the
+symmetrized Q's and those ones.  So no exact kernel runs, eigvalsh sees
+6x6 matrices only, and no S is built.
 
 Only what a report names (equality graphs, failures, the minimum-energy
-witness) is expanded back to the orbit's members and named, in one
-members call per stack, keyed by its position in the source's
-enumeration order (the labeled edge mask for the exhaustive source, the
-parameter index for the boundary family, the line number for a stream)
-and merged in that order; each stack's least-energy graph is merged by
-the scan alone.
+witness) is named, an exhaustive row expanded back to its orbit's
+members, in one members call per stack, keyed by its position in the
+source's enumeration order (the labeled edge mask for the exhaustive
+source, the parameter index for the boundary family, the line number for
+a stream) and merged in that order; each stack's least-energy graph is
+merged by the scan alone.
 
 CSV rows, when collected, come from every chunk in source order, so the
 scan only joins them.  A row's cells but graph6 are functions of its char
 poly, so a worker renders that tail of the line once per distinct poly
-(see _render_tails).  A stream chunk returns its lines as text, graph6 put
-in front of each tail; an orbit chunk returns its representatives' tails,
-and write_csv puts each graph's graph6 in front of its representative's
-tail as the line is written, formatting no number.  Chunk boundaries do
+(see _render_tails).  A stream or boundary chunk, whose rows are its
+graphs, returns its lines as text, graph6 put in front of each tail; an
+exhaustive chunk returns its representatives' tails, and write_csv puts
+each labeled graph's graph6 in front of its representative's tail as the
+line is written, formatting no number.  Chunk boundaries do
 not depend on the worker count, so aggregate reports and CSV output are
 reproducible byte for byte.
 """
@@ -130,22 +135,13 @@ class Graph6StreamError(ValueError):
 # sources
 
 
-class _OrbitSource:
-    """A source scanned one orbit at a time (see the module docstring), with
-    _orbit_count() representatives; its CSV rows are an _OrbitRows."""
-
-    def chunk_specs(self):
-        """Chunks of representative numbers, CHUNK_SIZE representatives each."""
-        total = self._orbit_count()
-        return [(self, lo, min(lo + CHUNK_SIZE, total)) for lo in range(0, total, CHUNK_SIZE)]
-
-    def csv_rows(self, tails: list) -> _OrbitRows:
-        """The scan's CSV lines from its chunks' representative tails."""
-        return _OrbitRows(self, np.concatenate(tails))
+def _range_chunks(source, total: int) -> list:
+    """Chunks (source, lo, hi) of the numbers 0..total-1, CHUNK_SIZE each."""
+    return [(source, lo, min(lo + CHUNK_SIZE, total)) for lo in range(0, total, CHUNK_SIZE)]
 
 
 @dataclass(frozen=True)
-class AllGraphs(_OrbitSource):
+class AllGraphs:
     """Every labeled graph on n vertices, in edge-mask order.
 
     Its chunks hold switching-plus-complement orbit representatives (see the
@@ -172,13 +168,13 @@ class AllGraphs(_OrbitSource):
         for mask in range(len(self)):
             yield Graph(self.n, mask)
 
-    def _orbit_count(self) -> int:
-        return 1 << len(_free_edges(self.n))
+    def chunk_specs(self):
+        """Chunks of representative numbers, CHUNK_SIZE representatives each."""
+        return _range_chunks(self, 1 << len(_free_edges(self.n)))
 
-    def member_block(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """Edge bits and representative numbers of edge masks start..stop-1."""
-        bits = _mask_bits(self.n, np.arange(start, stop, dtype=np.uint64))
-        return bits, _representatives(self.n, bits)
+    def csv_rows(self, tails: list) -> _OrbitRows:
+        """The scan's CSV lines from its chunks' representative tails."""
+        return _OrbitRows(self, np.concatenate(tails))
 
     def stacks(self, start: int, stop: int) -> tuple[int, list[_Stack]]:
         """The labeled graphs representatives start..stop-1 stand for, and their stack."""
@@ -201,15 +197,16 @@ class AllGraphs(_OrbitSource):
 
 
 @dataclass(frozen=True)
-class BoundaryFamily(_OrbitSource):
+class BoundaryFamily:
     """Graphs that are a clique on n-2 vertices plus two apex vertices.
 
     Parameterized by (a, b, c, e): the apex clique-neighborhood sizes a >= b,
     their overlap c, and the apex-apex edge flag: one 6-cell signed type,
-    the clique's cells laid out first (see _boundary_type).  Its chunks hold
-    switching orbit representatives (see _boundary_table); a scan counts and
-    reports every member all the same.  Members related by switching are
-    evaluated once, isomorphic members outside that group are not merged.
+    the clique's cells laid out first (see _boundary_type).  Its chunks are
+    ranges of members in parameter order.  A member's polynomial is that of
+    its orbit's representative under switching on the apexes (see
+    _boundary_table), so a chunk expands only its representatives'
+    quotients, and members sharing a polynomial are evaluated once.
     """
 
     n: int
@@ -247,46 +244,41 @@ class BoundaryFamily(_OrbitSource):
         for a, b, c, e in self.params():
             yield self.graph_for(a, b, c, e)
 
-    def _orbit_count(self) -> int:
-        return len(_boundary_table(self.n).reps)
-
-    def member_block(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """Edge bits and representative numbers of members start..stop-1."""
-        table = _boundary_table(self.n)
-        return self.edge_bits(table.params[start:stop]), table.rep[start:stop]
+    def chunk_specs(self):
+        """Chunks of parameter indices, CHUNK_SIZE members each."""
+        return _range_chunks(self, len(self))
 
     def stacks(self, start: int, stop: int) -> tuple[int, list[_Stack]]:
-        """The members representatives start..stop-1 stand for, and their stack."""
+        """Members start..stop-1 and their stack."""
         n, table = self.n, _boundary_table(self.n)
+        params = table.params[start:stop]
 
-        def members(rows):
-            lo = table.bounds[rows + start]
-            sizes = table.bounds[rows + start + 1] - lo
-            runs = np.repeat(lo - (sizes.cumsum() - sizes), sizes) + np.arange(sizes.sum())
-            positions = table.members[runs]
-            bits = self.edge_bits(table.params[positions])
-            return np.repeat(rows, sizes), positions, _graph6_lines(n, bits)
+        def members(rows):  # positions are parameter indices
+            return rows, start + rows, _graph6_lines(n, self.edge_bits(params[rows]))
 
         def quantities(need):
-            signs, sizes = _boundary_type(n, table.params[table.reps[start:stop]])
+            # each member reaches its polynomial through its representative
+            reps, candidate = np.unique(table.rep[start:stop], return_inverse=True)
 
             def spectra(rows):  # S's spectrum is the quotient's joined with n - 6 ones
-                vals = np.linalg.eigvalsh(_quotients(signs[rows], sizes[rows], symmetrized=True))
+                q = _quotients(*_boundary_type(n, params[rows]), symmetrized=True)
+                vals = np.linalg.eigvalsh(q)
                 return np.sort(np.concatenate([vals, np.ones((len(vals), n - 6))], axis=1), axis=1)
 
-            polys = _charpoly_f64(_quotients(signs, sizes))  # q, det(xI - S) = (x - 1)^(n-6) q
-            return _by_charpoly(polys, np.arange(len(polys)), n - 6, spectra, need)
+            # q, det(xI - S) = (x - 1)^(n-6) q
+            polys = _charpoly_f64(_quotients(*_boundary_type(n, table.params[reps])))
+            return _by_charpoly(polys, candidate, n - 6, spectra, need)
 
-        count = int(table.bounds[stop] - table.bounds[start])
-        return count, [_Stack(n, members, None, quantities)]
+        return stop - start, [_Stack(n, members, np.arange(stop - start), quantities)]
+
+    def csv_rows(self, lines: list) -> list:
+        """The scan's CSV lines: its chunks' text, as the workers wrote it."""
+        return lines
 
 
 class _BoundaryTable(NamedTuple):
     params: np.ndarray  # (a, b, c, e) of every member, in source order
-    rep: np.ndarray  # each member's representative number
-    reps: np.ndarray  # parameter index of each representative, ascending
-    members: np.ndarray  # rep's inverse: member indices by representative, then ascending
-    bounds: np.ndarray  # representative k's members are members[bounds[k]:bounds[k+1]]
+    rep: np.ndarray  # each member's representative, its orbit's least parameter index
 
 
 @lru_cache(maxsize=None)
@@ -298,8 +290,7 @@ def _boundary_table(n: int) -> _BoundaryTable:
     swapping the apexes then restores a >= b.  Each image is a member up to
     a relabeling of the clique, and the four images of a member are its
     whole orbit.  An orbit's representative is its least parameter index, so
-    it is the orbit's first member in source order; representatives are
-    numbered in that order.
+    it is the orbit's first member in source order.
     """
     m = n - 2
     grid = np.indices((m + 1, m + 1, m + 1, 2)).reshape(4, -1)
@@ -317,10 +308,7 @@ def _boundary_table(n: int) -> _BoundaryTable:
         ]
     )  # (image, field, member)
     high, low = images[:, :2].max(axis=1), images[:, :2].min(axis=1)  # a >= b
-    first = index[high, low, images[:, 2], images[:, 3]].min(axis=0)
-    reps, rep = np.unique(first, return_inverse=True)
-    bounds = np.concatenate([[0], np.bincount(rep).cumsum()])
-    return _BoundaryTable(params, rep, reps, np.argsort(rep, kind="stable"), bounds)
+    return _BoundaryTable(params, index[high, low, images[:, 2], images[:, 3]].min(axis=0))
 
 
 # Seidel signs between the boundary type's cells, one 6x6 table per e: the
@@ -435,13 +423,14 @@ class Graph6Stream:
 # rows with two functions: members(rows) gives the graphs the given rows
 # stand for as (row, position, graph6) arrays, graph6 as str, and
 # quantities(need) the checked quantities, of one row per distinct char
-# poly where the polynomials are known (see _by_charpoly).  An orbit
-# stack's rows stand for many graphs and have exact char polys: an
-# exhaustive stack's from parent times border (see _bordered), a boundary
-# stack's from the family's equitable quotient, kept as the quotient's
-# polynomial and n - 6 ones (see _boundary_type).  A stream stack's rows
-# are its graphs, named by their own lines, and its slots are their line
-# indices within the chunk.
+# poly where the polynomials are known (see _by_charpoly).  An exhaustive
+# stack's rows are orbit representatives, each standing for many graphs,
+# with exact char polys from parent times border (see _bordered).  A
+# boundary stack's rows are its members, with exact char polys from the
+# equitable quotients of their orbits' representatives, kept as the
+# quotient's polynomial and n - 6 ones (see _boundary_type).  A stream
+# stack's rows are its graphs, named by their own lines.  A boundary or
+# stream stack's slots are its rows' places in the chunk's CSV text.
 
 
 class _Bordered(NamedTuple):
@@ -453,7 +442,7 @@ class _Bordered(NamedTuple):
 class _Stack(NamedTuple):
     n: int
     members: Callable[[np.ndarray], tuple]  # rows -> (row, position, graph6)
-    slots: np.ndarray | None  # a stream stack's line indices within its chunk
+    slots: np.ndarray | None  # rows' line indices in the chunk; None: exhaustive
     quantities: Callable[[set], tuple]  # need -> (inverse, vals, sk, nop, sc)
 
 
@@ -592,8 +581,9 @@ class _ChunkResult:
     minima: list  # per stack, its least E_S at the first graph attaining it
     failure_reports: list  # report dicts
     equality_graph6: list  # graphs with |E_S - (2n-2)| <= tolerance
-    # with collect_rows: a stream chunk's CSV lines in source order, or for an
-    # orbit chunk its representatives' tails (see _render_tails, _OrbitRows)
+    # with collect_rows: a stream or boundary chunk's CSV lines in source
+    # order, or for an exhaustive chunk its representatives' tails (see
+    # _render_tails, _OrbitRows)
     rows: str | np.ndarray | None
 
 
@@ -684,7 +674,7 @@ def _eval_chunk(spec, checks, p_grid, collect_rows=False) -> _ChunkResult:
             energy = p_energy(vals, 1.0)
         if collect_rows:  # one tail per distinct char poly, scattered to its rows
             tails = _render_tails(n, {"E_S": energy, "N_op": nop, **margins}, checks)[inverse]
-            if slots is None:  # orbit representatives: see _OrbitRows
+            if slots is None:  # exhaustive representatives: see _OrbitRows
                 rows = tails
             else:
                 streamed.append((slots, members(np.arange(len(slots)))[2] + tails))
@@ -716,12 +706,12 @@ class ScanReport:
     """A scan's aggregate.  With collect_rows, csv_rows yields one CSV line
     per graph in source order, a block of lines at a time: graph6, n, E_S,
     N_op and one min-margin cell per check of checks, blank where the
-    graph's order has no such margin.  A stream scan keeps each chunk's
-    lines as its worker rendered them; an exhaustive or boundary scan keeps
-    its representatives' lines without graph6 and puts each graph's graph6
-    in front as they are written (see _OrbitRows).  A row's float cells
-    (E_S and the energy margins) come from the first row in its chunk with
-    the same Seidel characteristic polynomial, for an orbit source the
+    graph's order has no such margin.  A stream or boundary scan keeps each
+    chunk's lines as its worker rendered them; an exhaustive scan keeps its
+    representatives' lines without graph6 and puts each graph's graph6 in
+    front as they are written (see _OrbitRows).  A row's float cells (E_S
+    and the energy margins) come from the first row in its chunk with the
+    same Seidel characteristic polynomial, for the exhaustive source the
     first such orbit representative: equal to the graph's own in exact
     arithmetic, they may differ in the last digits (by at most 1.6e-14 over
     every graph at n <= 7, and 5.0e-14 over the boundary family, whose
@@ -782,21 +772,20 @@ class ScanReport:
 
 @dataclass(frozen=True, eq=False)
 class _OrbitRows:
-    """An orbit source's CSV lines, joined as they are iterated, _ROW_BLOCK
-    graphs at a time in source order: each graph's graph6 in front of its
-    orbit representative's tail, the rest of its line as the worker rendered
-    it once per distinct characteristic polynomial (see _render_tails).  The
-    source's member_block gives a block's edge bits and representative
-    numbers."""
+    """An exhaustive scan's CSV lines, joined as they are iterated,
+    _ROW_BLOCK labeled graphs at a time in edge-mask order: each graph's
+    graph6 in front of its orbit representative's tail, the rest of its line
+    as the worker rendered it once per distinct characteristic polynomial
+    (see _render_tails)."""
 
-    source: _OrbitSource
+    source: AllGraphs
     tails: np.ndarray  # str objects, indexed by representative number
 
     def __iter__(self):
         n, total = self.source.n, len(self.source)
         for lo in range(0, total, _ROW_BLOCK):
-            bits, rep = self.source.member_block(lo, min(lo + _ROW_BLOCK, total))
-            yield "".join((_graph6_lines(n, bits) + self.tails[rep]).tolist())
+            bits = _mask_bits(n, np.arange(lo, min(lo + _ROW_BLOCK, total), dtype=np.uint64))
+            yield "".join((_graph6_lines(n, bits) + self.tails[_representatives(n, bits)]).tolist())
 
 
 def _eval_chunk_star(args):

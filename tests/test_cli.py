@@ -181,6 +181,15 @@ class TestVerify:
         assert code == EXIT_INPUT_ERROR
         assert err == "error: unknown checks: ['nope']\n"
 
+    @pytest.mark.parametrize("source", [("--g6", "DUW"), ("--all-n", "3")])
+    def test_empty_checks(self, capsys, source):
+        # an empty --checks names one empty check, as "--checks ," names two;
+        # only an absent --checks runs the default set
+        code, out, err = run_cli(capsys, "verify", *source, "--checks", "")
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err == "error: unknown checks: ['']\n"
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_repeated_check(self, capsys, fmt):
         # one margin column, one report entry per check: a repeat is refused
@@ -428,6 +437,12 @@ GOLDEN = Path(__file__).parent / "data"
         (
             "all-n-8.json",
             ["--all-n", "8", "--checks", "sk-basic,sk-oddpairs,oddpair-lower,theorem2"],
+        ),
+        (
+            "boundary-17-22.json",
+            ["--boundary-family", "17..22",
+             "--checks", "sk-basic,sk-oddpairs,oddpair-lower,theorem1,theorem2",
+             "-p", "0.5", "-p", "1"],
         ),
     ],
 )

@@ -834,8 +834,8 @@ def _count_naming(monkeypatch, cls) -> list:
 
 def test_reports_expand_and_name_each_stack_once(monkeypatch, tmp_path, rng):
     # the rows a report names (minimum energy, equality, failures) are
-    # expanded to their graphs and named by one members call per stack; an
-    # orbit source names its CSV rows in _OrbitRows
+    # expanded to their graphs and named by one members call per stack; the
+    # exhaustive source names its CSV rows in _OrbitRows
     calls = _count_naming(monkeypatch, AllGraphs)
     rep = scan(AllGraphs(7), DESK_CHECKS, collect_rows=True)
     assert len(rep.equality_graph6) == 1 << 7
@@ -879,8 +879,9 @@ GROUPED_SOURCES = [AllGraphs(n) for n in range(1, 8)] + [BoundaryFamily(n) for n
 def _stack_bits(st, rows: int) -> np.ndarray:
     """The edge bits of a stack's rows 0..rows-1, decoded from the graph6
     line members gives each row's first member, expanded 256 rows at a
-    time, so a whole n = 7 chunk's 2^21 graphs are never named at once: an
-    orbit's first member in source order is its representative."""
+    time, so a whole n = 7 chunk's 2^21 graphs are never named at once: a
+    boundary row is its one member, and an exhaustive row's first member in
+    source order is its orbit representative."""
     blocks = []
     for lo in range(0, rows, 256):
         row, _, g6 = st.members(np.arange(lo, min(lo + 256, rows)))
@@ -917,7 +918,7 @@ def test_grouped_quantities_match_per_row_kernels(source):
     # the groups are exactly the distinct char polys, each evaluated on its
     # first row, and the exact quantities scatter back to the per-row values:
     # N_op and the SC flag, read off the polynomials, equal the S kernels' on
-    # every representative; boundary spectra come from the 6x6 quotient, not
+    # every row; boundary spectra come from the 6x6 quotient, not
     # from eigvalsh of S
     need = {"vals", "sk", "nop", "sc"}
     for spec in source.chunk_specs():
@@ -941,16 +942,19 @@ def test_grouped_quantities_match_per_row_kernels(source):
 
 @pytest.mark.parametrize("source", [AllGraphs(7), BoundaryFamily(16)], ids=lambda s: s.descriptor)
 def test_rows_sharing_a_char_poly_carry_identical_floats(set_chunk_size, source):
-    # every cell of a representative's tail, floats included, is its first
-    # row's with the same char poly
+    # every cell of a row's line but graph6, floats included, is its chunk's
+    # first row's with the same char poly: an exhaustive chunk returns its
+    # representatives' tails, a boundary chunk its members' lines
     p_grid = (0.5, 1.0, 1.5)
     set_chunk_size(50)
     for spec in source.chunk_specs():
-        result = search._eval_chunk(spec, ALL_CHECKS, p_grid, collect_rows=True)
+        tails = search._eval_chunk(spec, ALL_CHECKS, p_grid, collect_rows=True).rows
+        if isinstance(tails, str):
+            tails = np.array([line.partition(",")[2] for line in tails.split("\r\n")[:-1]])
         (st,) = source.stacks(*spec[1:])[1]
-        coeffs = charpoly_batch_i64(_seidel(st.n, _stack_bits(st, len(result.rows))))
+        coeffs = charpoly_batch_i64(_seidel(st.n, _stack_bits(st, len(tails))))
         _, first, group = np.unique(coeffs, axis=0, return_index=True, return_inverse=True)
-        assert result.rows.tolist() == result.rows[first][group.ravel()].tolist()
+        assert tails.tolist() == tails[first][group.ravel()].tolist()
 
 
 def test_exhaustive_n7_renders_one_tail_per_char_poly(monkeypatch):
@@ -1074,7 +1078,7 @@ def test_exhaustive_parent_classes(n, classes):
     # a whole order's parents are graphs on vertices 1..n-3 plus vertex
     # n-2, whose edges to them act as loops, so their classes are the
     # graphs with loops on n - 3 vertices, OEIS A000666
-    parents, borders, _ = search._bordered(n, 0, AllGraphs(n)._orbit_count())
+    parents, borders, _ = search._bordered(n, 0, 1 << len(search._free_edges(n)))
     assert (len(parents), len(borders)) == (classes, 1 << (n - 3))
 
 
@@ -1128,7 +1132,8 @@ def test_stream_groups_only_when_checks_read_sk(tmp_path, monkeypatch, rng, chec
 
 
 # ---------------------------------------------------------------------------
-# the boundary family, one switching orbit at a time
+# the boundary family, each member reaching its polynomial through its
+# apex-switching orbit's representative
 
 BOUNDARY_ORDERS = range(11, 23)
 
@@ -1161,30 +1166,34 @@ def _times_x_minus_1(q: np.ndarray, ones: int) -> np.ndarray:
 
 
 def _boundary_orbits(n: int) -> list[np.ndarray]:
-    """Each orbit's parameter indices, in representative-number order."""
+    """Each orbit's parameter indices, in representative order."""
     rep = search._boundary_table(n).rep
-    return [np.flatnonzero(rep == k) for k in range(rep.max() + 1)]
+    return [np.flatnonzero(rep == k) for k in np.unique(rep)]
 
 
 @pytest.mark.parametrize("n", BOUNDARY_ORDERS)
 def test_boundary_orbits_partition_params(set_chunk_size, n):
+    # a member's representative is its orbit's least parameter index, which
+    # its apex switchings share; a chunk is a range of members
     fam = BoundaryFamily(n)
     table = search._boundary_table(n)
+    assert table._fields == ("params", "rep")
     params = fam.params()
     index = {p: k for k, p in enumerate(params)}
+    assert np.array_equal(table.rep[table.rep], table.rep)
+    assert np.all(table.rep <= np.arange(len(params)))
     orbits = _boundary_orbits(n)
     assert np.array_equal(np.sort(np.concatenate(orbits)), np.arange(len(params)))
-    assert [int(orbit[0]) for orbit in orbits] == table.reps.tolist()
-    assert np.all(np.diff(table.reps) > 0)
+    assert [int(orbit[0]) for orbit in orbits] == np.unique(table.rep).tolist()
     set_chunk_size(1)
-    assert len(fam) == len(params) and len(fam.chunk_specs()) == len(orbits)
+    assert len(fam) == len(params) and len(fam.chunk_specs()) == len(params)
     for k, p in enumerate(params):
         for image in _apex_switchings(n, *p):
             assert table.rep[index[image]] == table.rep[k]
 
 
 def test_boundary_orbit_counts():
-    orbits = [len(search._boundary_table(n).reps) for n in BOUNDARY_ORDERS]
+    orbits = [len(np.unique(search._boundary_table(n).rep)) for n in BOUNDARY_ORDERS]
     assert sum(orbits) == 2971
     assert sum(orbits[:6]) == 785  # n = 11..16
     assert sum(len(BoundaryFamily(n)) for n in BOUNDARY_ORDERS) == 10982
@@ -1213,6 +1222,7 @@ def test_boundary_scan_runs_no_exact_kernel(monkeypatch):
     # none of degree n is built
     polys, batches, kernel, eigvalsh = [], [], charpoly_batch_i64, np.linalg.eigvalsh
     grouped = _catch(monkeypatch, "_by_charpoly")
+    quotients = _catch(monkeypatch, "_charpoly_f64")
     called = []
     for name in ("_seidel", "_odd_pairs", "_sc_to_complete"):
         monkeypatch.setattr(search, name, lambda *a, name=name: called.append(name))
@@ -1231,8 +1241,14 @@ def test_boundary_scan_runs_no_exact_kernel(monkeypatch):
     assert polys == [] and called == []
     shapes = [(coeffs.shape[1], ones) for coeffs, _, ones, *_ in grouped]
     assert shapes == [(7, n - 6) for n in range(11, 17)]
-    # each member its own candidate: no per-row regrouping
-    assert all(np.array_equal(rows, np.arange(len(coeffs))) for coeffs, rows, *_ in grouped)
+    # the candidates are the orbit representatives, each member reaching its
+    # own through its rep, so the quotients expanded are the 785 orbits', not
+    # the 2,842 members'
+    reps = [search._boundary_table(n).rep for n in range(11, 17)]
+    assert [len(coeffs) for coeffs, *_ in grouped] == [70, 91, 112, 140, 168, 204]
+    for (coeffs, rows, *_), rep in zip(grouped, reps):
+        assert np.array_equal(np.unique(rep)[rows], rep)
+    assert sum(len(q) for q, in quotients) == 785
     assert {shape[1:] for shape in batches} == {(6, 6)}
     assert sum(shape[0] for shape in batches) == 715
 
@@ -1240,7 +1256,7 @@ def test_boundary_scan_runs_no_exact_kernel(monkeypatch):
 @pytest.mark.parametrize("n", BOUNDARY_ORDERS)
 def test_charpoly_reads_match_s_kernels_on_every_boundary_member(n):
     # N_op and the SC flag read off the quotient's polynomials equal the S
-    # kernels' on every member, not only on the representatives a scan reads
+    # kernels' on every member, not only on the representatives a scan expands
     params = np.array(BoundaryFamily(n).params())
     coeffs = _charpoly_f64(_quotients(*search._boundary_type(n, params)))
     s = _seidel(n, BoundaryFamily(n).edge_bits(params))
@@ -1399,11 +1415,11 @@ def boundary_reference():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_csv_boundary_matches_representative_reference(
-    boundary_reference, monkeypatch, set_chunk_size, workers
+    boundary_reference, set_chunk_size, workers
 ):
-    # a chunk of 5 representatives holds members spread over the family;
-    # blocks of 7 rendered lines end mid-orbit
-    monkeypatch.setattr(search, "_ROW_BLOCK", 7)
+    # a chunk of 5 members meets orbits whose least member lies in an
+    # earlier chunk, so its float cells may come from another member of
+    # the orbit than the reference's
     checks, want = boundary_reference
     set_chunk_size(5)
     reports = [
