@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 
 from .analytic import (
@@ -108,13 +109,13 @@ def cmd_energy(args) -> int:
 
 
 def _parse_range(spec: str, lo: int, hi: int) -> list[int]:
-    if ".." in spec:
-        a, b = spec.split("..", 1)
-        values = list(range(int(a), int(b) + 1))
-        if not values:
-            raise ValueError(f"empty range {spec}: the lower end exceeds the upper")
-    else:
-        values = [int(spec)]
+    ends = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", spec)
+    if ends is None:
+        raise ValueError(f"malformed range {spec!r}: expected an integer n or a range lo..hi")
+    a, b = ends.groups()
+    values = list(range(int(a), int(b or a) + 1))
+    if not values:
+        raise ValueError(f"empty range {spec}: the lower end exceeds the upper")
     for v in values:
         if not lo <= v <= hi:
             raise ValueError(f"{v} outside supported range {lo}..{hi}")

@@ -20,8 +20,8 @@ source.csv_rows gives the scan's CSV rows.  Everything
 checked derives from the kernels that also serve the per-graph functions:
 Seidel matrices S, graph6 lines and edge bits from graphs, LAPACK
 spectra, exact S_k(S^2) from exact characteristic polynomials
-(spectral), and N_op and SC-equivalence to K_n, off those polynomials
-where a stack has them and otherwise off S (seidel).  This module keeps
+(spectral), and N_op and SC-equivalence to K_n, off those S_k where a
+stack has them and otherwise off S (seidel).  This module keeps
 only the sources, the driver and CSV rendering.  Graph objects appear
 only for the flagged graphs run_checks re-verifies.
 
@@ -57,10 +57,10 @@ edge bits, quotient Q and symmetrized Q built by shared kernels
 (graphs._blow_up_bits, spectral._quotients).  det(xI - S) = (x - 1)^(n-6)
 det(xI - Q) stays factored: a stack is grouped by det(xI - Q), taken once
 per representative and reached by each member through its representative
-as an exhaustive row reaches its (class, border) candidate; S_k, N_op and
-the SC flag are read off it and the n - 6 ones, and the spectrum is the
-symmetrized Q's and those ones.  So no exact kernel runs, eigvalsh sees
-6x6 matrices only, and no S is built.
+as an exhaustive row reaches its (class, border) candidate; S_k is read
+off it and the n - 6 ones, N_op and the SC flag off S_k, and the spectrum
+is the symmetrized Q's and those ones.  So no exact kernel runs, eigvalsh
+sees 6x6 matrices only, and no S is built.
 
 Only what a report names (equality graphs, failures, the minimum-energy
 witness) is named, an exhaustive row expanded back to its orbit's
@@ -114,7 +114,7 @@ from .graphs import (
 # unused here; kept importable as seidelab.search.<name> for bench/tracing.py
 from .graphs import encode_graph6  # noqa: F401
 from .seidel import count_odd_pairs, is_sc_equivalent_to_complete  # noqa: F401
-from .seidel import _odd_pairs, _odd_pairs_of_charpoly, _sc_of_charpoly, _sc_to_complete, _switch
+from .seidel import _odd_pairs, _odd_pairs_of_sk, _sc_of_sk, _sc_to_complete, _switch
 from .spectral import _charpoly_f64, _quotients, charpoly_batch_i64, p_energy, sk_from_charpoly
 from .verify import evaluate, near_equality, reads, run_checks, validate
 
@@ -259,14 +259,15 @@ class BoundaryFamily:
         def quantities(need):
             # each member reaches its polynomial through its representative
             reps, candidate = np.unique(table.rep[start:stop], return_inverse=True)
+            signs, sizes = _boundary_type(n, table.params[reps])
 
-            def spectra(rows):  # S's spectrum is the quotient's joined with n - 6 ones
-                q = _quotients(*_boundary_type(n, params[rows]), symmetrized=True)
+            def spectra(rows):  # S's spectrum is its representative quotient's and n - 6 ones
+                q = _quotients(signs[candidate[rows]], sizes[candidate[rows]], symmetrized=True)
                 vals = np.linalg.eigvalsh(q)
                 return np.sort(np.concatenate([vals, np.ones((len(vals), n - 6))], axis=1), axis=1)
 
             # q, det(xI - S) = (x - 1)^(n-6) q
-            polys = _charpoly_f64(_quotients(*_boundary_type(n, table.params[reps])))
+            polys = _charpoly_f64(_quotients(signs, sizes))
             return _by_charpoly(polys, candidate, n - 6, spectra, need)
 
         return stop - start, [_Stack(n, members, np.arange(stop - start), quantities)]
@@ -619,29 +620,31 @@ def _by_charpoly(coeffs: np.ndarray, rows: np.ndarray, ones: int, spectra: Calla
     p(x) = det(xI - S) = (x - 1)^ones q(x): q is given by the coefficients
     of candidate polynomials coeffs and, for each row of the stack, the
     index rows of its candidate (the identity where each row has its own).
-    Returns spectra(first rows) and whatever else need names of "sk", "nop"
-    and "sc" (see evaluate) for the first row with each distinct p, and
-    the index taking each row of the stack to its distinct p.
+    Returns spectra(first rows), and S_k, N_op and the SC flag when need
+    names any of "sk", "nop" and "sc" (see evaluate), for the first row
+    with each distinct p, and the index taking each row of the stack to its
+    distinct p.
 
     Every checked quantity is a function of p: the spectrum is its roots,
-    S_k(S^2) comes from its coefficients, N_op from ||S^2||_F^2, the sum of
-    the fourth powers of the roots, and S is SC-equivalent to K_n iff p is
-    (x + n - 1)(x - 1)^(n-1) or (x - n + 1)(x + 1)^(n-1).  So the first row
-    with each polynomial stands for the others, and N_op and the SC flag
-    are read off p, not off S.  With ones fixed over the stack q determines
-    p, so the candidates, not the rows, are grouped by q, and every read
-    takes q and ones: p is never multiplied out.  A polynomial no row
-    reaches is dropped."""
+    and S_k(S^2) comes from its coefficients, which give N_op through
+    ||S^2||_F^2 = S_1^2 - 2 S_2 and the SC flag as the S_k of the squared
+    spectrum (n-1)^2, 1, ..., 1.  So the first row with each polynomial
+    stands for the others, and whenever the stack needs S_k, N_op or the SC
+    flag, sk_from_charpoly runs once and the other two are read off its S_k,
+    not off S.  With ones fixed over the stack q determines p, so the
+    candidates, not the rows, are grouped by q, and only sk_from_charpoly
+    takes ones: p is never multiplied out.  A polynomial no row reaches is
+    dropped."""
     # p's c_n = 1, c_(n-1) = 0 and c_(n-2) = -C(n,2) fix q's top three
     first, group = _distinct_rows(coeffs[:, : max(1, coeffs.shape[1] - 3)])
     group = group[rows]
     lead = np.full(len(first), len(rows))  # each group's first row
     np.minimum.at(lead, group, np.arange(len(rows)))
     reached = lead < len(rows)
-    coeffs = coeffs[first[reached]]
-    sk = sk_from_charpoly(coeffs, ones) if "sk" in need else None
-    nop = _odd_pairs_of_charpoly(coeffs, ones) if "nop" in need else None
-    sc = _sc_of_charpoly(coeffs, ones) if "sc" in need else None
+    sk = nop = sc = None
+    if need & {"sk", "nop", "sc"}:
+        sk = sk_from_charpoly(coeffs[first[reached]], ones)
+        nop, sc = _odd_pairs_of_sk(sk), _sc_of_sk(sk)
     return (np.cumsum(reached) - 1)[group], spectra(lead[reached]), sk, nop, sc
 
 

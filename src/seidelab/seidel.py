@@ -10,16 +10,15 @@ graph.
 Switching is computed only by the edge-bit stack kernel _switch.  N_op has
 one formula, on the fourth moment ||S^2||_F^2 (_odd_pairs_of_moment).  The
 stack kernels read N_op and SC-equivalence to K_n off Seidel matrices S
-(_odd_pairs, and a sign test in _sc_to_complete) or off exact char polys
-(_odd_pairs_of_charpoly, _sc_of_charpoly); scans run them on whole chunks
-and the per-graph functions on a stack of one.
+(_odd_pairs, and a sign test in _sc_to_complete) or off exact S_k(S^2)
+(_odd_pairs_of_sk, _sc_of_sk); scans run them on whole chunks and the
+per-graph functions on a stack of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate, permutations
+from itertools import permutations
 from math import comb
 
 import numpy as np
@@ -118,19 +117,13 @@ def _odd_pairs_of_moment(n: int, moment: np.ndarray) -> np.ndarray:
     return (comb(n, 2) * (n - 2) ** 2 - (moment - n * (n - 1) ** 2) // 2) // 4
 
 
-def _odd_pairs_of_charpoly(coeffs: np.ndarray, ones: int = 0) -> np.ndarray:
-    """N_op off exact char polys p = (x - 1)^ones q, from q's (B, d+1)
-    ascending coefficients, int64 or object; n = d + ones.  As tr S = 0,
-    e_2 = -C(n,2) and e_4 = c_(n-4) (zero for n < 4), so
-    ||S^2||_F^2 = 2 e_2^2 - 4 e_4 = n^2(n-1)^2/2 - 4 c_(n-4), and
-    c_(n-4) = sum_t C(ones, 4-t) (-1)^t q_(d-t) over q's top five
-    coefficients."""
-    d = coeffs.shape[1] - 1
-    n = d + ones
-    e4 = np.zeros(len(coeffs), dtype=np.int64)
-    for t in range(max(0, 4 - ones), min(4, d) + 1):  # x^(d-t) times x^(ones-4+t)
-        e4 += comb(ones, 4 - t) * (-1) ** t * coeffs[:, d - t].astype(np.int64)
-    return _odd_pairs_of_moment(n, n * n * (n - 1) ** 2 // 2 - 4 * e4)
+def _odd_pairs_of_sk(sk: np.ndarray) -> np.ndarray:
+    """N_op off a (B, n+1) stack of exact S_0..S_n of S^2, int64 or object:
+    the fourth moment ||S^2||_F^2 is S_1^2 - 2 S_2, with S_2 = 0 below n = 2."""
+    n = sk.shape[1] - 1
+    low = np.zeros((len(sk), 3), dtype=np.int64)
+    low[:, : n + 1] = sk[:, :3]  # S_0, S_1, S_2, zero past S_n
+    return _odd_pairs_of_moment(n, low[:, 1] ** 2 - 2 * low[:, 2])
 
 
 def _sc_to_complete(s: np.ndarray) -> np.ndarray:
@@ -142,35 +135,13 @@ def _sc_to_complete(s: np.ndarray) -> np.ndarray:
     return np.abs(x.sum(axis=(1, 2), dtype=np.int64)) == (n - 1) * (n - 2)
 
 
-def _sc_of_charpoly(coeffs: np.ndarray, ones: int = 0) -> np.ndarray:
-    """SC-equivalence to K_n off exact char polys p = (x - 1)^ones q, from
-    q's (B, d+1) ascending coefficients, n = d + ones: p is one of the
-    targets of _sc_targets, so q is that target divided by (x - 1)^ones."""
-    d = coeffs.shape[1] - 1
-    targets = _sc_targets(d + ones, ones, coeffs.dtype)
-    return (coeffs[:, None, :] == targets).all(axis=2).any(axis=1)
-
-
-@lru_cache(maxsize=None)
-def _sc_targets(n: int, ones: int, dtype: np.dtype) -> np.ndarray:
-    """The char polys of the switching class of K_n, (x - n + 1)(x + 1)^(n-1)
-    and (-1)^n times it at -x, (x + n - 1)(x - 1)^(n-1), each divided by
-    (x - 1)^ones where that division is exact, as (R, n-ones+1) ascending
-    rows in dtype.  They are built in Python ints, by math.comb, and for
-    ones > 0 only the second survives from n = 3."""
-    row = [(k and comb(n - 1, k - 1)) - (n - 1) * comb(n - 1, k) for k in range(n + 1)]
-    quotients = []
-    for p in (row, [(-1) ** (n - k) * c for k, c in enumerate(row)]):
-        for _ in range(ones):  # synthetic division by x - 1, remainder first
-            p = list(accumulate(reversed(p)))[::-1]
-            if p[0]:
-                break
-            p = p[1:]
-        else:
-            quotients.append(p)
-    targets = np.array(quotients, dtype=object).reshape(-1, n - ones + 1).astype(dtype)
-    targets.flags.writeable = False
-    return targets
+def _sc_of_sk(sk: np.ndarray) -> np.ndarray:
+    """SC-equivalence to K_n off a (B, n+1) stack of exact S_0..S_n of S^2:
+    as tr S = 0, S is in the class iff its squared spectrum is (n-1)^2 once
+    and 1 n-1 times, that is iff S_k = C(n-1,k) + (n-1)^2 C(n-1,k-1)."""
+    n = sk.shape[1] - 1
+    row = [comb(n - 1, k) + (n - 1) ** 2 * (k and comb(n - 1, k - 1)) for k in range(n + 1)]
+    return (sk == np.array(row, dtype=object if max(row) >> 63 else np.int64)).all(axis=1)
 
 
 def switching_class_key(g: Graph) -> bytes:

@@ -13,9 +13,10 @@ exact whatever the rounding, and the primes come from a 28-bit or a 40-bit
 list, whichever needs fewer at that order: one prime up to n = 17, two up
 to n = 30, five from n = 54 to 62.  Run on the Seidel matrix A itself
 and passed through sk_from_charpoly, it yields the exact S_k(A^2) of every
-scan and verify call up to n = 62, int64 up to n = 16.  Given borders too,
-the kernel returns the polynomials of the bordered matrices [[S, v], [v^T, 0]]
-by Schur's complement, det = x p_S(x) - v^T adj(xI - S) v, reading each
+scan and verify call up to n = 62, int64 wherever Maclaurin's bound keeps
+them below 2^63 (_sk_fits_int64).  Given borders too, the kernel returns
+the polynomials of the bordered matrices [[S, v], [v^T, 0]] by Schur's
+complement, det = x p_S(x) - v^T adj(xI - S) v, reading each
 quadratic form v^T B_k v off the running matrices B_k of adj(xI - S) that
 the recurrence already holds; its partial sums obey the recurrence's own
 2^53 guard.  Exhaustive scans run it so on parent classes up to relabeling,
@@ -190,7 +191,6 @@ CRT_PRIMES_WIDE = (
 )
 _F64_EXACT = 1 << 53
 _BLOCK_ENTRIES = 1 << 15  # float64 entries of M_k per block, over all primes
-_SK_INT64_MAX_N = 16  # C(n,k) (n-1)^k < 2^63 up to here
 
 
 @lru_cache(maxsize=None)
@@ -401,18 +401,20 @@ def sk_from_charpoly(coeffs: np.ndarray, ones: int = 0) -> np.ndarray:
     T_j, the j-th elementary symmetric function of the mu^2, is
     (-1)^j sum_{i+l=2j} (-1)^i f_i f_l, whose terms pair up around i = j.
     The other ones squared eigenvalues are 1, so
-    S_k = sum_j C(ones, k-j) T_j, one product with a binomial band.
+    S_k = sum_j C(ones, k-j) T_j, one product with a binomial band.  This
+    is the only read that knows of ones: N_op and the SC flag are read off
+    its S_k (seidel._odd_pairs_of_sk, seidel._sc_of_sk).
 
-    int64 coefficients give int64 S_k up to n = 16, computed in uint64,
-    where wraparound is arithmetic mod 2^64: each sum is exact once its true
-    value is known to lie in [0, 2^63).  By Maclaurin's inequality
-    S_k <= C(n,k) (sum lambda^2 / n)^k = C(n,k) (n-1)^k, at most 7.0e18 for
-    n <= 16, and T_j <= S_j, since S_j is T_j plus C(ones, j-i) T_i over
-    i < j and every T_i >= 0.  From n = 17, and for object coefficients,
-    S_k are Python ints in an object array.
+    int64 coefficients give int64 S_k wherever _sk_fits_int64(d, ones)
+    holds (n <= 16 at ones = 0, every boundary order at d = 6), computed
+    in uint64, where wraparound is arithmetic mod 2^64: each sum is exact
+    once its true value is known to lie in [0, 2^63), and T_j <= S_j, since
+    S_j is T_j plus C(ones, j-i) T_i over i < j and every T_i >= 0.
+    Otherwise, and for object coefficients, S_k are Python ints in an
+    object array.
     """
     d = coeffs.shape[-1] - 1
-    if coeffs.dtype != object and d + ones <= _SK_INT64_MAX_N:
+    if coeffs.dtype != object and _sk_fits_int64(d, ones):
         f = coeffs.astype(np.int64, copy=False).view(np.uint64)[:, ::-1]
     else:
         f = coeffs.astype(object, copy=False)[:, ::-1]
@@ -425,6 +427,24 @@ def sk_from_charpoly(coeffs: np.ndarray, ones: int = 0) -> np.ndarray:
     if ones:
         sk = sk @ _ones_band(d, ones, sk.dtype)
     return sk if sk.dtype == object else sk.view(np.int64)
+
+
+@lru_cache(maxsize=None)
+def _sk_fits_int64(d: int, ones: int) -> bool:
+    """Whether Maclaurin's bound keeps every S_k below 2^63 for
+    det(xI - A) = (x - 1)^ones q(x), q of degree d, n = d + ones.  q's d
+    squared roots sum to tr A^2 - ones = n(n-1) - ones, so their mean is
+    m = (n(n-1) - ones) / d and T_j <= C(d,j) m^j; hence
+    S_k <= sum_j C(ones, k-j) C(d,j) m^j, taken exactly in Python ints
+    times d^d.  At ones = 0 that is C(n,k) (n-1)^k, below 2^63 up to
+    n = 16."""
+    n = d + ones
+    total = n * (n - 1) - ones
+    bound = max(
+        sum(comb(ones, k - j) * comb(d, j) * total**j * d ** (d - j) for j in range(min(k, d) + 1))
+        for k in range(n + 1)
+    )
+    return bound < (1 << 63) * d**d
 
 
 @lru_cache(maxsize=None)

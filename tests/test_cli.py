@@ -259,6 +259,17 @@ class TestVerify:
         assert out == ""
         assert f"empty range {source[1]}" in err
 
+    @pytest.mark.parametrize(
+        "source", [("--all-n", "3.."), ("--all-n", "x"), ("--boundary-family", "11..12..13")]
+    )
+    def test_malformed_range(self, capsys, source):
+        code, out, err = run_cli(capsys, "verify", *source)
+        assert code == EXIT_INPUT_ERROR
+        assert out == ""
+        assert err == (
+            f"error: malformed range {source[1]!r}: expected an integer n or a range lo..hi\n"
+        )
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(
             capsys, "verify", "--g6-file", "/nonexistent.g6", "--checks", "theorem2"

@@ -43,6 +43,7 @@ from seidelab import search
 from seidelab.spectral import (
     _charpoly_f64,
     _quotients,
+    _sk_fits_int64,
     binomial,
     char_poly_exact,
     charpoly_batch_i64,
@@ -52,8 +53,8 @@ from seidelab.spectral import (
 from seidelab.verify import evaluate, run_checks
 from seidelab.seidel import (
     _odd_pairs,
-    _odd_pairs_of_charpoly,
-    _sc_of_charpoly,
+    _odd_pairs_of_sk,
+    _sc_of_sk,
     _sc_to_complete,
     count_odd_pairs,
     is_sc_equivalent_to_complete,
@@ -1216,8 +1217,8 @@ def test_boundary_polys_match_kernel(n):
 def test_boundary_scan_runs_no_exact_kernel(monkeypatch):
     # the boundary polynomials and spectra come from the quotient: n = 11..16
     # call the exact kernel never and eigvalsh once per distinct polynomial,
-    # on its 6x6 quotient; N_op and the SC flag are read off the polynomials,
-    # so no Seidel matrix is built, and members are looked up, not searched;
+    # on its 6x6 quotient; N_op and the SC flag are read off the polynomials'
+    # S_k, so no Seidel matrix is built, and members are looked up, not searched;
     # the polynomials stay factored, the quotient's times (x - 1)^(n-6), so
     # none of degree n is built
     polys, batches, kernel, eigvalsh = [], [], charpoly_batch_i64, np.linalg.eigvalsh
@@ -1255,35 +1256,42 @@ def test_boundary_scan_runs_no_exact_kernel(monkeypatch):
 
 @pytest.mark.parametrize("n", BOUNDARY_ORDERS)
 def test_charpoly_reads_match_s_kernels_on_every_boundary_member(n):
-    # N_op and the SC flag read off the quotient's polynomials equal the S
-    # kernels' on every member, not only on the representatives a scan expands
+    # N_op and the SC flag read off the S_k of the quotient's polynomials
+    # equal the S kernels' on every member, not only on the representatives
+    # a scan expands
     params = np.array(BoundaryFamily(n).params())
     coeffs = _charpoly_f64(_quotients(*search._boundary_type(n, params)))
     s = _seidel(n, BoundaryFamily(n).edge_bits(params))
-    assert np.array_equal(_odd_pairs_of_charpoly(coeffs, n - 6), _odd_pairs(s))
-    assert np.array_equal(_sc_of_charpoly(coeffs, n - 6), _sc_to_complete(s))
+    sk = sk_from_charpoly(coeffs, n - 6)
+    assert np.array_equal(_odd_pairs_of_sk(sk), _odd_pairs(s))
+    assert np.array_equal(_sc_of_sk(sk), _sc_to_complete(s))
 
 
-def _assert_factored_reads_match_expanded(q, ones, sk_dtype):
+def _assert_factored_reads_match_expanded(q, ones):
     # S_k, N_op and the SC flag of (x - 1)^ones q, read off q and ones,
-    # equal the reads off the polynomial multiplied out, as int64 rows
+    # equal the reads off the polynomial multiplied out, as int64 rows;
+    # S_k is int64 where Maclaurin's bound at (d, ones) allows
     p = _times_x_minus_1(q, ones).astype(np.int64)
-    sk = sk_from_charpoly(q, ones)
-    assert sk.dtype == sk_dtype and sk.shape == p.shape
-    assert sk.tolist() == sk_from_charpoly(p).tolist()
-    assert np.array_equal(_odd_pairs_of_charpoly(q, ones), _odd_pairs_of_charpoly(p))
-    sc = _sc_of_charpoly(q, ones)
-    assert sc.dtype == bool and np.array_equal(sc, _sc_of_charpoly(p))
-    return sc
+    sk, expanded = sk_from_charpoly(q, ones), sk_from_charpoly(p)
+    assert sk.dtype == (np.int64 if _sk_fits_int64(q.shape[1] - 1, ones) else object)
+    assert sk.shape == p.shape and sk.tolist() == expanded.tolist()
+    assert np.array_equal(_odd_pairs_of_sk(sk), _odd_pairs_of_sk(expanded))
+    sc = _sc_of_sk(sk)
+    assert sc.dtype == bool and np.array_equal(sc, _sc_of_sk(expanded))
+    return sk, sc
 
 
 @pytest.mark.parametrize("n", BOUNDARY_ORDERS)
 def test_factored_reads_match_expanded_on_every_boundary_member(n):
-    # S_k is int64 up to n = 16 and Python ints from n = 17, and the
-    # equality members match the SC target divided by (x - 1)^(n-6)
+    # Maclaurin's bound on the quotient's six squared roots keeps every
+    # member's S_k in int64 up to n = 22, equal to the Python-int S_k of the
+    # expanded polynomial from n = 17; the equality members' S_k match the
+    # SC class's row
     params = np.array(BoundaryFamily(n).params())
     q = _charpoly_f64(_quotients(*search._boundary_type(n, params)))
-    sc = _assert_factored_reads_match_expanded(q, n - 6, np.int64 if n <= 16 else object)
+    sk, sc = _assert_factored_reads_match_expanded(q, n - 6)
+    assert sk.dtype == np.int64
+    assert sk.tolist() == sk_from_charpoly(q.astype(object), n - 6).tolist()
     assert sc.any() and not sc.all()
 
 
@@ -1296,7 +1304,7 @@ def test_factored_reads_match_expanded_on_random_stacks(rng, n, ones):
     bits = rng.integers(0, 2, (40, n * (n - 1) // 2), dtype=np.uint8)
     s = _seidel(n, np.concatenate([bits, [reference_edge_bits(g) for g in members]]))
     q = charpoly_batch_i64(s)
-    sc = _assert_factored_reads_match_expanded(q, ones, np.int64 if n + ones <= 16 else object)
+    _, sc = _assert_factored_reads_match_expanded(q, ones)
     assert sc[-len(members) :][:2].all() == (ones == 0)  # K_n switched, and its complement
 
 

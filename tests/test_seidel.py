@@ -16,8 +16,8 @@ from seidelab.graphs import (
 )
 from seidelab.seidel import (
     _odd_pairs,
-    _odd_pairs_of_charpoly,
-    _sc_of_charpoly,
+    _odd_pairs_of_sk,
+    _sc_of_sk,
     _sc_to_complete,
     _switch,
     count_odd_pairs,
@@ -25,7 +25,12 @@ from seidelab.seidel import (
     switch,
     switching_class_key,
 )
-from seidelab.spectral import char_poly_exact, charpoly_batch_i64, submatrix_det_parity
+from seidelab.spectral import (
+    char_poly_exact,
+    charpoly_batch_i64,
+    sk_from_charpoly,
+    submatrix_det_parity,
+)
 
 from conftest import (
     graph_strategy,
@@ -271,18 +276,23 @@ def test_nop_and_sc_match_reference(rng, n):
 
 @pytest.mark.parametrize("n", [*range(1, 21), 40, 62])
 def test_charpoly_reads_match_s_kernels(rng, n):
-    # N_op and the SC flag read off exact char polys equal the S kernels' on
-    # seeded random stacks and on switchings of K_n and of its complement;
-    # charpoly_batch_i64 gives int64 rows up to n = 17 and object rows beyond
+    # N_op and the SC flag read off the exact S_k of exact char polys equal
+    # the S kernels' on seeded random stacks and on switchings of K_n and of
+    # its complement, n = 1 (no S_2) and n = 2, 3 (N_op = 0) included;
+    # charpoly_batch_i64 gives int64 rows up to n = 17 and object rows
+    # beyond, and S_k is int64 up to n = 16
     members = sc_members(rng, n)
     bits = rng.integers(0, 2, (40, n * (n - 1) // 2), dtype=np.uint8)
     s = _seidel(n, np.concatenate([bits, [reference_edge_bits(g) for g in members]]))
     coeffs = charpoly_batch_i64(s)
     assert coeffs.dtype == (np.int64 if n <= 17 else object)
-    nop, sc = _odd_pairs_of_charpoly(coeffs), _sc_of_charpoly(coeffs)
+    sk = sk_from_charpoly(coeffs)
+    assert sk.dtype == (np.int64 if n <= 16 else object)
+    nop, sc = _odd_pairs_of_sk(sk), _sc_of_sk(sk)
     assert nop.dtype == np.int64 and np.array_equal(nop, _odd_pairs(s))
     assert sc.dtype == bool and np.array_equal(sc, _sc_to_complete(s))
     assert sc[-len(members) :][:2].all()  # K_n switched, and its complement
+    assert sc.all() == (nop == 0).all() == (n < 4)  # every graph is in the class below n = 4
 
 
 def test_sc_witness_matches_reference_every_small_graph():

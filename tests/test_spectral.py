@@ -27,6 +27,7 @@ from seidelab.spectral import (
     _garner,
     _quotients,
     _reduce,
+    _sk_fits_int64,
     binomial,
     bareiss_det,
     cauchy_binet_check,
@@ -332,6 +333,13 @@ class TestCharPolyBatch:
             coeffs = charpoly_batch_i64(s)
             assert coeffs.dtype == (np.int64 if n <= 17 else object)
             assert sk_from_charpoly(coeffs).dtype == (np.int64 if n <= 16 else object)
+
+    def test_sk_int64_bound(self):
+        # Maclaurin's bound is C(n,k) (n-1)^k at ones = 0, below 2^63 exactly
+        # up to n = 16; on the boundary family's six quotient roots it stays
+        # below 2^63 up to n = 22
+        assert [n for n in range(1, 63) if _sk_fits_int64(n, 0)] == list(range(1, 17))
+        assert all(_sk_fits_int64(6, n - 6) for n in range(11, 23))
 
     @pytest.mark.parametrize("n", [7, 9, 16])
     def test_row_independent_of_batch(self, rng, n):
