@@ -11,12 +11,12 @@ at a time, while its first chunks are evaluated.
 
 A source speaks one protocol, and the driver knows nothing else of it:
 chunk_specs gives chunks (source, *part): a range of orbit
-representative numbers for the exhaustive source, of member indices for
-the boundary family, line numbers and raw lines for a graph6 stream; a
-worker's source.stacks(*part) turns one into stacks, each of which
-expands rows to the graphs they stand for, with their positions and
-graph6, and gives its checked quantities (see _Stack); and
-source.csv_rows gives the scan's CSV rows.  Everything
+representative numbers for the exhaustive source, line numbers and raw
+lines for a graph6 stream, and no part for the boundary family, each of
+whose orders is one chunk; a worker's source.stacks(*part) turns one into
+stacks, each of which expands rows to the graphs they stand for, with
+their positions and graph6, and gives its checked quantities (see
+_Stack); and source.csv_rows gives the scan's CSV rows.  Everything
 checked derives from the kernels that also serve the per-graph functions:
 Seidel matrices S, graph6 lines and edge bits from graphs, LAPACK
 spectra, exact S_k(S^2) from exact characteristic polynomials
@@ -28,38 +28,35 @@ only for the flagged graphs run_checks re-verifies.
 Every checked quantity (|spectrum|, S_k(A^2), N_op, SC-equivalence to K_n)
 is invariant under Seidel switching, relabeling and complementation
 (A -> -A).  The exhaustive source is scanned one orbit at a time: it
-evaluates each switching-plus-complement orbit once, on the
-representative with vertex 0 isolated and the last edge (n-2, n-1)
-absent, and counts it with the orbit's size: 2^n labeled graphs for
-n >= 3, 2^(n-1) below.  The boundary family's rows are its members, and
-each reaches its polynomial through its orbit's representative under
-switching on the apexes, the orbit's least member (see _boundary_table),
-so only the quotients of the representatives a chunk meets are expanded.
-Within a chunk, the rows are grouped by their exact Seidel characteristic
-polynomial, of which every checked quantity is a function (see
-_by_charpoly): spectra, S_k, N_op, the SC flag and the checks run once
-per distinct polynomial, on the first row that has it, and are scattered
-back to every row (n = 7 has 53 distinct polynomials for its 16,384
-representatives).  An exhaustive
-row factors as a parent P, S without one vertex w, and a border
-v = S[w, != w], both read off bit fields of its representative number
-with no sort over rows (see _bordered).  Its polynomial is
-x p_P(x) - v^T adj(xI - P) v, exact as the kernel's own products are.
-Relabeling P and v together keeps the polynomial, so the exact kernel
-runs once per parent class up to relabeling, times each relabeled border:
-90 classes of the 1,024 parents for the 16,384 rows at n = 7, 34 to 148
-per 2^15-row chunk at n = 8.  Those candidate polynomials, not the rows,
-are grouped, and each row reaches its group through its (class, border)
-number.  A stream chunk is grouped so only when its checks read S_k.
+evaluates each switching-plus-complement orbit once, on the representative
+with vertex 0 isolated and the last edge (n-2, n-1) absent, and counts it
+with the orbit's size: 2^n labeled graphs for n >= 3, 2^(n-1) below.  The
+boundary family is scanned one order a chunk, each member through its
+orbit's representative under switching on the apexes (see
+_boundary_table).  Within a chunk, the rows are grouped by their exact
+Seidel characteristic polynomial, of which every checked quantity is a
+function (see _by_charpoly): spectra, S_k, N_op, the SC flag and the
+checks run once per distinct polynomial, on the first row that has it, and
+are scattered back to every row (n = 7 has 53 distinct polynomials for its
+16,384 representatives).  An exhaustive row factors as a parent P, S
+without one vertex w, and a border v = S[w, != w], both read off bit
+fields of its representative number with no sort over rows (see
+_bordered).  Its polynomial is x p_P(x) - v^T adj(xI - P) v, exact as the
+kernel's own products are.  Relabeling P and v together keeps the
+polynomial, so the exact kernel runs once per parent class up to
+relabeling, times each relabeled border: 90 classes of the 1,024 parents
+for the 16,384 rows at n = 7, 34 to 148 per 2^15-row chunk at n = 8.
+Those candidate polynomials, not the rows, are grouped, and each row
+reaches its group through its (class, border) number.  A stream chunk is
+grouped so only when its checks read S_k.
 
 The boundary family is one 6-cell signed type (see _boundary_type), its
 edge bits, quotient Q and symmetrized Q built by shared kernels
 (graphs._blow_up_bits, spectral._quotients).  det(xI - S) = (x - 1)^(n-6)
 det(xI - Q) stays factored: a stack is grouped by det(xI - Q), taken once
-per representative and reached by each member through its representative
-as an exhaustive row reaches its (class, border) candidate; S_k is read
-off it and the n - 6 ones, N_op and the SC flag off S_k, and the spectrum
-is the symmetrized Q's and those ones.  So no exact kernel runs, eigvalsh
+per representative as an exhaustive row's (class, border) candidate is;
+S_k is read off it and the n - 6 ones, N_op and the SC flag off S_k, and
+the spectrum is the symmetrized Q's and those ones.  So no exact kernel runs, eigvalsh
 sees 6x6 matrices only, and no S is built.
 
 Only what a report names (equality graphs, failures, the minimum-energy
@@ -135,11 +132,6 @@ class Graph6StreamError(ValueError):
 # sources
 
 
-def _range_chunks(source, total: int) -> list:
-    """Chunks (source, lo, hi) of the numbers 0..total-1, CHUNK_SIZE each."""
-    return [(source, lo, min(lo + CHUNK_SIZE, total)) for lo in range(0, total, CHUNK_SIZE)]
-
-
 @dataclass(frozen=True)
 class AllGraphs:
     """Every labeled graph on n vertices, in edge-mask order.
@@ -156,6 +148,7 @@ class AllGraphs:
                 f"exhaustive enumeration supports integers n in 1..{ENUM_MAX_N}, not {self.n!r}; "
                 "use a graph6 stream for larger orders"
             )
+        object.__setattr__(self, "n", int(self.n))
 
     @property
     def descriptor(self) -> str:
@@ -169,8 +162,9 @@ class AllGraphs:
             yield Graph(self.n, mask)
 
     def chunk_specs(self):
-        """Chunks of representative numbers, CHUNK_SIZE representatives each."""
-        return _range_chunks(self, 1 << len(_free_edges(self.n)))
+        """Chunks (self, lo, hi) of representative numbers, CHUNK_SIZE each."""
+        total = 1 << len(_free_edges(self.n))
+        return [(self, lo, min(lo + CHUNK_SIZE, total)) for lo in range(0, total, CHUNK_SIZE)]
 
     def csv_rows(self, tails: list) -> _OrbitRows:
         """The scan's CSV lines from its chunks' representative tails."""
@@ -202,10 +196,10 @@ class BoundaryFamily:
 
     Parameterized by (a, b, c, e): the apex clique-neighborhood sizes a >= b,
     their overlap c, and the apex-apex edge flag: one 6-cell signed type,
-    the clique's cells laid out first (see _boundary_type).  Its chunks are
-    ranges of members in parameter order.  A member's polynomial is that of
+    the clique's cells laid out first (see _boundary_type).  An order is one
+    chunk, its members in parameter order.  A member's polynomial is that of
     its orbit's representative under switching on the apexes (see
-    _boundary_table), so a chunk expands only its representatives'
+    _boundary_table), so a scan expands only the representatives'
     quotients, and members sharing a polynomial are evaluated once.
     """
 
@@ -215,6 +209,7 @@ class BoundaryFamily:
         lo, hi = BOUNDARY_MIN_N, BOUNDARY_MAX_N
         if not (isinstance(self.n, (int, np.integer)) and lo <= self.n <= hi):
             raise ValueError(f"boundary family covers integers n in {lo}..{hi}, not {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
 
     @property
     def descriptor(self) -> str:
@@ -245,32 +240,30 @@ class BoundaryFamily:
             yield self.graph_for(a, b, c, e)
 
     def chunk_specs(self):
-        """Chunks of parameter indices, CHUNK_SIZE members each."""
-        return _range_chunks(self, len(self))
+        """One chunk, (self,): at most 1,892 members, far below CHUNK_SIZE."""
+        return [(self,)]
 
-    def stacks(self, start: int, stop: int) -> tuple[int, list[_Stack]]:
-        """Members start..stop-1 and their stack."""
+    def stacks(self) -> tuple[int, list[_Stack]]:
+        """Every member and their stack."""
         n, table = self.n, _boundary_table(self.n)
-        params = table.params[start:stop]
 
         def members(rows):  # positions are parameter indices
-            return rows, start + rows, _graph6_lines(n, self.edge_bits(params[rows]))
+            return rows, rows, _graph6_lines(n, self.edge_bits(table.params[rows]))
 
         def quantities(need):
             # each member reaches its polynomial through its representative
-            reps, candidate = np.unique(table.rep[start:stop], return_inverse=True)
-            signs, sizes = _boundary_type(n, table.params[reps])
+            signs, sizes = _boundary_type(n, table.params[table.reps])
 
             def spectra(rows):  # S's spectrum is its representative quotient's and n - 6 ones
-                q = _quotients(signs[candidate[rows]], sizes[candidate[rows]], symmetrized=True)
-                vals = np.linalg.eigvalsh(q)
+                orbit = table.orbit[rows]
+                vals = np.linalg.eigvalsh(_quotients(signs[orbit], sizes[orbit], symmetrized=True))
                 return np.sort(np.concatenate([vals, np.ones((len(vals), n - 6))], axis=1), axis=1)
 
             # q, det(xI - S) = (x - 1)^(n-6) q
             polys = _charpoly_f64(_quotients(signs, sizes))
-            return _by_charpoly(polys, candidate, n - 6, spectra, need)
+            return _by_charpoly(polys, table.orbit, n - 6, spectra, need)
 
-        return stop - start, [_Stack(n, members, np.arange(stop - start), quantities)]
+        return len(self), [_Stack(n, members, np.arange(len(self)), quantities)]
 
     def csv_rows(self, lines: list) -> list:
         """The scan's CSV lines: its chunks' text, as the workers wrote it."""
@@ -279,7 +272,8 @@ class BoundaryFamily:
 
 class _BoundaryTable(NamedTuple):
     params: np.ndarray  # (a, b, c, e) of every member, in source order
-    rep: np.ndarray  # each member's representative, its orbit's least parameter index
+    orbit: np.ndarray  # each member's orbit number: orbits numbered by representative
+    reps: np.ndarray  # each orbit's representative, its least parameter index, ascending
 
 
 @lru_cache(maxsize=None)
@@ -291,7 +285,8 @@ def _boundary_table(n: int) -> _BoundaryTable:
     swapping the apexes then restores a >= b.  Each image is a member up to
     a relabeling of the clique, and the four images of a member are its
     whole orbit.  An orbit's representative is its least parameter index, so
-    it is the orbit's first member in source order.
+    it is the orbit's first member in source order; orbits are numbered in
+    that order.  The read-only table holds no quotient or polynomial.
     """
     m = n - 2
     grid = np.indices((m + 1, m + 1, m + 1, 2)).reshape(4, -1)
@@ -309,7 +304,10 @@ def _boundary_table(n: int) -> _BoundaryTable:
         ]
     )  # (image, field, member)
     high, low = images[:, :2].max(axis=1), images[:, :2].min(axis=1)  # a >= b
-    return _BoundaryTable(params, index[high, low, images[:, 2], images[:, 3]].min(axis=0))
+    rep = index[high, low, images[:, 2], images[:, 3]].min(axis=0)  # each member's rep
+    reps, orbit = np.unique(rep, return_inverse=True)
+    params.flags.writeable = orbit.flags.writeable = reps.flags.writeable = False
+    return _BoundaryTable(params, orbit, reps)
 
 
 # Seidel signs between the boundary type's cells, one 6x6 table per e: the
@@ -715,11 +713,12 @@ class ScanReport:
     front as they are written (see _OrbitRows).  A row's float cells (E_S
     and the energy margins) come from the first row in its chunk with the
     same Seidel characteristic polynomial, for the exhaustive source the
-    first such orbit representative: equal to the graph's own in exact
-    arithmetic, they may differ in the last digits (by at most 1.6e-14 over
-    every graph at n <= 7, and 5.0e-14 over the boundary family, whose
-    spectra come from its 6x6 quotients), which no verdict depends on.
-    N_op and the exact margins are the graph's own."""
+    first such orbit representative and for the boundary family, an order
+    a chunk, the first member of the order with it: equal to the graph's
+    own in exact arithmetic, they may differ in the last digits (by at most
+    1.6e-14 over every graph at n <= 7, and 5.0e-14 over the boundary
+    family, whose spectra come from its 6x6 quotients), which no verdict
+    depends on.  N_op and the exact margins are the graph's own."""
 
     source: str
     checks: tuple

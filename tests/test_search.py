@@ -107,6 +107,15 @@ class TestAllGraphs:
     def test_numpy_integer_order(self):
         assert scan(AllGraphs(np.int64(4))).to_json(False) == scan(AllGraphs(4)).to_json(False)
 
+    def test_order_is_stored_as_int(self):
+        # bool is an int, so True passes the check; it is stored as 1, as
+        # Graph stores its order, and scans as order 1
+        assert type(AllGraphs(True).n) is int and type(AllGraphs(np.int64(4)).n) is int
+        assert type(BoundaryFamily(np.int64(11)).n) is int
+        report = scan(AllGraphs(True))
+        assert report.source == "all(n=1)"
+        assert report.to_json(False) == scan(AllGraphs(1)).to_json(False)
+
     def test_chunking_covers_everything(self, set_chunk_size):
         # n = 5 has 2^(C(4,2)-1) = 32 representatives
         set_chunk_size(10)
@@ -1168,33 +1177,51 @@ def _times_x_minus_1(q: np.ndarray, ones: int) -> np.ndarray:
 
 def _boundary_orbits(n: int) -> list[np.ndarray]:
     """Each orbit's parameter indices, in representative order."""
-    rep = search._boundary_table(n).rep
-    return [np.flatnonzero(rep == k) for k in np.unique(rep)]
+    orbit = search._boundary_table(n).orbit
+    return [np.flatnonzero(orbit == k) for k in range(orbit.max() + 1)]
 
 
 @pytest.mark.parametrize("n", BOUNDARY_ORDERS)
-def test_boundary_orbits_partition_params(set_chunk_size, n):
+def test_boundary_orbits_partition_params(n):
     # a member's representative is its orbit's least parameter index, which
-    # its apex switchings share; a chunk is a range of members
+    # its apex switchings share; orbits are numbered by representative
     fam = BoundaryFamily(n)
     table = search._boundary_table(n)
-    assert table._fields == ("params", "rep")
+    assert table._fields == ("params", "orbit", "reps")
+    rep = table.reps[table.orbit]
+    assert np.array_equal(table.reps, np.unique(rep))
     params = fam.params()
     index = {p: k for k, p in enumerate(params)}
-    assert np.array_equal(table.rep[table.rep], table.rep)
-    assert np.all(table.rep <= np.arange(len(params)))
+    assert np.array_equal(rep[rep], rep)
+    assert np.all(rep <= np.arange(len(params)))
     orbits = _boundary_orbits(n)
     assert np.array_equal(np.sort(np.concatenate(orbits)), np.arange(len(params)))
-    assert [int(orbit[0]) for orbit in orbits] == np.unique(table.rep).tolist()
-    set_chunk_size(1)
-    assert len(fam) == len(params) and len(fam.chunk_specs()) == len(params)
+    assert [int(orbit[0]) for orbit in orbits] == np.unique(rep).tolist()
+    assert len(fam) == len(params)
     for k, p in enumerate(params):
         for image in _apex_switchings(n, *p):
-            assert table.rep[index[image]] == table.rep[k]
+            assert rep[index[image]] == rep[k]
+
+
+def test_boundary_order_is_one_chunk(set_chunk_size, monkeypatch):
+    # the largest order fits one chunk, so every order is one chunk of all
+    # its members, at any chunk size
+    assert len(BoundaryFamily(search.BOUNDARY_MAX_N)) <= search.CHUNK_SIZE
+    set_chunk_size(1)
+    for n in BOUNDARY_ORDERS:
+        fam = BoundaryFamily(n)
+        assert fam.chunk_specs() == [(fam,)]
+        count, (stack,) = fam.stacks()
+        assert count == len(fam) and np.array_equal(stack.slots, np.arange(len(fam)))
+    chunks = _catch(monkeypatch, "_eval_chunk")
+    for n in (11, 22):
+        assert scan(BoundaryFamily(n), workers=2).graphs_scanned == len(BoundaryFamily(n))
+    assert [spec for spec, *_ in chunks] == [(BoundaryFamily(11),), (BoundaryFamily(22),)]
 
 
 def test_boundary_orbit_counts():
-    orbits = [len(np.unique(search._boundary_table(n).rep)) for n in BOUNDARY_ORDERS]
+    orbits = [len(np.unique(search._boundary_table(n).orbit)) for n in BOUNDARY_ORDERS]
+    assert orbits == [len(search._boundary_table(n).reps) for n in BOUNDARY_ORDERS]
     assert sum(orbits) == 2971
     assert sum(orbits[:6]) == 785  # n = 11..16
     assert sum(len(BoundaryFamily(n)) for n in BOUNDARY_ORDERS) == 10982
@@ -1218,9 +1245,11 @@ def test_boundary_scan_runs_no_exact_kernel(monkeypatch):
     # the boundary polynomials and spectra come from the quotient: n = 11..16
     # call the exact kernel never and eigvalsh once per distinct polynomial,
     # on its 6x6 quotient; N_op and the SC flag are read off the polynomials'
-    # S_k, so no Seidel matrix is built, and members are looked up, not searched;
+    # S_k, so no Seidel matrix is built, and members are looked up, not searched,
+    # their orbits numbered once per order, not per scan;
     # the polynomials stay factored, the quotient's times (x - 1)^(n-6), so
     # none of degree n is built
+    tables = [search._boundary_table(n) for n in range(11, 17)]
     polys, batches, kernel, eigvalsh = [], [], charpoly_batch_i64, np.linalg.eigvalsh
     grouped = _catch(monkeypatch, "_by_charpoly")
     quotients = _catch(monkeypatch, "_charpoly_f64")
@@ -1228,6 +1257,7 @@ def test_boundary_scan_runs_no_exact_kernel(monkeypatch):
     for name in ("_seidel", "_odd_pairs", "_sc_to_complete"):
         monkeypatch.setattr(search, name, lambda *a, name=name: called.append(name))
     monkeypatch.setattr(search.np, "isin", lambda *a, **k: called.append("isin"))
+    monkeypatch.setattr(search.np, "unique", lambda *a, **k: called.append("unique"))
 
     def counting(a):
         batches.append(a.shape)
@@ -1245,10 +1275,9 @@ def test_boundary_scan_runs_no_exact_kernel(monkeypatch):
     # the candidates are the orbit representatives, each member reaching its
     # own through its rep, so the quotients expanded are the 785 orbits', not
     # the 2,842 members'
-    reps = [search._boundary_table(n).rep for n in range(11, 17)]
     assert [len(coeffs) for coeffs, *_ in grouped] == [70, 91, 112, 140, 168, 204]
-    for (coeffs, rows, *_), rep in zip(grouped, reps):
-        assert np.array_equal(np.unique(rep)[rows], rep)
+    for (coeffs, rows, *_), table in zip(grouped, tables):
+        assert np.array_equal(table.reps[rows], table.reps[table.orbit])
     assert sum(len(q) for q, in quotients) == 785
     assert {shape[1:] for shape in batches} == {(6, 6)}
     assert sum(shape[0] for shape in batches) == 715
@@ -1425,9 +1454,9 @@ def boundary_reference():
 def test_csv_boundary_matches_representative_reference(
     boundary_reference, set_chunk_size, workers
 ):
-    # a chunk of 5 members meets orbits whose least member lies in an
-    # earlier chunk, so its float cells may come from another member of
-    # the orbit than the reference's
+    # an order is one chunk at any chunk size; a row's float cells come
+    # from the first member with its polynomial, which may be another
+    # orbit's representative than the reference's
     checks, want = boundary_reference
     set_chunk_size(5)
     reports = [

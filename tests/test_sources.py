@@ -1,7 +1,9 @@
 import ast
+import importlib
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,3 +57,44 @@ def test_module_imports_are_used(path):
     imports = _module_imports(tree, text.splitlines())
     unused = [(name, line) for name, line in imports if name not in read]
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+# arguments for each lru_cache'd function in src/, by module and name
+CACHED_CALLS = {
+    ("graphs", "_endpoints"): [(1,), (7,), (62,)],
+    ("graphs", "_edge_numbers"): [(1,), (7,), (62,)],
+    ("search", "_free_edges"): [(3,), (8,)],
+    ("search", "_orbit_offsets"): [(1,), (2,), (7,)],
+    ("search", "_parent_relabelings"): [(3,), (7,), (8,)],
+    ("search", "_boundary_table"): [(11,), (22,)],
+    ("spectral", "_crt_primes"): [(7,), (62,)],
+    ("spectral", "_sk_fits_int64"): [(6, 5), (6, 16)],
+    ("spectral", "_ones_band"): [(6, 5, np.dtype(np.int64)), (6, 16, np.dtype(object))],
+    ("verify", "_sk_bounds"): [(7, np.dtype(np.int64)), (30, np.dtype(object))],
+}
+
+
+def _arrays(value):
+    """The numpy arrays in a returned value, looking into tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
+
+
+def test_cached_tables_are_read_only():
+    # a cached array is shared by every later call in the process, so one
+    # stray write would corrupt every later scan: each is read-only
+    cached = {
+        (path.stem, name)
+        for path in MODULES
+        for name, fn in vars(importlib.import_module(f"seidelab.{path.stem}")).items()
+        if hasattr(fn, "cache_info") and fn.__module__ == f"seidelab.{path.stem}"
+    }
+    assert cached == set(CACHED_CALLS)
+    for (module, name), calls in CACHED_CALLS.items():
+        fn = getattr(importlib.import_module(f"seidelab.{module}"), name)
+        for args in calls:
+            writeable = [a.shape for a in _arrays(fn(*args)) if a.flags.writeable]
+            assert not writeable, f"{module}.{name}{args} returns writeable arrays {writeable}"
