@@ -51,16 +51,10 @@ from .spectral import (
     eigenvalues,
     elementary_symmetric_A2,
     p_energy,
-    submatrix_det_parity,
 )
 from .verify import (
     VerificationReport,
     run_checks,
-    verify_oddpair_lower,
-    verify_sk_basic,
-    verify_sk_oddpairs,
-    verify_theorem1,
-    verify_theorem2,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -85,7 +85,6 @@ import json
 import os
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import chain, islice, permutations, repeat
@@ -790,6 +789,14 @@ class _OrbitRows:
             yield "".join((_graph6_lines(n, bits) + self.tails[_representatives(n, bits)]).tolist())
 
 
+def ProcessPoolExecutor(max_workers: int):
+    """A concurrent.futures process pool, imported here, by the scans that
+    fork one, so no other process loads multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
+
+
 def _eval_chunk_star(args):
     return _eval_chunk(*args)
 
@@ -820,11 +827,15 @@ def scan(
 ) -> ScanReport:
     """Run the selected checkers over every graph of the source.
 
-    The pool has min(workers, CPU count) processes, and chunks are drawn
-    from the source as it has room for them, at most twice that many at a
-    time.  The aggregate (counts, failures, minimum-energy record, CSV rows)
-    is identical for any worker count; wall time is the only field that
-    varies.
+    A pool is forked, and multiprocessing imported, only when the source
+    gives at least two chunks and min(workers, CPU count) is at least 2.
+    Every other scan runs in this process: with workers=1, and for any
+    workers every exhaustive order up to 7, every boundary order and a
+    stream of at most CHUNK_SIZE lines.  The pool has min(workers, CPU
+    count) processes, and chunks are drawn from the source as it has room
+    for them, at most twice that many at a time.  The aggregate (counts,
+    failures, minimum-energy record, CSV rows) is identical for any worker
+    count; wall time is the only field that varies.
     """
     checks, p_grid = validate(checks, p_grid)
     if not isinstance(workers, (int, np.integer)) or workers < 1:

@@ -495,22 +495,6 @@ def bareiss_det(mat) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def submatrix_det_parity(a: np.ndarray | Graph, rows, cols) -> int:
-    """Exact determinant of the Seidel submatrix A_{I,J}.
-
-    When |I ∩ J| = |I| - 1 the result is odd; when the symmetric difference
-    is an odd pair's 2x2 block extension, |det| >= 2.
-    """
-    if isinstance(a, Graph):
-        a = seidel_matrix(a)
-    rows = sorted(rows)
-    cols = sorted(cols)
-    if len(rows) != len(cols) or not rows:
-        raise ValueError("row and column sets must be nonempty and equal-sized")
-    sub = np.asarray(a)[np.ix_(rows, cols)]
-    return bareiss_det(sub)
-
-
 def cauchy_binet_check(r, k: int) -> tuple[int, int]:
     """Both sides of S_k(R R^T) = sum over k-subsets I, J of det(R_{I,J})^2.
 

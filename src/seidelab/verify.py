@@ -186,32 +186,3 @@ def run_checks(
         ]
     return reports
 
-
-def _only(g: Graph, check: str, p_grid=(1.0,)) -> list[VerificationReport]:
-    require_applicable(g.n, (check,))
-    return run_checks(g, (check,), p_grid)
-
-
-def verify_sk_basic(g: Graph) -> list[VerificationReport]:
-    """S_k(A^2) >= n(n-1) C(n-2, k-1) exactly, for k = 1..n."""
-    return _only(g, "sk-basic")
-
-
-def verify_sk_oddpairs(g: Graph) -> list[VerificationReport]:
-    """S_k(A^2) >= n(n-1) C(n-2, k-1) + 4 N_op C(n-4, k-2) exactly, k = 1..n."""
-    return _only(g, "sk-oddpairs")
-
-
-def verify_oddpair_lower(g: Graph) -> VerificationReport:
-    """N_op = 0 on the SC-class of K_n, else N_op >= 2(n-3)^2."""
-    return _only(g, "oddpair-lower")[0]
-
-
-def verify_theorem1(g: Graph, p: float) -> VerificationReport:
-    """E_p(G) > (n-1)^p + (n-2) strictly, for p in (0, 2)."""
-    return _only(g, "theorem1", (p,))[0]
-
-
-def verify_theorem2(g: Graph) -> VerificationReport:
-    """E_S(G) >= 2n-2, strictly off the SC-class of K_n."""
-    return _only(g, "theorem2")[0]

@@ -1532,6 +1532,38 @@ def test_pool_size_capped_at_cpu_count(monkeypatch, set_chunk_size):
         assert rep.to_json(include_timing=False) == want
 
 
+def test_one_chunk_scans_start_no_pool(monkeypatch, tmp_path):
+    # forking costs more than a lone chunk takes: every exhaustive order up to
+    # 7, every boundary order and a stream of at most CHUNK_SIZE lines run in
+    # the calling process at any worker count
+    def refuse(max_workers):
+        raise AssertionError("a one-chunk scan started a pool")
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+    path = tmp_path / "one-chunk.g6"
+    masks = np.arange(search.CHUNK_SIZE, dtype=np.uint64)  # every graph on 6 vertices
+    path.write_text("\n".join(_graph6_lines(6, search._mask_bits(6, masks)).tolist()) + "\n")
+    sources = [*map(AllGraphs, range(1, 8)), BoundaryFamily(11), BoundaryFamily(22)]
+    sources.append(Graph6Stream(str(path)))
+    assert all(len(list(source.chunk_specs())) == 1 for source in sources)
+    counts = [scan(source, DESK_CHECKS, workers=4).graphs_scanned for source in sources]
+    assert counts == [*map(len, sources[:-1]), search.CHUNK_SIZE]
+
+
+def test_two_chunk_stream_pooled_matches_serial(tmp_path, monkeypatch, set_chunk_size):
+    # a real two-process pool over two chunks writes what one process writes
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    path = tmp_path / "two-chunks.g6"
+    path.write_text("".join(f"{encode_graph6(Graph.from_edge_mask(5, m))}\n" for m in range(64)))
+    set_chunk_size(32)
+    source = Graph6Stream(str(path))
+    assert len(list(source.chunk_specs())) == 2
+    serial, pooled = (scan(source, DESK_CHECKS, workers=w, collect_rows=True) for w in (1, 2))
+    assert pooled.to_json(include_timing=False) == serial.to_json(include_timing=False)
+    assert _written(pooled) == _written(serial)
+
+
 def test_workers_rejected_before_any_chunk(monkeypatch, set_chunk_size):
     def refuse(args):
         raise AssertionError("a chunk ran")

@@ -1,6 +1,10 @@
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -98,3 +102,47 @@ def test_cached_tables_are_read_only():
         for args in calls:
             writeable = [a.shape for a in _arrays(fn(*args)) if a.flags.writeable]
             assert not writeable, f"{module}.{name}{args} returns writeable arrays {writeable}"
+
+
+# Run in a fresh interpreter, where pytest has imported nothing: after each
+# step, the pool's modules it has loaded.  Each cli.main call prints to
+# stdout, so the result is the last line.
+_POOL_IMPORT_STEPS = """
+import json, sys
+
+def pool_modules():
+    prefixes = ("multiprocessing", "_multiprocessing", "concurrent")
+    return sorted(m for m in sys.modules if m.startswith(prefixes))
+
+seen = {}
+import seidelab
+seen["import seidelab"] = pool_modules()
+from seidelab import cli, search
+seen["import seidelab.cli"] = pool_modules()
+seidelab.run_checks(seidelab.complete_graph(6))
+seen["run_checks"] = pool_modules()
+cli.main(["energy", "--g6", "DUW"])
+seen["cli energy"] = pool_modules()
+cli.main(["verify", "--all-n", "1..6", "--format", "json"])
+seen["cli verify --all-n 1..6"] = pool_modules()
+search.CHUNK_SIZE = 64
+seidelab.scan(seidelab.AllGraphs(6), collect_rows=True)
+seen["two-chunk scan, workers=1"] = pool_modules()
+search.ProcessPoolExecutor(1).shutdown()
+seen["a pool built"] = pool_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_only_a_pool_imports_multiprocessing():
+    # multiprocessing and the ~30 modules it pulls in (socket, subprocess,
+    # logging, ...) load only when a scan builds its pool; pytest's pythonpath
+    # setting does not reach a child process, so PYTHONPATH names src
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _POOL_IMPORT_STEPS], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen.pop("a pool built")  # the guard sees the modules a pool loads
+    assert seen == dict.fromkeys(seen, [])

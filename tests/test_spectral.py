@@ -38,7 +38,6 @@ from seidelab.spectral import (
     elementary_symmetric_A2,
     p_energy,
     sk_from_charpoly,
-    submatrix_det_parity,
 )
 
 from conftest import graph_strategy, random_graph
@@ -644,13 +643,6 @@ class TestBareissDet:
 
 
 class TestSubmatrixDet:
-    def test_validation(self):
-        a = seidel_matrix(complete_graph(4))
-        with pytest.raises(ValueError):
-            submatrix_det_parity(a, [0], [1, 2])
-        with pytest.raises(ValueError):
-            submatrix_det_parity(a, [], [])
-
     @given(graph_strategy(min_n=3, max_n=7), st.data())
     @settings(max_examples=60)
     def test_overlap_k_minus_1_is_odd(self, g, data):
@@ -663,7 +655,7 @@ class TestSubmatrixDet:
         shared = rows[:-1]
         outside = sorted(set(range(g.n)) - set(rows))
         cols = sorted(shared + [data.draw(st.sampled_from(outside))])
-        det = submatrix_det_parity(g, rows, cols)
+        det = bareiss_det(seidel_matrix(g)[np.ix_(rows, cols)])
         assert det % 2 == 1
 
 
